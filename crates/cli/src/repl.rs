@@ -45,7 +45,7 @@ pub struct Repl {
     /// by `:stats` through [`fundb_core::EngineStats`].
     serve: ServeStats,
     /// Accumulated goal-directed query counters (magic rules synthesized,
-    /// demand-set sizes) from `?-` answers and `:plan`, surfaced by
+    /// demand-set sizes) from `?-` answers, surfaced by
     /// `:stats` through [`fundb_core::EngineStats`].
     demand: fundb_datalog::EvalStats,
     /// Durable session journal (`:open <dir>`): every accepted program
@@ -415,12 +415,6 @@ impl Repl {
                             "magic rules: {}, demanded tuples: {} \
                              (goal-directed queries this session; see :plan)",
                             s.magic_rules, s.demanded_tuples
-                        )?;
-                        writeln!(
-                            out,
-                            "adaptive exec: replans: {}, bloom skips: {}, \
-                             shared prefix hits: {}",
-                            s.replans, s.bloom_skips, s.shared_prefix_hits
                         )?;
                         writeln!(
                             out,
@@ -842,8 +836,7 @@ impl Repl {
     }
 
     /// Dumps the adorned magic-set rewrite and chosen join orders for a
-    /// purely relational goal, then evaluates the demanded cone (governed)
-    /// to report the adaptive executor's per-round re-plan history.
+    /// purely relational goal.
     fn plan_query(&mut self, q: &fundb_core::Query, out: &mut dyn Write) -> std::io::Result<()> {
         use fundb_datalog as dl;
         let (Some((body, _)), Some(rules), Some(facts)) = (
@@ -913,37 +906,6 @@ impl Repl {
             mp.seeds.len(),
             mp.rules.len()
         )?;
-        // The static orders above are the *initial* plan. Run the demanded
-        // cone to see whether live delta statistics forced any mid-run
-        // join-order switches (counters accumulate into :stats).
-        self.arm_governor();
-        let gov = self.ws.governor().clone();
-        match q.answer_goal_directed(&self.ws.program, &self.ws.db, &gov) {
-            Some(Ok(ans)) => {
-                self.demand.magic_rules += ans.stats.magic_rules;
-                self.demand.demanded_tuples += ans.stats.demanded_tuples;
-                self.demand.replans += ans.stats.replans;
-                self.demand.bloom_skips += ans.stats.bloom_skips;
-                self.demand.shared_prefix_hits += ans.stats.shared_prefix_hits;
-                if ans.replan_events.is_empty() {
-                    writeln!(
-                        out,
-                        "re-plan history: none (initial join orders held for the run)"
-                    )?;
-                } else {
-                    writeln!(out, "re-plan history:")?;
-                    for ev in &ans.replan_events {
-                        writeln!(
-                            out,
-                            "  round {}: rule {} join order {:?} -> {:?}",
-                            ev.round, ev.rule, ev.old_order, ev.new_order
-                        )?;
-                    }
-                }
-            }
-            Some(Err(e)) => self.report_error(&e, out)?,
-            None => {}
-        }
         Ok(())
     }
 
@@ -961,9 +923,6 @@ impl Repl {
                     Ok(ans) => {
                         self.demand.magic_rules += ans.stats.magic_rules;
                         self.demand.demanded_tuples += ans.stats.demanded_tuples;
-                        self.demand.replans += ans.stats.replans;
-                        self.demand.bloom_skips += ans.stats.bloom_skips;
-                        self.demand.shared_prefix_hits += ans.stats.shared_prefix_hits;
                         if ans.rows.is_empty() {
                             writeln!(out, "no answers")
                         } else {
@@ -1241,12 +1200,9 @@ mod tests {
         assert!(out.contains("m_Path_bf"), "{out}");
         assert!(out.contains("Path_bf"), "{out}");
         assert!(out.contains("join order:"), "{out}");
-        // :plan also reports whether the adaptive executor re-planned.
-        assert!(out.contains("re-plan history:"), "{out}");
         // :stats surfaces the accumulated demand counters.
         assert!(out.contains("magic rules:"), "{out}");
         assert!(out.contains("demanded tuples:"), "{out}");
-        assert!(out.contains("adaptive exec:"), "{out}");
     }
 
     #[test]

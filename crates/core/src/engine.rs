@@ -155,15 +155,6 @@ pub struct EngineStats {
     /// Demand-set sizes summed over goal-directed queries (see
     /// [`dl::EvalStats::demanded_tuples`]).
     pub demanded_tuples: usize,
-    /// Rule plans replaced mid-run by the adaptive evaluator (see
-    /// [`dl::EvalStats::replans`]).
-    pub replans: usize,
-    /// Composite-index probes answered by a bloom-filter rejection (see
-    /// [`dl::EvalStats::bloom_skips`]).
-    pub bloom_skips: usize,
-    /// Shared compiled-prefix evaluations reused across rules (see
-    /// [`dl::EvalStats::shared_prefix_hits`]).
-    pub shared_prefix_hits: usize,
     /// WAL records appended by a durable session this engine reported into
     /// (see `fundb_storage::WalStats`); stays 0 unless a durable store
     /// reports in.
@@ -195,9 +186,6 @@ impl EngineStats {
         self.index_misses += es.index_misses;
         self.magic_rules += es.magic_rules;
         self.demanded_tuples += es.demanded_tuples;
-        self.replans += es.replans;
-        self.bloom_skips += es.bloom_skips;
-        self.shared_prefix_hits += es.shared_prefix_hits;
     }
 }
 
@@ -395,9 +383,6 @@ impl Engine {
     pub fn record_demand_stats(&mut self, es: dl::EvalStats) {
         self.stats.magic_rules += es.magic_rules;
         self.stats.demanded_tuples += es.demanded_tuples;
-        self.stats.replans += es.replans;
-        self.stats.bloom_skips += es.bloom_skips;
-        self.stats.shared_prefix_hits += es.shared_prefix_hits;
     }
 
     /// Absorbs incremental-retraction counters (cumulative session totals)

@@ -397,9 +397,12 @@ pub fn read_spec_binary(bytes: &[u8], interner: &mut Interner) -> Result<SpecBun
         return Err(bin_err("body checksum mismatch (corrupt file)"));
     }
 
+    // Counts below are untrusted (the CRC only guards against accidental
+    // corruption), so every pre-allocation is capped by the entries the
+    // body could hold at its minimum encoded size per entry.
     let mut r = Reader::new(body);
     let nstrings = r.u32()? as usize;
-    let mut syms: Vec<Sym> = Vec::with_capacity(nstrings);
+    let mut syms: Vec<Sym> = Vec::with_capacity(nstrings.min(body.len() / 4 + 1));
     for _ in 0..nstrings {
         syms.push(interner.intern(r.str()?));
     }
@@ -412,7 +415,7 @@ pub fn read_spec_binary(bytes: &[u8], interner: &mut Interner) -> Result<SpecBun
     let c = r.u64()? as usize;
 
     let nfuncs = r.u32()? as usize;
-    let mut funcs = Vec::with_capacity(nfuncs);
+    let mut funcs = Vec::with_capacity(nfuncs.min(body.len() / 4 + 1));
     for _ in 0..nfuncs {
         funcs.push(Func(sym(r.u32()?)?));
     }
@@ -440,8 +443,8 @@ pub fn read_spec_binary(bytes: &[u8], interner: &mut Interner) -> Result<SpecBun
 
     let nnodes = r.u32()? as usize;
     let mut tree = TermTree::new();
-    let mut node_terms = Vec::with_capacity(nnodes);
-    let mut states = Vec::with_capacity(nnodes);
+    let mut node_terms = Vec::with_capacity(nnodes.min(body.len() / 4 + 1));
+    let mut states = Vec::with_capacity(nnodes.min(body.len() / 4 + 1));
     let mut path_buf: Vec<Func> = Vec::new();
     for _ in 0..nnodes {
         let plen = r.u32()? as usize;
@@ -498,7 +501,7 @@ pub fn read_spec_binary(bytes: &[u8], interner: &mut Interner) -> Result<SpecBun
     }
 
     let nmerges = r.u32()? as usize;
-    let mut merges = Vec::with_capacity(nmerges);
+    let mut merges = Vec::with_capacity(nmerges.min(body.len() / 8 + 1));
     for _ in 0..nmerges {
         let plen = r.u32()? as usize;
         let path: Vec<Func> = (0..plen)
@@ -1006,5 +1009,43 @@ mod tests {
             panic!("future version accepted");
         };
         assert!(err.to_string().contains("newer build"), "got: {err}");
+    }
+
+    /// A crafted file passes the CRC but claims `u32::MAX` entries in one
+    /// section: the reader must return `Err`, not abort on the allocation.
+    #[test]
+    fn binary_rejects_huge_counts_without_aborting() {
+        fn framed(body: &[u8]) -> Vec<u8> {
+            let mut out = SPEC_BIN_MAGIC.to_vec();
+            put_u32(&mut out, SPEC_BIN_VERSION);
+            put_u64(&mut out, body.len() as u64);
+            put_u32(&mut out, crc32c(body));
+            out.extend_from_slice(body);
+            out
+        }
+        // Section counts in reading order (`c` is the one u64), each an
+        // empty section, then the claimed count at position `huge`.
+        let sections = [
+            "strings", "c", "funcs", "mixed", "nodes", "atoms", "succ", "rels", "merges",
+        ];
+        for huge in ["strings", "funcs", "nodes", "merges"] {
+            let mut body = Vec::new();
+            for &section in &sections {
+                if section == huge {
+                    put_u32(&mut body, u32::MAX);
+                    break;
+                }
+                if section == "c" {
+                    put_u64(&mut body, 0);
+                } else {
+                    put_u32(&mut body, 0);
+                }
+            }
+            let mut i = Interner::new();
+            assert!(
+                read_spec_binary(&framed(&body), &mut i).is_err(),
+                "{huge}: u32::MAX entries accepted"
+            );
+        }
     }
 }

@@ -29,11 +29,10 @@
 //! deterministic prefix of the tripping round's merge.
 
 use crate::governor::{EvalError, FaultPlan, Governor, ProbeGuard, Resource};
-use crate::program::{register_file, register_file_sized, CompiledRule, HeadSlot, JoinProgram};
-use crate::rel::{hash_row, Database, PlanStats};
+use crate::program::{register_file, CompiledRule, HeadSlot, JoinProgram};
+use crate::rel::{hash_row, Database};
 use crate::rule::{Atom, Rule, Term};
 use fundb_term::{Cst, FxHashMap, Pred, Var};
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -69,20 +68,16 @@ pub struct EvalStats {
     /// actually touched. Set once after the fixpoint (never inside
     /// workers), so thread-count stats equality is unaffected.
     pub demanded_tuples: usize,
-    /// Number of rule plans the adaptive evaluator replaced mid-run after
-    /// detecting estimate/observation drift (see
-    /// [`IncrementalEval::with_adaptive`]). Decided by the coordinator at
-    /// round boundaries only, so identical at every thread count.
+    /// Always 0: every run executes the plans it is given, never
+    /// re-planning. Kept because the benchmark's `relational_fixpoint`
+    /// workload reads it and the WAL round-commit record encodes it, so
+    /// the on-disk format is unchanged.
     pub replans: usize,
-    /// Number of composite-index probes answered by a bloom-filter
-    /// rejection: the key was provably absent, so the hash-bucket walk was
-    /// skipped. Each such probe still counts as an `index_hits` (the index
-    /// fully covered the key); answers are unaffected.
+    /// Always 0: composite indexes have no pre-probe filter. Kept for the
+    /// same benchmark and WAL-format reasons as `replans`.
     pub bloom_skips: usize,
-    /// Number of times a shared compiled body prefix was reused instead of
-    /// re-evaluated: for each binding surviving a prefix shared by `k`
-    /// rule programs, `k - 1` re-evaluations are skipped and counted here.
-    /// Additive over delta rows, so identical at every thread count.
+    /// Always 0: every task evaluates its own body. Kept for the same
+    /// benchmark and WAL-format reasons as `replans`.
     pub shared_prefix_hits: usize,
     /// Number of rows tombstoned by retraction maintenance (the target
     /// fact plus every over-deleted consequence), across
@@ -170,23 +165,6 @@ impl RoundSink for NoopSink {
     fn round_committed(&mut self, _stats: &EvalStats) -> Result<(), String> {
         Ok(())
     }
-}
-
-/// One mid-run re-plan applied by the adaptive evaluator: before `round`
-/// started, `rule`'s compiled programs were replaced by a recompile against
-/// live statistics, changing at least one atom order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ReplanEvent {
-    /// The round (1-based, within the [`IncrementalEval::run`] call) that
-    /// first executed under the new plan.
-    pub round: usize,
-    /// Index of the re-planned rule in the caller's rule slice.
-    pub rule: usize,
-    /// Atom order (body positions) of the first differing program before
-    /// the re-plan.
-    pub old_order: Vec<usize>,
-    /// Atom order of that program after the re-plan.
-    pub new_order: Vec<usize>,
 }
 
 /// A predicate-argument index over a rule set — for each predicate, the
@@ -343,23 +321,6 @@ pub struct IncrementalEval {
     min_parallel_rows: usize,
     /// Budgets, cancellation and fault injection for every run.
     governor: Governor,
-    /// Adaptive execution (mid-run re-planning + shared-prefix groups).
-    adaptive: bool,
-    /// Per-rule plan overrides installed by mid-run re-plans; `None`
-    /// entries fall through to the `DeltaPlan`'s compiled programs.
-    overrides: Vec<Option<CompiledRule>>,
-    /// The statistics snapshot the current plans were estimated against
-    /// (plan-time stats until the first re-plan, live stats after).
-    est_stats: Option<PlanStats>,
-    /// Memoized per-delta-row probe estimates keyed `(rule, delta atom)`;
-    /// cleared whenever `est_stats` or an override changes.
-    est_cache: FxHashMap<(u32, u32), f64>,
-    /// Rules whose observed probes drifted outside the estimate band last
-    /// round; re-planned (deterministically, coordinator-only) at the next
-    /// round boundary.
-    drifted: Vec<u32>,
-    /// Every re-plan applied so far, in application order.
-    replan_log: Vec<ReplanEvent>,
     /// Scratch for the per-round sink hand-off (relations the round
     /// touched, in predicate order) — reused so sink-attached runs don't
     /// allocate per round.
@@ -377,12 +338,6 @@ impl Default for IncrementalEval {
             threads: None,
             min_parallel_rows: DEFAULT_MIN_PARALLEL_ROWS,
             governor: Governor::default(),
-            adaptive: true,
-            overrides: Vec::new(),
-            est_stats: None,
-            est_cache: FxHashMap::default(),
-            drifted: Vec::new(),
-            replan_log: Vec::new(),
             sink_touched: Vec::new(),
         }
     }
@@ -434,26 +389,6 @@ impl IncrementalEval {
     /// The governor in effect (e.g. to clone its cancellation token).
     pub fn governor(&self) -> &Governor {
         &self.governor
-    }
-
-    /// Enables/disables adaptive execution (on by default): live-stats
-    /// re-planning at round boundaries and shared-prefix task groups.
-    /// `false` reproduces the planned-once PR 6/7 execution exactly.
-    /// Builder form.
-    pub fn with_adaptive(mut self, adaptive: bool) -> Self {
-        self.set_adaptive(adaptive);
-        self
-    }
-
-    /// Setter form of [`IncrementalEval::with_adaptive`].
-    pub fn set_adaptive(&mut self, adaptive: bool) {
-        self.adaptive = adaptive;
-    }
-
-    /// The re-plans applied so far, across every [`IncrementalEval::run`]
-    /// call on this evaluator, in application order.
-    pub fn replan_history(&self) -> &[ReplanEvent] {
-        &self.replan_log
     }
 
     /// Marks every current row of `db` as already processed: the next
@@ -578,45 +513,6 @@ impl IncrementalEval {
                 }
             }
         }
-        if self.adaptive {
-            if self.overrides.len() < rules.len() {
-                self.overrides.resize_with(rules.len(), || None);
-            }
-            if self.est_stats.is_none() {
-                // Baseline for drift detection: the same kind of snapshot
-                // the plan was compiled from. The first re-plan replaces it
-                // with a live (delta-aware) snapshot.
-                let est = db.plan_stats();
-                // Round-one planning pass: a greedy-compiled plan adopts
-                // the cost model's order wherever the snapshot says it is
-                // strictly better (the hysteresis margin lives inside
-                // `cost_order`). Plans already compiled from equivalent
-                // statistics recompile to themselves, so this is a no-op
-                // for `DeltaPlan::planned` callers. Coordinator-only and
-                // driven purely by the snapshot: thread counts cannot
-                // influence it.
-                for (ri, rule) in rules.iter().enumerate() {
-                    let recompiled = CompiledRule::with_stats(rule, &est);
-                    if let Some((old_order, new_order)) =
-                        changed_orders(&plan.programs[ri], &recompiled)
-                    {
-                        stats.replans += 1;
-                        self.replan_log.push(ReplanEvent {
-                            round: 1,
-                            rule: ri,
-                            old_order,
-                            new_order,
-                        });
-                        self.overrides[ri] = Some(recompiled);
-                    }
-                }
-                self.est_stats = Some(est);
-            }
-        }
-        // Shared-prefix grouping is disabled under `panic_task` faults: the
-        // fault addresses one deterministic task index, and a group would
-        // co-execute that task with innocent siblings.
-        let grouping = self.adaptive && fault.panic_task.is_none();
         loop {
             // Round boundary: `db` holds exactly the committed rounds and
             // `stats` describes them, so this snapshot is what any early
@@ -638,56 +534,11 @@ impl IncrementalEval {
                     });
                 }
             }
-            // Mid-run re-planning. Rules flagged as drifted at the end of
-            // the previous round are recompiled against *live* statistics
-            // (current cardinalities plus the delta sketches) before this
-            // round's tasks are built. Everything here runs on the
-            // coordinator from round-boundary state only — worker
-            // scheduling can't influence it — so the decisions, and with
-            // them row/RowId order, stay byte-identical at any thread
-            // count. A re-plan is also a budget checkpoint.
-            if self.adaptive && !self.drifted.is_empty() {
-                if let Err(resource) = gov.checkpoint() {
-                    gov.abort_round();
-                    return Err(EvalError::BudgetExhausted {
-                        resource,
-                        partial: committed,
-                    });
-                }
-                let marks = &self.marks;
-                let live = db.plan_stats_live(|p| marks.get(&p).copied().unwrap_or(0));
-                for ri in std::mem::take(&mut self.drifted) {
-                    let recompiled = CompiledRule::with_stats(&rules[ri as usize], &live);
-                    let current = self.overrides[ri as usize]
-                        .as_ref()
-                        .unwrap_or(&plan.programs[ri as usize]);
-                    if let Some((old_order, new_order)) = changed_orders(current, &recompiled) {
-                        stats.replans += 1;
-                        self.replan_log.push(ReplanEvent {
-                            round: stats.rounds + 1,
-                            rule: ri as usize,
-                            old_order,
-                            new_order,
-                        });
-                        self.overrides[ri as usize] = Some(recompiled);
-                    }
-                }
-                self.est_stats = Some(live);
-                self.est_cache.clear();
-            }
             stats.rounds += 1;
             // Composite indexes demanded by the compiled programs must
             // exist before workers share the database immutably; inserts
-            // keep them current within and after the round. Overriding
-            // plans may demand signatures the base plan never compiled.
+            // keep them current within and after the round.
             plan.ensure_indexes(db);
-            for ov in self.overrides.iter().flatten() {
-                let mut extra = Vec::new();
-                ov.demands(&mut extra);
-                for (p, sig) in extra {
-                    db.ensure_composite(p, sig);
-                }
-            }
             let mut tasks: Vec<Task> = Vec::new();
             // Total delta rows the round will scan, for the parallel/
             // sequential decision (first rounds count whole relations).
@@ -792,77 +643,39 @@ impl IncrementalEval {
             // position in `tasks` — independent of which worker actually
             // executes a task, so `panic_task` faults are reproducible.
             let base = gov.reserve_tasks(tasks.len());
-            let view = PlanView {
-                plan,
-                overrides: &self.overrides,
-            };
-            // Per-rule probe estimates for this round's delta work — the
-            // drift detector's expectation. Memoized per (rule, delta atom)
-            // until stats or plans change.
-            let mut round_est: FxHashMap<u32, f64> = FxHashMap::default();
-            if self.adaptive && !first {
-                for task in &tasks {
-                    if let Some(d) = task.delta {
-                        let key = (task.rule, d.atom);
-                        let per = match self.est_cache.get(&key) {
-                            Some(&cached) => cached,
-                            None => {
-                                let est_stats = self
-                                    .est_stats
-                                    .as_ref()
-                                    .expect("adaptive run initializes est_stats");
-                                let per = view
-                                    .program(task.rule, Some(d.atom))
-                                    .estimate_probes_per_delta_row(est_stats);
-                                self.est_cache.insert(key, per);
-                                per
-                            }
-                        };
-                        *round_est.entry(task.rule).or_insert(0.0) +=
-                            (d.end - d.start) as f64 * per;
-                    }
-                }
-            }
-            let groups = build_groups(&view, &tasks, grouping);
             let parallel =
                 threads > 1 && tasks.len() > 1 && round_rows >= self.min_parallel_rows.max(1);
+            let mut buffer = DerivedBuffer::default();
             let round = if parallel {
-                run_tasks_parallel(db, &view, &tasks, &groups, threads, base, &gov, &fault)
+                run_tasks_parallel(
+                    db,
+                    plan,
+                    &tasks,
+                    threads,
+                    base,
+                    &gov,
+                    &fault,
+                    &mut buffer,
+                    &mut stats,
+                )
             } else {
-                run_tasks_sequential(db, &view, &tasks, &groups, base, &gov, &fault)
+                run_tasks_sequential(
+                    db,
+                    plan,
+                    &tasks,
+                    base,
+                    &gov,
+                    &fault,
+                    &mut buffer,
+                    &mut stats,
+                )
             };
-            let results = match round {
-                Ok(results) => results,
+            if let Err(abort) = round {
                 // Mid-round failure: the round's buffer is discarded whole,
                 // leaving the database at the last completed round — the
                 // only truncation point that is identical no matter which
                 // worker tripped first.
-                Err(abort) => return Err(abort.into_eval_error(committed)),
-            };
-            let mut buffer = DerivedBuffer::default();
-            let mut observed: FxHashMap<u32, usize> = FxHashMap::default();
-            for (i, buf, st) in results {
-                if self.adaptive && !first {
-                    *observed.entry(tasks[i].rule).or_insert(0) += st.join_probes;
-                }
-                buffer.absorb(buf);
-                stats.absorb(st);
-            }
-            // Drift decision for the next round boundary: observed probes
-            // per rule outside the estimate band. Both sides are sums over
-            // delta rows (chunking-invariant), so the flagged set is
-            // identical at every thread count.
-            if self.adaptive {
-                self.drifted.clear();
-                for (&ri, &est) in &round_est {
-                    let obs = observed.get(&ri).copied().unwrap_or(0);
-                    if obs >= DRIFT_MIN_PROBES
-                        && ((obs as f64) > est * DRIFT_FACTOR || (obs as f64) * DRIFT_FACTOR < est)
-                    {
-                        self.drifted.push(ri);
-                    }
-                }
-                self.drifted.sort_unstable();
+                return Err(abort.into_eval_error(committed));
             }
 
             // Advance marks to the end of the pre-insertion rows, and
@@ -1057,297 +870,85 @@ fn inject_task_fault(fault: &FaultPlan, index: usize) {
     }
 }
 
-/// Minimum observed probes before a rule can be flagged as drifted —
-/// below this the round's absolute cost is noise and a re-plan would be
-/// pure overhead.
-const DRIFT_MIN_PROBES: usize = 256;
-
-/// Estimate/observation tolerance: observed probes outside
-/// `[estimate / DRIFT_FACTOR, estimate * DRIFT_FACTOR]` flag the rule for
-/// re-planning at the next round boundary.
-const DRIFT_FACTOR: f64 = 4.0;
-
-/// The first atom-order difference between two compiles of one rule, as
-/// `(old, new)` body-position orders (full program first, then per-delta
-/// programs); `None` when every program agrees — in which case a re-plan
-/// would be a no-op and is not installed.
-fn changed_orders(old: &CompiledRule, new: &CompiledRule) -> Option<(Vec<usize>, Vec<usize>)> {
-    let (o, n) = (old.full.atom_order(), new.full.atom_order());
-    if o != n {
-        return Some((o, n));
-    }
-    for (op, np) in old.per_delta.iter().zip(&new.per_delta) {
-        let (o, n) = (op.atom_order(), np.atom_order());
-        if o != n {
-            return Some((o, n));
-        }
-    }
-    None
-}
-
-/// A [`DeltaPlan`] seen through the adaptive evaluator's per-rule
-/// overrides: rules re-planned mid-run resolve to their recompiled
-/// programs, everything else falls through to the base plan.
-#[derive(Clone, Copy)]
-struct PlanView<'a> {
-    plan: &'a DeltaPlan,
-    overrides: &'a [Option<CompiledRule>],
-}
-
-impl PlanView<'_> {
-    /// The compiled program a task runs (see [`DeltaPlan::program`]).
-    fn program(&self, rule: u32, delta_atom: Option<u32>) -> &JoinProgram {
-        if let Some(Some(cr)) = self.overrides.get(rule as usize) {
-            return match delta_atom {
-                None => &cr.full,
-                Some(ai) => &cr.per_delta[ai as usize],
-            };
-        }
-        self.plan.program(rule, delta_atom)
-    }
-}
-
-/// Tasks co-executed over one evaluation of a shared compiled prefix.
-/// `members` index into the round's task list, ascending; the first member
-/// owns the prefix (its probes and the group's `shared_prefix_hits` land in
-/// its stats, keeping per-task attribution additive over delta rows and
-/// therefore thread-count-invariant). Singleton groups run the plain
-/// per-task path; `shared_len` is 0 for them.
-struct TaskGroup {
-    members: Vec<u32>,
-    shared_len: usize,
-}
-
-/// Greedily groups tasks that scan the *same* delta range (or are all
-/// full-relation tasks) through structurally identical leading ops. Group
-/// composition is a pure function of the round's task list and the
-/// installed programs — never of worker scheduling — and chunk boundaries
-/// are identical for every position over one predicate's range, so the
-/// per-delta-row fan-out (and with it rows and stats) is identical at any
-/// thread count. `grouping == false` yields all-singleton groups (the
-/// planned-once execution shape).
-fn build_groups(view: &PlanView<'_>, tasks: &[Task], grouping: bool) -> Vec<TaskGroup> {
-    if !grouping {
-        return (0..tasks.len() as u32)
-            .map(|i| TaskGroup {
-                members: vec![i],
-                shared_len: 0,
-            })
-            .collect();
-    }
-    let mut grouped = vec![false; tasks.len()];
-    let mut groups = Vec::new();
-    for i in 0..tasks.len() {
-        if grouped[i] {
-            continue;
-        }
-        grouped[i] = true;
-        let ti = tasks[i];
-        let pi = view.program(ti.rule, ti.delta.map(|d| d.atom));
-        let key = ti.delta.map(|d| (d.start, d.end));
-        let mut members = vec![i as u32];
-        let mut shared = usize::MAX;
-        for (j, tj) in tasks.iter().enumerate().skip(i + 1) {
-            if grouped[j] || tj.delta.map(|d| (d.start, d.end)) != key {
-                continue;
-            }
-            let pj = view.program(tj.rule, tj.delta.map(|d| d.atom));
-            let l = pi.shared_prefix_len(pj);
-            if l >= 1 {
-                grouped[j] = true;
-                members.push(j as u32);
-                shared = shared.min(l);
-            }
-        }
-        let shared_len = if members.len() == 1 { 0 } else { shared };
-        groups.push(TaskGroup {
-            members,
-            shared_len,
-        });
-    }
-    groups
-}
-
-/// Runs one task sequentially into `out`: executes the task's compiled
-/// program over a freshly-zeroed register file.
+/// Runs one task into `out` under `catch_unwind`: executes the task's
+/// compiled program over a freshly-zeroed register file. `index` is the
+/// task's deterministic global index, the one `panic_task` faults address
+/// and a panic reports.
+#[allow(clippy::too_many_arguments)]
 fn run_task(
     db: &Database,
-    view: &PlanView<'_>,
+    plan: &DeltaPlan,
     task: Task,
-    guard: &ProbeGuard<'_>,
-    out: &mut DerivedBuffer,
-    stats: &mut EvalStats,
-) -> Result<(), Resource> {
-    let prog = view.program(task.rule, task.delta.map(|d| d.atom));
-    let mut regs = register_file(prog);
-    let range = task.delta.map(|d| (d.start, d.end));
-    let pred = prog.head_pred();
-    prog.execute(db, range, &mut regs, guard, stats, &mut |head, regs| {
-        out.push_slots(pred, head, regs);
-    })
-}
-
-/// Executes one task group, returning `(task index, buffer, stats)` per
-/// member. Singleton groups run [`run_task`]; larger groups evaluate the
-/// shared prefix once through the first member's program and resume every
-/// member's continuation per surviving binding — each member's buffer
-/// receives exactly the rows its solo task would have produced, in the
-/// same order, so the task-order merge is unchanged. Panic/fault isolation
-/// matches the per-task path (`task` in the abort is the member whose
-/// continuation — or, between continuations, whose prefix — was running).
-fn run_group(
-    db: &Database,
-    view: &PlanView<'_>,
-    tasks: &[Task],
-    group: &TaskGroup,
-    base: usize,
+    index: usize,
     guard: &ProbeGuard<'_>,
     fault: &FaultPlan,
-) -> Result<Vec<(usize, DerivedBuffer, EvalStats)>, RoundAbort> {
-    if group.members.len() == 1 {
-        let ti = group.members[0] as usize;
-        let index = base + ti;
-        let mut buf = DerivedBuffer::default();
-        let mut st = EvalStats::default();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            inject_task_fault(fault, index);
-            run_task(db, view, tasks[ti], guard, &mut buf, &mut st)
-        }));
-        return match outcome {
-            Ok(Ok(())) => Ok(vec![(ti, buf, st)]),
-            Ok(Err(resource)) => Err(RoundAbort::Resource(resource)),
-            Err(payload) => Err(RoundAbort::Panic {
-                task: index,
-                payload: panic_payload(payload),
-            }),
-        };
-    }
-    let progs: Vec<&JoinProgram> = group
-        .members
-        .iter()
-        .map(|&ti| {
-            let t = tasks[ti as usize];
-            view.program(t.rule, t.delta.map(|d| d.atom))
+    out: &mut DerivedBuffer,
+    stats: &mut EvalStats,
+) -> Result<(), RoundAbort> {
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        inject_task_fault(fault, index);
+        let prog = plan.program(task.rule, task.delta.map(|d| d.atom));
+        let mut regs = register_file(prog);
+        let range = task.delta.map(|d| (d.start, d.end));
+        let pred = prog.head_pred();
+        prog.execute(db, range, &mut regs, guard, stats, &mut |head, regs| {
+            out.push_slots(pred, head, regs);
         })
-        .collect();
-    let nregs = progs.iter().map(|p| p.register_count()).max().unwrap_or(0);
-    let mut regs = register_file_sized(nregs);
-    let mut bufs: Vec<DerivedBuffer> = (0..progs.len()).map(|_| DerivedBuffer::default()).collect();
-    let mut stats: Vec<EvalStats> = vec![EvalStats::default(); progs.len()];
-    let mut prefix_stats = EvalStats::default();
-    // Which member's continuation is running, for panic attribution.
-    let active = Cell::new(0usize);
-    let range = tasks[group.members[0] as usize]
-        .delta
-        .map(|d| (d.start, d.end));
-    let limit = group.shared_len;
-    debug_assert!(progs.iter().all(|p| p.op_len() >= limit));
-    let outcome = {
-        let progs = &progs;
-        let bufs = &mut bufs;
-        let stats = &mut stats;
-        let active = &active;
-        catch_unwind(AssertUnwindSafe(|| {
-            for &ti in &group.members {
-                inject_task_fault(fault, base + ti as usize);
-            }
-            progs[0].execute_prefix(
-                db,
-                limit,
-                range,
-                &mut regs,
-                guard,
-                &mut prefix_stats,
-                &mut |regs| {
-                    // One prefix evaluation serves every member: the other
-                    // `members - 1` evaluations are the cache hits.
-                    stats[0].shared_prefix_hits += progs.len() - 1;
-                    for (m, prog) in progs.iter().enumerate() {
-                        active.set(m);
-                        let pred = prog.head_pred();
-                        let buf = &mut bufs[m];
-                        prog.execute_from(
-                            db,
-                            limit,
-                            regs,
-                            guard,
-                            &mut stats[m],
-                            &mut |head, r| {
-                                buf.push_slots(pred, head, r);
-                            },
-                        )?;
-                    }
-                    active.set(0);
-                    Ok(())
-                },
-            )
-        }))
-    };
+    }));
     match outcome {
-        Ok(Ok(())) => {
-            // The prefix's own probes belong to the member that owns it.
-            stats[0].absorb(prefix_stats);
-            Ok(group
-                .members
-                .iter()
-                .zip(bufs.into_iter().zip(stats))
-                .map(|(&ti, (buf, st))| (ti as usize, buf, st))
-                .collect())
-        }
+        Ok(Ok(())) => Ok(()),
         Ok(Err(resource)) => Err(RoundAbort::Resource(resource)),
         Err(payload) => Err(RoundAbort::Panic {
-            task: base + group.members[active.get()] as usize,
+            task: index,
             payload: panic_payload(payload),
         }),
     }
 }
 
-/// Executes the round's groups in order on the calling thread, with the
-/// same panic isolation as the parallel path (a poisoned task must not
-/// abort the process on single-core machines either). Returns the
-/// per-task results sorted by task index.
+/// Executes `tasks` in order on the calling thread, with the same panic
+/// isolation as the parallel path (a poisoned task must not abort the
+/// process on single-core machines either).
 #[allow(clippy::too_many_arguments)]
 fn run_tasks_sequential(
     db: &Database,
-    view: &PlanView<'_>,
+    plan: &DeltaPlan,
     tasks: &[Task],
-    groups: &[TaskGroup],
     base: usize,
     gov: &Governor,
     fault: &FaultPlan,
-) -> Result<Vec<(usize, DerivedBuffer, EvalStats)>, RoundAbort> {
+    out: &mut DerivedBuffer,
+    stats: &mut EvalStats,
+) -> Result<(), RoundAbort> {
     let guard = gov.probe_guard(None);
-    let mut results = Vec::with_capacity(tasks.len());
-    for group in groups {
-        results.extend(run_group(db, view, tasks, group, base, &guard, fault)?);
+    for (i, &task) in tasks.iter().enumerate() {
+        run_task(db, plan, task, base + i, &guard, fault, out, stats)?;
     }
-    results.sort_unstable_by_key(|&(i, _, _)| i);
-    Ok(results)
+    Ok(())
 }
 
-/// Executes the round's groups on `threads` scoped workers. A shared
-/// atomic cursor hands out groups; each worker keeps `(task index, buffer,
-/// stats)` triples, and the caller consumes them in ascending task index,
-/// making the output indistinguishable from running the tasks in order on
-/// one thread.
+/// Executes `tasks` on `threads` scoped workers. A shared atomic cursor
+/// hands out tasks; each worker keeps `(task index, buffer, stats)`
+/// triples, and the results are merged in ascending task index, making the
+/// output indistinguishable from running the tasks in order on one thread.
 ///
-/// Failure handling: each group body runs under `catch_unwind` (inside
-/// [`run_group`]); the first failure sets a round-local abort flag
-/// (checked by siblings at group hand-out and inside probe checks) and is
-/// recorded by smallest task index, panics outranking resource trips, so
-/// the reported error does not depend on worker scheduling.
+/// Failure handling: each task body runs under `catch_unwind` (inside
+/// [`run_task`]); the first failure sets a round-local abort flag (checked
+/// by siblings at task hand-out and inside probe checks) and is recorded by
+/// smallest task index, panics outranking resource trips, so the reported
+/// error does not depend on worker scheduling.
 #[allow(clippy::too_many_arguments)]
 fn run_tasks_parallel(
     db: &Database,
-    view: &PlanView<'_>,
+    plan: &DeltaPlan,
     tasks: &[Task],
-    groups: &[TaskGroup],
     threads: usize,
     base: usize,
     gov: &Governor,
     fault: &FaultPlan,
-) -> Result<Vec<(usize, DerivedBuffer, EvalStats)>, RoundAbort> {
-    let workers = threads.min(groups.len());
+    out: &mut DerivedBuffer,
+    stats: &mut EvalStats,
+) -> Result<(), RoundAbort> {
+    let workers = threads.min(tasks.len());
     let cursor = AtomicUsize::new(0);
     let abort = AtomicBool::new(false);
     let failure: Mutex<Option<(usize, RoundAbort)>> = Mutex::new(None);
@@ -1376,30 +977,34 @@ fn run_tasks_parallel(
                         if abort.load(Ordering::Acquire) {
                             return done;
                         }
-                        let g = cursor.fetch_add(1, Ordering::Relaxed);
-                        if g >= groups.len() {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= tasks.len() {
                             return done;
                         }
-                        let group = &groups[g];
-                        match run_group(db, view, tasks, group, base, &guard, fault) {
-                            Ok(rs) => done.extend(rs),
+                        let mut buf = DerivedBuffer::default();
+                        let mut st = EvalStats::default();
+                        match run_task(
+                            db,
+                            plan,
+                            tasks[i],
+                            base + i,
+                            &guard,
+                            fault,
+                            &mut buf,
+                            &mut st,
+                        ) {
+                            Ok(()) => done.push((i, buf, st)),
                             Err(ab) => {
-                                let (index, poisoned) = match &ab {
-                                    RoundAbort::Panic { task, .. } => (*task, false),
-                                    // A `Cancelled` trip with the token
-                                    // still clear came from the round's
-                                    // abort flag: some sibling already
-                                    // recorded the real failure, so don't
-                                    // relabel it.
-                                    RoundAbort::Resource(resource) => (
-                                        base + group.members[0] as usize,
-                                        *resource == Resource::Cancelled
-                                            && !gov.is_cancelled()
-                                            && abort.load(Ordering::Acquire),
-                                    ),
-                                };
+                                // A `Cancelled` trip with the token still
+                                // clear came from the round's abort flag:
+                                // some sibling already recorded the real
+                                // failure, so don't relabel it.
+                                let poisoned =
+                                    matches!(ab, RoundAbort::Resource(Resource::Cancelled))
+                                        && !gov.is_cancelled()
+                                        && abort.load(Ordering::Acquire);
                                 if !poisoned {
-                                    record(index, ab);
+                                    record(base + i, ab);
                                 }
                                 return done;
                             }
@@ -1412,7 +1017,7 @@ fn run_tasks_parallel(
             .into_iter()
             .flat_map(|h| match h.join() {
                 Ok(done) => done,
-                // Unreachable in practice — the group body is fully wrapped
+                // Unreachable in practice — the task body is fully wrapped
                 // in `catch_unwind` — but a defect here must poison the
                 // round, not abort the process.
                 Err(payload) => {
@@ -1432,7 +1037,11 @@ fn run_tasks_parallel(
         return Err(ab);
     }
     results.sort_unstable_by_key(|&(i, _, _)| i);
-    Ok(results)
+    for (_, buf, st) in results {
+        out.absorb(buf);
+        stats.absorb(st);
+    }
+    Ok(())
 }
 
 /// Evaluates `rules` over `db` to the least fixpoint, semi-naively.
@@ -1499,23 +1108,18 @@ pub fn evaluate_naive_governed(
             })
             .collect();
         let base = governor.reserve_tasks(tasks.len());
-        // The naive oracle stays ungrouped and non-adaptive: it is the
-        // textbook baseline the adaptive path is differentially tested
-        // against.
-        let view = PlanView {
-            plan: &plan,
-            overrides: &[],
-        };
-        let groups = build_groups(&view, &tasks, false);
-        let results = match run_tasks_sequential(db, &view, &tasks, &groups, base, governor, &fault)
-        {
-            Ok(results) => results,
-            Err(abort) => return Err(abort.into_eval_error(committed)),
-        };
         let mut buffer = DerivedBuffer::default();
-        for (_, buf, st) in results {
-            buffer.absorb(buf);
-            stats.absorb(st);
+        if let Err(abort) = run_tasks_sequential(
+            db,
+            &plan,
+            &tasks,
+            base,
+            governor,
+            &fault,
+            &mut buffer,
+            &mut stats,
+        ) {
+            return Err(abort.into_eval_error(committed));
         }
         let mut changed = false;
         for (p, t) in buffer.iter() {
@@ -1641,9 +1245,6 @@ pub struct DemandAnswer {
     /// `true` when the magic rewrite applied; `false` on the degenerate
     /// fallbacks (all-free goal, EDB-only goal, over-wide atoms).
     pub goal_directed: bool,
-    /// Mid-run re-plans the overlay fixpoint applied, in order (empty when
-    /// nothing drifted, or on the direct-join fallback).
-    pub replan_events: Vec<ReplanEvent>,
 }
 
 /// Goal-directed conjunctive query over `db` given the IDB `rules`: rewrites
@@ -1691,9 +1292,7 @@ pub fn query_demand_tuned(
     threads: Option<usize>,
     min_parallel_rows: Option<usize>,
 ) -> Result<DemandAnswer, EvalError> {
-    let overlay_eval = |scratch: &mut Database,
-                        rules: &[Rule]|
-     -> Result<(EvalStats, Vec<ReplanEvent>), EvalError> {
+    let overlay_eval = |scratch: &mut Database, rules: &[Rule]| -> Result<EvalStats, EvalError> {
         let plan = DeltaPlan::planned(rules, scratch);
         let mut eval = IncrementalEval::new().with_governor(governor.clone());
         if let Some(t) = threads {
@@ -1702,8 +1301,7 @@ pub fn query_demand_tuned(
         if let Some(m) = min_parallel_rows {
             eval = eval.with_parallel_threshold(m);
         }
-        let run_stats = eval.run(scratch, rules, &plan)?;
-        Ok((run_stats, eval.replan_log))
+        eval.run(scratch, rules, &plan)
     };
     let mut stats = EvalStats::default();
     if let Some(mp) = crate::magic::magic_rewrite(rules, body) {
@@ -1723,7 +1321,7 @@ pub fn query_demand_tuned(
             scratch.insert(*p, row);
         }
         stats.magic_rules = mp.magic_rule_count;
-        let (run_stats, replan_events) = overlay_eval(&mut scratch, &mp.rules)?;
+        let run_stats = overlay_eval(&mut scratch, &mp.rules)?;
         stats.absorb(run_stats);
         stats.demanded_tuples = mp
             .magic_preds()
@@ -1735,7 +1333,6 @@ pub fn query_demand_tuned(
             rows,
             stats,
             goal_directed: true,
-            replan_events,
         })
     } else {
         let idb: fundb_term::FxHashSet<Pred> = rules.iter().map(|r| r.head.pred).collect();
@@ -1744,14 +1341,13 @@ pub fn query_demand_tuned(
             // fixpoint is genuinely needed. Materialize it into an overlay
             // so the contract (base never mutated) still holds.
             let mut scratch = db.clone();
-            let (run_stats, replan_events) = overlay_eval(&mut scratch, rules)?;
+            let run_stats = overlay_eval(&mut scratch, rules)?;
             stats.absorb(run_stats);
             let rows = query_collect(&scratch, body, out_vars, governor, &mut stats)?;
             Ok(DemandAnswer {
                 rows,
                 stats,
                 goal_directed: false,
-                replan_events,
             })
         } else {
             // EDB-only (or missing-predicate) goal: the base facts are
@@ -1761,7 +1357,6 @@ pub fn query_demand_tuned(
                 rows,
                 stats,
                 goal_directed: false,
-                replan_events: Vec::new(),
             })
         }
     }
@@ -3008,123 +2603,6 @@ mod tests {
                     "seed {seed}: demand and materialization disagree"
                 );
             }
-        }
-    }
-
-    /// A resumed run whose relations grew far past the estimate baseline:
-    /// the drift detector must flag the rule, the re-plan must flip the
-    /// atom order, and every artifact (rows, stats, re-plan log) must be
-    /// byte-identical at every thread count.
-    #[test]
-    fn drift_triggers_a_deterministic_replan() {
-        let mut i = Interner::new();
-        let dp = Pred(i.intern("D"));
-        let ep = Pred(i.intern("E"));
-        let rp = Pred(i.intern("R"));
-        let (x, y, z) = (Var(i.intern("x")), Var(i.intern("y")), Var(i.intern("z")));
-        // R(x,z) :- D(x,y), E(y,z).
-        let rules = vec![Rule::new(
-            Atom::new(rp, vec![Term::Var(x), Term::Var(z)]),
-            vec![
-                Atom::new(dp, vec![Term::Var(x), Term::Var(y)]),
-                Atom::new(ep, vec![Term::Var(y), Term::Var(z)]),
-            ],
-        )];
-        let a = Cst(i.intern("a"));
-        let b = Cst(i.intern("b"));
-        let c = Cst(i.intern("c"));
-        let hub = Cst(i.intern("hub"));
-        let xs: Vec<Cst> = (0..1000).map(|k| Cst(i.intern(&format!("x{k}")))).collect();
-        let ms: Vec<Cst> = (0..500).map(|k| Cst(i.intern(&format!("m{k}")))).collect();
-        let zs: Vec<Cst> = (0..20).map(|k| Cst(i.intern(&format!("z{k}")))).collect();
-        let run = |threads: usize| {
-            let mut db = Database::new();
-            db.insert(dp, &[a, b]);
-            db.insert(ep, &[b, c]);
-            let plan = DeltaPlan::planned(&rules, &db);
-            let mut eval = IncrementalEval::new()
-                .with_threads(threads)
-                .with_parallel_threshold(1);
-            // First run: tiny relations, and this snapshot becomes the
-            // estimate baseline for the resumed run.
-            eval.run(&mut db, &rules, &plan).unwrap();
-            // Half of D funnels into `hub`, whose E bucket is 20 wide —
-            // far past what the baseline stats predict.
-            for (k, &xk) in xs.iter().enumerate() {
-                let col1 = if k < 500 { hub } else { ms[k - 500] };
-                db.insert(dp, &[xk, col1]);
-            }
-            for &zk in &zs {
-                db.insert(ep, &[hub, zk]);
-            }
-            let stats = eval.run(&mut db, &rules, &plan).unwrap();
-            (db.dump(&i), stats, eval.replan_history().to_vec())
-        };
-        let (rows1, stats1, log1) = run(1);
-        assert_eq!(
-            stats1.replans, 1,
-            "drift should install exactly one re-plan"
-        );
-        assert_eq!(
-            log1,
-            vec![ReplanEvent {
-                round: 2,
-                rule: 0,
-                old_order: vec![0, 1],
-                new_order: vec![1, 0],
-            }],
-            "live stats make E-outermost the planned full order"
-        );
-        for threads in [2, 4, 8] {
-            let (rows, stats, log) = run(threads);
-            assert_eq!(rows, rows1, "rows diverged at {threads} threads");
-            assert_eq!(stats, stats1, "stats diverged at {threads} threads");
-            assert_eq!(log, log1, "re-plan log diverged at {threads} threads");
-        }
-    }
-
-    /// Adaptive rounds group tasks whose compiled programs share a leading
-    /// delta scan: the prefix runs once and fans out, cutting probes while
-    /// leaving every row (and its merge position) untouched.
-    #[test]
-    fn shared_prefix_groups_reduce_probes_without_changing_rows() {
-        let mut fx = fixture();
-        let q = Pred(fx.i.intern("Q"));
-        let mut rules = transitive_closure_rules(&fx);
-        // A second consumer of delta Path rows, structurally sharing the
-        // recursive rule's leading compiled Path scan.
-        rules.push(Rule::new(
-            Atom::new(q, vec![Term::Var(fx.x), Term::Var(fx.y)]),
-            vec![Atom::new(fx.path, vec![Term::Var(fx.x), Term::Var(fx.y)])],
-        ));
-        let plan = DeltaPlan::new(&rules);
-        let mut run = |adaptive: bool, threads: usize| {
-            let mut db = chain_db(&mut fx, 24);
-            let mut eval = IncrementalEval::new()
-                .with_adaptive(adaptive)
-                .with_threads(threads)
-                .with_parallel_threshold(1);
-            let stats = eval.run(&mut db, &rules, &plan).unwrap();
-            (db.dump(&fx.i), stats)
-        };
-        let (rows_off, off) = run(false, 1);
-        let (rows_on, on) = run(true, 1);
-        assert_eq!(rows_on, rows_off, "grouping changed the fixpoint");
-        assert_eq!(off.shared_prefix_hits, 0);
-        assert!(
-            on.shared_prefix_hits > 0,
-            "delta Path rounds should fan out a shared prefix"
-        );
-        assert!(
-            on.join_probes < off.join_probes,
-            "shared prefix should save probes ({} vs {})",
-            on.join_probes,
-            off.join_probes
-        );
-        for threads in [2, 4, 8] {
-            let (rows, stats) = run(true, threads);
-            assert_eq!(rows, rows_on, "rows diverged at {threads} threads");
-            assert_eq!(stats, on, "stats diverged at {threads} threads");
         }
     }
 }

@@ -34,8 +34,7 @@ pub mod rule;
 pub use engine::evaluate_naive_interpreted;
 pub use engine::{
     default_threads, evaluate, evaluate_governed, evaluate_naive, evaluate_naive_governed, query,
-    query_governed, DeltaPlan, EvalStats, IncrementalEval, ReplanEvent, RoundSink,
-    DEFAULT_MIN_PARALLEL_ROWS,
+    query_governed, DeltaPlan, EvalStats, IncrementalEval, RoundSink, DEFAULT_MIN_PARALLEL_ROWS,
 };
 pub use engine::{query_demand, query_demand_governed, query_demand_tuned, DemandAnswer};
 pub use governor::{

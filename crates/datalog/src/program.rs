@@ -222,50 +222,6 @@ impl JoinProgram {
         self.ops.iter().map(|op| op.body_pos as usize).collect()
     }
 
-    /// Number of compiled atom ops (the body length).
-    pub(crate) fn op_len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Length of the longest common compiled prefix between this program
-    /// and `other`: leading [`AtomOp`]s that probe the same predicate with
-    /// the same signature, key slots, and column ops. `body_pos` is
-    /// metadata (it only matches delta ranges) and deliberately ignored —
-    /// two rules whose bodies *start* the same way compile to the same
-    /// leading ops even if the shared atoms sit at different text
-    /// positions. Registers are numbered by first occurrence in op order,
-    /// so structurally equal prefixes assign identical registers: one
-    /// evaluation of the shared prefix can fan out into every program
-    /// without re-binding anything.
-    pub(crate) fn shared_prefix_len(&self, other: &JoinProgram) -> usize {
-        self.ops
-            .iter()
-            .zip(&other.ops)
-            .take_while(|(a, b)| {
-                a.pred == b.pred && a.sig == b.sig && a.key == b.key && a.cols == b.cols
-            })
-            .count()
-    }
-
-    /// Estimated `join_probes` one delta row of this (per-delta) program
-    /// costs: 1 for the delta row itself, plus the cascade of per-visit
-    /// candidate estimates over the remaining ops (each op's estimate
-    /// multiplies the visit count of everything below it). Uses the same
-    /// per-atom model as [`cost_order`], driven by the compiled signatures.
-    /// The adaptive evaluator compares this against observed probe counts
-    /// to detect drift.
-    pub(crate) fn estimate_probes_per_delta_row(&self, stats: &PlanStats) -> f64 {
-        let default_rows = stats.total_rows().max(64) as f64;
-        let mut running = 1.0f64;
-        let mut total = 1.0f64;
-        for op in self.ops.iter().skip(1) {
-            let e = op_cost(op, stats, default_rows);
-            total += running * e;
-            running = (running * e).min(1e18);
-        }
-        total
-    }
-
     /// Composite-index signatures this program will probe, appended to
     /// `out` as `(predicate, signature)` pairs (multi-column only —
     /// single columns are served by the per-column indexes).
@@ -333,103 +289,6 @@ impl JoinProgram {
         Ok(())
     }
 
-    /// Runs only the first `limit` ops (a shared prefix), calling `cont`
-    /// with the register file for every binding that survives them. The
-    /// continuation typically resumes *other* programs sharing this prefix
-    /// via [`JoinProgram::execute_from`]; it may write deeper registers but
-    /// must leave the prefix's own registers alone (which `execute_from`
-    /// guarantees: later ops only `Load` fresh registers).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn execute_prefix<F: FnMut(&mut [Cst]) -> Result<(), Resource>>(
-        &self,
-        db: &Database,
-        limit: usize,
-        delta: Option<(usize, usize)>,
-        regs: &mut [Cst],
-        guard: &ProbeGuard<'_>,
-        stats: &mut EvalStats,
-        cont: &mut F,
-    ) -> Result<(), Resource> {
-        debug_assert!(limit <= self.ops.len());
-        self.exec_prefix(db, 0, limit, delta, regs, guard, stats, cont)
-    }
-
-    /// Resumes this program at op `depth`, with the registers of all
-    /// earlier ops already bound in `regs` (by a shared-prefix execution of
-    /// a structurally identical prefix). No delta restriction applies — the
-    /// prefix already consumed it.
-    pub(crate) fn execute_from<F: FnMut(&[HeadSlot], &[Cst])>(
-        &self,
-        db: &Database,
-        depth: usize,
-        regs: &mut [Cst],
-        guard: &ProbeGuard<'_>,
-        stats: &mut EvalStats,
-        emit: &mut F,
-    ) -> Result<(), Resource> {
-        debug_assert!(regs.len() >= self.nregs);
-        self.exec(db, depth, None, regs, guard, stats, emit)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn exec_prefix<F: FnMut(&mut [Cst]) -> Result<(), Resource>>(
-        &self,
-        db: &Database,
-        depth: usize,
-        limit: usize,
-        delta: Option<(usize, usize)>,
-        regs: &mut [Cst],
-        guard: &ProbeGuard<'_>,
-        stats: &mut EvalStats,
-        cont: &mut F,
-    ) -> Result<(), Resource> {
-        if depth == limit {
-            return cont(regs);
-        }
-        let op = &self.ops[depth];
-        let Some(rel) = db.relation(op.pred) else {
-            return Ok(());
-        };
-        if depth == 0 {
-            if let Some((start, end)) = delta {
-                for row in rel.rows_range(start, end) {
-                    stats.join_probes += 1;
-                    if stats.join_probes & PROBE_CHECK_MASK == 0 {
-                        guard.check()?;
-                    }
-                    if apply_cols(&op.cols, row, regs) {
-                        self.exec_prefix(db, depth + 1, limit, delta, regs, guard, stats, cont)?;
-                    }
-                }
-                return Ok(());
-            }
-        }
-        if op.sig == 0 {
-            for row in rel.rows() {
-                stats.join_probes += 1;
-                if stats.join_probes & PROBE_CHECK_MASK == 0 {
-                    guard.check()?;
-                }
-                if apply_cols(&op.cols, row, regs) {
-                    self.exec_prefix(db, depth + 1, limit, delta, regs, guard, stats, cont)?;
-                }
-            }
-            return Ok(());
-        }
-        let candidates = self.op_candidates(rel, op, regs, stats);
-        for &id in candidates {
-            let row = rel.row(RowId(id));
-            stats.join_probes += 1;
-            if stats.join_probes & PROBE_CHECK_MASK == 0 {
-                guard.check()?;
-            }
-            if apply_cols(&op.cols, row, regs) {
-                self.exec_prefix(db, depth + 1, limit, delta, regs, guard, stats, cont)?;
-            }
-        }
-        Ok(())
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn exec<F: FnMut(&[HeadSlot], &[Cst])>(
         &self,
@@ -492,10 +351,7 @@ impl JoinProgram {
     }
 
     /// Candidate rows for a bound-column op (`op.sig != 0`), counting index
-    /// hits/misses and bloom skips. A bloom rejection is still an index hit
-    /// (the index fully covered the key) that happens to return zero
-    /// candidates — `join_probes` and answers are byte-identical with and
-    /// without the filter; only the bucket walk is skipped.
+    /// hits and misses.
     fn op_candidates<'a>(
         &self,
         rel: &'a Relation,
@@ -515,13 +371,6 @@ impl JoinProgram {
                     // hash collisions.
                     stats.index_hits += 1;
                     bucket
-                }
-                CompositeProbe::BloomReject => {
-                    // Guaranteed miss, proven without touching the bucket
-                    // map.
-                    stats.index_hits += 1;
-                    stats.bloom_skips += 1;
-                    &[]
                 }
                 CompositeProbe::NotBuilt => {
                     // Index not built (immutable caller): fall back to the
@@ -757,14 +606,6 @@ fn atom_cost(atom: &Atom, bound: &FxHashSet<Var>, stats: &PlanStats, default_row
     let rows = rs.map_or(default_rows, |r| r.rows as f64);
     let mut est = rows;
     let mut cap = rows;
-    // Recency floor: live snapshots also carry *delta* cardinalities (rows
-    // since the last round-boundary mark, per-column distinct sketches).
-    // When recent rows concentrate on fewer values than the relation as a
-    // whole, probes carrying recent keys hit bigger buckets than
-    // rows/distinct suggests, so the estimate is floored by the delta-based
-    // one. Plain snapshots have `delta_rows == 0`, which disables this.
-    let delta_rows = rs.map_or(0, |r| r.delta_rows);
-    let mut delta_est = delta_rows as f64;
     for (col, t) in atom.args.iter().enumerate() {
         let is_bound = match t {
             Term::Const(_) => true,
@@ -777,46 +618,13 @@ fn atom_cost(atom: &Atom, bound: &FxHashSet<Var>, stats: &PlanStats, default_row
             Some(r) => {
                 est /= r.distinct.get(col).copied().unwrap_or(1).max(1) as f64;
                 cap = cap.min(r.max_bucket.get(col).copied().unwrap_or(0).max(1) as f64);
-                if delta_rows > 0 {
-                    delta_est /= r.delta_distinct.get(col).copied().unwrap_or(1).max(1) as f64;
-                }
             }
             // No per-column statistics: assume a bound column halves the
             // candidates, so more-bound unknown atoms still order earlier.
             None => est /= 2.0,
         }
     }
-    est.max(delta_est).max(1.0).min(cap.max(1.0))
-}
-
-/// [`atom_cost`] driven by a compiled op's signature instead of a bound
-/// variable set: the signature records exactly which columns are bound when
-/// the op runs, so this is the same model applied post-compilation (used by
-/// [`JoinProgram::estimate_probes_per_delta_row`]).
-fn op_cost(op: &AtomOp, stats: &PlanStats, default_rows: f64) -> f64 {
-    let rs = stats.get(op.pred);
-    let rows = rs.map_or(default_rows, |r| r.rows as f64);
-    let mut est = rows;
-    let mut cap = rows;
-    // Same recency floor as `atom_cost` (inert on plain snapshots).
-    let delta_rows = rs.map_or(0, |r| r.delta_rows);
-    let mut delta_est = delta_rows as f64;
-    let mut bits = op.sig;
-    while bits != 0 {
-        let col = bits.trailing_zeros() as usize;
-        match rs {
-            Some(r) => {
-                est /= r.distinct.get(col).copied().unwrap_or(1).max(1) as f64;
-                cap = cap.min(r.max_bucket.get(col).copied().unwrap_or(0).max(1) as f64);
-                if delta_rows > 0 {
-                    delta_est /= r.delta_distinct.get(col).copied().unwrap_or(1).max(1) as f64;
-                }
-            }
-            None => est /= 2.0,
-        }
-        bits &= bits - 1;
-    }
-    est.max(delta_est).max(1.0).min(cap.max(1.0))
+    est.max(1.0).min(cap.max(1.0))
 }
 
 /// A rule compiled for every role it can play in a semi-naive round: once
@@ -862,12 +670,6 @@ impl CompiledRule {
 /// sentinel (every register is written before it is read).
 pub(crate) fn register_file(prog: &JoinProgram) -> Vec<Cst> {
     vec![Cst(Sym::PLACEHOLDER); prog.register_count()]
-}
-
-/// A placeholder-filled register file of `n` slots — shared-prefix task
-/// groups size one file to their largest member program.
-pub(crate) fn register_file_sized(n: usize) -> Vec<Cst> {
-    vec![Cst(Sym::PLACEHOLDER); n]
 }
 
 #[cfg(test)]
@@ -1089,67 +891,6 @@ mod tests {
             planned.atom_order(),
             JoinProgram::compile(&rule, None).atom_order()
         );
-    }
-
-    #[test]
-    fn shared_prefixes_are_structural() {
-        let mut i = Interner::new();
-        let e = Pred(i.intern("E"));
-        let s = Pred(i.intern("S"));
-        let (t, u) = (Pred(i.intern("T")), Pred(i.intern("U")));
-        let (x, y, z) = (Var(i.intern("x")), Var(i.intern("y")), Var(i.intern("z")));
-        // T(x,y) :- E(x,y), S(x).   U(x,z) :- E(x,y), Z(y,z).
-        // Both bodies start with the same unrestricted E scan loading the
-        // same registers, so the compiled prefixes coincide for one op.
-        let r1 = Rule::new(
-            Atom::new(t, vec![Term::Var(x), Term::Var(y)]),
-            vec![
-                Atom::new(e, vec![Term::Var(x), Term::Var(y)]),
-                Atom::new(s, vec![Term::Var(x)]),
-            ],
-        );
-        let r2 = Rule::new(
-            Atom::new(u, vec![Term::Var(x), Term::Var(z)]),
-            vec![
-                Atom::new(e, vec![Term::Var(x), Term::Var(y)]),
-                Atom::new(Pred(i.intern("Z")), vec![Term::Var(y), Term::Var(z)]),
-            ],
-        );
-        let p1 = JoinProgram::compile(&r1, Some(0));
-        let p2 = JoinProgram::compile(&r2, Some(0));
-        assert_eq!(p1.shared_prefix_len(&p2), 1);
-        assert_eq!(p2.shared_prefix_len(&p1), 1);
-        assert_eq!(p1.shared_prefix_len(&p1), p1.op_len());
-        // A program over a different leading predicate shares nothing.
-        let r3 = Rule::new(
-            Atom::new(t, vec![Term::Var(x), Term::Var(y)]),
-            vec![
-                Atom::new(s, vec![Term::Var(x)]),
-                Atom::new(e, vec![Term::Var(x), Term::Var(y)]),
-            ],
-        );
-        let p3 = JoinProgram::compile_ordered(&r3, &[0, 1]);
-        assert_eq!(p1.shared_prefix_len(&p3), 0);
-    }
-
-    #[test]
-    fn probe_estimates_scale_with_candidates() {
-        let mut i = Interner::new();
-        let rule = tc_right(&mut i);
-        let mut db = Database::new();
-        let edge = rule.body[0].pred;
-        let path = rule.body[1].pred;
-        seeded_rel(&mut db, &mut i, edge, 40, 40);
-        seeded_rel(&mut db, &mut i, path, 40, 40);
-        let stats = db.plan_stats();
-        // Delta on Edge: the Path probe runs with its first column bound
-        // (distinct ≈ rows, so ≈1 candidate): ≈2 probes per delta row.
-        let prog = JoinProgram::compile_with_stats(&rule, Some(0), &stats);
-        let est = prog.estimate_probes_per_delta_row(&stats);
-        assert!((1.0..=4.0).contains(&est), "est = {est}");
-        // Cold stats make the inner atom pessimistic: the estimate grows.
-        let cold = prog.estimate_probes_per_delta_row(&PlanStats::empty());
-        assert!(cold > est);
     }
 
     #[test]

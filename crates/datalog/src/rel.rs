@@ -168,61 +168,6 @@ fn hash_key(key: &[Cst]) -> u64 {
     h.finish()
 }
 
-/// Bits in a per-signature bloom filter. Small enough to build eagerly for
-/// every composite index (1 KiB), large enough that the key populations the
-/// evaluator sees (thousands of distinct composite keys at most) keep the
-/// false-positive rate low; a false positive only costs the hash-map lookup
-/// the filter would have skipped, never an answer.
-const BLOOM_BITS: u64 = 8192;
-
-/// `u64` words backing one bloom filter.
-const BLOOM_WORDS: usize = (BLOOM_BITS / 64) as usize;
-
-/// A fixed-size two-probe bloom filter over 64-bit composite-key hashes.
-/// Membership is approximate in one direction only: `may_contain` returning
-/// `false` proves the key hash was never inserted, so a pre-probe rejection
-/// can skip the hash-bucket walk without ever losing a candidate row.
-#[derive(Clone)]
-struct Bloom {
-    words: Box<[u64; BLOOM_WORDS]>,
-}
-
-impl Bloom {
-    fn new() -> Bloom {
-        Bloom {
-            words: Box::new([0u64; BLOOM_WORDS]),
-        }
-    }
-
-    /// The two bit positions probed for a key hash: the low bits and the
-    /// high bits of the (already well-mixed) Fx key hash.
-    #[inline]
-    fn bits(h: u64) -> (u64, u64) {
-        (h & (BLOOM_BITS - 1), (h >> 32) & (BLOOM_BITS - 1))
-    }
-
-    #[inline]
-    fn insert(&mut self, h: u64) {
-        let (a, b) = Bloom::bits(h);
-        self.words[(a / 64) as usize] |= 1 << (a % 64);
-        self.words[(b / 64) as usize] |= 1 << (b % 64);
-    }
-
-    #[inline]
-    fn may_contain(&self, h: u64) -> bool {
-        let (a, b) = Bloom::bits(h);
-        self.words[(a / 64) as usize] & (1 << (a % 64)) != 0
-            && self.words[(b / 64) as usize] & (1 << (b % 64)) != 0
-    }
-}
-
-impl fmt::Debug for Bloom {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let set: u32 = self.words.iter().map(|w| w.count_ones()).sum();
-        write!(f, "Bloom({set}/{BLOOM_BITS} bits)")
-    }
-}
-
 /// A set-semantics relation of fixed arity.
 ///
 /// Rows are stored once, in insertion order, in a [`RowPool`] (so evaluation
@@ -246,23 +191,12 @@ pub struct Relation {
     /// incrementally on insert. Buckets are hash-of-key, so probes must
     /// still confirm the candidate rows (exactly like `dedup`).
     composite: FxHashMap<u64, FxHashMap<u64, Vec<u32>>>,
-    /// One bloom filter per built composite index, over the same key
-    /// hashes. Consulted before the bucket lookup: a rejection proves no
-    /// row carries the key, so guaranteed-miss probes cost two bit tests.
-    /// Invariant: `blooms` has exactly the keys of `composite`.
-    blooms: FxHashMap<u64, Bloom>,
     /// `max_bucket[col]` = size of the largest bucket in `index[col]`,
     /// maintained on insert. Together with `index[col].len()` (the distinct
     /// value count) this is the per-column statistic the compile-time cost
     /// model in `program.rs` consumes: `rows / distinct` is the uniform
     /// selectivity estimate and `max_bucket` its worst-case (skew) clamp.
     max_bucket: Vec<usize>,
-    /// Per-column 64-bit hash sketches of the values inserted since the
-    /// last [`Relation::live_stats`] snapshot: bit `hash(v) % 64` is set
-    /// for every inserted value `v`, so the popcount is a (saturating at
-    /// 64) distinct-count estimate for the recent delta. Maintained on
-    /// insert, taken-and-cleared by the live snapshot — no rescan ever.
-    delta_sketch: Vec<u64>,
     /// Tombstone bitmap over dense row ids: a set bit marks a retracted
     /// row. Tombstoned rows stay in the arena (RowIds stay stable and
     /// reads stay borrowed slices) but are invisible to scans, selects,
@@ -307,9 +241,7 @@ impl Relation {
             dedup: FxHashMap::default(),
             index: (0..arity).map(|_| FxHashMap::default()).collect(),
             composite: FxHashMap::default(),
-            blooms: FxHashMap::default(),
             max_bucket: vec![0; arity],
-            delta_sketch: vec![0; arity],
             tomb: Vec::new(),
             dead: 0,
             tomb_dedup: FxHashMap::default(),
@@ -398,9 +330,7 @@ impl Relation {
     }
 
     /// A point-in-time cardinality snapshot of this relation for the
-    /// compile-time cost model. Delta statistics are zeroed: plain
-    /// snapshots describe the whole relation, not a recent increment (see
-    /// [`Relation::live_stats`] for the adaptive-execution variant).
+    /// compile-time cost model.
     ///
     /// Under deletion, `rows` is decremented exactly (it counts live rows)
     /// and `distinct` stays exact (index entries whose bucket empties are
@@ -412,33 +342,6 @@ impl Relation {
             rows: self.live(),
             distinct: (0..self.arity()).map(|c| self.distinct(c)).collect(),
             max_bucket: self.max_bucket.clone(),
-            delta_rows: 0,
-            delta_distinct: Vec::new(),
-        }
-    }
-
-    /// A live snapshot for mid-run re-planning: whole-relation statistics
-    /// plus the delta since the caller's low-water `mark` (`delta_rows`) and
-    /// the per-column distinct sketch popcounts accumulated since the last
-    /// live snapshot. Taking the snapshot clears the sketches, so the next
-    /// snapshot describes the next increment; everything here is maintained
-    /// on insert — no rescan.
-    pub fn live_stats(&mut self, mark: usize) -> RelStats {
-        let delta_distinct = self
-            .delta_sketch
-            .iter_mut()
-            .map(|w| {
-                let n = w.count_ones() as usize;
-                *w = 0;
-                n
-            })
-            .collect();
-        RelStats {
-            rows: self.live(),
-            distinct: (0..self.arity()).map(|c| self.distinct(c)).collect(),
-            max_bucket: self.max_bucket.clone(),
-            delta_rows: self.len.saturating_sub(mark),
-            delta_distinct,
         }
     }
 
@@ -508,16 +411,9 @@ impl Relation {
             if bucket.len() > self.max_bucket[col] {
                 self.max_bucket[col] = bucket.len();
             }
-            let mut sh = FxHasher::default();
-            sh.write_usize(v.index());
-            self.delta_sketch[col] |= 1 << (sh.finish() & 63);
         }
         for (&sig, map) in &mut self.composite {
-            let kh = hash_sig_cols(t, sig);
-            map.entry(kh).or_default().push(id.0);
-            if let Some(bloom) = self.blooms.get_mut(&sig) {
-                bloom.insert(kh);
-            }
+            map.entry(hash_sig_cols(t, sig)).or_default().push(id.0);
         }
         Some(id)
     }
@@ -552,10 +448,7 @@ impl Relation {
     /// Tombstones row `id`: removes it from the dedup table and every
     /// index (per-column and composite buckets, dropping emptied entries
     /// so distinct counts stay exact under deletion), marks the slot dead,
-    /// and parks it on the free list. Bloom filters are deliberately left
-    /// stale: a deleted key's set bits can only cause false positives (a
-    /// wasted bucket walk), never a false reject, so probe soundness is
-    /// unaffected; [`Relation::compact`] rebuilds them.
+    /// and parks it on the free list.
     pub(crate) fn retract_row(&mut self, id: RowId) {
         let i = id.index();
         debug_assert!(i < self.len && !bit_get(&self.tomb, i));
@@ -643,41 +536,29 @@ impl Relation {
             if bucket.len() > self.max_bucket[col] {
                 self.max_bucket[col] = bucket.len();
             }
-            let mut sh = FxHasher::default();
-            sh.write_usize(v.index());
-            self.delta_sketch[col] |= 1 << (sh.finish() & 63);
         }
         for (&sig, map) in self.composite.iter_mut() {
-            let kh = hash_sig_cols(&t, sig);
-            insert_sorted(map.entry(kh).or_default(), id);
-            if let Some(bloom) = self.blooms.get_mut(&sig) {
-                bloom.insert(kh);
-            }
+            insert_sorted(map.entry(hash_sig_cols(&t, sig)).or_default(), id);
         }
     }
 
     /// Re-derives the skew statistics once tombstones exceed 25% of the
     /// arena: recomputes `max_bucket` exactly from the live index buckets
     /// (insertion maintains it as a high-water mark, which deletion turns
-    /// into an upper bound) and clears the delta sketches, erring toward
-    /// "nothing recent" rather than counting deleted values. Returns
-    /// whether a recompute happened.
+    /// into an upper bound). Returns whether a recompute happened.
     pub fn maybe_resketch(&mut self) -> bool {
         if self.len == 0 || self.dead * 4 <= self.len {
             return false;
         }
         for col in 0..self.arity() {
             self.max_bucket[col] = self.index[col].values().map(Vec::len).max().unwrap_or(0);
-            self.delta_sketch[col] = 0;
         }
         true
     }
 
     /// Physically drops tombstoned rows: live rows are renumbered densely
-    /// in their existing order, every index (dedup, per-column, composite)
-    /// is rebuilt, and the bloom filters are rebuilt over live keys only —
-    /// the rebuild-on-compaction hook that stops `bloom_skips` decaying to
-    /// zero on churny relations. Row ids change, so the reuse epoch is
+    /// in their existing order and every index (dedup, per-column,
+    /// composite) is rebuilt. Row ids change, so the reuse epoch is
     /// bumped. Returns `true` if anything was dropped.
     pub fn compact(&mut self) -> bool {
         if self.dead == 0 {
@@ -708,10 +589,8 @@ impl Relation {
         for col in 0..arity {
             self.index[col].clear();
             self.max_bucket[col] = 0;
-            self.delta_sketch[col] = 0;
         }
         self.composite.clear();
-        self.blooms.clear();
         for i in 0..n {
             let t: Vec<Cst> = self.pool.row(i).to_vec();
             self.dedup.entry(hash_row(&t)).or_default().push(i as u32);
@@ -815,20 +694,13 @@ impl Relation {
         self.index[col].get(&v).map_or(&[], Vec::as_slice)
     }
 
-    /// Probes the composite index for `sig` at `key_hash`, consulting the
-    /// signature's bloom filter before the bucket lookup. A built index
-    /// with no such key yields an empty bucket (or a bloom rejection, which
-    /// the caller can count separately — both mean zero candidates).
+    /// Probes the composite index for `sig` at `key_hash`. A built index
+    /// with no such key yields an empty bucket.
     #[inline]
     pub(crate) fn composite_probe(&self, sig: u64, key_hash: u64) -> CompositeProbe<'_> {
         let Some(map) = self.composite.get(&sig) else {
             return CompositeProbe::NotBuilt;
         };
-        if let Some(bloom) = self.blooms.get(&sig) {
-            if !bloom.may_contain(key_hash) {
-                return CompositeProbe::BloomReject;
-            }
-        }
         CompositeProbe::Bucket(map.get(&key_hash).map_or(&[][..], Vec::as_slice))
     }
 
@@ -841,18 +713,15 @@ impl Relation {
             return;
         }
         let mut map: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        let mut bloom = Bloom::new();
         for i in 0..self.len {
             if self.dead > 0 && bit_get(&self.tomb, i) {
                 continue;
             }
-            let row = self.pool.row(i);
-            let kh = hash_sig_cols(row, sig);
-            map.entry(kh).or_default().push(i as u32);
-            bloom.insert(kh);
+            map.entry(hash_sig_cols(self.pool.row(i), sig))
+                .or_default()
+                .push(i as u32);
         }
         self.composite.insert(sig, map);
-        self.blooms.insert(sig, bloom);
     }
 
     /// Whether the composite index for `sig` has been built.
@@ -876,14 +745,7 @@ impl Relation {
             return Probe::Index(bucket);
         }
         if let Some(map) = self.composite.get(&sig) {
-            let kh = hash_key(key);
-            if let Some(bloom) = self.blooms.get(&sig) {
-                if !bloom.may_contain(kh) {
-                    // Guaranteed miss: the key hash was never inserted.
-                    return Probe::Index(&[]);
-                }
-            }
-            let bucket = map.get(&kh).map_or(&[][..], Vec::as_slice);
+            let bucket = map.get(&hash_key(key)).map_or(&[][..], Vec::as_slice);
             return Probe::Index(bucket);
         }
         // No composite index (immutable caller): fall back to the smallest
@@ -907,16 +769,12 @@ impl Relation {
 }
 
 /// Result of [`Relation::composite_probe`]: like the composite arm of
-/// [`Relation::probe`], but distinguishes bloom rejections (so the compiled
-/// executor can count `bloom_skips`) and never falls back to partial
-/// single-column buckets (the executor owns that policy).
+/// [`Relation::probe`], but never falls back to partial single-column
+/// buckets (the executor owns that policy).
 #[derive(Clone, Debug)]
 pub(crate) enum CompositeProbe<'a> {
     /// The composite index for this signature was never built.
     NotBuilt,
-    /// The signature's bloom filter proves no row carries this key hash:
-    /// zero candidates, without touching the bucket map.
-    BloomReject,
     /// Candidate row ids from the hash bucket (possibly empty); they still
     /// need a confirm pass against the actual key.
     Bucket(&'a [u32]),
@@ -1038,14 +896,6 @@ pub struct RelStats {
     /// Largest single-value index bucket per column at snapshot time: the
     /// worst-case fan-out of a one-column probe (skew clamp).
     pub max_bucket: Vec<usize>,
-    /// Rows inserted since the caller's low-water mark. Zero in plain
-    /// [`Relation::stats`] snapshots; populated by [`Relation::live_stats`]
-    /// for mid-run re-planning.
-    pub delta_rows: usize,
-    /// Per-column distinct-count estimates (popcount of a 64-bit hash
-    /// sketch, saturating at 64) for the values inserted since the last
-    /// live snapshot. Empty in plain [`Relation::stats`] snapshots.
-    pub delta_distinct: Vec<usize>,
 }
 
 /// A database-wide statistics snapshot: one [`RelStats`] per non-empty
@@ -1123,9 +973,9 @@ impl Database {
     }
 
     /// Compacts every relation (physically dropping tombstoned rows and
-    /// rebuilding indexes and bloom filters); returns how many relations
-    /// changed. Row ids are renumbered, so snapshot writers must persist
-    /// in the same pass to keep on-disk and in-memory ids in lock-step.
+    /// rebuilding indexes); returns how many relations changed. Row ids
+    /// are renumbered, so snapshot writers must persist in the same pass
+    /// to keep on-disk and in-memory ids in lock-step.
     pub fn compact(&mut self) -> usize {
         self.relations
             .values_mut()
@@ -1176,27 +1026,6 @@ impl Database {
             if !rel.is_empty() {
                 total_rows += rel.live();
                 per_pred.insert(p, rel.stats());
-            }
-        }
-        PlanStats {
-            per_pred,
-            total_rows,
-        }
-    }
-
-    /// Like [`Database::plan_stats`], but each relation's snapshot is a
-    /// [`Relation::live_stats`] one: whole-relation statistics plus delta
-    /// rows past the low-water mark `mark_of(p)` and the per-column
-    /// distinct sketches accumulated since the last live snapshot (which
-    /// this call clears). Used by the adaptive evaluator to re-plan at
-    /// round boundaries without rescanning anything.
-    pub fn plan_stats_live(&mut self, mark_of: impl Fn(Pred) -> usize) -> PlanStats {
-        let mut per_pred = FxHashMap::default();
-        let mut total_rows = 0;
-        for (&p, rel) in self.relations.iter_mut() {
-            if !rel.is_empty() {
-                total_rows += rel.live();
-                per_pred.insert(p, rel.live_stats(mark_of(p)));
             }
         }
         PlanStats {
@@ -1350,12 +1179,20 @@ mod tests {
         r.insert(&[a, c, c]);
         // Without the index, a two-column probe is only partially covered.
         assert!(matches!(r.probe(0b011, &[a, b]), Probe::Partial(_)));
+        assert!(matches!(
+            r.composite_probe(0b011, hash_key(&[a, b])),
+            CompositeProbe::NotBuilt
+        ));
         assert_eq!(probe_rows(&r, 0b011, &[a, b]).len(), 2);
         // Build it: the same probe is now fully covered.
         r.ensure_composite(0b011);
         assert!(r.has_composite(0b011));
         assert!(matches!(r.probe(0b011, &[a, b]), Probe::Index(_)));
         assert_eq!(probe_rows(&r, 0b011, &[a, b]).len(), 2);
+        match r.composite_probe(0b011, hash_key(&[a, b])) {
+            CompositeProbe::Bucket(ids) => assert_eq!(ids.len(), 2),
+            other => panic!("expected bucket, got {other:?}"),
+        }
         assert_eq!(probe_rows(&r, 0b011, &[b, b]).len(), 0);
         // Columns 0 and 2 (non-adjacent signature).
         r.ensure_composite(0b101);
@@ -1390,89 +1227,6 @@ mod tests {
         assert!(matches!(r.probe(0b10, &[v[1]]), Probe::Index(_)));
         assert_eq!(probe_rows(&r, 0b10, &[v[1]]).len(), 2);
         assert!(matches!(r.probe(0, &[]), Probe::Scan));
-    }
-
-    #[test]
-    fn bloom_rejects_absent_keys_without_losing_rows() {
-        let mut i = Interner::new();
-        let v = csts(&mut i, &["a", "b", "c", "d"]);
-        let (a, b, c, d) = (v[0], v[1], v[2], v[3]);
-        let mut r = Relation::new(2);
-        r.insert(&[a, b]);
-        r.ensure_composite(0b11);
-        r.insert(&[c, d]); // bloom maintained on insert
-                           // Present keys are found through the bloom.
-        assert_eq!(probe_rows(&r, 0b11, &[a, b]).len(), 1);
-        assert_eq!(probe_rows(&r, 0b11, &[c, d]).len(), 1);
-        // Absent keys yield zero candidates whether the bloom rejects them
-        // or the bucket lookup misses.
-        assert_eq!(probe_rows(&r, 0b11, &[a, d]).len(), 0);
-        match r.composite_probe(0b11, hash_key(&[a, b])) {
-            CompositeProbe::Bucket(ids) => assert_eq!(ids.len(), 1),
-            other => panic!("expected bucket, got {other:?}"),
-        }
-        assert!(matches!(
-            r.composite_probe(0b01, hash_key(&[a])),
-            CompositeProbe::NotBuilt
-        ));
-        // Sweep many absent keys: every one must resolve to zero confirmed
-        // rows; at least some should be bloom rejections (8192 bits, 2 keys
-        // set — collisions are overwhelmingly unlikely for all 16 probes).
-        let extra = csts(&mut i, &["e0", "e1", "e2", "e3"]);
-        let mut rejects = 0;
-        for &x in &extra {
-            for &y in &extra {
-                assert_eq!(probe_rows(&r, 0b11, &[x, y]).len(), 0);
-                if matches!(
-                    r.composite_probe(0b11, hash_key(&[x, y])),
-                    CompositeProbe::BloomReject
-                ) {
-                    rejects += 1;
-                }
-            }
-        }
-        assert!(rejects > 0, "no bloom rejections across 16 absent keys");
-    }
-
-    #[test]
-    fn live_stats_report_and_clear_the_delta_sketch() {
-        let mut i = Interner::new();
-        let v = csts(&mut i, &["a", "b", "c"]);
-        let (a, b, c) = (v[0], v[1], v[2]);
-        let mut r = Relation::new(2);
-        r.insert(&[a, b]);
-        r.insert(&[a, c]);
-        let s = r.live_stats(0);
-        assert_eq!(s.rows, 2);
-        assert_eq!(s.delta_rows, 2);
-        assert_eq!(s.delta_distinct.len(), 2);
-        assert_eq!(s.delta_distinct[0], 1); // only `a` in column 0
-        assert!(s.delta_distinct[1] >= 1 && s.delta_distinct[1] <= 2);
-        // The snapshot cleared the sketch: a new snapshot past the same
-        // mark still counts rows but sees no freshly-sketched values.
-        let s2 = r.live_stats(2);
-        assert_eq!(s2.delta_rows, 0);
-        assert_eq!(s2.delta_distinct, vec![0, 0]);
-        // Plain stats never carry delta fields.
-        let plain = r.stats();
-        assert_eq!(plain.delta_rows, 0);
-        assert!(plain.delta_distinct.is_empty());
-    }
-
-    #[test]
-    fn plan_stats_live_uses_marks() {
-        let mut i = Interner::new();
-        let p = Pred(i.intern("P"));
-        let v = csts(&mut i, &["a", "b", "c"]);
-        let mut db = Database::new();
-        db.insert(p, &[v[0]]);
-        db.insert(p, &[v[1]]);
-        db.insert(p, &[v[2]]);
-        let live = db.plan_stats_live(|_| 1);
-        let s = live.get(p).expect("P snapshotted");
-        assert_eq!(s.rows, 3);
-        assert_eq!(s.delta_rows, 2);
-        assert_eq!(live.total_rows(), 3);
     }
 
     #[test]
@@ -1613,7 +1367,7 @@ mod tests {
         // Survivors are renumbered densely in their old order.
         assert_eq!(r.row(RowId(0)), &[v[0], v[1]]);
         assert_eq!(r.row(RowId(1)), &[v[2], v[3]]);
-        // Rebuilt composite index + bloom answer exactly.
+        // The rebuilt composite index answers exactly.
         match r.composite_probe(0b11, hash_sig_cols(&[v[2], v[3]], 0b11)) {
             CompositeProbe::Bucket(b) => assert_eq!(b, &[1]),
             other => panic!("expected bucket, got {other:?}"),
@@ -1658,68 +1412,5 @@ mod tests {
         db.relation_mut(p, 1).retract_tuple(&[v[0]]).unwrap();
         assert_eq!(db.compact(), 1);
         assert_eq!(db.fact_count(), 2);
-    }
-
-    mod bloom_props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Satellite guarantee: a tombstone leaves its bloom bits set,
-            /// so a composite pre-probe may waste a bucket walk (false
-            /// positive) but can never reject a *live* key — and after
-            /// compaction the rebuilt filter still admits every live key.
-            #[test]
-            fn bloom_preprobes_sound_after_retract(
-                rows in proptest::collection::vec((0u8..12, 0u8..12), 1..40),
-                kill in proptest::collection::vec(any::<bool>(), 40..41),
-            ) {
-                let mut i = Interner::new();
-                let names: Vec<String> = (0..12).map(|k| format!("c{k}")).collect();
-                let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-                let v = csts(&mut i, &refs);
-                let mut r = Relation::new(2);
-                for &(a, b) in &rows {
-                    r.insert(&[v[a as usize], v[b as usize]]);
-                }
-                r.ensure_composite(0b11);
-                let mut live: Vec<[Cst; 2]> = Vec::new();
-                let mut seen = std::collections::HashSet::new();
-                for (k, &(a, b)) in rows.iter().enumerate() {
-                    let t = [v[a as usize], v[b as usize]];
-                    if !seen.insert((a, b)) {
-                        continue;
-                    }
-                    if kill[k] {
-                        prop_assert!(r.retract_tuple(&t).is_some());
-                    } else {
-                        live.push(t);
-                    }
-                }
-                let check = |r: &Relation| -> Result<(), TestCaseError> {
-                    for t in &live {
-                        let kh = hash_sig_cols(t, 0b11);
-                        match r.composite_probe(0b11, kh) {
-                            CompositeProbe::Bucket(bucket) => {
-                                prop_assert!(
-                                    bucket.iter().any(|&id| r.row(RowId(id)) == &t[..]),
-                                    "live key missing from bucket"
-                                );
-                            }
-                            CompositeProbe::BloomReject => {
-                                return Err(TestCaseError::fail("false bloom reject on live key"));
-                            }
-                            CompositeProbe::NotBuilt => {
-                                return Err(TestCaseError::fail("composite index vanished"));
-                            }
-                        }
-                    }
-                    Ok(())
-                };
-                check(&r)?;
-                r.compact();
-                check(&r)?;
-            }
-        }
     }
 }

@@ -194,7 +194,7 @@ impl Database {
                 for &(ri, ai) in plan.positions(*qp) {
                     let head_pred = rules[ri as usize].head.pred;
                     let prog = plan.program(ri, Some(ai));
-                    let mut regs = crate::program::register_file_sized(prog.register_count());
+                    let mut regs = crate::program::register_file(prog);
                     let guard = gov.probe_guard(None);
                     let run = prog.execute_rows(
                         self,

@@ -682,9 +682,8 @@ impl DurableDb {
 
         // Compact away retraction tombstones first: the snapshot writes
         // `len()` rows from `rows()` (which skips tombstones), so the two
-        // must agree — and compaction is also where stale bloom filters
-        // are rebuilt over live keys only. A snapshot starts a fresh
-        // history, so the RowId renumbering is invisible to recovery.
+        // must agree. A snapshot starts a fresh history, so the RowId
+        // renumbering is invisible to recovery.
         self.db.compact();
 
         let mut preds: Vec<Pred> = self.db.iter().map(|(p, _)| p).collect();

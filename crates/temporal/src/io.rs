@@ -84,6 +84,20 @@ pub fn read_lasso(text: &str, interner: &mut Interner) -> Result<TemporalSpec> {
     let mut cycle: Vec<State> = Vec::new();
     let mut nf = dl::Database::new();
     let mut ended = false;
+    // `rho`/`lambda` size the state vectors, so they are capped by the
+    // file's length: a short file cannot demand a huge allocation. Empty
+    // states are not written out, so a lasso with more empty time points
+    // than its file has bytes (say, one fact at a very deep time point) is
+    // refused and has to be recomputed from its program instead.
+    let length = |lineno: usize, v: &str, what: &str| -> Result<usize> {
+        let n: usize = v
+            .parse()
+            .map_err(|_| err(lineno, &format!("malformed {what}")))?;
+        if n > text.len() {
+            return Err(err(lineno, &format!("{what} {n} exceeds the file's size")));
+        }
+        Ok(n)
+    };
 
     for (lineno, raw) in lines {
         let line = raw.trim();
@@ -93,12 +107,12 @@ pub fn read_lasso(text: &str, interner: &mut Interner) -> Result<TemporalSpec> {
         let toks: Vec<&str> = line.split_whitespace().collect();
         match toks.as_slice() {
             ["rho", v] => {
-                let n: usize = v.parse().map_err(|_| err(lineno, "malformed rho"))?;
+                let n = length(lineno, v, "rho")?;
                 rho = Some(n);
                 prefix = vec![State::new(); n];
             }
             ["lambda", v] => {
-                let n: usize = v.parse().map_err(|_| err(lineno, "malformed lambda"))?;
+                let n = length(lineno, v, "lambda")?;
                 lambda = Some(n);
                 cycle = vec![State::new(); n];
             }
@@ -220,6 +234,10 @@ mod tests {
             "fundblasso 1\nrho 0\nlambda 1\natom x 0 P\nend\n",
             "fundblasso 1\nrho 0\nlambda 1\natom c 5 P\nend\n",
             "fundblasso 1\nbogus\nend\n",
+            // Lengths far beyond the file: rejected before allocating.
+            "fundblasso 1\nrho 18446744073709551615\nlambda 1\nend\n",
+            "fundblasso 1\nrho 0\nlambda 18446744073709551615\nend\n",
+            "fundblasso 1\nrho 4000000000\nlambda 1\nend\n",
         ] {
             assert!(read_lasso(bad, &mut i).is_err(), "accepted: {bad:?}");
         }

@@ -20,16 +20,14 @@
 //! * goal-directed (magic-set) rewritten evaluation ≡ unrewritten full
 //!   materialization on ground, partially-bound, and all-free goals, with
 //!   byte-identical rows and statistics at 1/2/4/8 overlay threads (PR 7),
-//! * adaptive execution (PR 8): adaptive ≡ planned-once ≡ greedy ≡
-//!   interpreter answers, thread-determinism with re-planning and
-//!   shared-prefix grouping on, bloom pre-probe soundness, and the cyclic
-//!   probe-ratio ≥ 1.0 hysteresis pin,
+//! * composite-index probes ≡ full scans, and the cyclic probe-ratio
+//!   ≥ 1.0 hysteresis pin,
 //! * incremental retraction (PR 10): replaying a seeded churn script
 //!   (retract/re-insert mix) through `Database::retract_fact` plus one-row
 //!   forward deltas agrees after *every* op with rebuild-from-scratch and
 //!   the naive oracle, is byte-identical (rows *and* statistics) at
 //!   1/2/4/8 threads, rolls a cancelled retraction back whole, and keeps
-//!   composite bloom pre-probes sound over tombstones.
+//!   composite-index probes sound over tombstones.
 //!
 //! Case counts (48 × 7 relational families + 24 temporal = 360 scenarios)
 //! keep the default `cargo test` run above the 200-scenario floor;
@@ -122,10 +120,8 @@ fn check_relational(s: &Scenario) {
         "{ctx}: greedy plan disagrees"
     );
 
-    // Byte-determinism: fixed plan, 1/2/4/8 threads, forced-parallel. The
-    // default executor is adaptive (PR 8): re-planning and shared-prefix
-    // grouping must leave rows *and* statistics byte-identical at every
-    // thread count.
+    // Byte-determinism: fixed plan, 1/2/4/8 threads, forced-parallel; the
+    // rows must also be the fixpoint every arm above agreed on.
     let plan = dl::DeltaPlan::planned(&s.rules, &s.db);
     let mut reference: Option<(Dump, dl::EvalStats)> = None;
     for threads in THREADS {
@@ -137,7 +133,10 @@ fn check_relational(s: &Scenario) {
             .unwrap();
         let rows = row_lists(&db);
         match &reference {
-            None => reference = Some((rows, stats)),
+            None => {
+                assert_eq!(dump, db.dump(&s.interner), "{ctx}: planned run disagrees");
+                reference = Some((rows, stats));
+            }
             Some((r, st)) => {
                 assert_eq!(&rows, r, "{ctx}: rows differ at {threads} threads");
                 assert_eq!(&stats, st, "{ctx}: stats differ at {threads} threads");
@@ -145,28 +144,6 @@ fn check_relational(s: &Scenario) {
         }
     }
     let full_rows = row_lists(&compiled);
-
-    // Adaptive-execution differential (PR 8): with adaptivity switched off
-    // the same plan must reproduce the planned-once answers (and report no
-    // adaptive activity), and both modes must agree with every arm above.
-    {
-        let mut once = s.db.clone();
-        let stats = dl::IncrementalEval::new()
-            .with_adaptive(false)
-            .with_parallel_threshold(1)
-            .run(&mut once, &s.rules, &plan)
-            .unwrap();
-        assert_eq!(
-            dump,
-            once.dump(&s.interner),
-            "{ctx}: planned-once (adaptive off) disagrees"
-        );
-        assert_eq!(
-            (stats.replans, stats.shared_prefix_hits),
-            (0, 0),
-            "{ctx}: adaptive counters moved with adaptivity off"
-        );
-    }
 
     // Governed runs stop on completed-round prefixes.
     for rounds in [1usize, 2] {
@@ -560,12 +537,12 @@ proptest! {
     }
 }
 
-/// Bloom pre-probe soundness (PR 8): a composite index's bloom filter may
-/// only reject *guaranteed misses* — for every bound-column signature the
+/// Composite-probe soundness: for every bound-column signature the
 /// candidates surviving the probe-and-confirm pass must equal a full-scan
 /// filter, on resident keys (no false negatives) and on mutated keys
-/// (rejections only where the scan also finds nothing).
-fn check_bloom_soundness(s: &Scenario) {
+/// (often absent). The test names below keep the bloom pre-probe they
+/// were first written for, so their history stays traceable.
+fn check_probe_soundness(s: &Scenario) {
     let ctx = format!("{} seed {}", s.family, s.seed);
     let mut db = s.db.clone();
     dl::evaluate(&mut db, &s.rules).unwrap_or_else(|e| panic!("{ctx}: evaluate: {e:?}"));
@@ -575,7 +552,7 @@ fn check_bloom_soundness(s: &Scenario) {
             continue;
         }
         // The all-columns signature and the two-column prefix exercise the
-        // composite bloom path; both are (re)built over the *derived* rows,
+        // composite index path; both are (re)built over the *derived* rows,
         // and inserts since construction keep them current.
         for sig in [(1u64 << arity) - 1, 0b11u64] {
             db.ensure_composite(p, sig);
@@ -603,7 +580,7 @@ fn check_bloom_soundness(s: &Scenario) {
                 let key: Vec<Cst> = cols.iter().map(|&c| row[c]).collect();
                 // Resident key: the row itself must survive the pre-probe.
                 assert_eq!(probe(&key), scan(&key), "{ctx}: probe({sig:#b}) diverges");
-                // Mutated key (often absent): a bloom rejection must mean
+                // Mutated key (often absent): an empty bucket must mean
                 // the scan finds nothing either.
                 let mut mutated = key.clone();
                 mutated.reverse();
@@ -625,27 +602,25 @@ proptest! {
 
     #[test]
     fn bloom_preprobes_never_change_answers(seed in any::<u64>()) {
-        // Rotate the family by seed so every shape feeds the bloom path.
+        // Rotate the family by seed so every shape feeds the probe path.
         let (_, family) = RELATIONAL_FAMILIES[(seed % RELATIONAL_FAMILIES.len() as u64) as usize];
-        check_bloom_soundness(&family(seed));
+        check_probe_soundness(&family(seed));
     }
 }
 
-/// Satellite (PR 10): retraction leaves composite bloom filters *stale on
-/// the sound side only* — tombstoned rows keep their bits set, so a filter
-/// may admit a dead key (false positive, confirmed away by the bucket
-/// scan) but never reject a live one. Probe-and-confirm must equal a full
-/// scan both right after a burst of retractions and again after
-/// `compact()` rebuilds the filters over the renumbered survivors.
-fn check_bloom_soundness_after_retract(seed: u64) {
+/// Retraction keeps composite indexes sound: probe-and-confirm must equal a
+/// full scan, on live and on retracted keys, both right after a burst of
+/// retractions and again after `compact()` rebuilds the indexes over the
+/// renumbered survivors.
+fn check_probe_soundness_after_retract(seed: u64) {
     let s = scenariogen::churn(seed);
-    let ctx = format!("churn seed {} (bloom)", s.seed);
+    let ctx = format!("churn seed {} (composite probes)", s.seed);
     let plan = dl::DeltaPlan::planned(&s.rules, &s.db);
     let mut db = s.db.clone();
     dl::evaluate(&mut db, &s.rules).unwrap();
     let preds: Vec<(Pred, usize)> = db.iter().map(|(p, r)| (p, r.arity())).collect();
-    // Build the composite filters over the *full* fixpoint, then punch
-    // holes in it: the filters go stale exactly the way production does.
+    // Build the composite indexes over the *full* fixpoint, then punch
+    // holes in it exactly the way production does.
     for &(p, arity) in &preds {
         if arity >= 2 {
             db.ensure_composite(p, (1u64 << arity) - 1);
@@ -703,8 +678,8 @@ fn check_bloom_soundness_after_retract(seed: u64) {
                     "{ctx}: {stage} probe diverges on a live key"
                 );
             }
-            // Retracted keys of matching arity: a stale positive must be
-            // confirmed away, never resurrected.
+            // Retracted keys of matching arity: a dead row must never be
+            // resurrected by a probe.
             for key in retracted.iter().filter(|k| k.len() == arity) {
                 assert_eq!(
                     probe(key),
@@ -715,7 +690,7 @@ fn check_bloom_soundness_after_retract(seed: u64) {
         }
     };
     check(&db, "post-retract");
-    // Compaction is the rebuild hook: filters are reconstructed over the
+    // Compaction is the rebuild hook: indexes are reconstructed over the
     // dense survivors and the same contract holds.
     db.compact();
     for &(p, arity) in &preds {
@@ -734,7 +709,7 @@ proptest! {
 
     #[test]
     fn bloom_preprobes_sound_after_retract(seed in any::<u64>()) {
-        check_bloom_soundness_after_retract(seed);
+        check_probe_soundness_after_retract(seed);
     }
 }
 
@@ -742,9 +717,8 @@ proptest! {
 /// hysteresis margin the cost planner keeps the greedy order unless its
 /// estimate is strictly better, so over E14's cyclic seed set the planned
 /// run may not pay more probes than greedy in aggregate (the E14
-/// probe_ratio, once 0.90, must stay ≥ 1.0). Adaptivity is off on both
-/// sides to isolate the planning decision; individual seeds may wobble a
-/// few probes either way, the family total is the pinned metric.
+/// probe_ratio, once 0.90, must stay ≥ 1.0). Individual seeds may wobble a
+/// few probes either way; the family total is the pinned metric.
 #[test]
 fn cyclic_planned_probes_never_exceed_greedy() {
     let (mut greedy_total, mut planned_total) = (0usize, 0usize);
@@ -758,7 +732,6 @@ fn cyclic_planned_probes_never_exceed_greedy() {
                 dl::DeltaPlan::new(&s.rules)
             };
             dl::IncrementalEval::new()
-                .with_adaptive(false)
                 .run(&mut db, &s.rules, &plan)
                 .unwrap()
         };

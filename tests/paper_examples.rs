@@ -367,6 +367,39 @@ fn section_1_meets_engine_stats() {
     assert_eq!(engine.stats(), &stats);
 }
 
+/// §4's adversarial temporal family through the general engine: a 6-bit
+/// binary counter (the experiment harness's `binary_counter(6)`), whose
+/// star-local fixpoints run the greedy delta plans once each. The rounds,
+/// probes and derived rows are deterministic, so they are pinned exactly.
+#[test]
+fn section_4_counter_engine_stats() {
+    let w = 6;
+    let mut src = String::from("B0(t) -> N0(t+1).\nN0(t) -> B0(t+1).\n");
+    for i in 1..w {
+        let low = (0..i)
+            .map(|j| format!("B{j}(t)"))
+            .collect::<Vec<_>>()
+            .join(", ");
+        src.push_str(&format!("{low}, B{i}(t) -> N{i}(t+1).\n"));
+        src.push_str(&format!("{low}, N{i}(t) -> B{i}(t+1).\n"));
+        for j in 0..i {
+            src.push_str(&format!("N{j}(t), B{i}(t) -> B{i}(t+1).\n"));
+            src.push_str(&format!("N{j}(t), N{i}(t) -> N{i}(t+1).\n"));
+        }
+    }
+    for i in 0..w {
+        src.push_str(&format!("N{i}(0).\n"));
+    }
+    let mut ws = Workspace::new();
+    ws.parse(&src).unwrap();
+    let mut engine = fundb_core::Engine::build(&ws.program, &ws.db, &mut ws.interner).unwrap();
+    engine.solve().unwrap();
+    let stats = engine.stats();
+    assert_eq!(stats.datalog_rounds, 259);
+    assert_eq!(stats.join_probes, 2128);
+    assert_eq!(stats.derived_rows, 390);
+}
+
 /// Theorem 5.1, instrumented: after `add_fact_functional` the next
 /// `solve()` derives only the consequences of the new fact. The re-solve's
 /// extra work (delta atoms, join probes) is strictly smaller than what a
