@@ -22,7 +22,7 @@ use fundb_core::{
     GraphSpec, ServeQuery, ServeStats,
 };
 use fundb_parser::Workspace;
-use fundb_storage::{DurableDb, OpenDurable};
+use fundb_storage::{DurableDb, OpenDurable, WalStats};
 use std::io::Write;
 
 /// The REPL state machine; drives one line at a time (testable without a
@@ -42,19 +42,17 @@ pub struct Repl {
     /// cancellation or a worker panic (non-interactive runs exit non-zero).
     eval_failed: bool,
     /// Accumulated answer-cache counters from `:bench-serve` runs, surfaced
-    /// by `:stats` through [`fundb_core::EngineStats`].
+    /// by `:stats`.
     serve: ServeStats,
     /// Accumulated goal-directed query counters (magic rules synthesized,
-    /// demand-set sizes) from `?-` answers, surfaced by
-    /// `:stats` through [`fundb_core::EngineStats`].
+    /// demand-set sizes) from `?-` answers, surfaced by `:stats`.
     demand: fundb_datalog::EvalStats,
     /// Durable session journal (`:open <dir>`): every accepted program
     /// line is appended to the directory's WAL and committed, so a crashed
     /// session replays to exactly the lines that were acknowledged.
     session: Option<DurableDb>,
     /// Cumulative incremental-retraction counters (`:retract`), surfaced
-    /// by `:stats` through [`fundb_core::EngineStats`]: rows tombstoned
-    /// and rows the re-derive pass restored.
+    /// by `:stats`: rows tombstoned and rows the re-derive pass restored.
     retract: fundb_datalog::EvalStats,
     /// Cached-specification rows patched in place by `:retract` instead
     /// of rebuilding the spec (surfaced by `:stats`).
@@ -365,21 +363,10 @@ impl Repl {
                         if let Err(e) = engine.solve() {
                             return self.report_error(&e, out);
                         }
-                        engine.record_serve_stats(self.serve.hits, self.serve.misses);
-                        engine.record_demand_stats(self.demand);
-                        engine.record_retract_stats(
-                            self.retract.retractions,
-                            self.retract.rederived,
-                            self.cache_patches,
-                        );
-                        if let Some(session) = &self.session {
-                            let w = session.wal_stats();
-                            engine.record_wal_stats(
-                                w.records,
-                                w.round_commits,
-                                session.recovery().replayed_rounds as u64,
-                            );
-                        }
+                        let (wal, recovered_rounds) =
+                            self.session.as_ref().map_or((WalStats::default(), 0), |d| {
+                                (d.wal_stats(), d.recovery().replayed_rounds)
+                            });
                         let s = engine.stats();
                         writeln!(
                             out,
@@ -408,27 +395,27 @@ impl Repl {
                             out,
                             "serve cache hits: {}, serve cache misses: {} \
                              (frozen-spec answer cache; populate with :bench-serve)",
-                            s.serve_cache_hits, s.serve_cache_misses
+                            self.serve.hits, self.serve.misses
                         )?;
                         writeln!(
                             out,
                             "magic rules: {}, demanded tuples: {} \
                              (goal-directed queries this session; see :plan)",
-                            s.magic_rules, s.demanded_tuples
+                            self.demand.magic_rules, self.demand.demanded_tuples
                         )?;
                         writeln!(
                             out,
                             "incremental retraction: retractions: {}, \
                              rederived: {}, cache patches: {} (session \
                              totals from :retract)",
-                            s.retractions, s.rederived, s.cache_patches
+                            self.retract.retractions, self.retract.rederived, self.cache_patches
                         )?;
                         writeln!(
                             out,
                             "durable log: wal records: {}, round commits: {}, \
                              recovered rounds: {} (0 unless a session is \
                              attached with :open)",
-                            s.wal_records, s.wal_round_commits, s.recovered_rounds
+                            wal.records, wal.round_commits, recovered_rounds
                         )?;
                         writeln!(
                             out,

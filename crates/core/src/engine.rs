@@ -69,6 +69,14 @@ struct LocalCtx {
     nf_cursors: FxHashMap<Pred, usize>,
 }
 
+/// Where a local step runs: the fixed rules, a top-region node, or a
+/// uniform seed whose in-progress memo entry the step grows.
+enum Site<'a> {
+    Fixed,
+    Top(NodeId),
+    Seed(&'a mut Entry),
+}
+
 /// A position in the (infinite) term tree, as the engine sees it: either a
 /// materialized top-region node (depth ≤ c) or a uniform node identified by
 /// its seed. Two terms with the same cursor have identical subtrees, which
@@ -142,39 +150,6 @@ pub struct EngineStats {
     pub datalog_rounds: usize,
     /// Rows derived by local Datalog evaluations (before absorption).
     pub derived_rows: usize,
-    /// Frozen-spec answer-cache hits absorbed from the serving layer (see
-    /// [`crate::serve::ServeStats`]); evaluation itself never touches the
-    /// serve cache, so these stay 0 unless a frozen spec reports in.
-    pub serve_cache_hits: u64,
-    /// Frozen-spec answer-cache misses absorbed from the serving layer.
-    pub serve_cache_misses: u64,
-    /// Magic rules synthesized by goal-directed (demand-rewritten) query
-    /// answering (see [`dl::EvalStats::magic_rules`]); stays 0 unless a
-    /// goal-directed query reports in.
-    pub magic_rules: usize,
-    /// Demand-set sizes summed over goal-directed queries (see
-    /// [`dl::EvalStats::demanded_tuples`]).
-    pub demanded_tuples: usize,
-    /// WAL records appended by a durable session this engine reported into
-    /// (see `fundb_storage::WalStats`); stays 0 unless a durable store
-    /// reports in.
-    pub wal_records: u64,
-    /// Round-commit markers among those records — the durability points a
-    /// crash recovers to.
-    pub wal_round_commits: u64,
-    /// Completed rounds replayed from a WAL during the recovery that
-    /// produced this session's database (0 for a fresh session).
-    pub recovered_rounds: u64,
-    /// Rows tombstoned by incremental retractions reported into this
-    /// engine (see [`dl::EvalStats::retractions`]); stays 0 unless a
-    /// retraction reports in.
-    pub retractions: usize,
-    /// Rows the re-derive pass restored (an alternative derivation
-    /// survived the over-delete; see [`dl::EvalStats::rederived`]).
-    pub rederived: usize,
-    /// Cached-specification rows patched in place by retractions instead
-    /// of rebuilding the spec.
-    pub cache_patches: u64,
 }
 
 impl EngineStats {
@@ -184,8 +159,6 @@ impl EngineStats {
         self.join_probes += es.join_probes;
         self.index_hits += es.index_hits;
         self.index_misses += es.index_misses;
-        self.magic_rules += es.magic_rules;
-        self.demanded_tuples += es.demanded_tuples;
     }
 }
 
@@ -257,13 +230,6 @@ impl Engine {
     /// worker buffers in task order, byte-identical to sequential.
     pub fn set_threads(&mut self, threads: Option<usize>) {
         self.threads = threads;
-        self.fixed_ctx.eval.set_threads(threads);
-        for ctx in self.top_ctx.values_mut() {
-            ctx.eval.set_threads(threads);
-        }
-        for ctx in self.memo_ctx.values_mut() {
-            ctx.eval.set_threads(threads);
-        }
     }
 
     /// The worker-thread count local evaluations will use.
@@ -276,28 +242,12 @@ impl Engine {
     /// every subsequent [`Engine::solve`], so e.g. `max_rounds` bounds the
     /// solve's *total* semi-naive rounds.
     pub fn set_governor(&mut self, governor: dl::Governor) {
-        self.fixed_ctx.eval.set_governor(governor.clone());
-        for ctx in self.top_ctx.values_mut() {
-            ctx.eval.set_governor(governor.clone());
-        }
-        for ctx in self.memo_ctx.values_mut() {
-            ctx.eval.set_governor(governor.clone());
-        }
         self.governor = governor;
     }
 
     /// The governor in effect (e.g. to clone its cancellation token).
     pub fn governor(&self) -> &dl::Governor {
         &self.governor
-    }
-
-    /// A fresh local context configured with this engine's thread and
-    /// governor knobs.
-    fn new_ctx(&self) -> LocalCtx {
-        let mut ctx = LocalCtx::default();
-        ctx.eval.set_threads(self.threads);
-        ctx.eval.set_governor(self.governor.clone());
-        ctx
     }
 
     /// Convenience pipeline: validate → normalize → mixed→pure → compile →
@@ -366,43 +316,6 @@ impl Engine {
     /// Instrumentation counters accumulated by [`Engine::solve`].
     pub fn stats(&self) -> &EngineStats {
         &self.stats
-    }
-
-    /// Absorbs serving-layer answer-cache counters (cumulative totals from
-    /// [`crate::serve::ServeStats`]) into the engine's stats so `:stats` and
-    /// the bench harness report construction and serving side by side.
-    pub fn record_serve_stats(&mut self, hits: u64, misses: u64) {
-        self.stats.serve_cache_hits = hits;
-        self.stats.serve_cache_misses = misses;
-    }
-
-    /// Absorbs the counters of a goal-directed (magic-rewritten) query run
-    /// (see [`dl::query_demand`]) into the engine's stats, so demand-driven
-    /// answering shows up next to full-materialization work in `:stats` and
-    /// the bench harness.
-    pub fn record_demand_stats(&mut self, es: dl::EvalStats) {
-        self.stats.magic_rules += es.magic_rules;
-        self.stats.demanded_tuples += es.demanded_tuples;
-    }
-
-    /// Absorbs incremental-retraction counters (cumulative session totals)
-    /// into the engine's stats, so delete/update maintenance work shows up
-    /// next to forward-derivation counters in `:stats` and the bench
-    /// harness.
-    pub fn record_retract_stats(&mut self, retractions: usize, rederived: usize, patches: u64) {
-        self.stats.retractions = retractions;
-        self.stats.rederived = rederived;
-        self.stats.cache_patches = patches;
-    }
-
-    /// Absorbs durable-storage counters (cumulative WAL totals and the
-    /// recovery that seeded the session) into the engine's stats, so
-    /// journaling cost and crash-recovery work show up next to evaluation
-    /// counters in `:stats` and the bench harness.
-    pub fn record_wal_stats(&mut self, records: u64, round_commits: u64, recovered_rounds: u64) {
-        self.stats.wal_records = records;
-        self.stats.wal_round_commits = round_commits;
-        self.stats.recovered_rounds = recovered_rounds;
     }
 
     // --- incremental updates -------------------------------------------------
@@ -507,35 +420,10 @@ impl Engine {
 
     /// The slice (state) of the ground pure term given by `path`.
     pub fn state_of_path(&self, path: &[Func]) -> State {
-        let c = self.cp.c;
-        if path.len() <= c {
-            return self
-                .tree
-                .lookup_path(path)
-                .and_then(|n| self.top.get(&n).cloned())
-                .unwrap_or_default();
-        }
-        // A path using symbols outside the program's vocabulary denotes a
-        // term that cannot occur in the least fixpoint (Proposition 2.1).
-        let Some(boundary_node) = self.tree.lookup_path(&path[..c]) else {
-            return State::new();
-        };
-        let mut seed = self
-            .boundary
-            .get(&(boundary_node, path[c]))
-            .cloned()
-            .unwrap_or_default();
-        for &f in &path[c + 1..] {
-            seed = self
-                .memo
-                .get(&seed)
-                .and_then(|e| e.child_seeds.get(&f).cloned())
-                .unwrap_or_default();
-        }
-        self.memo
-            .get(&seed)
-            .map(|e| e.state.clone())
-            .unwrap_or(seed)
+        let cur = path
+            .iter()
+            .fold(self.root_cursor(), |cur, &f| self.child_cursor(&cur, f));
+        self.cursor_state(&cur)
     }
 
     /// Yes-no query for a functional tuple `P(t, ā)` with `t` given as a
@@ -562,19 +450,17 @@ impl Engine {
         Cursor::Top(self.tree.root())
     }
 
-    /// Cursor of the child `f(t)`.
+    /// Cursor of the child `f(t)`. A symbol outside the program's
+    /// vocabulary leads to an empty uniform node: such a term cannot occur
+    /// in the least fixpoint (Proposition 2.1).
     pub fn child_cursor(&self, cur: &Cursor, f: Func) -> Cursor {
         match cur {
+            Cursor::Top(n) if self.tree.depth(*n) < self.cp.c => self
+                .tree
+                .get_child(*n, f)
+                .map_or(Cursor::Uniform(State::new()), Cursor::Top),
             Cursor::Top(n) => {
-                if self.tree.depth(*n) < self.cp.c {
-                    Cursor::Top(
-                        self.tree
-                            .get_child(*n, f)
-                            .expect("top region is fully materialized"),
-                    )
-                } else {
-                    Cursor::Uniform(self.boundary.get(&(*n, f)).cloned().unwrap_or_default())
-                }
+                Cursor::Uniform(self.boundary.get(&(*n, f)).cloned().unwrap_or_default())
             }
             Cursor::Uniform(seed) => Cursor::Uniform(
                 self.memo
@@ -589,12 +475,14 @@ impl Engine {
     pub fn cursor_state(&self, cur: &Cursor) -> State {
         match cur {
             Cursor::Top(n) => self.top.get(n).cloned().unwrap_or_default(),
-            Cursor::Uniform(seed) => self
-                .memo
-                .get(seed)
-                .map(|e| e.state.clone())
-                .unwrap_or_else(|| seed.clone()),
+            Cursor::Uniform(seed) => self.seed_state(seed).clone(),
         }
+    }
+
+    /// The state of the uniform node seeded with `seed`: its memo entry's
+    /// state once processed, the seed itself before.
+    fn seed_state<'s>(&'s self, seed: &'s State) -> &'s State {
+        self.memo.get(seed).map_or(seed, |e| &e.state)
     }
 
     // --- fixpoint internals --------------------------------------------------
@@ -606,55 +494,9 @@ impl Engine {
             return Ok(false);
         }
         let mut ctx = std::mem::take(&mut self.fixed_ctx);
-        self.inject_fixed_and_nf_diff(&mut ctx);
-        let lens = Self::row_counts(&ctx.db);
-        // On `Err`, the local database still holds a deterministic prefix
-        // of committed rows; absorb them before propagating so a resumed
-        // solve never skips them (`lens` is recomputed per pass).
-        let run = ctx
-            .eval
-            .run(&mut ctx.db, &self.cp.fixed_rules, &self.cp.fixed_plan);
-        if let Ok(es) = run {
-            self.stats.absorb(es);
-        }
-
-        let mut changed = false;
-        for (tagged, rel) in ctx.db.iter() {
-            let from = lens.get(&tagged).copied().unwrap_or(0);
-            if rel.len() == from {
-                continue;
-            }
-            match self.cp.untag(tagged) {
-                Some((p, Loc::Fixed(n))) => {
-                    for row in rel.rows_from(from) {
-                        let id = self.atoms.intern(p, row);
-                        ctx.injected_fixed.entry(tagged).or_default().insert(id);
-                        if self
-                            .top
-                            .get_mut(&n)
-                            .expect("fixed nodes are in the top region")
-                            .insert(id)
-                        {
-                            changed = true;
-                            self.stats.delta_atoms += 1;
-                        }
-                    }
-                }
-                Some(_) => unreachable!("fixed rules mention no here/child tags"),
-                None => {
-                    for row in rel.rows_from(from) {
-                        if !self.nf.contains(tagged, row) {
-                            self.nf.insert(tagged, row);
-                            changed = true;
-                            self.stats.delta_atoms += 1;
-                        }
-                    }
-                }
-            }
-        }
+        let step = self.local_step(&mut ctx, Site::Fixed);
         self.fixed_ctx = ctx;
-        run?;
-        Ok(changed)
+        Ok(step?.1)
     }
 
     /// Evaluates the star rules at a top-region node, resuming the node's
@@ -663,129 +505,10 @@ impl Engine {
         if self.cp.star_rules.is_empty() {
             return Ok(false);
         }
-        let at_boundary = self.tree.depth(node) == self.cp.c;
-        let mut ctx = self.top_ctx.remove(&node).unwrap_or_else(|| self.new_ctx());
-
-        // Inject the delta of every input.
-        let here_state = self.top[&node].clone();
-        Self::inject_state_diff(
-            &self.atoms,
-            &mut ctx.db,
-            &here_state,
-            &mut ctx.injected_here,
-            &self.here_by_pred,
-        );
-        for &f in self.cp.funcs.symbols() {
-            let Some(lookup) = self.child_by_f.get(&f) else {
-                continue;
-            };
-            let child_state = if at_boundary {
-                let seed = self.boundary.get(&(node, f)).cloned().unwrap_or_default();
-                self.memo
-                    .get(&seed)
-                    .map(|e| e.state.clone())
-                    .unwrap_or(seed)
-            } else {
-                let child = self
-                    .tree
-                    .get_child(node, f)
-                    .expect("top region is fully materialized");
-                self.top[&child].clone()
-            };
-            let snap = ctx.injected_child.entry(f).or_default();
-            Self::inject_state_diff(&self.atoms, &mut ctx.db, &child_state, snap, lookup);
-        }
-        self.inject_fixed_and_nf_diff(&mut ctx);
-
-        // Resume the local fixpoint; rows past `lens` are this run's output
-        // (on `Err`, the committed prefix — absorbed below all the same).
-        let lens = Self::row_counts(&ctx.db);
-        let run = ctx
-            .eval
-            .run(&mut ctx.db, &self.cp.star_rules, &self.cp.star_plan);
-        if let Ok(es) = run {
-            self.stats.absorb(es);
-        }
-
-        let mut changed = false;
-        for (tagged, rel) in ctx.db.iter() {
-            let from = lens.get(&tagged).copied().unwrap_or(0);
-            if rel.len() == from {
-                continue;
-            }
-            match self.cp.untag(tagged) {
-                Some((p, Loc::Here)) => {
-                    for row in rel.rows_from(from) {
-                        let id = self.atoms.intern(p, row);
-                        ctx.injected_here.insert(id);
-                        if self
-                            .top
-                            .get_mut(&node)
-                            .expect("every top node was given a state in Engine::new")
-                            .insert(id)
-                        {
-                            changed = true;
-                            self.stats.delta_atoms += 1;
-                        }
-                    }
-                }
-                Some((p, Loc::Child(f))) => {
-                    for row in rel.rows_from(from) {
-                        let id = self.atoms.intern(p, row);
-                        ctx.injected_child.entry(f).or_default().insert(id);
-                        if at_boundary {
-                            if self.boundary.entry((node, f)).or_default().insert(id) {
-                                changed = true;
-                                self.stats.delta_atoms += 1;
-                            }
-                        } else {
-                            // Non-boundary nodes have depth < c, so every
-                            // child is materialized with a state.
-                            let child = self
-                                .tree
-                                .get_child(node, f)
-                                .expect("top region is fully materialized");
-                            if self
-                                .top
-                                .get_mut(&child)
-                                .expect("every top node was given a state in Engine::new")
-                                .insert(id)
-                            {
-                                changed = true;
-                                self.stats.delta_atoms += 1;
-                            }
-                        }
-                    }
-                }
-                Some((p, Loc::Fixed(n))) => {
-                    for row in rel.rows_from(from) {
-                        let id = self.atoms.intern(p, row);
-                        ctx.injected_fixed.entry(tagged).or_default().insert(id);
-                        if self
-                            .top
-                            .get_mut(&n)
-                            .expect("fixed nodes are in the top region")
-                            .insert(id)
-                        {
-                            changed = true;
-                            self.stats.delta_atoms += 1;
-                        }
-                    }
-                }
-                None => {
-                    for row in rel.rows_from(from) {
-                        if !self.nf.contains(tagged, row) {
-                            self.nf.insert(tagged, row);
-                            changed = true;
-                            self.stats.delta_atoms += 1;
-                        }
-                    }
-                }
-            }
-        }
+        let mut ctx = self.top_ctx.remove(&node).unwrap_or_default();
+        let step = self.local_step(&mut ctx, Site::Top(node));
         self.top_ctx.insert(node, ctx);
-        run?;
-        Ok(changed)
+        Ok(step?.1)
     }
 
     /// Processes every demanded uniform seed once; returns whether anything
@@ -822,18 +545,54 @@ impl Engine {
 
     /// Stabilizes one uniform seed against the current memo/top/nf and
     /// stores the result, resuming the seed's persistent context. Returns
-    /// the entry and whether anything changed.
+    /// the entry and whether anything changed. On `Err` the entry's
+    /// absorbed progress is stored all the same.
     fn process_seed(&mut self, seed: &State) -> Result<(Entry, bool)> {
         let mut entry = self.memo.get(seed).cloned().unwrap_or_default();
         entry.state.union_with(seed);
-        let mut ctx = self.memo_ctx.remove(seed).unwrap_or_else(|| self.new_ctx());
+        let mut ctx = self.memo_ctx.remove(seed).unwrap_or_default();
         let mut changed_global = false;
+        let stable = loop {
+            match self.local_step(&mut ctx, Site::Seed(&mut entry)) {
+                Ok((entry_grew, global)) => {
+                    changed_global |= global;
+                    if !entry_grew {
+                        break Ok(());
+                    }
+                }
+                Err(e) => break Err(e),
+            }
+        };
+        self.memo_ctx.insert(seed.clone(), ctx);
+        let entry_changed = self.memo.get(seed) != Some(&entry);
+        if entry_changed {
+            self.memo.insert(seed.clone(), entry.clone());
+        }
+        stable?;
+        Ok((entry, entry_changed || changed_global))
+    }
 
-        loop {
+    /// One star-local step (Lemma 3.1) at `site`: injects the delta of the
+    /// site's inputs, resumes the context's semi-naive fixpoint under the
+    /// engine's thread count and governor, and absorbs the new rows.
+    /// Returns whether the seed entry (at [`Site::Seed`]) and whether the
+    /// global stores (top region, boundary seeds, relational store)
+    /// changed.
+    ///
+    /// On `Err` the local database still holds a deterministic prefix of
+    /// committed rows; they are absorbed before the error propagates, so a
+    /// resumed solve never skips them.
+    fn local_step(&mut self, ctx: &mut LocalCtx, mut site: Site) -> Result<(bool, bool)> {
+        let here = match &site {
+            Site::Fixed => None,
+            Site::Top(n) => Some(&self.top[n]),
+            Site::Seed(entry) => Some(&entry.state),
+        };
+        if let Some(here) = here {
             Self::inject_state_diff(
                 &self.atoms,
                 &mut ctx.db,
-                &entry.state,
+                here,
                 &mut ctx.injected_here,
                 &self.here_by_pred,
             );
@@ -841,103 +600,93 @@ impl Engine {
                 let Some(lookup) = self.child_by_f.get(&f) else {
                     continue;
                 };
-                let child_state = entry
-                    .child_seeds
-                    .get(&f)
-                    .map(|cs| {
-                        self.memo
-                            .get(cs)
-                            .map(|e| e.state.clone())
-                            .unwrap_or_else(|| cs.clone())
-                    })
-                    .unwrap_or_default();
+                let child = match &site {
+                    Site::Top(n) => self.cursor_state(&self.child_cursor(&Cursor::Top(*n), f)),
+                    Site::Seed(entry) => entry
+                        .child_seeds
+                        .get(&f)
+                        .map(|cs| self.seed_state(cs).clone())
+                        .unwrap_or_default(),
+                    Site::Fixed => unreachable!("the fixed site has no here state"),
+                };
                 let snap = ctx.injected_child.entry(f).or_default();
-                Self::inject_state_diff(&self.atoms, &mut ctx.db, &child_state, snap, lookup);
+                Self::inject_state_diff(&self.atoms, &mut ctx.db, &child, snap, lookup);
             }
-            self.inject_fixed_and_nf_diff(&mut ctx);
+        }
+        self.inject_fixed_and_nf_diff(ctx);
 
-            let lens = Self::row_counts(&ctx.db);
-            let run = ctx
-                .eval
-                .run(&mut ctx.db, &self.cp.star_rules, &self.cp.star_plan);
-            if let Ok(es) = run {
-                self.stats.absorb(es);
+        let (rules, plan) = match site {
+            Site::Fixed => (&self.cp.fixed_rules, &self.cp.fixed_plan),
+            _ => (&self.cp.star_rules, &self.cp.star_plan),
+        };
+        let lens = Self::row_counts(&ctx.db);
+        ctx.eval.set_threads(self.threads);
+        ctx.eval.set_governor(self.governor.clone());
+        let run = ctx.eval.run(&mut ctx.db, rules, plan);
+        if let Ok(es) = run {
+            self.stats.absorb(es);
+        }
+
+        let (mut entry_grew, mut global) = (false, false);
+        for (tagged, rel) in ctx.db.iter() {
+            let from = lens.get(&tagged).copied().unwrap_or(0);
+            if rel.len() == from {
+                continue;
             }
-
-            let mut local_changed = false;
-            for (tagged, rel) in ctx.db.iter() {
-                let from = lens.get(&tagged).copied().unwrap_or(0);
-                if rel.len() == from {
+            let untagged = self.cp.untag(tagged);
+            for row in rel.rows_from(from) {
+                let Some((p, loc)) = untagged else {
+                    if !self.nf.contains(tagged, row) {
+                        self.nf.insert(tagged, row);
+                        global = true;
+                        self.stats.delta_atoms += 1;
+                    }
                     continue;
-                }
-                match self.cp.untag(tagged) {
-                    Some((p, Loc::Here)) => {
-                        for row in rel.rows_from(from) {
-                            let id = self.atoms.intern(p, row);
-                            ctx.injected_here.insert(id);
-                            if entry.state.insert(id) {
-                                local_changed = true;
-                                self.stats.delta_atoms += 1;
-                            }
-                        }
+                };
+                let id = self.atoms.intern(p, row);
+                match loc {
+                    Loc::Here => ctx.injected_here.insert(id),
+                    Loc::Child(f) => ctx.injected_child.entry(f).or_default().insert(id),
+                    Loc::Fixed(_) => ctx.injected_fixed.entry(tagged).or_default().insert(id),
+                };
+                let in_entry = matches!(site, Site::Seed(_)) && !matches!(loc, Loc::Fixed(_));
+                let slot = match (loc, &mut site) {
+                    (Loc::Fixed(n), _) => self
+                        .top
+                        .get_mut(&n)
+                        .expect("fixed nodes are in the top region"),
+                    (_, Site::Fixed) => unreachable!("fixed rules mention no here/child tags"),
+                    (Loc::Here, Site::Seed(entry)) => &mut entry.state,
+                    (Loc::Child(f), Site::Seed(entry)) => entry.child_seeds.entry(f).or_default(),
+                    (Loc::Here, Site::Top(n)) => self
+                        .top
+                        .get_mut(n)
+                        .expect("every top node was given a state in Engine::new"),
+                    (Loc::Child(f), Site::Top(n)) if self.tree.depth(*n) == self.cp.c => {
+                        self.boundary.entry((*n, f)).or_default()
                     }
-                    Some((p, Loc::Child(f))) => {
-                        for row in rel.rows_from(from) {
-                            let id = self.atoms.intern(p, row);
-                            ctx.injected_child.entry(f).or_default().insert(id);
-                            if entry.child_seeds.entry(f).or_default().insert(id) {
-                                local_changed = true;
-                                self.stats.delta_atoms += 1;
-                            }
-                        }
+                    (Loc::Child(f), Site::Top(n)) => {
+                        let child = self
+                            .tree
+                            .get_child(*n, f)
+                            .expect("top region is fully materialized");
+                        self.top
+                            .get_mut(&child)
+                            .expect("every top node was given a state in Engine::new")
                     }
-                    Some((p, Loc::Fixed(n))) => {
-                        for row in rel.rows_from(from) {
-                            let id = self.atoms.intern(p, row);
-                            ctx.injected_fixed.entry(tagged).or_default().insert(id);
-                            if self
-                                .top
-                                .get_mut(&n)
-                                .expect("fixed nodes are in the top region")
-                                .insert(id)
-                            {
-                                changed_global = true;
-                                self.stats.delta_atoms += 1;
-                            }
-                        }
-                    }
-                    None => {
-                        for row in rel.rows_from(from) {
-                            if !self.nf.contains(tagged, row) {
-                                self.nf.insert(tagged, row);
-                                changed_global = true;
-                                self.stats.delta_atoms += 1;
-                            }
-                        }
+                };
+                if slot.insert(id) {
+                    self.stats.delta_atoms += 1;
+                    if in_entry {
+                        entry_grew = true;
+                    } else {
+                        global = true;
                     }
                 }
-            }
-            if let Err(e) = run {
-                // Keep the (consistent, committed-rounds-only) context and
-                // the entry's absorbed progress before propagating.
-                self.memo_ctx.insert(seed.clone(), ctx);
-                if self.memo.get(seed) != Some(&entry) {
-                    self.memo.insert(seed.clone(), entry);
-                }
-                return Err(e.into());
-            }
-            if !local_changed {
-                break;
             }
         }
-
-        self.memo_ctx.insert(seed.clone(), ctx);
-        let stored = self.memo.get(seed);
-        let entry_changed = stored != Some(&entry);
-        if entry_changed {
-            self.memo.insert(seed.clone(), entry.clone());
-        }
-        Ok((entry, entry_changed || changed_global))
+        run?;
+        Ok((entry_grew, global))
     }
 
     /// Injects the atoms of `state` not yet recorded in `snap` into the
@@ -1220,6 +969,13 @@ mod tests {
         assert!(engine.holds(q, &[f], &[]));
         assert!(!engine.holds(q, &[], &[]));
         assert!(!engine.holds(q, &[f, f], &[]));
+
+        // A symbol outside the vocabulary inside the top region (c = 2)
+        // names a term outside the least fixpoint (Proposition 2.1).
+        let g = ctx.func("g");
+        assert!(engine.state_of_path(&[g]).is_empty());
+        let cur = engine.child_cursor(&engine.root_cursor(), g);
+        assert!(engine.cursor_state(&cur).is_empty());
     }
 
     /// Cursors agree with state_of_path.

@@ -800,20 +800,6 @@ impl DerivedBuffer {
         self.heads.push((pred, start, head.len() as u32));
     }
 
-    /// Grounds `rule`'s head under `subst` directly into the arena (the
-    /// interpreted oracle's emit path).
-    fn push_head(&mut self, rule: &Rule, subst: &FxHashMap<Var, Cst>) {
-        let start = u32::try_from(self.data.len()).expect("derived buffer overflow");
-        for t in &rule.head.args {
-            self.data.push(match t {
-                Term::Const(c) => *c,
-                Term::Var(v) => *subst.get(v).expect("unsafe rule: head variable unbound"),
-            });
-        }
-        self.heads
-            .push((rule.head.pred, start, rule.head.args.len() as u32));
-    }
-
     /// Appends another buffer's rows after this one's (the deterministic
     /// task-order merge).
     fn absorb(&mut self, other: DerivedBuffer) {
@@ -1416,139 +1402,6 @@ fn query_rec(
     }
 }
 
-/// Recursive join over the rule body; when the task carries a delta range,
-/// that atom ranges only over the given chunk of fresh rows.
-///
-/// This is the PR 1/2 interpreter, retained as the differential-testing
-/// oracle for the compiled [`JoinProgram`] path: it visits atoms in
-/// written order, binds variables through a hash map, and selects through
-/// [`crate::rel::Relation::select`] patterns.
-#[allow(clippy::too_many_arguments)]
-fn join_rec(
-    db: &Database,
-    rule: &Rule,
-    idx: usize,
-    delta: Option<DeltaRange>,
-    subst: &mut FxHashMap<Var, Cst>,
-    out: &mut DerivedBuffer,
-    stats: &mut EvalStats,
-) {
-    if idx == rule.body.len() {
-        out.push_head(rule, subst);
-        return;
-    }
-    let atom = &rule.body[idx];
-    let Some(rel) = db.relation(atom.pred) else {
-        return;
-    };
-    // Delta atoms scan their (short) chunk of the fresh suffix; other atoms
-    // go through the indexed selection with the bindings established so far.
-    let delta_here = delta.filter(|d| d.atom as usize == idx);
-    let pattern: Vec<Option<Cst>>;
-    let rows: SelectOrRange<'_, '_> = match delta_here {
-        Some(d) => SelectOrRange::Range(rel.rows_range(d.start, d.end)),
-        None => {
-            pattern = atom
-                .args
-                .iter()
-                .map(|t| match t {
-                    Term::Const(c) => Some(*c),
-                    Term::Var(v) => subst.get(v).copied(),
-                })
-                .collect();
-            if pattern.iter().any(Option::is_some) {
-                stats.index_hits += 1;
-            }
-            SelectOrRange::Select(rel.select(&pattern))
-        }
-    };
-    for row in rows {
-        stats.join_probes += 1;
-        let mut bound = smallvec_like();
-        let mut ok = true;
-        for (t, v) in atom.args.iter().zip(row.iter()) {
-            match t {
-                Term::Const(c) => {
-                    if c != v {
-                        ok = false;
-                        break;
-                    }
-                }
-                Term::Var(var) => match subst.get(var) {
-                    Some(&existing) => {
-                        if existing != *v {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    None => {
-                        subst.insert(*var, *v);
-                        bound.push(*var);
-                    }
-                },
-            }
-        }
-        if ok {
-            join_rec(db, rule, idx + 1, delta, subst, out, stats);
-        }
-        for var in bound {
-            subst.remove(&var);
-        }
-    }
-}
-
-/// Either a delta-range scan or an indexed selection, as one iterator type.
-enum SelectOrRange<'a, 'p> {
-    Range(crate::rel::Rows<'a>),
-    Select(crate::rel::Select<'a, 'p>),
-}
-
-impl<'a> Iterator for SelectOrRange<'a, '_> {
-    type Item = &'a [Cst];
-
-    #[inline]
-    fn next(&mut self) -> Option<&'a [Cst]> {
-        match self {
-            SelectOrRange::Range(r) => r.next(),
-            SelectOrRange::Select(s) => s.next(),
-        }
-    }
-}
-
-/// Tiny inline buffer for per-atom freshly-bound variables (atoms rarely
-/// bind more than a handful).
-fn smallvec_like() -> Vec<Var> {
-    Vec::with_capacity(4)
-}
-
-/// The interpreted naive fixpoint: identical contract to
-/// [`evaluate_naive`], but runs [`join_rec`] — the PR 1/2 interpreter —
-/// instead of compiled programs. Differential-testing oracle only; exposed
-/// (hidden) so the cross-crate fuzz harness can anchor its agreement
-/// lattice on the oldest, simplest evaluator in the tree.
-#[doc(hidden)]
-pub fn evaluate_naive_interpreted(db: &mut Database, rules: &[Rule]) -> EvalStats {
-    let mut stats = EvalStats::default();
-    loop {
-        stats.rounds += 1;
-        let mut buffer = DerivedBuffer::default();
-        for rule in rules {
-            let mut subst = FxHashMap::default();
-            join_rec(db, rule, 0, None, &mut subst, &mut buffer, &mut stats);
-        }
-        let mut changed = false;
-        for (p, t) in buffer.iter() {
-            if db.insert_derived(p, t) {
-                changed = true;
-                stats.derived += 1;
-            }
-        }
-        if !changed {
-            return stats;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2006,70 +1859,6 @@ mod tests {
 
         fn below(&mut self, n: usize) -> usize {
             (self.next() % n as u64) as usize
-        }
-    }
-
-    /// Differential property: across random rule sets and databases, the
-    /// compiled fixpoint (greedy-reordered, register-based, composite-
-    /// indexed) derives exactly the answer set of the interpreted oracle,
-    /// and the semi-naive and naive compiled paths agree with both.
-    #[test]
-    fn compiled_fixpoint_matches_interpreted_oracle_on_random_programs() {
-        let mut i = Interner::new();
-        let preds: Vec<Pred> = (0..4).map(|k| Pred(i.intern(&format!("P{k}")))).collect();
-        let arity = [2usize, 1, 2, 2];
-        let vars: Vec<Var> = (0..4).map(|k| Var(i.intern(&format!("x{k}")))).collect();
-        let csts: Vec<Cst> = (0..6).map(|k| Cst(i.intern(&format!("c{k}")))).collect();
-        for seed in 0..60u64 {
-            let mut rng = Rng(seed.wrapping_mul(0x5851_F42D_4C95_7F2D) + 1);
-            let mut rules = Vec::new();
-            for _ in 0..(2 + rng.below(4)) {
-                let nbody = 1 + rng.below(3);
-                let body: Vec<Atom> = (0..nbody)
-                    .map(|_| {
-                        let p = rng.below(preds.len());
-                        let args = (0..arity[p])
-                            .map(|_| {
-                                if rng.below(4) == 0 {
-                                    Term::Const(csts[rng.below(csts.len())])
-                                } else {
-                                    Term::Var(vars[rng.below(vars.len())])
-                                }
-                            })
-                            .collect();
-                        Atom::new(preds[p], args)
-                    })
-                    .collect();
-                // Head over body variables only (range-restricted), with
-                // the occasional constant.
-                let body_vars: Vec<Var> = body.iter().flat_map(Atom::vars).collect();
-                let hp = rng.below(preds.len());
-                let head_args = (0..arity[hp])
-                    .map(|_| {
-                        if body_vars.is_empty() || rng.below(5) == 0 {
-                            Term::Const(csts[rng.below(csts.len())])
-                        } else {
-                            Term::Var(body_vars[rng.below(body_vars.len())])
-                        }
-                    })
-                    .collect();
-                rules.push(Rule::new(Atom::new(preds[hp], head_args), body));
-            }
-            let mut db = Database::new();
-            for _ in 0..(3 + rng.below(10)) {
-                let p = rng.below(preds.len());
-                let row: Vec<Cst> = (0..arity[p]).map(|_| csts[rng.below(csts.len())]).collect();
-                db.insert(preds[p], &row);
-            }
-
-            let mut oracle_db = db.clone();
-            let mut naive_db = db.clone();
-            evaluate_naive_interpreted(&mut oracle_db, &rules);
-            evaluate_naive(&mut naive_db, &rules).unwrap();
-            evaluate(&mut db, &rules).unwrap();
-            let expect = oracle_db.dump(&i);
-            assert_eq!(naive_db.dump(&i), expect, "naive diverged at seed {seed}");
-            assert_eq!(db.dump(&i), expect, "semi-naive diverged at seed {seed}");
         }
     }
 

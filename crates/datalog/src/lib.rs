@@ -30,8 +30,6 @@ pub mod rel;
 pub mod retract;
 pub mod rule;
 
-#[doc(hidden)]
-pub use engine::evaluate_naive_interpreted;
 pub use engine::{
     default_threads, evaluate, evaluate_governed, evaluate_naive, evaluate_naive_governed, query,
     query_governed, DeltaPlan, EvalStats, IncrementalEval, RoundSink, DEFAULT_MIN_PARALLEL_ROWS,

@@ -370,6 +370,9 @@ mod serving_trips {
         let mut db = fundb_core::program::Database::new();
         db.facts.push(fat(FTerm::Zero));
         let mut engine = Engine::build(&prog, &db, &mut i).unwrap();
+        // Solve outside the ambient fault plan: these tests trip the
+        // serving layer, not the build.
+        engine.set_governor(quiet(Budget::unlimited()));
         let spec = GraphSpec::from_engine(&mut engine).unwrap();
         (spec, even, succ)
     }

@@ -400,6 +400,55 @@ fn section_4_counter_engine_stats() {
     assert_eq!(stats.derived_rows, 390);
 }
 
+/// §1's Meets extended so that every evaluation site of the engine absorbs
+/// rows: a relational rule and a ground rule (no functional variable) run
+/// at the fixed site, the forward and backward star rules at the top
+/// region (c = 1, from the ground term `1`) and at the uniform seeds below
+/// it. All counters are deterministic, so they are pinned exactly.
+#[test]
+fn section_1_meets_all_sites_engine_stats() {
+    let mut ws = Workspace::new();
+    ws.parse(
+        "Meets(t, x), Next(x, y) -> Meets(t+1, y).
+         Meets(t+1, x) -> Met(t, x).
+         Next(x, y) -> Knows(y, x).
+         Meets(1, x), Knows(x, y) -> Greets(1, y).
+         Meets(0, Tony). Next(Tony, Jan). Next(Jan, Tony).",
+    )
+    .unwrap();
+    let mut engine = fundb_core::Engine::build(&ws.program, &ws.db, &mut ws.interner).unwrap();
+    engine.solve().unwrap();
+    assert_eq!(engine.compiled().c, 1);
+    assert!(!engine.compiled().fixed_rules.is_empty());
+
+    let sym = |n: &str| ws.interner.get(n).unwrap();
+    let (met, greets, knows) = (
+        fundb_term::Pred(sym("Met")),
+        fundb_term::Pred(sym("Greets")),
+        fundb_term::Pred(sym("Knows")),
+    );
+    let plus1 = fundb_term::Func(sym("+1"));
+    let (tony, jan) = (fundb_term::Cst(sym("Tony")), fundb_term::Cst(sym("Jan")));
+    assert!(engine.holds_relational(knows, &[jan, tony]));
+    assert!(engine.holds(greets, &[plus1], &[tony]));
+    assert!(!engine.holds(greets, &[plus1], &[jan]));
+    for n in 0..8usize {
+        let path = vec![plus1; n];
+        let (next, other) = if n % 2 == 0 { (jan, tony) } else { (tony, jan) };
+        assert!(engine.holds(met, &path, &[next]), "Met({n}, ·)");
+        assert!(!engine.holds(met, &path, &[other]), "Met({n}, ·)");
+    }
+
+    let s = engine.stats();
+    assert_eq!(s.passes, 3);
+    assert_eq!(s.pass_deltas, vec![10, 1, 0]);
+    assert_eq!(s.top_evals, 6);
+    assert_eq!(s.uniform_evals, 6);
+    assert_eq!(s.datalog_rounds, 27);
+    assert_eq!(s.join_probes, 18);
+    assert_eq!(s.derived_rows, 11);
+}
+
 /// Theorem 5.1, instrumented: after `add_fact_functional` the next
 /// `solve()` derives only the consequences of the new fact. The re-solve's
 /// extra work (delta atoms, join probes) is strictly smaller than what a
