@@ -8,7 +8,7 @@
 //! targets.
 //!
 //! Every run also appends a machine-readable trajectory to
-//! `BENCH_pr14.json` (override with `FUNDB_BENCH_JSON`): one record per
+//! `BENCH_pr15.json` (override with `FUNDB_BENCH_JSON`): one record per
 //! experiment with its wall time, plus detailed records (rows/s, join
 //! probes, index hits/misses, threads) for the timed experiments. CI
 //! uploads the file so the bench history accumulates across PRs.
@@ -159,8 +159,8 @@ impl Bench {
     /// Writes the trajectory file and returns its path.
     fn write(&self) -> std::io::Result<String> {
         let path =
-            std::env::var("FUNDB_BENCH_JSON").unwrap_or_else(|_| "BENCH_pr14.json".to_string());
-        let mut out = String::from("{\"schema\":\"fundb-bench-v1\",\"pr\":14,\"records\":[\n");
+            std::env::var("FUNDB_BENCH_JSON").unwrap_or_else(|_| "BENCH_pr15.json".to_string());
+        let mut out = String::from("{\"schema\":\"fundb-bench-v1\",\"pr\":15,\"records\":[\n");
         out.push_str(&self.records.join(",\n"));
         out.push_str("\n]}\n");
         std::fs::write(&path, out)?;
@@ -1656,7 +1656,8 @@ fn e17_durability(bench: &mut Bench) {
 ///
 /// Four parts, mirroring the tentpole's contracts:
 /// 1. a 1%/10%/50% retract/re-insert mix over tc_chain(512), tc_right(512)
-///    and a skewed fan-out, incremental maintenance vs rebuild-per-op;
+///    and a skewed fan-out (also with skip edges, so retraction re-derives),
+///    incremental maintenance vs rebuild-per-op;
 /// 2. the gated single-fact point: one `retract_fact` on tc_right(512)
 ///    must beat evaluating the remaining facts from scratch by ≥5x;
 /// 3. the retract-free wall guard: a database that went through a
@@ -1677,7 +1678,7 @@ fn e18_churn(bench: &mut Bench) {
         "E18",
         "Incremental retraction: churn maintenance, cache patching, crash matrix",
         "engine-level (no paper claim): per-op delete/update maintenance \
-         (counting + DRed over-delete/re-derive) must beat rebuilding the \
+         (DRed over-delete/re-derive through compiled programs) must beat rebuilding the \
          fixpoint, stay byte-deterministic across threads, cost nothing on \
          retract-free runs, and survive a crash at any WAL record",
     );
@@ -1720,6 +1721,22 @@ fn e18_churn(bench: &mut Bench) {
         (i, db, rules)
     }
 
+    /// The skewed fan-out plus an edge skipping one chain node every 10
+    /// nodes (the `durable_churn` benchmark graph): retracting a skipped
+    /// chain edge re-derives every path around it, so this row is the
+    /// one that exercises the re-derive pass.
+    fn skip_dir() -> (Interner, fundb_datalog::Database, Vec<fundb_datalog::Rule>) {
+        let (i, mut db, rules) = skew_dir();
+        let edge = Pred(i.get("Edge").unwrap());
+        let chain: Vec<Cst> = (0..=100)
+            .map(|k| Cst(i.get(&format!("c{k}")).unwrap()))
+            .collect();
+        for k in (5..99).step_by(10) {
+            db.insert(edge, &[chain[k], chain[k + 2]]);
+        }
+        (i, db, rules)
+    }
+
     let resolve = |s: &Scenario, op: &scenariogen::ChurnOp| -> (Pred, Vec<Cst>) {
         (
             Pred(s.interner.get(&op.pred).unwrap()),
@@ -1742,11 +1759,12 @@ fn e18_churn(bench: &mut Bench) {
     // row is the one that isolates the maintenance machinery itself.
     type Workload = (Interner, fundb_datalog::Database, Vec<fundb_datalog::Rule>);
     #[allow(clippy::type_complexity)]
-    let workloads: [(&str, fn() -> Workload); 4] = [
+    let workloads: [(&str, fn() -> Workload); 5] = [
         ("tc_chain(512)", || tc_chain_dir(512, false)),
         ("tc_right(512)", || tc_chain_dir(512, true)),
         ("skew(100+400)", skew_dir),
         ("skew(spokes)", skew_dir),
+        ("skew(skips)", skip_dir),
     ];
     println!(
         "{:>15} {:>5} {:>5} {:>12} {:>12} {:>9}",
@@ -1814,6 +1832,10 @@ fn e18_churn(bench: &mut Bench) {
             );
 
             let speedup = rebuild_ms / incr_ms.max(1e-9);
+            assert!(
+                name != "skew(skips)" || rederived > 0,
+                "E18 {name} {percent}%: skip edges must give the re-derive pass work"
+            );
             assert!(
                 name != "skew(spokes)" || speedup >= 5.0,
                 "E18 {name} {percent}%: point-update churn must beat rebuild \
@@ -2141,9 +2163,9 @@ fn e18_churn(bench: &mut Bench) {
     println!(
         "\nexpected shape: maintenance cost is proportional to the cone \
          (point updates ≥5x, gated on the single-fact point and the \
-         spokes mix; uniform mixes on transitive closure average ~1x \
-         because a random edge's cone is half the fixpoint); determinism \
-         and crash recovery hold byte-for-byte; the machinery is free \
-         when unused\n"
+         spokes mix; uniform mixes on transitive closure stay within a \
+         small factor of rebuild because a random edge's cone is half the \
+         fixpoint; the skip-edge mixes re-derive); determinism and crash \
+         recovery hold byte-for-byte; the machinery is free when unused\n"
     );
 }

@@ -30,7 +30,7 @@
 
 use crate::governor::{EvalError, FaultPlan, Governor, ProbeGuard, Resource};
 use crate::program::{register_file, CompiledRule, HeadSlot, JoinProgram};
-use crate::rel::{hash_row, Database};
+use crate::rel::{hash_row, Database, PlanStats};
 use crate::rule::{Atom, Rule, Term};
 use fundb_term::{Cst, FxHashMap, Pred, Var};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -182,32 +182,29 @@ pub struct DeltaPlan {
     /// Composite-index signatures the programs probe, deduplicated; the
     /// evaluator ensures these exist before every round.
     demands: Vec<(Pred, u64)>,
+    /// The statistics snapshot a [`DeltaPlan::planned`] plan was ordered
+    /// by (`None` for the greedy order); the head-bound programs are
+    /// ordered by the same snapshot.
+    stats: Option<PlanStats>,
+    /// Retraction's head-bound programs, compiled on first use: forward
+    /// evaluation never runs them, so plans that never retract never pay.
+    rederive: OnceLock<Rederive>,
+}
+
+/// The head-bound programs of a rule set ([`JoinProgram::head_bound`]),
+/// one per rule, and the composite-index signatures only they probe.
+/// Those demands are kept apart from [`DeltaPlan`]'s so forward evaluation
+/// never builds (or maintains) an index only retraction reads.
+#[derive(Clone, Debug)]
+struct Rederive {
+    programs: Vec<JoinProgram>,
+    demands: Vec<(Pred, u64)>,
 }
 
 impl DeltaPlan {
     /// Builds the plan for a rule set, compiling every rule.
     pub fn new(rules: &[Rule]) -> DeltaPlan {
-        let mut by_pred: FxHashMap<Pred, Vec<(u32, u32)>> = FxHashMap::default();
-        for (ri, rule) in rules.iter().enumerate() {
-            for (ai, atom) in rule.body.iter().enumerate() {
-                by_pred
-                    .entry(atom.pred)
-                    .or_default()
-                    .push((ri as u32, ai as u32));
-            }
-        }
-        let programs: Vec<CompiledRule> = rules.iter().map(CompiledRule::new).collect();
-        let mut demands = Vec::new();
-        for cr in &programs {
-            cr.demands(&mut demands);
-        }
-        demands.sort_unstable();
-        demands.dedup();
-        DeltaPlan {
-            by_pred,
-            programs,
-            demands,
-        }
+        DeltaPlan::build(rules, None)
     }
 
     /// Builds the plan with the cardinality cost model: per-rule atom
@@ -219,7 +216,10 @@ impl DeltaPlan {
     /// predicates are all absent from the snapshot (cold) compile with the
     /// same greedy order as [`DeltaPlan::new`].
     pub fn planned(rules: &[Rule], db: &Database) -> DeltaPlan {
-        let stats = db.plan_stats();
+        DeltaPlan::build(rules, Some(db.plan_stats()))
+    }
+
+    fn build(rules: &[Rule], stats: Option<PlanStats>) -> DeltaPlan {
         let mut by_pred: FxHashMap<Pred, Vec<(u32, u32)>> = FxHashMap::default();
         for (ri, rule) in rules.iter().enumerate() {
             for (ai, atom) in rule.body.iter().enumerate() {
@@ -231,7 +231,10 @@ impl DeltaPlan {
         }
         let programs: Vec<CompiledRule> = rules
             .iter()
-            .map(|r| CompiledRule::with_stats(r, &stats))
+            .map(|r| match &stats {
+                None => CompiledRule::new(r),
+                Some(stats) => CompiledRule::with_stats(r, stats),
+            })
             .collect();
         let mut demands = Vec::new();
         for cr in &programs {
@@ -243,6 +246,8 @@ impl DeltaPlan {
             by_pred,
             programs,
             demands,
+            stats,
+            rederive: OnceLock::new(),
         }
     }
 
@@ -267,6 +272,39 @@ impl DeltaPlan {
     /// relations appear).
     pub(crate) fn ensure_indexes(&self, db: &mut Database) {
         for &(p, sig) in &self.demands {
+            db.ensure_composite(p, sig);
+        }
+    }
+
+    /// The head-bound programs of `rules` (see [`JoinProgram::head_bound`]),
+    /// compiled on the first call; `rules` must be the rule set the plan
+    /// was built from.
+    fn rederive(&self, rules: &[Rule]) -> &Rederive {
+        self.rederive.get_or_init(|| {
+            let programs: Vec<JoinProgram> = rules
+                .iter()
+                .map(|r| JoinProgram::head_bound(r, self.stats.as_ref()))
+                .collect();
+            let mut demands = Vec::new();
+            for prog in &programs {
+                prog.demands(&mut demands);
+            }
+            demands.sort_unstable();
+            demands.dedup();
+            Rederive { programs, demands }
+        })
+    }
+
+    /// The head-bound program of rule `rule` of `rules`.
+    pub(crate) fn rederive_program(&self, rules: &[Rule], rule: usize) -> &JoinProgram {
+        &self.rederive(rules).programs[rule]
+    }
+
+    /// [`DeltaPlan::ensure_indexes`] plus the indexes only the head-bound
+    /// programs of `rules` probe: what a retraction needs.
+    pub(crate) fn ensure_retract_indexes(&self, db: &mut Database, rules: &[Rule]) {
+        self.ensure_indexes(db);
+        for &(p, sig) in &self.rederive(rules).demands {
             db.ensure_composite(p, sig);
         }
     }

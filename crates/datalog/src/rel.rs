@@ -9,6 +9,7 @@
 //! row ids.
 
 use fundb_term::{Cst, FxHashMap, FxHasher, Interner, Pred};
+use std::collections::hash_map::Entry;
 use std::fmt;
 use std::hash::Hasher;
 
@@ -107,30 +108,94 @@ fn bit_set(words: &mut Vec<u64>, i: usize, v: bool) {
     }
 }
 
-/// Inserts `id` into an ascending id vector, keeping it sorted. Buckets are
-/// normally appended to with strictly increasing ids; only slot reclamation
-/// re-introduces an old id in the middle.
-#[inline]
-fn insert_sorted(bucket: &mut Vec<u32>, id: u32) {
-    match bucket.last() {
-        Some(&last) if last >= id => {
-            if let Err(pos) = bucket.binary_search(&id) {
-                bucket.insert(pos, id);
-            }
-        }
-        _ => bucket.push(id),
+/// Removes the ascending, present `ids` from the ascending `bucket`: one
+/// binary search per id and one block move per gap between them, so the
+/// whole batch shifts each surviving element at most once.
+fn remove_ids(bucket: &mut Vec<u32>, ids: &[u32]) {
+    let mut w = bucket.partition_point(|&i| i < ids[0]);
+    debug_assert_eq!(bucket.get(w), Some(&ids[0]), "removed ids must be present");
+    let mut r = w + 1;
+    for &id in &ids[1..] {
+        let end = r + bucket[r..].partition_point(|&i| i < id);
+        debug_assert_eq!(bucket.get(end), Some(&id), "removed ids must be present");
+        bucket.copy_within(r..end, w);
+        w += end - r;
+        r = end + 1;
+    }
+    let len = bucket.len();
+    bucket.copy_within(r..len, w);
+    bucket.truncate(w + len - r);
+}
+
+/// Merges the ascending, absent `ids` into the ascending `bucket`: from
+/// the largest id down, one binary search and one block move each, so
+/// every old element moves at most once.
+fn merge_ids(bucket: &mut Vec<u32>, ids: &[u32]) {
+    let old = bucket.len();
+    if old == 0 || bucket[old - 1] < ids[0] {
+        bucket.extend_from_slice(ids);
+        return;
+    }
+    bucket.resize(old + ids.len(), 0);
+    let mut hi = old;
+    for (j, &id) in ids.iter().enumerate().rev() {
+        let pos = bucket[..hi].partition_point(|&i| i < id);
+        bucket.copy_within(pos..hi, pos + j + 1);
+        bucket[pos + j] = id;
+        hi = pos;
     }
 }
 
-/// Removes `id` from an ascending id vector; returns `true` when the bucket
-/// is left empty (so the caller can drop the map entry and keep
-/// distinct-value counts exact under deletion).
-#[inline]
-fn remove_sorted(bucket: &mut Vec<u32>, id: u32) -> bool {
-    if let Ok(pos) = bucket.binary_search(&id) {
-        bucket.remove(pos);
+/// Sorts `(key, id)` pairs and calls `f` once per distinct key with that
+/// key's ids in ascending order: the buckets a batch touches, each once.
+fn for_each_group<K: Ord + Copy>(
+    pairs: &mut [(K, u32)],
+    ids: &mut Vec<u32>,
+    mut f: impl FnMut(K, &[u32]),
+) {
+    pairs.sort_unstable();
+    let mut rest = &pairs[..];
+    while let Some(&(key, _)) = rest.first() {
+        let n = rest.iter().take_while(|e| e.0 == key).count();
+        ids.clear();
+        ids.extend(rest[..n].iter().map(|e| e.1));
+        f(key, ids);
+        rest = &rest[n..];
     }
-    bucket.is_empty()
+}
+
+/// Removes `ids` from `map[key]`, dropping the entry (and returning its
+/// emptied vector for reuse) when nothing is left, so distinct-value
+/// counts stay exact under deletion.
+fn map_remove<K: std::hash::Hash + Eq>(
+    map: &mut FxHashMap<K, Vec<u32>>,
+    key: K,
+    ids: &[u32],
+) -> Option<Vec<u32>> {
+    match map.entry(key) {
+        Entry::Occupied(mut e) => {
+            remove_ids(e.get_mut(), ids);
+            e.get().is_empty().then(|| e.remove())
+        }
+        Entry::Vacant(_) => {
+            debug_assert!(false, "removed ids must be indexed");
+            None
+        }
+    }
+}
+
+/// Merges `ids` into `map[key]`, creating the entry from `spare` (an
+/// emptied vector, to skip an allocation) if absent; returns the bucket's
+/// new length.
+fn map_merge<K: std::hash::Hash + Eq>(
+    map: &mut FxHashMap<K, Vec<u32>>,
+    key: K,
+    ids: &[u32],
+    spare: Option<Vec<u32>>,
+) -> usize {
+    let bucket = map.entry(key).or_insert_with(|| spare.unwrap_or_default());
+    merge_ids(bucket, ids);
+    bucket.len()
 }
 
 /// Fx hash of a row's constants, used to key the dedup table.
@@ -206,10 +271,18 @@ pub struct Relation {
     tomb: Vec<u64>,
     /// Number of tombstoned rows (`live() == len - dead`).
     dead: usize,
-    /// Dedup buckets of *tombstoned* rows (row hash → ascending row ids):
-    /// the free list. Re-inserting an equal tuple reclaims its original
-    /// slot and RowId instead of appending a duplicate.
+    /// The free list: tombstoned rows whose slot (and RowId) an equal
+    /// re-asserted tuple reclaims instead of appending a duplicate.
+    /// Tombstoning only appends a row to `parked` (no hashing); the parked
+    /// rows are indexed into `tomb_dedup` (row hash → ascending row ids)
+    /// by [`Relation::index_parked`] when a lookup needs it, and
+    /// `indexed` marks the ids `tomb_dedup` holds. A row revived while
+    /// parked leaves a stale entry (its tomb bit is clear) that indexing
+    /// skips; a derived relation, never reclaimed from, never pays for
+    /// the hash index at all.
     tomb_dedup: FxHashMap<u64, Vec<u32>>,
+    parked: Vec<u32>,
+    indexed: Vec<u64>,
     /// Asserted bitmap: a set bit marks a row inserted as a base (EDB)
     /// fact rather than derived by a rule. Retraction never cascades over
     /// asserted rows — they have support independent of any derivation.
@@ -245,6 +318,8 @@ impl Relation {
             tomb: Vec::new(),
             dead: 0,
             tomb_dedup: FxHashMap::default(),
+            parked: Vec::new(),
+            indexed: Vec::new(),
             asserted: Vec::new(),
             reuse_epoch: 0,
             reclaimed: Vec::new(),
@@ -392,10 +467,11 @@ impl Relation {
                 return None;
             }
         }
-        if reclaim {
+        if reclaim && self.dead > 0 {
+            self.index_parked();
             if let Some(ids) = self.tomb_dedup.get(&h) {
                 if let Some(&id) = ids.iter().find(|&&i| self.pool.row(i as usize) == t) {
-                    self.revive(id);
+                    self.restore_rows(&[RowId(id)]);
                     self.reuse_epoch += 1;
                     self.reclaimed.push(id);
                     return Some(RowId(id));
@@ -445,101 +521,137 @@ impl Relation {
         bit_set(&mut self.asserted, id.index(), v);
     }
 
-    /// Tombstones row `id`: removes it from the dedup table and every
-    /// index (per-column and composite buckets, dropping emptied entries
-    /// so distinct counts stay exact under deletion), marks the slot dead,
-    /// and parks it on the free list.
-    pub(crate) fn retract_row(&mut self, id: RowId) {
-        let i = id.index();
-        debug_assert!(i < self.len && !bit_get(&self.tomb, i));
-        let t: Vec<Cst> = self.pool.row(i).to_vec();
-        let h = hash_row(&t);
-        let empty = self
-            .dedup
-            .get_mut(&h)
-            .is_some_and(|b| remove_sorted(b, id.0));
-        if empty {
-            self.dedup.remove(&h);
+    /// Tombstones the live rows `ids` in one batch: sets their bits, then
+    /// visits each dedup, per-column and composite bucket the batch
+    /// touches once, removing all of its ids in one pass (dropping
+    /// emptied entries so distinct counts stay exact under deletion), and
+    /// parks the rows on the free list. Buckets stay ascending. A bucket
+    /// costs what one `Vec::remove` from it would, however many of its
+    /// ids go.
+    pub fn retract_rows(&mut self, ids: &[RowId]) {
+        if ids.is_empty() {
+            return;
         }
-        insert_sorted(self.tomb_dedup.entry(h).or_default(), id.0);
-        for (col, &v) in t.iter().enumerate() {
-            let empty = self.index[col]
-                .get_mut(&v)
-                .is_some_and(|b| remove_sorted(b, id.0));
-            if empty {
-                self.index[col].remove(&v);
-            }
+        for &id in ids {
+            debug_assert!(id.index() < self.len && !bit_get(&self.tomb, id.index()));
+            bit_set(&mut self.tomb, id.index(), true);
+        }
+        self.dead += ids.len();
+        let pool = &self.pool;
+        for &id in ids {
+            // Rows are distinct, so a dedup bucket with more than one id
+            // is a hash collision: rare enough to remove one id at a time.
+            map_remove(&mut self.dedup, hash_row(pool.row(id.index())), &[id.0]);
+        }
+        self.parked.extend(ids.iter().map(|id| id.0));
+        if self.parked.len() > 2 * self.dead + 64 {
+            // Mostly stale entries: drop them, so `parked` stays O(dead).
+            let tomb = &self.tomb;
+            self.parked.sort_unstable();
+            self.parked.dedup();
+            self.parked.retain(|&i| bit_get(tomb, i as usize));
+        }
+        let mut group = Vec::new();
+        let mut hashed: Vec<(u64, u32)> = Vec::new();
+        let mut valued: Vec<(Cst, u32)> = Vec::with_capacity(ids.len());
+        for (col, index) in self.index.iter_mut().enumerate() {
+            valued.clear();
+            valued.extend(ids.iter().map(|id| (pool.row(id.index())[col], id.0)));
+            for_each_group(&mut valued, &mut group, |v, g| {
+                map_remove(index, v, g);
+            });
         }
         for (&sig, map) in self.composite.iter_mut() {
-            let kh = hash_sig_cols(&t, sig);
-            let empty = map.get_mut(&kh).is_some_and(|b| remove_sorted(b, id.0));
-            if empty {
-                map.remove(&kh);
-            }
+            hashed.clear();
+            hashed.extend(
+                ids.iter()
+                    .map(|id| (hash_sig_cols(pool.row(id.index()), sig), id.0)),
+            );
+            for_each_group(&mut hashed, &mut group, |k, g| {
+                map_remove(map, k, g);
+            });
         }
-        bit_set(&mut self.tomb, i, true);
-        self.dead += 1;
     }
 
     /// Tombstones the live row equal to `t`, if any; returns its id.
     pub fn retract_tuple(&mut self, t: &[Cst]) -> Option<RowId> {
         let id = self.find(t)?;
-        self.retract_row(id);
+        self.retract_rows(&[id]);
         Some(id)
     }
 
-    /// Un-tombstones row `id` in place (same RowId, same arena slot),
-    /// *without* bumping the reuse epoch: used by the retraction passes,
-    /// which restore rows whose consequences are already settled by the
-    /// over-delete/re-derive fixpoint, and by rollback on an aborted
-    /// retraction. The asserted bit is left as-is.
-    pub(crate) fn restore_row(&mut self, id: RowId) {
-        self.revive(id.0);
-    }
-
-    /// Un-tombstones the retracted row equal to `t`, if its slot is still
-    /// on the free list; returns its (stable) id. Used by WAL replay to
-    /// reproduce a retraction's re-derive restores byte-identically.
-    pub fn restore_tuple(&mut self, t: &[Cst]) -> Option<RowId> {
-        if t.len() != self.arity() {
-            return None;
+    /// Un-tombstones the rows `ids` in place (same RowIds, same arena
+    /// slots) in one batch: clears their bits, takes them off the free
+    /// list and merges them into every bucket they belong to, each
+    /// touched bucket once, so buckets stay ascending and probe
+    /// enumeration order is identical to never having retracted. Does
+    /// *not* bump the reuse epoch: the retraction passes restore rows
+    /// whose consequences the over-delete/re-derive fixpoint already
+    /// settles, and rollback returns to a state the evaluator has seen.
+    /// The asserted bit is left as-is.
+    pub(crate) fn restore_rows(&mut self, ids: &[RowId]) {
+        if ids.is_empty() {
+            return;
         }
-        let id = self
-            .tomb_dedup
-            .get(&hash_row(t))
-            .and_then(|b| b.iter().copied().find(|&i| self.pool.row(i as usize) == t))?;
-        self.revive(id);
-        Some(RowId(id))
-    }
-
-    /// Brings tombstoned row `id` back to life: off the free list, back
-    /// into the dedup table and every index (sorted re-insertion keeps
-    /// buckets in ascending id order, so probe enumeration order is
-    /// identical to never having retracted).
-    fn revive(&mut self, id: u32) {
-        debug_assert!(bit_get(&self.tomb, id as usize));
-        let t: Vec<Cst> = self.pool.row(id as usize).to_vec();
-        let h = hash_row(&t);
-        let empty = self
-            .tomb_dedup
-            .get_mut(&h)
-            .is_some_and(|b| remove_sorted(b, id));
-        if empty {
-            self.tomb_dedup.remove(&h);
+        for &id in ids {
+            debug_assert!(bit_get(&self.tomb, id.index()));
+            bit_set(&mut self.tomb, id.index(), false);
         }
-        bit_set(&mut self.tomb, id as usize, false);
-        self.dead -= 1;
-        insert_sorted(self.dedup.entry(h).or_default(), id);
-        for (col, &v) in t.iter().enumerate() {
-            let bucket = self.index[col].entry(v).or_default();
-            insert_sorted(bucket, id);
-            if bucket.len() > self.max_bucket[col] {
-                self.max_bucket[col] = bucket.len();
-            }
+        self.dead -= ids.len();
+        let pool = &self.pool;
+        for &id in ids {
+            let h = hash_row(pool.row(id.index()));
+            let spare = if bit_get(&self.indexed, id.index()) {
+                bit_set(&mut self.indexed, id.index(), false);
+                map_remove(&mut self.tomb_dedup, h, &[id.0])
+            } else {
+                None
+            };
+            map_merge(&mut self.dedup, h, &[id.0], spare);
+        }
+        let mut group = Vec::new();
+        let mut hashed: Vec<(u64, u32)> = Vec::new();
+        let mut valued: Vec<(Cst, u32)> = Vec::with_capacity(ids.len());
+        for (col, index) in self.index.iter_mut().enumerate() {
+            valued.clear();
+            valued.extend(ids.iter().map(|id| (pool.row(id.index())[col], id.0)));
+            let max = &mut self.max_bucket[col];
+            for_each_group(&mut valued, &mut group, |v, g| {
+                *max = (*max).max(map_merge(index, v, g, None));
+            });
         }
         for (&sig, map) in self.composite.iter_mut() {
-            insert_sorted(map.entry(hash_sig_cols(&t, sig)).or_default(), id);
+            hashed.clear();
+            hashed.extend(
+                ids.iter()
+                    .map(|id| (hash_sig_cols(pool.row(id.index()), sig), id.0)),
+            );
+            for_each_group(&mut hashed, &mut group, |k, g| {
+                map_merge(map, k, g, None);
+            });
         }
+    }
+
+    /// Moves the parked rows that are still tombstoned into the free
+    /// list's hash index.
+    fn index_parked(&mut self) {
+        let mut parked = std::mem::take(&mut self.parked);
+        parked.sort_unstable();
+        parked.dedup();
+        for &id in &parked {
+            let i = id as usize;
+            if bit_get(&self.tomb, i) && !bit_get(&self.indexed, i) {
+                bit_set(&mut self.indexed, i, true);
+                map_merge(
+                    &mut self.tomb_dedup,
+                    hash_row(self.pool.row(i)),
+                    &[id],
+                    None,
+                );
+            }
+        }
+        parked.clear();
+        self.parked = parked;
     }
 
     /// Re-derives the skew statistics once tombstones exceed 25% of the
@@ -554,6 +666,159 @@ impl Relation {
             self.max_bucket[col] = self.index[col].values().map(Vec::len).max().unwrap_or(0);
         }
         true
+    }
+
+    /// Checks the relation's internal invariants against its arena, the
+    /// tombstone bitmap taken as ground truth:
+    ///
+    /// * `dead` counts exactly the set tombstone bits, all below `len`;
+    /// * the dedup table holds exactly the live ids, keyed by row hash;
+    /// * the free list holds exactly the tombstoned ids, keyed likewise;
+    /// * every per-column and composite index holds exactly the live ids
+    ///   under their column value or key hash, with no empty bucket;
+    /// * every bucket above is in ascending id order;
+    /// * `max_bucket[col]` bounds the largest bucket of column `col`.
+    ///
+    /// Returns the first violation found. Costs a rebuild of every index,
+    /// so it belongs in tests and debugging sessions, not on a hot path.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        fn same<K: std::hash::Hash + Eq + fmt::Debug>(
+            what: &str,
+            got: &FxHashMap<K, Vec<u32>>,
+            want: &FxHashMap<K, Vec<u32>>,
+        ) -> Result<(), String> {
+            if got.len() != want.len() {
+                return Err(format!(
+                    "{what}: {} buckets, the arena implies {}",
+                    got.len(),
+                    want.len()
+                ));
+            }
+            for (k, ids) in want {
+                match got.get(k) {
+                    Some(b) if b == ids => {}
+                    Some(b) => return Err(format!("{what}[{k:?}] holds {b:?}, want {ids:?}")),
+                    None => return Err(format!("{what}[{k:?}] is missing, want {ids:?}")),
+                }
+            }
+            Ok(())
+        }
+        let set = (0..self.len).filter(|&i| bit_get(&self.tomb, i)).count();
+        if set != self.dead {
+            return Err(format!(
+                "dead = {}, the bitmap has {set} tombstones",
+                self.dead
+            ));
+        }
+        if (self.len..self.tomb.len() * 64).any(|i| bit_get(&self.tomb, i)) {
+            return Err(format!(
+                "a tombstone bit is set at or past len = {}",
+                self.len
+            ));
+        }
+        let live = || (0..self.len).filter(|&i| !bit_get(&self.tomb, i));
+        let mut dedup: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+        let mut free: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+        let mut parked = self.parked.clone();
+        parked.sort_unstable();
+        for i in 0..self.len {
+            let h = hash_row(self.pool.row(i));
+            if !bit_get(&self.tomb, i) {
+                if bit_get(&self.indexed, i) {
+                    return Err(format!("live row {i} is on the free list"));
+                }
+                dedup.entry(h).or_default().push(i as u32);
+            } else if bit_get(&self.indexed, i) {
+                free.entry(h).or_default().push(i as u32);
+            } else if parked.binary_search(&(i as u32)).is_err() {
+                return Err(format!("tombstoned row {i} is not on the free list"));
+            }
+        }
+        if (self.len..self.indexed.len() * 64).any(|i| bit_get(&self.indexed, i)) {
+            return Err(format!(
+                "an indexed bit is set at or past len = {}",
+                self.len
+            ));
+        }
+        same("dedup", &self.dedup, &dedup)?;
+        same("free list", &self.tomb_dedup, &free)?;
+        for col in 0..self.arity() {
+            let mut index: FxHashMap<Cst, Vec<u32>> = FxHashMap::default();
+            for i in live() {
+                index
+                    .entry(self.pool.row(i)[col])
+                    .or_default()
+                    .push(i as u32);
+            }
+            same(&format!("index[{col}]"), &self.index[col], &index)?;
+            let widest = index.values().map(Vec::len).max().unwrap_or(0);
+            if self.max_bucket[col] < widest {
+                return Err(format!(
+                    "max_bucket[{col}] = {} under a bucket of {widest}",
+                    self.max_bucket[col]
+                ));
+            }
+        }
+        for (&sig, map) in &self.composite {
+            let mut index: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+            for i in live() {
+                index
+                    .entry(hash_sig_cols(self.pool.row(i), sig))
+                    .or_default()
+                    .push(i as u32);
+            }
+            same(&format!("composite[{sig:#b}]"), map, &index)?;
+        }
+        Ok(())
+    }
+
+    /// Every piece of the relation's state rendered in a fixed order
+    /// (hash maps sorted by key), so two relations render equal exactly
+    /// when their arenas, bitmaps, indexes, free lists and statistics are.
+    #[cfg(test)]
+    pub(crate) fn fingerprint(&self) -> String {
+        fn sorted<K: Ord + Copy + fmt::Debug>(map: &FxHashMap<K, Vec<u32>>) -> Vec<(K, &Vec<u32>)> {
+            let mut v: Vec<(K, &Vec<u32>)> = map.iter().map(|(k, b)| (*k, b)).collect();
+            v.sort_unstable_by_key(|e| e.0);
+            v
+        }
+        let cells: Vec<usize> = self.pool.data.iter().map(|c| c.index()).collect();
+        let mut sigs: Vec<u64> = self.composite.keys().copied().collect();
+        sigs.sort_unstable();
+        let composite: Vec<_> = sigs
+            .iter()
+            .map(|s| (s, sorted(&self.composite[s])))
+            .collect();
+        let index: Vec<_> = self.index.iter().map(sorted).collect();
+        let trim = |w: &[u64]| -> Vec<u64> {
+            let n = w.iter().rposition(|&x| x != 0).map_or(0, |i| i + 1);
+            w[..n].to_vec()
+        };
+        // The free list as the ids it can hand out: stale parked entries
+        // (revived rows) are garbage no lookup ever returns.
+        let mut parked: Vec<u32> = self
+            .parked
+            .iter()
+            .copied()
+            .filter(|&i| bit_get(&self.tomb, i as usize))
+            .collect();
+        parked.sort_unstable();
+        parked.dedup();
+        format!(
+            "len {} dead {} cells {cells:?} tomb {:?} asserted {:?} dedup {:?} free {:?} \
+             parked {parked:?} index {index:?} composite {composite:?} max_bucket {:?} \
+             epoch {} reclaimed {:?} compactions {}",
+            self.len,
+            self.dead,
+            trim(&self.tomb),
+            trim(&self.asserted),
+            sorted(&self.dedup),
+            sorted(&self.tomb_dedup),
+            self.max_bucket,
+            self.reuse_epoch,
+            self.reclaimed,
+            self.compactions,
+        )
     }
 
     /// Physically drops tombstoned rows: live rows are renumbered densely
@@ -584,6 +849,8 @@ impl Relation {
         self.dead = 0;
         self.tomb.clear();
         self.tomb_dedup.clear();
+        self.parked.clear();
+        self.indexed.clear();
         self.asserted = asserted;
         self.dedup.clear();
         for col in 0..arity {
@@ -698,18 +965,30 @@ impl Relation {
     /// with no such key yields an empty bucket.
     #[inline]
     pub(crate) fn composite_probe(&self, sig: u64, key_hash: u64) -> CompositeProbe<'_> {
+        if self.covers_all(sig) {
+            return CompositeProbe::Bucket(
+                self.dedup.get(&key_hash).map_or(&[][..], Vec::as_slice),
+            );
+        }
         let Some(map) = self.composite.get(&sig) else {
             return CompositeProbe::NotBuilt;
         };
         CompositeProbe::Bucket(map.get(&key_hash).map_or(&[][..], Vec::as_slice))
     }
 
+    /// Whether `sig` binds every column: such a probe is a lookup in the
+    /// dedup table, whose row hash is the all-columns key hash.
+    #[inline]
+    fn covers_all(&self, sig: u64) -> bool {
+        sig.count_ones() as usize == self.arity()
+    }
+
     /// Builds the composite index for `sig` if it does not exist yet.
     /// Single-column signatures are served by the always-present per-column
-    /// indexes, so nothing is built for them. Subsequent inserts maintain
-    /// the index incrementally.
+    /// indexes and all-column signatures by the dedup table, so nothing is
+    /// built for them. Subsequent inserts maintain the index incrementally.
     pub fn ensure_composite(&mut self, sig: u64) {
-        if sig.count_ones() <= 1 || self.composite.contains_key(&sig) {
+        if sig.count_ones() <= 1 || self.covers_all(sig) || self.composite.contains_key(&sig) {
             return;
         }
         let mut map: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
@@ -726,7 +1005,7 @@ impl Relation {
 
     /// Whether the composite index for `sig` has been built.
     pub fn has_composite(&self, sig: u64) -> bool {
-        sig.count_ones() <= 1 || self.composite.contains_key(&sig)
+        sig.count_ones() <= 1 || self.covers_all(sig) || self.composite.contains_key(&sig)
     }
 
     /// Answers a bound-column probe: `sig` names the bound columns and
@@ -742,6 +1021,13 @@ impl Relation {
         if sig.count_ones() == 1 {
             let col = sig.trailing_zeros() as usize;
             let bucket = self.index[col].get(&key[0]).map_or(&[][..], Vec::as_slice);
+            return Probe::Index(bucket);
+        }
+        if self.covers_all(sig) {
+            let bucket = self
+                .dedup
+                .get(&hash_key(key))
+                .map_or(&[][..], Vec::as_slice);
             return Probe::Index(bucket);
         }
         if let Some(map) = self.composite.get(&sig) {
@@ -1034,6 +1320,31 @@ impl Database {
         }
     }
 
+    /// Checks every relation with [`Relation::check_invariants`]; the
+    /// error names the first failing predicate by its symbol index.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let mut preds: Vec<Pred> = self.relations.keys().copied().collect();
+        preds.sort_unstable();
+        for p in preds {
+            self.relations[&p]
+                .check_invariants()
+                .map_err(|e| format!("relation #{}: {e}", p.index()))?;
+        }
+        Ok(())
+    }
+
+    /// [`Relation::fingerprint`] of every relation, in predicate order.
+    #[cfg(test)]
+    pub(crate) fn fingerprint(&self) -> Vec<(Pred, String)> {
+        let mut out: Vec<(Pred, String)> = self
+            .relations
+            .iter()
+            .map(|(&p, r)| (p, r.fingerprint()))
+            .collect();
+        out.sort_unstable_by_key(|e| e.0);
+        out
+    }
+
     /// Renders all facts sorted by text, for tests and goldens.
     pub fn dump(&self, interner: &Interner) -> Vec<String> {
         let mut out = Vec::with_capacity(self.fact_count());
@@ -1295,7 +1606,7 @@ mod tests {
         let mut r = Relation::new(1);
         let ids: Vec<RowId> = v.iter().map(|&c| r.insert_row(&[c]).unwrap()).collect();
         let epoch = r.reuse_epoch();
-        r.retract_row(ids[1]);
+        r.retract_rows(&[ids[1]]);
         // Re-asserting the same tuple revives the parked slot: same
         // RowId, no arena growth, and the epoch moves so incremental
         // marks know a row appeared below the high-water line.
@@ -1319,7 +1630,7 @@ mod tests {
         let id = r.insert_row(&[v[0]]).unwrap();
         r.insert_row(&[v[1]]);
         let epoch = r.reuse_epoch();
-        r.retract_row(id);
+        r.retract_rows(&[id]);
         // A derived duplicate of a *tombstoned* tuple must append: round
         // deltas stay contiguous and the WAL's `cells_from` contract
         // holds. The parked slot stays parked.
@@ -1339,14 +1650,13 @@ mod tests {
         r.insert(&[v[0], v[1]]);
         let id = r.insert_row(&[v[1], v[2]]).unwrap();
         let epoch = r.reuse_epoch();
-        r.retract_row(id);
-        assert_eq!(r.restore_tuple(&[v[1], v[2]]), Some(id));
+        r.retract_rows(&[id]);
+        r.restore_rows(&[id]);
         assert_eq!(r.reuse_epoch(), epoch);
         assert_eq!(r.live(), 2);
-        assert!(r.contains(&[v[1], v[2]]));
+        assert_eq!(r.find(&[v[1], v[2]]), Some(id));
         assert_eq!(r.select(&[Some(v[1]), None]).count(), 1);
-        // Restoring something never retracted finds nothing.
-        assert!(r.restore_tuple(&[v[0], v[1]]).is_none());
+        r.check_invariants().unwrap();
     }
 
     #[test]
@@ -1412,5 +1722,77 @@ mod tests {
         db.relation_mut(p, 1).retract_tuple(&[v[0]]).unwrap();
         assert_eq!(db.compact(), 1);
         assert_eq!(db.fact_count(), 2);
+    }
+
+    #[test]
+    fn batched_tombstones_keep_every_bucket_exact() {
+        let mut i = Interner::new();
+        let names: Vec<String> = (0..12).map(|k| format!("c{k}")).collect();
+        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let v = csts(&mut i, &refs);
+        let mut r = Relation::new(3);
+        for (k, &c) in v.iter().enumerate() {
+            r.insert(&[v[0], c, v[k % 3]]);
+        }
+        r.ensure_composite(0b101);
+        let before = r.fingerprint();
+        // Strip most of column 0's single bucket in one batch, out of id
+        // order, then revive part of it: buckets stay ascending and exact.
+        let gone: Vec<RowId> = [9, 1, 4, 7, 2, 11, 0].map(RowId).to_vec();
+        r.retract_rows(&gone);
+        r.check_invariants().unwrap();
+        assert_eq!(r.live(), 5);
+        assert_eq!(r.select(&[Some(v[0]), None, None]).count(), 5);
+        r.restore_rows(&[RowId(7), RowId(0)]);
+        r.check_invariants().unwrap();
+        r.restore_rows(&[RowId(11), RowId(1), RowId(4), RowId(2), RowId(9)]);
+        r.check_invariants().unwrap();
+        assert_eq!(r.fingerprint(), before);
+    }
+
+    #[test]
+    fn invariant_checker_reports_a_stale_bucket() {
+        let mut i = Interner::new();
+        let v = csts(&mut i, &["a", "b"]);
+        let mut r = Relation::new(2);
+        r.insert(&[v[0], v[1]]);
+        r.insert(&[v[1], v[1]]);
+        r.check_invariants().unwrap();
+        r.index[1].get_mut(&v[1]).unwrap().reverse();
+        assert!(r.check_invariants().unwrap_err().contains("index[1]"));
+        r.index[1].get_mut(&v[1]).unwrap().reverse();
+        r.dead = 1;
+        assert!(r.check_invariants().unwrap_err().contains("dead"));
+    }
+
+    #[test]
+    fn all_column_probes_use_the_dedup_table() {
+        let mut i = Interner::new();
+        let v = csts(&mut i, &["a", "b", "c"]);
+        let mut r = Relation::new(2);
+        r.insert(&[v[0], v[1]]);
+        r.insert(&[v[1], v[2]]);
+        r.ensure_composite(0b11);
+        assert!(r.has_composite(0b11));
+        assert!(r.composite.is_empty(), "no composite index is built");
+        assert!(matches!(r.probe(0b11, &[v[1], v[2]]), Probe::Index(ids) if ids == [1]));
+        match r.composite_probe(0b11, hash_key(&[v[0], v[1]])) {
+            CompositeProbe::Bucket(ids) => assert_eq!(ids, &[0]),
+            other => panic!("expected bucket, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn bucket_merge_and_remove_keep_order() {
+        let mut b: Vec<u32> = vec![2, 5, 9, 14, 20];
+        merge_ids(&mut b, &[0, 6, 7, 21]);
+        assert_eq!(b, [0, 2, 5, 6, 7, 9, 14, 20, 21]);
+        remove_ids(&mut b, &[0, 7, 9, 21]);
+        assert_eq!(b, [2, 5, 6, 14, 20]);
+        remove_ids(&mut b, &[6]);
+        merge_ids(&mut b, &[30]);
+        assert_eq!(b, [2, 5, 14, 20, 30]);
+        remove_ids(&mut b, &[2, 5, 14, 20, 30]);
+        assert!(b.is_empty());
     }
 }

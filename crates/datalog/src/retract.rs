@@ -3,33 +3,38 @@
 //! [`Database::retract_fact`] removes one asserted (base) fact and repairs
 //! every derived consequence in work proportional to the affected
 //! derivation cone, not the database. The algorithm is the classic
-//! delete-and-rederive (DRed) split, specialized per stratum:
+//! delete-and-rederive (DRed) split, and both halves run the compiled join
+//! programs of the [`DeltaPlan`] the database was evaluated under:
 //!
 //! 1. **Over-delete.** Starting from the target row, a worklist pass finds
 //!    every derived row with at least one derivation through an
 //!    already-marked row. The pass reuses the forward evaluator's
-//!    *delta-outermost* compiled programs verbatim — each BFS wave of
-//!    marked rows is grouped by predicate and fed through
+//!    *delta-outermost* programs verbatim — each BFS wave of marked rows
+//!    is grouped by predicate and fed through
 //!    [`JoinProgram::execute_rows`] as one batched negative delta at each
 //!    body position that can consume it — over the *pre-deletion*
 //!    database, so the marked set is the standard DRed over-approximation.
 //!    Rows whose asserted bit is set are never marked: a base fact
 //!    supports itself. Nothing is mutated until discovery completes; then
-//!    every marked row is tombstoned in discovery order (RowIds survive,
-//!    see [`Relation`] tombstoning).
+//!    the marked cone is tombstoned in one batch per relation
+//!    ([`Relation::retract_rows`]: set the bits, then filter each touched
+//!    bucket once; RowIds survive).
 //! 2. **Re-derive.** Marked rows are revisited bottom-up by stratum
 //!    (Tarjan SCCs of the predicate dependency graph, emitted
 //!    dependencies-first) and restored — same arena slot, same RowId — if
-//!    an alternative derivation survives in the now-live database. The
-//!    check is a *head-bound* body match: the deleted tuple binds the
-//!    rule head, and the bindings flow through the body via indexed
-//!    selects — the same demand-driven bounding the magic-set rewrite
-//!    performs, specialized to a fully-bound head, so the pass touches
-//!    only the cone. Non-recursive strata get the counting treatment
-//!    (exact surviving-support counts, one pass suffices because lower
-//!    strata are already settled); recursive SCCs use an existence check
-//!    inside a fixpoint loop, because support counts are unsound under
-//!    recursion (two tombstoned rows can count each other as support).
+//!    a derivation survives in the now-live database. Each SCC's first
+//!    round feeds its tombstoned rows, grouped by predicate, to each
+//!    rule's *head-bound* program (`JoinProgram::head_bound`): the head
+//!    atom is op 0, so a deleted tuple binds the head and the body runs as
+//!    an indexed existence check that stops at the first support. Lower
+//!    strata are settled by then, so a non-recursive SCC is done after
+//!    that round. In a recursive SCC a restored row can support a sibling,
+//!    so each later round feeds the rows the previous round restored, as
+//!    a positive delta, through the forward delta-outermost programs and
+//!    restores the still-tombstoned rows they derive — semi-naive
+//!    insertion confined to the cone — until a round restores nothing.
+//!    Every round revives its rows in one batch per relation, and buckets
+//!    stay ascending, so probe order is as if the row had never left.
 //!
 //! Determinism: both passes run sequentially on the calling thread and
 //! consult only deterministic state, so the deleted/restored sequences —
@@ -39,21 +44,20 @@
 //! `tests/fuzz_scenarios.rs`).
 //!
 //! Governance: both passes poll [`Governor::checkpoint`] (cancellation +
-//! deadline) at probe granularity. A trip rolls the retraction back —
-//! every still-tombstoned row is revived in place and the target's
-//! asserted bit is restored — so an aborted retraction leaves the
-//! database exactly as it was: the completed-round prefix contract,
-//! where the "round" is the whole retraction.
+//! deadline) per wave and per round, and the programs poll at probe
+//! granularity. A trip rolls the retraction back — every still-tombstoned
+//! row is revived in place and the target's asserted bit is restored — so
+//! an aborted retraction leaves the database exactly as it was: the
+//! completed-round prefix contract, where the "round" is the whole
+//! retraction.
 
 use crate::engine::{DeltaPlan, EvalStats, IncrementalEval};
 use crate::governor::{EvalError, Governor, Resource};
-use crate::program::HeadSlot;
-use crate::rel::{Database, RowId};
-use crate::rule::{Atom, Rule, Term};
-use fundb_term::{Cst, FxHashMap, FxHashSet, Pred, Var};
-
-/// Poll stride for [`Governor::checkpoint`] inside the retraction passes.
-const RETRACT_CHECK_MASK: usize = 0x3FF;
+use crate::program::{register_file, HeadSlot};
+use crate::rel::{Database, Relation, RowId};
+use crate::rule::Rule;
+use fundb_term::{Cst, FxHashMap, FxHashSet, FxHasher, Pred};
+use std::hash::Hasher;
 
 /// What one [`Database::retract_fact`] call did.
 #[derive(Clone, Debug, Default)]
@@ -64,10 +68,11 @@ pub struct RetractOutcome {
     pub found: bool,
     /// Every tombstoned row — the target first, then the over-deleted
     /// cone in discovery order. Rows later restored by the re-derive pass
-    /// still appear here; the WAL replays both lists to reproduce RowIds.
+    /// still appear here.
     pub deleted: Vec<(Pred, Box<[Cst]>)>,
-    /// Rows the re-derive pass restored (an alternative derivation
-    /// survived), in restoration order.
+    /// Rows the re-derive pass restored (a derivation survived), round by
+    /// round, each round in discovery order. The WAL replays `deleted`
+    /// minus these.
     pub restored: Vec<(Pred, Box<[Cst]>)>,
     /// Work counters: `retractions` = tombstoned rows, `rederived` =
     /// restored rows, plus the probes both passes performed.
@@ -92,20 +97,126 @@ impl RetractOutcome {
     }
 }
 
-/// One tombstoned row, tracked with its (stable) id for restore/rollback.
-struct DeletedRow {
-    pred: Pred,
-    id: RowId,
-    tuple: Box<[Cst]>,
-    restored: bool,
+/// The marked cone of one retraction: `rows[i]` is the `i`-th marked row
+/// in discovery order (the target first); `marked[p]` is a bitmap over
+/// `p`'s row ids.
+#[derive(Default)]
+struct Cone {
+    rows: Vec<(Pred, u32)>,
+    marked: FxHashMap<Pred, Vec<u64>>,
+}
+
+impl Cone {
+    /// Marks `(p, id)` unless it already is.
+    fn mark(&mut self, p: Pred, id: u32) {
+        let bits = self.marked.entry(p).or_default();
+        let (w, b) = (id as usize / 64, 1u64 << (id % 64));
+        if bits.len() <= w {
+            bits.resize(w + 1, 0);
+        }
+        if bits[w] & b == 0 {
+            bits[w] |= b;
+            self.rows.push((p, id));
+        }
+    }
+
+    /// The positions in `positions`, grouped by predicate in order of first
+    /// appearance, each group in `positions` order.
+    fn by_pred(&self, positions: impl Iterator<Item = usize>) -> Vec<(Pred, Vec<usize>)> {
+        let mut groups: Vec<(Pred, Vec<usize>)> = Vec::new();
+        for i in positions {
+            let p = self.rows[i].0;
+            match groups.iter_mut().find(|(gp, _)| *gp == p) {
+                Some((_, group)) => group.push(i),
+                None => groups.push((p, vec![i])),
+            }
+        }
+        groups
+    }
+
+    /// The row ids at `positions`.
+    fn ids(&self, positions: &[usize]) -> Vec<RowId> {
+        positions.iter().map(|&i| RowId(self.rows[i].1)).collect()
+    }
+}
+
+/// Finds cone rows by tuple: `(key, position)` pairs sorted by key, where
+/// the key hashes the predicate and the tuple. Built once per recursive
+/// SCC that restores anything, over that SCC's rows.
+struct TupleIndex(Vec<(u64, usize)>);
+
+impl TupleIndex {
+    fn key(p: Pred, t: &[Cst]) -> u64 {
+        let mut h = FxHasher::default();
+        h.write_usize(p.index());
+        for c in t {
+            h.write_usize(c.index());
+        }
+        h.finish()
+    }
+
+    fn new(db: &Database, cone: &Cone, positions: &[usize]) -> TupleIndex {
+        let mut keys: Vec<(u64, usize)> = positions
+            .iter()
+            .map(|&i| {
+                let (p, id) = cone.rows[i];
+                (TupleIndex::key(p, row_of(db, p, id)), i)
+            })
+            .collect();
+        keys.sort_unstable();
+        TupleIndex(keys)
+    }
+
+    /// The position of the cone row `p(t)`, if `t` is one.
+    fn find(&self, db: &Database, cone: &Cone, p: Pred, t: &[Cst]) -> Option<usize> {
+        let key = TupleIndex::key(p, t);
+        let from = self.0.partition_point(|e| e.0 < key);
+        self.0[from..]
+            .iter()
+            .take_while(|e| e.0 == key)
+            .map(|e| e.1)
+            .find(|&i| {
+                let (rp, id) = cone.rows[i];
+                rp == p && row_of(db, rp, id) == t
+            })
+    }
+}
+
+/// The existing relation of `p`, mutably.
+fn rel_mut(db: &mut Database, p: Pred) -> &mut Relation {
+    let arity = db.relation(p).map_or(0, |r| r.arity());
+    db.relation_mut(p, arity)
+}
+
+/// The arena row of `p`'s row `id` (live or tombstoned).
+fn row_of(db: &Database, p: Pred, id: u32) -> &[Cst] {
+    db.relation(p)
+        .expect("marked rows have a relation")
+        .row(RowId(id))
+}
+
+/// Writes a head template under `regs` into `out`.
+fn push_head(out: &mut Vec<Cst>, head: &[HeadSlot], regs: &[Cst]) {
+    out.extend(head.iter().map(|s| match s {
+        HeadSlot::Const(c) => *c,
+        HeadSlot::Reg(r) => regs[*r as usize],
+        HeadSlot::Unbound => panic!("unsafe rule: head variable unbound"),
+    }));
+}
+
+fn budget(resource: Resource) -> EvalError {
+    EvalError::BudgetExhausted {
+        resource,
+        partial: EvalStats::default(),
+    }
 }
 
 impl Database {
     /// Retracts the asserted fact `p(t)` and incrementally repairs every
     /// derived consequence (see the module docs). The database must be at
     /// the fixpoint of `rules`, and `plan` must be the [`DeltaPlan`] it
-    /// was evaluated under; on return it is at the fixpoint of `rules`
-    /// over the remaining asserted facts.
+    /// was evaluated under (built from the same `rules`); on return it is
+    /// at the fixpoint of `rules` over the remaining asserted facts.
     pub fn retract_fact(
         &mut self,
         p: Pred,
@@ -141,229 +252,232 @@ impl Database {
             return Ok(RetractOutcome::default());
         }
 
-        // Composite indexes the over-delete programs will probe. The
-        // discovery pass then reads the database immutably, so the
-        // indexes stay current for its whole duration.
-        plan.ensure_indexes(self);
+        // Composite indexes both passes will probe. Discovery then reads
+        // the database immutably, so they stay current throughout.
+        plan.ensure_retract_indexes(self, rules);
+        let cone = self
+            .discover(p, target, rules, plan, gov, &mut stats)
+            .map_err(budget)?;
 
-        // --- Pass 1: over-delete discovery (no mutation). --------------
-        // `queue` doubles as the marked set's insertion order; `marked`
-        // is the membership test. The queue is consumed in BFS *waves*:
-        // each wave's rows are grouped by predicate and fed through the
-        // delta-outermost programs as one batched negative delta per
-        // (rule, position) — one `execute_rows` call per group instead of
-        // one per marked row, which is where the per-row version spent
-        // its time (register-file setup and program entry dominate a
-        // one-row delta). Wave order + first-appearance grouping keeps
-        // the discovery order deterministic and hash-map independent.
-        let mut queue: Vec<(Pred, u32)> = vec![(p, target.0)];
-        let mut marked: FxHashMap<Pred, FxHashSet<u32>> = FxHashMap::default();
-        marked.entry(p).or_default().insert(target.0);
-        let mut probes = 0usize;
-        let mut candidates: Vec<(Pred, Box<[Cst]>)> = Vec::new();
-        let mut by_pred: Vec<(Pred, Vec<u32>)> = Vec::new();
-        let mut wave_start = 0usize;
-        while wave_start < queue.len() {
-            let wave_end = queue.len();
-            if let Err(resource) = gov.checkpoint() {
-                return Err(EvalError::BudgetExhausted {
-                    resource,
-                    partial: EvalStats::default(),
-                });
-            }
-            for slot in by_pred.iter_mut() {
-                slot.1.clear();
-            }
-            let mut live_groups = 0usize;
-            for &(qp, qid) in &queue[wave_start..wave_end] {
-                match by_pred[..live_groups].iter_mut().find(|(gp, _)| *gp == qp) {
-                    Some((_, ids)) => ids.push(qid),
-                    None => {
-                        if live_groups < by_pred.len() {
-                            by_pred[live_groups].0 = qp;
-                            by_pred[live_groups].1.push(qid);
-                        } else {
-                            by_pred.push((qp, vec![qid]));
-                        }
-                        live_groups += 1;
-                    }
-                }
-            }
-            candidates.clear();
-            for (qp, ids) in by_pred[..live_groups].iter() {
-                for &(ri, ai) in plan.positions(*qp) {
-                    let head_pred = rules[ri as usize].head.pred;
-                    let prog = plan.program(ri, Some(ai));
-                    let mut regs = crate::program::register_file(prog);
-                    let guard = gov.probe_guard(None);
-                    let run = prog.execute_rows(
-                        self,
-                        ids,
-                        &mut regs,
-                        &guard,
-                        &mut stats,
-                        &mut |head: &[HeadSlot], regs: &[Cst]| {
-                            let row: Box<[Cst]> = head
-                                .iter()
-                                .map(|s| match s {
-                                    HeadSlot::Const(c) => *c,
-                                    HeadSlot::Reg(r) => regs[*r as usize],
-                                    HeadSlot::Unbound => {
-                                        panic!("unsafe rule: head variable unbound")
-                                    }
-                                })
-                                .collect();
-                            candidates.push((head_pred, row));
-                        },
-                    );
-                    if let Err(resource) = run {
-                        return Err(EvalError::BudgetExhausted {
-                            resource,
-                            partial: EvalStats::default(),
-                        });
-                    }
-                }
-            }
-            for (hp, ht) in candidates.drain(..) {
-                let Some(hrel) = self.relation(hp) else {
-                    continue;
-                };
-                let Some(hid) = hrel.find(&ht) else {
-                    continue;
-                };
-                // A base fact supports itself: the assertion, not the
-                // derivation we just invalidated, keeps it alive.
-                if hrel.is_asserted(hid) {
-                    continue;
-                }
-                if marked.entry(hp).or_default().insert(hid.0) {
-                    queue.push((hp, hid.0));
-                }
-            }
-            wave_start = wave_end;
-        }
-
-        // --- Tombstone the marked cone, in discovery order. -------------
         // From here on any early return must roll back; discovery alone
         // left the database untouched.
-        let mut deleted: Vec<DeletedRow> = Vec::with_capacity(queue.len());
-        {
-            let rel = self.relation_mut(p, t.len());
-            rel.set_asserted(target, false);
-        }
-        for &(dp, did) in &queue {
-            let arity = self.relation(dp).map_or(0, |r| r.arity());
-            let rel = self.relation_mut(dp, arity);
-            let id = RowId(did);
-            let tuple: Box<[Cst]> = rel.row(id).into();
-            rel.retract_row(id);
-            deleted.push(DeletedRow {
-                pred: dp,
-                id,
-                tuple,
-                restored: false,
-            });
-        }
-        stats.retractions = deleted.len();
-        let touched: Vec<Pred> = {
-            let mut ps: Vec<Pred> = deleted.iter().map(|d| d.pred).collect();
-            ps.dedup();
-            ps
-        };
-
-        // --- Pass 2: re-derive, bottom-up by stratum. -------------------
-        let graph = PredGraph::new(rules);
-        let mut by_scc: Vec<Vec<usize>> = vec![Vec::new(); graph.sccs.len()];
-        for (di, d) in deleted.iter().enumerate() {
-            if let Some(&n) = graph.node.get(&d.pred) {
-                by_scc[graph.scc_of[n]].push(di);
-            }
-            // Predicates no rule derives cannot be re-derived: the
-            // target of a pure-EDB retraction simply stays deleted.
-        }
-        let mut heads: FxHashMap<Pred, Vec<usize>> = FxHashMap::default();
-        for (ri, rule) in rules.iter().enumerate() {
-            heads.entry(rule.head.pred).or_default().push(ri);
-        }
-        let empty_rules: Vec<usize> = Vec::new();
+        let touched = tombstone(self, &cone, p, target);
+        stats.retractions = cone.rows.len();
+        let mut restored = vec![false; cone.rows.len()];
         let mut restore_seq: Vec<usize> = Vec::new();
-        for (si, entries) in by_scc.iter().enumerate() {
-            if entries.is_empty() {
-                continue;
-            }
-            // Counting is only sound without recursion: in a cycle, two
-            // tombstoned rows may each count the other's (dead)
-            // derivation as support. Recursive SCCs therefore use an
-            // existence check and loop to fixpoint — each restore can
-            // re-enable a sibling.
-            let recursive = graph.is_recursive(si);
-            loop {
-                let mut changed = false;
-                for &di in entries {
-                    if deleted[di].restored {
-                        continue;
-                    }
-                    let d = &deleted[di];
-                    let rs = heads.get(&d.pred).unwrap_or(&empty_rules);
-                    let support = match support_count(
-                        self,
-                        rules,
-                        rs,
-                        &d.tuple,
-                        !recursive,
-                        gov,
-                        &mut probes,
-                        &mut stats,
-                    ) {
-                        Ok(n) => n,
-                        Err(resource) => {
-                            rollback(self, &deleted, p, t, target);
-                            return Err(EvalError::BudgetExhausted {
-                                resource,
-                                partial: EvalStats::default(),
-                            });
-                        }
-                    };
-                    if support > 0 {
-                        let arity = d.tuple.len();
-                        let (dp, id) = (d.pred, d.id);
-                        self.relation_mut(dp, arity).restore_row(id);
-                        deleted[di].restored = true;
-                        restore_seq.push(di);
-                        changed = true;
-                    }
-                }
-                if !recursive || !changed {
-                    break;
-                }
-            }
+        if let Err(resource) = self.rederive(
+            &cone,
+            rules,
+            plan,
+            gov,
+            &mut restored,
+            &mut restore_seq,
+            &mut stats,
+        ) {
+            rollback(self, &cone, &restored, p, target);
+            return Err(budget(resource));
         }
 
         // Skew statistics: deletion turned the insert-maintained
         // `max_bucket` high-water marks into upper bounds; re-derive them
         // exactly once tombstones pass the 25% threshold.
         for dp in touched {
-            let arity = self.relation(dp).map_or(0, |r| r.arity());
-            self.relation_mut(dp, arity).maybe_resketch();
+            rel_mut(self, dp).maybe_resketch();
         }
 
-        let mut out = RetractOutcome {
+        let tuple = |db: &Database, (dp, id): (Pred, u32)| (dp, row_of(db, dp, id).into());
+        let out = RetractOutcome {
             found: true,
-            deleted: Vec::with_capacity(deleted.len()),
-            restored: Vec::with_capacity(restore_seq.len()),
-            stats,
+            deleted: cone.rows.iter().map(|&r| tuple(self, r)).collect(),
+            restored: restore_seq
+                .iter()
+                .map(|&i| tuple(self, cone.rows[i]))
+                .collect(),
+            stats: EvalStats {
+                rederived: restore_seq.len(),
+                ..stats
+            },
         };
-        // `restored` is in actual restoration order — the sequence the
-        // WAL replays to revive the same slots.
-        for di in restore_seq {
-            out.restored
-                .push((deleted[di].pred, deleted[di].tuple.clone()));
-        }
-        for d in deleted {
-            out.deleted.push((d.pred, d.tuple));
-        }
-        out.stats.rederived = out.restored.len();
         Ok(out)
+    }
+
+    /// Pass 1, over-delete discovery (no mutation). The cone's row list
+    /// doubles as the BFS queue and is consumed in *waves*: each wave's
+    /// rows are grouped by predicate and fed through the delta-outermost
+    /// programs as one batched negative delta per (rule, position) — one
+    /// `execute_rows` call per group instead of one per marked row, where
+    /// register-file setup and program entry would dominate a one-row
+    /// delta. Wave order + first-appearance grouping keeps the discovery
+    /// order deterministic and hash-map independent.
+    fn discover(
+        &self,
+        p: Pred,
+        target: RowId,
+        rules: &[Rule],
+        plan: &DeltaPlan,
+        gov: &Governor,
+        stats: &mut EvalStats,
+    ) -> Result<Cone, Resource> {
+        let mut cone = Cone::default();
+        cone.mark(p, target.0);
+        let guard = gov.probe_guard(None);
+        // Derived head tuples, flat: `heads[i] = (pred, start)` with the
+        // tuple at `cells[start..start + arity]`.
+        let mut heads: Vec<(Pred, usize)> = Vec::new();
+        let mut cells: Vec<Cst> = Vec::new();
+        let mut wave_start = 0usize;
+        while wave_start < cone.rows.len() {
+            let wave_end = cone.rows.len();
+            gov.checkpoint()?;
+            heads.clear();
+            cells.clear();
+            for (qp, group) in cone.by_pred(wave_start..wave_end) {
+                let ids = cone.ids(&group);
+                for &(ri, ai) in plan.positions(qp) {
+                    let head_pred = rules[ri as usize].head.pred;
+                    let prog = plan.program(ri, Some(ai));
+                    let mut regs = register_file(prog);
+                    prog.execute_rows(self, &ids, &mut regs, &guard, stats, &mut |head, regs| {
+                        heads.push((head_pred, cells.len()));
+                        push_head(&mut cells, head, regs);
+                    })?;
+                }
+            }
+            for &(hp, start) in &heads {
+                let Some(hrel) = self.relation(hp) else {
+                    continue;
+                };
+                let Some(hid) = hrel.find(&cells[start..start + hrel.arity()]) else {
+                    continue;
+                };
+                // A base fact supports itself: the assertion, not the
+                // derivation we just invalidated, keeps it alive.
+                if !hrel.is_asserted(hid) {
+                    cone.mark(hp, hid.0);
+                }
+            }
+            wave_start = wave_end;
+        }
+        Ok(cone)
+    }
+
+    /// Pass 2, re-derive, bottom-up by stratum (see the module docs).
+    /// Sets `restored[i]` and appends `i` to `seq` for every cone row it
+    /// revives.
+    #[allow(clippy::too_many_arguments)]
+    fn rederive(
+        &mut self,
+        cone: &Cone,
+        rules: &[Rule],
+        plan: &DeltaPlan,
+        gov: &Governor,
+        restored: &mut [bool],
+        seq: &mut Vec<usize>,
+        stats: &mut EvalStats,
+    ) -> Result<(), Resource> {
+        let graph = PredGraph::new(rules);
+        let mut by_scc: Vec<Vec<usize>> = vec![Vec::new(); graph.sccs.len()];
+        for (i, (dp, _)) in cone.rows.iter().enumerate() {
+            // Predicates no rule derives cannot be re-derived: the target
+            // of a pure-EDB retraction simply stays deleted.
+            if let Some(&n) = graph.node.get(dp) {
+                by_scc[graph.scc_of[n]].push(i);
+            }
+        }
+        let mut heads: FxHashMap<Pred, Vec<usize>> = FxHashMap::default();
+        for (ri, rule) in rules.iter().enumerate() {
+            heads.entry(rule.head.pred).or_default().push(ri);
+        }
+        let mut found: Vec<RowId> = Vec::new();
+        let mut round: Vec<usize> = Vec::new();
+        let mut derived: Vec<(Pred, usize)> = Vec::new();
+        let mut cells: Vec<Cst> = Vec::new();
+        for (si, entries) in by_scc.iter().enumerate() {
+            if entries.is_empty() {
+                continue;
+            }
+            gov.checkpoint()?;
+            let guard = gov.probe_guard(None);
+            // Round 1: the head-bound existence check of every row, one
+            // batch per (predicate, rule); a row found supported by one
+            // rule is not fed to the next.
+            round.clear();
+            for (dp, mut pending) in cone.by_pred(entries.iter().copied()) {
+                for &ri in heads.get(&dp).map_or(&[][..], Vec::as_slice) {
+                    if pending.is_empty() {
+                        break;
+                    }
+                    let prog = plan.rederive_program(rules, ri);
+                    let mut regs = register_file(prog);
+                    found.clear();
+                    let ids = cone.ids(&pending);
+                    prog.supported_rows(self, &ids, &mut regs, &guard, stats, &mut |id| {
+                        found.push(id)
+                    })?;
+                    // `found` is a subsequence of `ids`.
+                    let mut next = found.iter().peekable();
+                    pending.retain(|&i| {
+                        let hit = next.peek().is_some_and(|id| id.0 == cone.rows[i].1);
+                        if hit {
+                            next.next();
+                            round.push(i);
+                        }
+                        !hit
+                    });
+                }
+            }
+            if round.is_empty() || !graph.is_recursive(si) {
+                revive(self, cone, &mut round, restored, seq);
+                continue;
+            }
+            // Later rounds: semi-naive insertion of the last round's
+            // restored rows, confined to this SCC's tombstoned rows. A
+            // derived tuple that is not live was live before the
+            // retraction began, so it is one of those rows.
+            let index = TupleIndex::new(self, cone, entries);
+            revive(self, cone, &mut round, restored, seq);
+            while !round.is_empty() {
+                gov.checkpoint()?;
+                derived.clear();
+                cells.clear();
+                for (dp, group) in cone.by_pred(round.iter().copied()) {
+                    let ids = cone.ids(&group);
+                    for &(ri, ai) in plan.positions(dp) {
+                        let head_pred = rules[ri as usize].head.pred;
+                        if graph.node.get(&head_pred).map(|&n| graph.scc_of[n]) != Some(si) {
+                            continue;
+                        }
+                        let prog = plan.program(ri, Some(ai));
+                        let mut regs = register_file(prog);
+                        prog.execute_rows(
+                            self,
+                            &ids,
+                            &mut regs,
+                            &guard,
+                            stats,
+                            &mut |head, regs| {
+                                derived.push((head_pred, cells.len()));
+                                push_head(&mut cells, head, regs);
+                            },
+                        )?;
+                    }
+                }
+                round.clear();
+                for &(hp, start) in &derived {
+                    let Some(hrel) = self.relation(hp) else {
+                        continue;
+                    };
+                    let row = &cells[start..start + hrel.arity()];
+                    if let Some(i) = index.find(self, cone, hp, row) {
+                        if !restored[i] {
+                            round.push(i);
+                        }
+                    }
+                }
+                revive(self, cone, &mut round, restored, seq);
+            }
+        }
+        Ok(())
     }
 
     /// Replaces the asserted fact `p(old)` by `p(new)` in one maintenance
@@ -393,203 +507,45 @@ impl Database {
     }
 }
 
+/// Clears the target's asserted bit and tombstones the marked cone in one
+/// batch per relation; returns the touched predicates.
+fn tombstone(db: &mut Database, cone: &Cone, p: Pred, target: RowId) -> Vec<Pred> {
+    rel_mut(db, p).set_asserted(target, false);
+    let groups = cone.by_pred(0..cone.rows.len());
+    for (dp, group) in &groups {
+        rel_mut(db, *dp).retract_rows(&cone.ids(group));
+    }
+    groups.into_iter().map(|(dp, _)| dp).collect()
+}
+
+/// Revives the cone rows at `positions` (duplicates allowed) in one batch
+/// per relation, in discovery order, and records them as restored.
+fn revive(
+    db: &mut Database,
+    cone: &Cone,
+    positions: &mut Vec<usize>,
+    restored: &mut [bool],
+    seq: &mut Vec<usize>,
+) {
+    positions.sort_unstable();
+    positions.dedup();
+    for (dp, group) in cone.by_pred(positions.iter().copied()) {
+        rel_mut(db, dp).restore_rows(&cone.ids(&group));
+    }
+    for &i in positions.iter() {
+        restored[i] = true;
+    }
+    seq.extend_from_slice(positions);
+}
+
 /// Reverts a partially-applied retraction: revives every still-tombstoned
-/// row of the cone in place and restores the target's asserted bit.
-fn rollback(db: &mut Database, deleted: &[DeletedRow], p: Pred, t: &[Cst], target: RowId) {
-    for d in deleted {
-        if !d.restored {
-            let arity = d.tuple.len();
-            db.relation_mut(d.pred, arity).restore_row(d.id);
-        }
+/// row of the cone in place, in one batch per relation, and restores the
+/// target's asserted bit.
+fn rollback(db: &mut Database, cone: &Cone, restored: &[bool], p: Pred, target: RowId) {
+    for (dp, group) in cone.by_pred((0..cone.rows.len()).filter(|&i| !restored[i])) {
+        rel_mut(db, dp).restore_rows(&cone.ids(&group));
     }
-    db.relation_mut(p, t.len()).set_asserted(target, true);
-}
-
-/// How many derivations of `tuple` survive in the live database, via the
-/// head-bound body match described in the module docs. `count_all = false`
-/// stops at the first (existence check, for recursive SCCs).
-#[allow(clippy::too_many_arguments)]
-fn support_count(
-    db: &Database,
-    rules: &[Rule],
-    head_rules: &[usize],
-    tuple: &[Cst],
-    count_all: bool,
-    gov: &Governor,
-    probes: &mut usize,
-    stats: &mut EvalStats,
-) -> Result<usize, Resource> {
-    let mut total = 0usize;
-    let mut subst: FxHashMap<Var, Cst> = FxHashMap::default();
-    'rules: for &ri in head_rules {
-        let rule = &rules[ri];
-        if rule.head.args.len() != tuple.len() {
-            continue;
-        }
-        subst.clear();
-        for (arg, &c) in rule.head.args.iter().zip(tuple) {
-            match arg {
-                Term::Const(k) => {
-                    if *k != c {
-                        continue 'rules;
-                    }
-                }
-                Term::Var(v) => match subst.get(v) {
-                    Some(&b) if b != c => continue 'rules,
-                    Some(_) => {}
-                    None => {
-                        subst.insert(*v, c);
-                    }
-                },
-            }
-        }
-        debug_assert!(
-            rule.body.len() < 64,
-            "body atom count exceeds the match mask"
-        );
-        let all = (1u64 << rule.body.len()) - 1;
-        total += match_body(
-            db, &rule.body, all, &mut subst, count_all, gov, probes, stats,
-        )?;
-        if !count_all && total > 0 {
-            return Ok(total);
-        }
-    }
-    Ok(total)
-}
-
-/// Counts satisfying assignments of the atoms of `body` whose bit is set
-/// in `remaining`, under `subst`, over the live database. Atoms are
-/// matched cheapest-first: at every step the pass picks the remaining
-/// atom with the smallest expected candidate set under the current
-/// bindings — a fully-bound atom (O(1) dedup-hash membership) beats any
-/// partially-bound one, and among those the shortest per-column index
-/// bucket wins (ties broken by body position, so the order is
-/// deterministic). Static body order would walk an O(chain)-long bucket
-/// for the recursive atom of a linear rule before the selective EDB atom
-/// bound it down to one row. Early-exits after the first assignment when
-/// `count_all` is false.
-#[allow(clippy::too_many_arguments)]
-fn match_body(
-    db: &Database,
-    body: &[Atom],
-    remaining: u64,
-    subst: &mut FxHashMap<Var, Cst>,
-    count_all: bool,
-    gov: &Governor,
-    probes: &mut usize,
-    stats: &mut EvalStats,
-) -> Result<usize, Resource> {
-    if remaining == 0 {
-        return Ok(1);
-    }
-    // Pick the cheapest remaining atom under the current bindings.
-    let mut best_ai = usize::MAX;
-    let mut best_cost = usize::MAX;
-    let mut best_pattern: Vec<Option<Cst>> = Vec::new();
-    let mut pattern: Vec<Option<Cst>> = Vec::new();
-    let mut bits = remaining;
-    while bits != 0 {
-        let ai = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        let atom = &body[ai];
-        let Some(rel) = db.relation(atom.pred) else {
-            // An atom over an absent relation can never match, so the
-            // whole remainder has no assignment.
-            return Ok(0);
-        };
-        if rel.arity() != atom.args.len() {
-            return Ok(0);
-        }
-        pattern.clear();
-        pattern.extend(atom.args.iter().map(|t| match t {
-            Term::Const(c) => Some(*c),
-            Term::Var(v) => subst.get(v).copied(),
-        }));
-        let cost = if pattern.iter().all(Option::is_some) {
-            0
-        } else {
-            let mut bucket = usize::MAX;
-            for (col, slot) in pattern.iter().enumerate() {
-                if let Some(c) = *slot {
-                    bucket = bucket.min(rel.column_bucket(col, c).len());
-                }
-            }
-            if bucket == usize::MAX {
-                rel.live().max(1)
-            } else {
-                bucket.max(1)
-            }
-        };
-        if cost < best_cost {
-            best_cost = cost;
-            best_ai = ai;
-            std::mem::swap(&mut best_pattern, &mut pattern);
-            if best_cost == 0 {
-                break;
-            }
-        }
-    }
-    let atom = &body[best_ai];
-    let rel = db.relation(atom.pred).expect("checked above");
-    let rest = remaining & !(1u64 << best_ai);
-    // Fully-bound atom: a dedup-hash membership check, not an
-    // index-bucket walk.
-    if best_cost == 0 {
-        let key: Vec<Cst> = best_pattern.iter().map(|c| c.unwrap()).collect();
-        *probes += 1;
-        stats.join_probes += 1;
-        if *probes & RETRACT_CHECK_MASK == 0 {
-            gov.checkpoint()?;
-        }
-        if rel.contains(&key) {
-            return match_body(db, body, rest, subst, count_all, gov, probes, stats);
-        }
-        return Ok(0);
-    }
-    let mut total = 0usize;
-    let mut bound_here: Vec<Var> = Vec::new();
-    for row in rel.select(&best_pattern) {
-        *probes += 1;
-        stats.join_probes += 1;
-        if *probes & RETRACT_CHECK_MASK == 0 {
-            gov.checkpoint()?;
-        }
-        bound_here.clear();
-        let mut ok = true;
-        for (arg, &c) in atom.args.iter().zip(row) {
-            match arg {
-                Term::Const(k) => {
-                    if *k != c {
-                        ok = false;
-                        break;
-                    }
-                }
-                Term::Var(v) => match subst.get(v) {
-                    Some(&b) => {
-                        if b != c {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    None => {
-                        subst.insert(*v, c);
-                        bound_here.push(*v);
-                    }
-                },
-            }
-        }
-        if ok {
-            total += match_body(db, body, rest, subst, count_all, gov, probes, stats)?;
-        }
-        for v in bound_here.drain(..) {
-            subst.remove(&v);
-        }
-        if !count_all && total > 0 {
-            return Ok(total);
-        }
-    }
-    Ok(total)
+    rel_mut(db, p).set_asserted(target, true);
 }
 
 /// The predicate dependency graph of a rule set (edge head → body pred),
@@ -712,7 +668,22 @@ mod tests {
     use super::*;
     use crate::engine::evaluate;
     use crate::governor::Budget;
-    use fundb_term::Interner;
+    use crate::rule::{Atom, Term};
+    use fundb_term::{Interner, Var};
+
+    /// Retracts through the public entry point and checks the relation
+    /// invariants right after.
+    fn retract(
+        db: &mut Database,
+        p: Pred,
+        t: &[Cst],
+        rules: &[Rule],
+        plan: &DeltaPlan,
+    ) -> RetractOutcome {
+        let out = db.retract_fact(p, t, rules, plan);
+        db.check_invariants().expect("invariants after retraction");
+        out
+    }
 
     struct Fixture {
         i: Interner,
@@ -776,7 +747,7 @@ mod tests {
             db.insert(fx.edge, &[a, b]);
         }
         evaluate(&mut db, rules).unwrap();
-        let out = db.retract_fact(fx.edge, &[gone.0, gone.1], rules, &plan);
+        let out = retract(&mut db, fx.edge, &[gone.0, gone.1], rules, &plan);
         assert!(out.found);
         assert_eq!(out.stats.retractions, out.deleted.len());
         assert_eq!(out.stats.rederived, out.restored.len());
@@ -816,7 +787,7 @@ mod tests {
             db.insert(fx.edge, &[u, v]);
         }
         evaluate(&mut db, &rules).unwrap();
-        let out = db.retract_fact(fx.edge, &[a, b], &rules, &plan);
+        let out = retract(&mut db, fx.edge, &[a, b], &rules, &plan);
         assert!(out.found);
         // Path(a,b) was over-deleted and re-derived through a→c→b.
         assert!(out.stats.rederived >= 1);
@@ -833,7 +804,7 @@ mod tests {
         let (a, b) = (ns[0], ns[1]);
         // a→b→a: every Path pair is alive only through the cycle. DRed's
         // re-derive must not let Path(a,a)/Path(b,b) support each other
-        // after Edge(a,b) goes — the counting shortcut would.
+        // after Edge(a,b) goes — counting their supports would.
         let edges = [(a, b), (b, a)];
         assert_matches_rebuild(&fx, &rules, &edges, (a, b));
     }
@@ -851,12 +822,13 @@ mod tests {
         evaluate(&mut db, &rules).unwrap();
         let before = db.dump(&fx.i);
         // Absent fact.
-        let out = db.retract_fact(fx.edge, &[ns[2], ns[0]], &rules, &plan);
+        let out = retract(&mut db, fx.edge, &[ns[2], ns[0]], &rules, &plan);
         assert!(!out.found);
         // Derived-only row: rules maintain it, the assertion does not.
-        let out = db.retract_fact(fx.path, &[ns[0], ns[2]], &rules, &plan);
+        let out = retract(&mut db, fx.path, &[ns[0], ns[2]], &rules, &plan);
         assert!(!out.found);
         assert_eq!(db.dump(&fx.i), before);
+        db.check_invariants().expect("invariants after rollback");
     }
 
     #[test]
@@ -884,6 +856,7 @@ mod tests {
             }
         ));
         assert_eq!(db.dump(&fx.i), before);
+        db.check_invariants().expect("invariants after rollback");
     }
 
     #[test]
@@ -909,6 +882,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, EvalError::BudgetExhausted { .. }));
         assert_eq!(db.dump(&fx.i), before);
+        db.check_invariants().expect("invariants after rollback");
     }
 
     #[test]
@@ -964,7 +938,7 @@ mod tests {
         let mut eval = IncrementalEval::new();
         eval.run(&mut db, &rules, &plan).unwrap();
         for _ in 0..3 {
-            let out = db.retract_fact(fx.edge, &[ns[2], ns[3]], &rules, &plan);
+            let out = retract(&mut db, fx.edge, &[ns[2], ns[3]], &rules, &plan);
             assert!(out.found);
             db.insert(fx.edge, &[ns[2], ns[3]]);
             eval.run(&mut db, &rules, &plan).unwrap();
@@ -997,7 +971,7 @@ mod tests {
                 .with_parallel_threshold(1)
                 .run(&mut db, &rules, &plan)
                 .unwrap();
-            let out = db.retract_fact(fx.edge, &[ns[5], ns[6]], &rules, &plan);
+            let out = retract(&mut db, fx.edge, &[ns[5], ns[6]], &rules, &plan);
             let key = (db.dump(&fx.i), out.stats.retractions, out.stats.rederived);
             match &reference {
                 None => reference = Some(key),
@@ -1018,9 +992,138 @@ mod tests {
             db.insert(fx.edge, &[u, v]);
         }
         evaluate(&mut db, &rules).unwrap();
-        let out = db.retract_fact(fx.edge, &[a, b], &rules, &plan);
+        let out = retract(&mut db, fx.edge, &[a, b], &rules, &plan);
         let net = out.net_deleted();
         assert!(net.contains(&(fx.edge, &[a, b][..])));
         assert!(!net.contains(&(fx.path, &[a, b][..])));
+    }
+
+    #[test]
+    fn wide_body_rule_retracts_like_rebuild() {
+        // P(x) :- E(x), E(x), ... (64 atoms). A body mask of one bit per
+        // atom overflows at 64; the compiled re-derive has no such mask.
+        let mut i = Interner::new();
+        let e = Pred(i.intern("E"));
+        let pp = Pred(i.intern("P"));
+        let x = Var(i.intern("x"));
+        let (a, b) = (Cst(i.intern("a")), Cst(i.intern("b")));
+        let atom = |p: Pred| Atom::new(p, vec![Term::Var(x)]);
+        let rules = vec![Rule::new(atom(pp), vec![atom(e); 64])];
+        let plan = DeltaPlan::new(&rules);
+        let mut db = Database::new();
+        db.insert(e, &[a]);
+        db.insert(e, &[b]);
+        evaluate(&mut db, &rules).unwrap();
+        assert!(db.contains(pp, &[a]));
+        let out = retract(&mut db, e, &[a], &rules, &plan);
+        assert!(out.found);
+        assert!(out.restored.is_empty(), "P(a) has no support left");
+        let mut scratch = Database::new();
+        scratch.insert(e, &[b]);
+        evaluate(&mut scratch, &rules).unwrap();
+        assert_eq!(db.dump(&i), scratch.dump(&i));
+    }
+
+    #[test]
+    fn recursive_restore_takes_several_rounds() {
+        // v0→v1→v2→v3→v4→v5 plus the skip edge v1→v3. Retracting v2→v3
+        // over-deletes every Path(vi, vj) with i ≤ 2 < j. Under the
+        // right-recursive rules Path(v1, vj) comes back in the first
+        // round (Edge(v1, v3), Path(v3, vj) survive), but Path(v0, vj)
+        // is supported only through the restored Path(v1, vj), so it
+        // needs a second round; Path(v2, vj) stays dead.
+        let mut fx = fixture();
+        let rules = vec![
+            Rule::new(
+                Atom::new(fx.path, vec![Term::Var(fx.x), Term::Var(fx.y)]),
+                vec![Atom::new(fx.edge, vec![Term::Var(fx.x), Term::Var(fx.y)])],
+            ),
+            Rule::new(
+                Atom::new(fx.path, vec![Term::Var(fx.x), Term::Var(fx.z)]),
+                vec![
+                    Atom::new(fx.edge, vec![Term::Var(fx.x), Term::Var(fx.y)]),
+                    Atom::new(fx.path, vec![Term::Var(fx.y), Term::Var(fx.z)]),
+                ],
+            ),
+        ];
+        let ns = nodes(&mut fx, 5);
+        let mut edges: Vec<(Cst, Cst)> = ns.windows(2).map(|w| (w[0], w[1])).collect();
+        edges.push((ns[1], ns[3]));
+        let plan = DeltaPlan::new(&rules);
+        let mut db = Database::new();
+        for &(u, v) in &edges {
+            db.insert(fx.edge, &[u, v]);
+        }
+        evaluate(&mut db, &rules).unwrap();
+        let out = retract(&mut db, fx.edge, &[ns[2], ns[3]], &rules, &plan);
+        let at = |a: usize, b: usize| {
+            out.restored
+                .iter()
+                .position(|(p, t)| *p == fx.path && t[..] == [ns[a], ns[b]])
+        };
+        for j in 3..=5 {
+            let first = at(1, j).expect("Path(v1, vj) is restored");
+            let second = at(0, j).expect("Path(v0, vj) is restored");
+            assert!(first < second, "Path(v0, v{j}) restored before its support");
+            assert_eq!(at(2, j), None, "Path(v2, v{j}) has no support left");
+        }
+        assert_eq!(out.stats.rederived, 6);
+        assert_matches_rebuild(&fx, &rules, &edges, (ns[2], ns[3]));
+    }
+
+    #[test]
+    fn rolled_back_tombstone_restores_pre_op_bytes() {
+        // Tombstone a cone in one batch, optionally re-derive part of it,
+        // then roll back: every index, bucket order, free list, bitmap and
+        // statistic must be as before, not just the dump.
+        let mut fx = fixture();
+        let rules = tc_rules(&fx);
+        let plan = DeltaPlan::new(&rules);
+        let ns = nodes(&mut fx, 8);
+        let mut db = Database::new();
+        for w in ns.windows(2) {
+            db.insert(fx.edge, &[w[0], w[1]]);
+        }
+        db.insert(fx.edge, &[ns[2], ns[4]]);
+        evaluate(&mut db, &rules).unwrap();
+        // An earlier retraction leaves parked slots on the free list.
+        retract(&mut db, fx.edge, &[ns[6], ns[7]], &rules, &plan);
+        db.insert(fx.edge, &[ns[6], ns[7]]);
+        evaluate(&mut db, &rules).unwrap();
+        plan.ensure_retract_indexes(&mut db, &rules);
+        let before = db.fingerprint();
+        let target = db.relation(fx.edge).unwrap().find(&[ns[3], ns[4]]).unwrap();
+        for rederive_first in [false, true] {
+            let gov = Governor::default();
+            let mut stats = EvalStats::default();
+            let cone = db
+                .discover(fx.edge, target, &rules, &plan, &gov, &mut stats)
+                .unwrap();
+            assert!(cone.rows.len() > 1);
+            tombstone(&mut db, &cone, fx.edge, target);
+            db.check_invariants().expect("invariants after tombstoning");
+            let mut restored = vec![false; cone.rows.len()];
+            if rederive_first {
+                let mut seq = Vec::new();
+                db.rederive(
+                    &cone,
+                    &rules,
+                    &plan,
+                    &gov,
+                    &mut restored,
+                    &mut seq,
+                    &mut stats,
+                )
+                .unwrap();
+                assert!(!seq.is_empty(), "the skip edge keeps some paths");
+            }
+            rollback(&mut db, &cone, &restored, fx.edge, target);
+            db.check_invariants().expect("invariants after rollback");
+            assert_eq!(
+                db.fingerprint(),
+                before,
+                "rederive_first = {rederive_first}"
+            );
+        }
     }
 }

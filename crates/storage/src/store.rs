@@ -17,7 +17,7 @@ use crate::wal::{
     self, stats_from_wire, stats_to_wire, Wal, WalRecord, WalStats, WireAtom, WireTerm,
 };
 use fundb_datalog as dl;
-use fundb_term::{Cst, Interner, Pred, Sym, Var};
+use fundb_term::{Cst, FxHashSet, Interner, Pred, Sym, Var};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -355,58 +355,66 @@ impl DurableDb {
                                 deleted,
                                 restored,
                             } => {
-                                // Reproduce the retraction round exactly as
-                                // the live pass ran it: clear the target's
-                                // asserted bit, tombstone the over-delete
-                                // set in discovery order, then revive the
-                                // re-derived survivors in restoration
-                                // order — same free list, same RowIds.
+                                // Reproduce the retraction round's net
+                                // effect: clear the target's asserted bit
+                                // and tombstone the rows it deleted and did
+                                // not restore, one batch per predicate. A
+                                // row tombstoned and revived in place ends
+                                // where it began (same slot, same RowId,
+                                // same bucket order), so the free list and
+                                // RowIds match the live pass without
+                                // replaying the round trip.
                                 let p = Pred(sym_from_file(&from_file, *pred)?);
                                 row_buf.clear();
                                 for &c in row {
                                     row_buf.push(Cst(sym_from_file(&from_file, c)?));
                                 }
-                                let rel = db.relation_mut(p, row_buf.len());
-                                let id = rel.find(&row_buf).ok_or_else(|| {
-                                    invalid("Retract record names a row the log never inserted")
-                                })?;
-                                rel.set_asserted(id, false);
+                                let id = db.relation(p).and_then(|r| r.find(&row_buf)).ok_or_else(
+                                    || invalid("Retract record names a row the log never inserted"),
+                                )?;
+                                db.relation_mut(p, row_buf.len()).set_asserted(id, false);
+                                let kept: FxHashSet<(u32, &[u32])> =
+                                    restored.iter().map(|(rp, r)| (*rp, r.as_slice())).collect();
+                                let mut gone: Vec<(Pred, Vec<dl::RowId>)> = Vec::new();
+                                let mut skipped = 0usize;
                                 for (dp, drow) in deleted {
+                                    if kept.contains(&(*dp, drow.as_slice())) {
+                                        skipped += 1;
+                                        continue;
+                                    }
                                     let dp = Pred(sym_from_file(&from_file, *dp)?);
                                     row_buf.clear();
                                     for &c in drow {
                                         row_buf.push(Cst(sym_from_file(&from_file, c)?));
                                     }
-                                    db.relation_mut(dp, row_buf.len())
-                                        .retract_tuple(&row_buf)
+                                    let did = db
+                                        .relation(dp)
+                                        .and_then(|r| r.find(&row_buf))
                                         .ok_or_else(|| {
                                             invalid(
                                                 "Retract record deletes a row the log never \
                                                  inserted",
                                             )
                                         })?;
-                                }
-                                for (rp, rrow) in restored {
-                                    let rp = Pred(sym_from_file(&from_file, *rp)?);
-                                    row_buf.clear();
-                                    for &c in rrow {
-                                        row_buf.push(Cst(sym_from_file(&from_file, c)?));
+                                    match gone.iter_mut().find(|(gp, _)| *gp == dp) {
+                                        Some((_, ids)) => ids.push(did),
+                                        None => gone.push((dp, vec![did])),
                                     }
-                                    db.relation_mut(rp, row_buf.len())
-                                        .restore_tuple(&row_buf)
-                                        .ok_or_else(|| {
-                                            invalid(
-                                                "Retract record restores a row it did not \
-                                                 delete",
-                                            )
-                                        })?;
                                 }
-                                for (dp, _) in deleted {
-                                    let dp = Pred(sym_from_file(&from_file, *dp)?);
-                                    if let Some(rel) = db.relation(dp) {
-                                        let arity = rel.arity();
-                                        db.relation_mut(dp, arity).maybe_resketch();
+                                if skipped != restored.len() {
+                                    return Err(invalid(
+                                        "Retract record restores a row it did not delete",
+                                    ));
+                                }
+                                for (dp, mut ids) in gone {
+                                    ids.sort_unstable();
+                                    if ids.windows(2).any(|w| w[0] == w[1]) {
+                                        return Err(invalid("Retract record deletes a row twice"));
                                     }
+                                    let arity = db.relation(dp).map_or(0, |r| r.arity());
+                                    let rel = db.relation_mut(dp, arity);
+                                    rel.retract_rows(&ids);
+                                    rel.maybe_resketch();
                                 }
                                 stats = stats_from_wire(w);
                                 report.replayed_retractions += 1;
@@ -1091,9 +1099,25 @@ mod tests {
 
     #[test]
     fn retract_fact_survives_reopen_and_snapshot() {
+        // Live rows with their RowIds, by predicate name: WAL replay must
+        // land every surviving row in the slot the live pass left it in.
+        fn slots(db: &dl::Database, interner: &Interner) -> Vec<(String, u32, Vec<String>)> {
+            let mut out = Vec::new();
+            for (p, rel) in db.iter() {
+                for i in 0..rel.len() as u32 {
+                    if !rel.is_tombstoned(dl::RowId(i)) {
+                        let row = rel.row(dl::RowId(i)).iter();
+                        let row = row.map(|c| interner.resolve(c.sym()).to_owned());
+                        out.push((interner.resolve(p.sym()).to_owned(), i, row.collect()));
+                    }
+                }
+            }
+            out.sort();
+            out
+        }
         let dir = tmpdir("retract");
         let mut interner = Interner::new();
-        let reference = {
+        let (reference, reference_slots) = {
             let mut ddb = dl::Database::open_durable(&dir, &mut interner).unwrap();
             let edge = Pred(interner.intern("edge"));
             let names: Vec<Cst> = (0..8)
@@ -1102,6 +1126,8 @@ mod tests {
             for w in names.windows(2) {
                 ddb.insert(&interner, edge, &[w[0], w[1]]).unwrap();
             }
+            // A skip edge gives paths across n3→n4 a second derivation.
+            ddb.insert(&interner, edge, &[names[2], names[4]]).unwrap();
             let rules = tc_rules(&mut interner);
             for rule in &rules {
                 ddb.log_rule(&interner, rule).unwrap();
@@ -1114,18 +1140,24 @@ mod tests {
                 .unwrap();
             assert!(out.found);
             assert!(out.stats.retractions > 0);
+            assert!(!out.restored.is_empty(), "the skip edge keeps paths");
             // Retracting an absent fact logs nothing.
             let miss = ddb
                 .retract_fact(&interner, edge, &[names[0], names[7]], &plan)
                 .unwrap();
             assert!(!miss.found);
-            dump(ddb.database(), &interner)
+            (
+                dump(ddb.database(), &interner),
+                slots(ddb.database(), &interner),
+            )
         };
-        // WAL replay: the Retract marker re-runs the tombstone/restore
-        // sequence, landing on the same live rows in the same order.
+        // WAL replay: the Retract marker tombstones the net deletions,
+        // landing on the same live rows in the same slots.
         let mut fresh = Interner::new();
         let mut ddb = dl::Database::open_durable(&dir, &mut fresh).unwrap();
         assert_eq!(dump(ddb.database(), &fresh), reference);
+        assert_eq!(slots(ddb.database(), &fresh), reference_slots);
+        ddb.database().check_invariants().unwrap();
         assert_eq!(ddb.recovery().replayed_retractions, 1);
         assert!(ddb.stats().retractions > 0);
         // Snapshot compacts the tombstones away and records the asserted
