@@ -34,9 +34,11 @@ use crate::unionfind::UnionFind;
 pub struct CongruenceClosure {
     tree: TermTree,
     uf: UnionFind,
-    /// For each class representative (by union-find id), the interned
+    /// For each class representative (by union-find id), the known
     /// `f`-successors of the class. Invariant: at most one entry per symbol,
-    /// and the entry's class is the congruence class of `f(class)`.
+    /// and the entry's class is the congruence class of `f(class)` (the
+    /// entry is an interned `f(t)` of the class, or a term asserted equal to
+    /// one by [`CongruenceClosure::equate_apply`]).
     successors: FxHashMap<usize, FxHashMap<Func, NodeId>>,
 }
 
@@ -115,6 +117,25 @@ impl CongruenceClosure {
         }
     }
 
+    /// Asserts the equation `f(t) = target`. When `f(t)` is not interned
+    /// yet it gets no node of its own: `target` becomes the `f`-successor of
+    /// `t`'s class, so a later [`CongruenceClosure::apply`] or query that
+    /// interns `f(t)` (or `f(t')` for any `t' ≅ t`) is identified with
+    /// `target` on the spot.
+    pub fn equate_apply(&mut self, t: NodeId, f: Func, target: NodeId) {
+        if let Some(existing) = self.tree.get_child(t, f) {
+            return self.merge(existing, target);
+        }
+        let class = self.uf.find(t.index());
+        let table = self.successors.entry(class).or_default();
+        match table.get(&f) {
+            Some(&known) => self.merge(known, target),
+            None => {
+                table.insert(f, target);
+            }
+        }
+    }
+
     /// Asserts an equation between two terms given as paths.
     pub fn equate_paths(&mut self, a: &[Func], b: &[Func]) {
         let na = self.term(a);
@@ -150,18 +171,32 @@ impl CongruenceClosure {
         self.tree.display(n, interner)
     }
 
-    /// Split-borrows the pieces [`CongruenceClosure::freeze`] needs: the
-    /// union-find (mutably, for one final full compression), the per-class
-    /// successor tables, and the interned term count.
+    /// The symbol path of an interned term (innermost application first).
+    pub fn path(&self, n: NodeId) -> Vec<Func> {
+        self.tree.path(n)
+    }
+
+    /// Depth of an interned term.
+    pub fn depth(&self, n: NodeId) -> usize {
+        self.tree.depth(n)
+    }
+
+    /// The node of a term given by its path, if it is interned; unlike
+    /// [`CongruenceClosure::term`] this never extends the universe.
+    pub fn lookup_path(&self, path: &[Func]) -> Option<NodeId> {
+        self.tree.lookup_path(path)
+    }
+
+    /// The pieces [`CongruenceClosure::freeze`] reads: the union-find, the
+    /// per-class successor tables, and the interned term count.
     pub(crate) fn freeze_parts(
-        &mut self,
+        &self,
     ) -> (
-        &mut UnionFind,
+        &UnionFind,
         &FxHashMap<usize, FxHashMap<Func, NodeId>>,
         usize,
     ) {
-        let nterms = self.tree.len();
-        (&mut self.uf, &self.successors, nterms)
+        (&self.uf, &self.successors, self.tree.len())
     }
 
     /// Interns `f(t)`, identifying the fresh node with the class's existing
@@ -298,6 +333,38 @@ mod tests {
                     cc.congruent_paths(&nat(i), &nat(j)),
                     i % 3 == j % 3,
                     "i={i} j={j}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn equate_apply_matches_interned_equations() {
+        // 1 ≅ 3 asserted without interning 3: every query agrees with the
+        // closure that interns both sides.
+        let (_, fs) = symbols(2);
+        let (s, g) = (fs[0], fs[1]);
+        let mut interned = CongruenceClosure::new();
+        interned.equate_paths(&[s], &[s, s, s]);
+        let mut applied = CongruenceClosure::new();
+        let one = applied.term(&[s]);
+        let two = applied.term(&[s, s]);
+        applied.equate_apply(two, s, one);
+        assert_eq!(applied.term_count(), 3);
+        let paths: Vec<Vec<Func>> = (0..6usize)
+            .flat_map(|n| [vec![s; n], [vec![s; n], vec![g]].concat()])
+            .collect();
+        for a in &paths {
+            for b in &paths {
+                assert_eq!(
+                    applied.clone().congruent_paths(a, b),
+                    interned.clone().congruent_paths(a, b),
+                    "a={a:?} b={b:?}"
+                );
+                assert_eq!(
+                    applied.freeze().congruent_paths(a, b),
+                    interned.freeze().congruent_paths(a, b),
+                    "frozen a={a:?} b={b:?}"
                 );
             }
         }

@@ -6,9 +6,9 @@
 //! containing specification. Sealing the closure with
 //! [`CongruenceClosure::freeze`] extracts a **class-transition DFA**: one
 //! dense state per congruence class, with an `f`-edge from the class of `t`
-//! to the class of `f(t)` wherever `f(t)` is interned. All union-find paths
-//! are fully compressed at freeze time, so the snapshot answers every query
-//! by pure table walks over immutable data.
+//! to the class of `f(t)` wherever `f(t)` is interned. Every interned term's
+//! class is resolved at freeze time, so the snapshot answers every query by
+//! pure table walks over immutable data.
 //!
 //! Queries about terms *outside* the interned universe reduce to walking the
 //! DFA as far as it goes: a term whose path leaves the DFA after consuming a
@@ -101,27 +101,30 @@ impl FrozenClosure {
 }
 
 impl CongruenceClosure {
-    /// Seals the closure into an immutable, shareable snapshot. Fully
-    /// compresses the union-find (so the one-off cost is paid here, not on
+    /// Seals the closure into an immutable, shareable snapshot: resolves
+    /// every interned term's class once (so the cost is paid here, not on
     /// the read path) and converts the per-class successor tables into a
-    /// dense class-transition DFA.
-    pub fn freeze(&mut self) -> FrozenClosure {
+    /// dense class-transition DFA. The closure itself is left as it was.
+    pub fn freeze(&self) -> FrozenClosure {
         let (uf, successors, nterms) = self.freeze_parts();
-        uf.compress_all();
         // Dense renumbering of the surviving representatives, in id order.
-        let mut dense: FxHashMap<usize, u32> = FxHashMap::default();
+        let mut dense = vec![u32::MAX; nterms];
+        let mut classes = 0u32;
         let mut class_of_node = Vec::with_capacity(nterms);
         for n in 0..nterms {
             let rep = uf.find_immutable(n);
-            let next = dense.len() as u32;
-            let id = *dense.entry(rep).or_insert(next);
-            class_of_node.push(id);
+            if dense[rep] == u32::MAX {
+                dense[rep] = classes;
+                classes += 1;
+            }
+            class_of_node.push(dense[rep]);
         }
-        let mut delta = vec![FxHashMap::default(); dense.len()];
-        for (rep, table) in successors {
-            let class = dense[&uf.find_immutable(*rep)] as usize;
+        let mut delta = vec![FxHashMap::default(); classes as usize];
+        for (&rep, table) in successors {
+            let out = &mut delta[dense[uf.find_immutable(rep)] as usize];
+            out.reserve(table.len());
             for (&f, &n) in table {
-                delta[class].insert(f, class_of_node[n.index()]);
+                out.insert(f, class_of_node[n.index()]);
             }
         }
         FrozenClosure {

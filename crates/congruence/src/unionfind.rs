@@ -91,16 +91,6 @@ impl UnionFind {
     pub fn same(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)
     }
-
-    /// Fully compresses every path so that each element points directly at
-    /// its representative. Afterwards [`UnionFind::find_immutable`] is O(1)
-    /// for every element, which is what frozen (shared, `&self`) readers
-    /// rely on.
-    pub fn compress_all(&mut self) {
-        for x in 0..self.parent.len() {
-            self.find(x);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -144,19 +134,6 @@ mod tests {
         uf.union(1, 3);
         for i in 0..4 {
             assert_eq!(uf.find_immutable(i), uf.find(i));
-        }
-    }
-
-    #[test]
-    fn compress_all_makes_every_parent_a_root() {
-        let mut uf = UnionFind::new(64);
-        for i in 0..63 {
-            uf.union(i, i + 1);
-        }
-        uf.compress_all();
-        let root = uf.find_immutable(0);
-        for i in 0..64 {
-            assert_eq!(uf.parent[i] as usize, root);
         }
     }
 

@@ -33,11 +33,11 @@ pub struct FinitenessReport {
 /// fixpoint.
 pub fn analyze(spec: &GraphSpec) -> FinitenessReport {
     let n = spec.cluster_count();
-    // Adjacency in dense index space.
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for ((from, _f), to) in &spec.successor {
-        adj[from.index()].push(to.index());
-    }
+    // Adjacency in dense index space: each node's successor row.
+    let adj: Vec<Vec<usize>> = spec
+        .node_ids()
+        .map(|u| spec.succ_row(u).map(|(_, to)| to.index()).collect())
+        .collect();
 
     // Nodes on cycles: iterative DFS with colors (0 new, 1 on stack, 2 done).
     // A back edge u→v marks every node on the current stack from v to u as

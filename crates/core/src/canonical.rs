@@ -46,11 +46,12 @@ impl CongrForm {
     /// depth ≤ `depth` (must cover the representatives and equations of the
     /// spec) and evaluating to fixpoint.
     pub fn build(eq: &EqSpec, depth: usize, interner: &mut Interner) -> Result<CongrForm> {
-        let max_needed = eq
-            .primary
+        let primary = eq.primary();
+        let equations = eq.equations();
+        let max_needed = primary
             .iter()
             .map(|(p, _)| p.len())
-            .chain(eq.equations.iter().flat_map(|(a, b)| [a.len(), b.len()]))
+            .chain(equations.iter().flat_map(|(a, b)| [a.len(), b.len()]))
             .max()
             .unwrap_or(0);
         assert!(
@@ -129,7 +130,7 @@ impl CongrForm {
         }
         // Transfer rules per functional predicate, with the right arity.
         let mut preds_seen: FxHashSet<Pred> = FxHashSet::default();
-        for (_, state) in &eq.primary {
+        for (_, state) in &primary {
             for id in state.iter() {
                 let (p, args) = eq.atoms.resolve(id);
                 if !preds_seen.insert(p) {
@@ -154,7 +155,7 @@ impl CongrForm {
 
         // C = B ∪ R (+ the Apply graph and reflexivity of the universe).
         let mut db = dl::Database::new();
-        for (path, state) in &eq.primary {
+        for (path, state) in &primary {
             let tc = term_consts[path];
             for id in state.iter() {
                 let (p, args) = eq.atoms.resolve(id);
@@ -164,7 +165,7 @@ impl CongrForm {
                 db.insert(p, &row);
             }
         }
-        for (a, b) in &eq.equations {
+        for (a, b) in &equations {
             db.insert(eq_pred, &[term_consts[a], term_consts[b]]);
         }
         let c_size = db.fact_count();

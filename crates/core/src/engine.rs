@@ -81,13 +81,32 @@ enum Site<'a> {
 /// materialized top-region node (depth ≤ c) or a uniform node identified by
 /// its seed. Two terms with the same cursor have identical subtrees, which
 /// is exactly the congruence insight of §3.2.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub enum Cursor {
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+pub enum Cursor<'a> {
     /// A node of the top region.
     Top(NodeId),
-    /// A uniform node, identified by its seed state.
-    Uniform(State),
+    /// A uniform node, identified by its seed state (borrowed from the
+    /// engine).
+    Uniform(&'a State),
 }
+
+impl Cursor<'_> {
+    /// Whether both cursors are the same position by identity: the same
+    /// top-region node, or the very same seed object. Such cursors have the
+    /// same state and subtree. Equal seeds stored apart compare `false`, so
+    /// this is a cheap conservative test (cheaper than comparing seeds by
+    /// value, which is slow for empty ones).
+    pub fn is(&self, other: &Cursor<'_>) -> bool {
+        match (self, other) {
+            (Cursor::Top(a), Cursor::Top(b)) => a == b,
+            (Cursor::Uniform(a), Cursor::Uniform(b)) => std::ptr::eq(*a, *b),
+            _ => false,
+        }
+    }
+}
+
+/// The state of a term no rule reaches.
+static EMPTY_STATE: State = State::new();
 
 /// The least-fixpoint engine over a compiled program.
 pub struct Engine {
@@ -419,7 +438,7 @@ impl Engine {
     // --- public read API ---------------------------------------------------
 
     /// The slice (state) of the ground pure term given by `path`.
-    pub fn state_of_path(&self, path: &[Func]) -> State {
+    pub fn state_of_path(&self, path: &[Func]) -> &State {
         let cur = path
             .iter()
             .fold(self.root_cursor(), |cur, &f| self.child_cursor(&cur, f));
@@ -446,36 +465,55 @@ impl Engine {
     }
 
     /// Cursor at the root (`0`).
-    pub fn root_cursor(&self) -> Cursor {
+    pub fn root_cursor(&self) -> Cursor<'_> {
         Cursor::Top(self.tree.root())
     }
 
     /// Cursor of the child `f(t)`. A symbol outside the program's
     /// vocabulary leads to an empty uniform node: such a term cannot occur
     /// in the least fixpoint (Proposition 2.1).
-    pub fn child_cursor(&self, cur: &Cursor, f: Func) -> Cursor {
-        match cur {
-            Cursor::Top(n) if self.tree.depth(*n) < self.cp.c => self
+    pub fn child_cursor<'a>(&'a self, cur: &Cursor<'a>, f: Func) -> Cursor<'a> {
+        match *cur {
+            Cursor::Top(n) if self.tree.depth(n) < self.cp.c => self
                 .tree
-                .get_child(*n, f)
-                .map_or(Cursor::Uniform(State::new()), Cursor::Top),
-            Cursor::Top(n) => {
-                Cursor::Uniform(self.boundary.get(&(*n, f)).cloned().unwrap_or_default())
-            }
+                .get_child(n, f)
+                .map_or(Cursor::Uniform(&EMPTY_STATE), Cursor::Top),
+            Cursor::Top(n) => Cursor::Uniform(self.boundary.get(&(n, f)).unwrap_or(&EMPTY_STATE)),
             Cursor::Uniform(seed) => Cursor::Uniform(
                 self.memo
                     .get(seed)
-                    .and_then(|e| e.child_seeds.get(&f).cloned())
-                    .unwrap_or_default(),
+                    .and_then(|e| e.child_seeds.get(&f))
+                    .unwrap_or(&EMPTY_STATE),
             ),
         }
     }
 
-    /// The state at a cursor.
-    pub fn cursor_state(&self, cur: &Cursor) -> State {
-        match cur {
-            Cursor::Top(n) => self.top.get(n).cloned().unwrap_or_default(),
-            Cursor::Uniform(seed) => self.seed_state(seed).clone(),
+    /// The cursors of all children `f(t)`, one per symbol in [`FuncOrder`]
+    /// order: [`Engine::child_cursor`] for every `f`, with a uniform node's
+    /// memo entry looked up once instead of once per symbol.
+    ///
+    /// [`FuncOrder`]: fundb_term::FuncOrder
+    pub fn child_cursors<'a>(&'a self, cur: &Cursor<'a>) -> impl Iterator<Item = Cursor<'a>> + 'a {
+        let cur = *cur;
+        let entry = match cur {
+            Cursor::Uniform(seed) => self.memo.get(seed),
+            Cursor::Top(_) => None,
+        };
+        self.cp.funcs.symbols().iter().map(move |&f| match cur {
+            Cursor::Uniform(_) => Cursor::Uniform(
+                entry
+                    .and_then(|e| e.child_seeds.get(&f))
+                    .unwrap_or(&EMPTY_STATE),
+            ),
+            Cursor::Top(_) => self.child_cursor(&cur, f),
+        })
+    }
+
+    /// The state at a cursor, borrowed from the engine.
+    pub fn cursor_state<'a>(&'a self, cur: &Cursor<'a>) -> &'a State {
+        match *cur {
+            Cursor::Top(n) => self.top.get(&n).unwrap_or(&EMPTY_STATE),
+            Cursor::Uniform(seed) => self.seed_state(seed),
         }
     }
 
@@ -601,7 +639,9 @@ impl Engine {
                     continue;
                 };
                 let child = match &site {
-                    Site::Top(n) => self.cursor_state(&self.child_cursor(&Cursor::Top(*n), f)),
+                    Site::Top(n) => self
+                        .cursor_state(&self.child_cursor(&Cursor::Top(*n), f))
+                        .clone(),
                     Site::Seed(entry) => entry
                         .child_seeds
                         .get(&f)

@@ -24,9 +24,14 @@ use crate::graphspec::GraphSpec;
 use crate::state::State;
 use fundb_congruence::CongruenceClosure;
 use fundb_datalog as dl;
-use fundb_term::{Cst, Func, FuncOrder, Interner, Pred};
+use fundb_term::{Cst, Func, FuncOrder, Interner, NodeId, Pred};
 
 /// An equational specification `(B, R)`.
+///
+/// Terms are kept as nodes of the congruence closure's term tree, so
+/// building the specification and freezing it never re-walk a symbol path;
+/// [`EqSpec::primary`] and [`EqSpec::equations`] materialize paths on
+/// demand.
 #[derive(Clone)]
 pub struct EqSpec {
     /// Depth of the largest ground term (`c`); terms of depth ≤ c are
@@ -34,11 +39,12 @@ pub struct EqSpec {
     pub c: usize,
     /// Function symbols.
     pub funcs: FuncOrder,
-    /// Primary database `B`: representative terms (as symbol paths) with
-    /// their slices.
-    pub primary: Vec<(Vec<Func>, State)>,
-    /// The ground equations `R`.
-    pub equations: Vec<(Vec<Func>, Vec<Func>)>,
+    /// Primary database `B`: the closure node of each representative term,
+    /// with its slice.
+    primary: Vec<(NodeId, State)>,
+    /// The ground equations `R` as closure nodes `(representative, parent,
+    /// f)`: the representative equals the potential term `f(parent)`.
+    equations: Vec<(NodeId, NodeId, Func)>,
     /// Abstract-atom vocabulary.
     pub atoms: AtomInterner,
     /// Relational facts.
@@ -51,6 +57,13 @@ impl EqSpec {
     /// Extracts the equational specification from a graph specification:
     /// `B` is the same primary database; `R` is Algorithm Q's merge list.
     ///
+    /// The closure is seeded straight from the specification's term tree:
+    /// one closure node per tree term, each by its parent link. Each merge
+    /// `f(parent) ≅ rep` then enters through
+    /// [`CongruenceClosure::equate_apply`]: the representative becomes the
+    /// `f`-successor of the parent's class, and the potential term needs no
+    /// node (or path) of its own.
+    ///
     /// ```
     /// use fundb_parser::Workspace;
     ///
@@ -61,25 +74,30 @@ impl EqSpec {
     /// assert!(!ws.holds_eq(&mut eq, "Even(3)").unwrap());
     /// ```
     pub fn from_graph(spec: &GraphSpec) -> EqSpec {
-        let primary: Vec<(Vec<Func>, State)> = spec
+        let mut cc = CongruenceClosure::new();
+        // A tree interns every parent before its children.
+        let mut node_of: Vec<NodeId> = Vec::with_capacity(spec.tree.len());
+        for t in spec.tree.node_ids() {
+            node_of.push(match spec.tree.parent(t) {
+                Some((p, f)) => cc.apply(node_of[p.index()], f),
+                None => cc.root(),
+            });
+        }
+        let rep_node = |rep: crate::SpecNodeId| node_of[spec.nodes[rep.index()].term.index()];
+        let primary = spec
             .nodes
             .iter()
-            .map(|n| (spec.tree.path(n.term), n.state.clone()))
+            .map(|n| (node_of[n.term.index()], n.state.clone()))
             .collect();
-        let equations: Vec<(Vec<Func>, Vec<Func>)> = spec
-            .merges
+        let equations = spec
+            .merges()
             .iter()
-            .map(|(potential, rep)| {
-                (
-                    spec.tree.path(spec.nodes[rep.index()].term),
-                    potential.clone(),
-                )
+            .map(|m| {
+                let (rep, parent) = (rep_node(m.rep), node_of[m.parent.index()]);
+                cc.equate_apply(parent, m.f, rep);
+                (rep, parent, m.f)
             })
             .collect();
-        let mut cc = CongruenceClosure::new();
-        for (a, b) in &equations {
-            cc.equate_paths(a, b);
-        }
         EqSpec {
             c: spec.c,
             funcs: spec.funcs.clone(),
@@ -89,6 +107,28 @@ impl EqSpec {
             nf: spec.nf.clone(),
             cc,
         }
+    }
+
+    /// Primary database `B`: representative terms (as symbol paths) with
+    /// their slices.
+    pub fn primary(&self) -> Vec<(Vec<Func>, &State)> {
+        self.primary
+            .iter()
+            .map(|(t, s)| (self.cc.path(*t), s))
+            .collect()
+    }
+
+    /// The ground equations `R` as `(representative, potential term)` symbol
+    /// paths, one per merge of Algorithm Q.
+    pub fn equations(&self) -> Vec<(Vec<Func>, Vec<Func>)> {
+        self.equations
+            .iter()
+            .map(|&(rep, parent, f)| {
+                let mut potential = self.cc.path(parent);
+                potential.push(f);
+                (self.cc.path(rep), potential)
+            })
+            .collect()
     }
 
     /// Number of equations (|R|).
@@ -113,23 +153,17 @@ impl EqSpec {
         };
         if path.len() <= self.c {
             // Shallow terms are singleton clusters: direct lookup.
-            return self
-                .primary
-                .iter()
-                .any(|(t, s)| t == path && s.contains(id));
+            let Some(q) = self.cc.lookup_path(path) else {
+                return false;
+            };
+            return self.primary.iter().any(|(t, s)| *t == q && s.contains(id));
         }
         // T = {t : P(t, ā) ∈ B}, deep representatives only.
-        let candidates: Vec<Vec<Func>> = self
-            .primary
-            .iter()
-            .filter(|(t, s)| t.len() > self.c && s.contains(id))
-            .map(|(t, _)| t.clone())
-            .collect();
         let q = self.cc.term(path);
-        candidates.iter().any(|t| {
-            let tn = self.cc.term(t);
-            self.cc.congruent(q, tn)
-        })
+        let (c, cc) = (self.c, &mut self.cc);
+        self.primary
+            .iter()
+            .any(|(t, s)| cc.depth(*t) > c && s.contains(id) && cc.congruent(q, *t))
     }
 
     /// Yes-no membership for a relational tuple.
@@ -148,7 +182,7 @@ impl EqSpec {
     /// others already relates its sides. Membership answers are unchanged
     /// (the closure is identical).
     pub fn minimize_equations(&mut self) -> usize {
-        let original = self.equations.clone();
+        let original = self.equations();
         let mut kept: Vec<(Vec<Func>, Vec<Func>)> = Vec::with_capacity(original.len());
         for (i, (a, b)) in original.iter().enumerate() {
             // Closure of everything except equation i (kept ∪ not-yet-seen).
@@ -164,11 +198,21 @@ impl EqSpec {
         }
         let removed = self.equations.len() - kept.len();
         if removed > 0 {
-            self.equations = kept;
             let mut cc = CongruenceClosure::new();
-            for (a, b) in &self.equations {
-                cc.equate_paths(a, b);
+            for (t, _) in &mut self.primary {
+                *t = cc.term(&self.cc.path(*t));
             }
+            self.equations = kept
+                .iter()
+                .map(|(rep, potential)| {
+                    let (&f, parent) = potential
+                        .split_last()
+                        .expect("a potential term is f(parent)");
+                    let (rep, parent) = (cc.term(rep), cc.term(parent));
+                    cc.equate_apply(parent, f, rep);
+                    (rep, parent, f)
+                })
+                .collect();
             self.cc = cc;
         }
         removed
@@ -180,9 +224,10 @@ impl EqSpec {
         self.cc.congruent_paths(a, b)
     }
 
-    /// The congruence closure over `R`, for the serving layer's freeze.
-    pub(crate) fn closure(&self) -> &CongruenceClosure {
-        &self.cc
+    /// The congruence closure over `R` and the closure node of each
+    /// representative with its slice, for the serving layer's freeze.
+    pub(crate) fn closure_parts(&self) -> (&CongruenceClosure, &[(NodeId, State)]) {
+        (&self.cc, &self.primary)
     }
 
     /// Renders `R` deterministically.
@@ -200,7 +245,7 @@ impl EqSpec {
             s
         };
         let mut out: Vec<String> = self
-            .equations
+            .equations()
             .iter()
             .map(|(a, b)| format!("{} == {}", show(a), show(b)))
             .collect();
@@ -210,9 +255,10 @@ impl EqSpec {
 
     /// The slice atoms of `B` for a representative path, if present.
     pub fn slice_of(&self, path: &[Func]) -> Option<impl Iterator<Item = AtomId> + '_> {
+        let q = self.cc.lookup_path(path)?;
         self.primary
             .iter()
-            .find(|(t, _)| t == path)
+            .find(|(t, _)| *t == q)
             .map(|(_, s)| s.iter())
     }
 }

@@ -28,6 +28,7 @@
 //! computes, plus the finite depth ≤ c part.
 
 use crate::engine::{Cursor, Engine};
+use crate::error::{Error, Result};
 use crate::gendb::AtomInterner;
 use crate::state::State;
 use fundb_datalog as dl;
@@ -72,6 +73,23 @@ pub struct SpecNode {
     pub state: State,
 }
 
+/// One merge of Algorithm Q: the potential term `f(parent)` collapsed into
+/// the active representative `rep`. Each merge is one equation
+/// `f(parent) ≅ rep` of the equational specification's `R` (§3.5).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Merge {
+    /// The potential term's argument (a term of [`GraphSpec::tree`]).
+    pub parent: NodeId,
+    /// The potential term's outermost symbol.
+    pub f: Func,
+    /// The representative the potential term collapsed into.
+    pub rep: SpecNodeId,
+}
+
+/// Marks a successor-table cell without an edge while a specification is
+/// read from a file; [`GraphSpec::validate`] rejects any left over.
+pub(crate) const NO_EDGE: u32 = u32::MAX;
+
 /// A finite graph specification `(B, F)` of a (possibly infinite) least
 /// fixpoint.
 #[derive(Clone)]
@@ -82,21 +100,23 @@ pub struct GraphSpec {
     pub c: usize,
     /// Function symbol order (defines `≺`).
     pub funcs: FuncOrder,
-    /// Term tree containing the representative terms.
+    /// Term tree containing the representative terms and the arguments of
+    /// the merged potential terms.
     pub tree: TermTree,
     /// All representatives: the full depth ≤ c region first (breadth-first),
     /// then the `Active` terms discovered by Algorithm Q.
     pub nodes: Vec<SpecNode>,
-    /// Successor mappings `F` — total on `nodes × funcs`.
-    pub successor: FxHashMap<(SpecNodeId, Func), SpecNodeId>,
+    /// Successor mappings `F` as a dense row-major `nodes × funcs` table:
+    /// `succ[i * funcs.len() + r]` is the successor of node `i` under the
+    /// symbol of [`FuncOrder`] rank `r`. Total on `nodes × funcs`.
+    pub(crate) succ: Vec<u32>,
     /// Abstract-atom vocabulary for the slices.
     pub atoms: AtomInterner,
     /// The relational part of the fixpoint (non-functional predicates).
     pub nf: dl::Database,
-    /// Merges recorded by Algorithm Q: a potential term (as a symbol path)
-    /// together with the active representative it collapsed into. These are
-    /// exactly the equations `R` of the equational specification (§3.5).
-    pub merges: Vec<(Vec<Func>, SpecNodeId)>,
+    /// Merges recorded by Algorithm Q, in the order they were made: exactly
+    /// the equations `R` of the equational specification (§3.5).
+    pub(crate) merges: Vec<Merge>,
     /// Number of active (deep) representatives.
     pub active_count: usize,
 }
@@ -127,107 +147,100 @@ impl GraphSpec {
     /// assert_eq!(spec.cluster_count(), 3);
     /// assert!(ws.holds(&spec, "Even(40)").unwrap());
     /// ```
-    pub fn from_engine(engine: &mut Engine) -> crate::error::Result<GraphSpec> {
+    pub fn from_engine(engine: &mut Engine) -> Result<GraphSpec> {
         engine.solve()?;
+        let engine: &Engine = engine;
         let cp = engine.compiled();
         let funcs = cp.funcs.clone();
-        let c = cp.c;
+        let (c, k) = (cp.c, funcs.len());
+        let symbols = funcs.symbols().to_vec();
 
-        // Build into locals; the single `funcs` clone above is moved into
-        // the struct at the end.
-        let mut tree = TermTree::new();
-        let mut nodes: Vec<SpecNode> = Vec::new();
-        let mut successor: FxHashMap<(SpecNodeId, Func), SpecNodeId> = FxHashMap::default();
-        let mut merges: Vec<(Vec<Func>, SpecNodeId)> = Vec::new();
-        let mut active_count = 0usize;
-        fn push(nodes: &mut Vec<SpecNode>, term: NodeId, state: State) -> SpecNodeId {
-            let id = SpecNodeId::from_index(nodes.len());
-            nodes.push(SpecNode { term, state });
-            id
-        }
+        let mut spec = GraphSpec {
+            c,
+            funcs,
+            tree: TermTree::new(),
+            nodes: Vec::new(),
+            succ: Vec::new(),
+            atoms: engine.atoms().clone(),
+            nf: engine.nf().clone(),
+            merges: Vec::new(),
+            active_count: 0,
+        };
 
         // --- Depth ≤ c region: one singleton cluster per term. -------------
-        let root_cursor = engine.root_cursor();
-        let root_state = engine.cursor_state(&root_cursor);
-        let root_term = tree.root();
-        let root_id = push(&mut nodes, root_term, root_state);
-        let mut level: Vec<(SpecNodeId, Cursor)> = vec![(root_id, root_cursor)];
+        let root = engine.root_cursor();
+        let root_id = spec.push_node(spec.tree.root(), engine.cursor_state(&root).clone());
+        let mut level = vec![(root_id, root)];
         for _depth in 0..c {
-            let mut next = Vec::with_capacity(level.len() * funcs.len());
-            for (id, cursor) in std::mem::take(&mut level) {
-                for &f in funcs.symbols() {
-                    let child_cursor = engine.child_cursor(&cursor, f);
-                    let child_state = engine.cursor_state(&child_cursor);
-                    let term = tree.child(nodes[id.index()].term, f);
-                    let child_id = push(&mut nodes, term, child_state);
-                    successor.insert((id, f), child_id);
-                    next.push((child_id, child_cursor));
+            let mut next = Vec::with_capacity(level.len() * k);
+            for (id, cursor) in level {
+                for (r, &f) in symbols.iter().enumerate() {
+                    let child = engine.child_cursor(&cursor, f);
+                    let term = spec.tree.child(spec.nodes[id.index()].term, f);
+                    let child_id = spec.push_node(term, engine.cursor_state(&child).clone());
+                    spec.succ[id.index() * k + r] = child_id.0;
+                    next.push((child_id, child));
                 }
             }
             level = next;
         }
 
         // --- Algorithm Q proper: potential terms of depth c+1 and beyond. --
-        // FIFO order over breadth-first expansion = precedence order ≺.
-        let mut queue: std::collections::VecDeque<(SpecNodeId, Func, Cursor)> =
-            std::collections::VecDeque::new();
-        for (id, cursor) in &level {
-            for &f in funcs.symbols() {
-                queue.push_back((*id, f, engine.child_cursor(cursor, f)));
-            }
-        }
+        // The potential terms are the children of the depth-c nodes and then
+        // of each active term in discovery order: breadth-first, which is
+        // precedence order ≺.
         // Active(u) :- Potential(u), ¬∃v (Active(v), v ≺ u, v ∼ u):
         // processing in ≺ order, the representative of each state is the
-        // first term carrying it. Hash-bucket dedup (hash → candidate ids,
-        // confirmed against the stored slice) lets each state move into its
-        // node instead of being cloned per active term.
-        let mut active_by_state: FxHashMap<u64, Vec<SpecNodeId>> = FxHashMap::default();
-        while let Some((parent, f, cursor)) = queue.pop_front() {
-            let state = engine.cursor_state(&cursor);
-            let h = {
-                use std::hash::{Hash, Hasher};
-                let mut hasher = fundb_term::FxHasher::default();
-                state.hash(&mut hasher);
-                hasher.finish()
-            };
-            let bucket = active_by_state.entry(h).or_default();
-            if let Some(rep) = bucket
+        // first term carrying it. The map borrows the engine's states, so a
+        // state is cloned once per active term, not once per potential.
+        let mut active_by_state: FxHashMap<&State, SpecNodeId> = FxHashMap::default();
+        // Identical cursors carry equal states, and sibling potential terms
+        // often share one (the empty seed): the previous sibling's answer
+        // then skips both state lookups.
+        let mut last: Option<(Cursor, SpecNodeId)> = None;
+        let mut expand = level;
+        let mut next = 0;
+        while let Some(&(parent, cursor)) = expand.get(next) {
+            next += 1;
+            for (r, (&f, child)) in symbols
                 .iter()
-                .copied()
-                .find(|id| nodes[id.index()].state == state)
+                .zip(engine.child_cursors(&cursor))
+                .enumerate()
             {
-                // successor_f(parent) = rep; record f(parent) ≅ rep for R.
-                successor.insert((parent, f), rep);
-                let mut potential_path = tree.path(nodes[parent.index()].term);
-                potential_path.push(f);
-                merges.push((potential_path, rep));
-            } else {
-                let term = tree.child(nodes[parent.index()].term, f);
-                let id = push(&mut nodes, term, state);
-                active_count += 1;
-                bucket.push(id);
-                successor.insert((parent, f), id);
-                for &g in funcs.symbols() {
-                    queue.push_back((id, g, engine.child_cursor(&cursor, g)));
-                }
+                let known = match last {
+                    Some((seen, rep)) if seen.is(&child) => Some(rep),
+                    _ => active_by_state.get(engine.cursor_state(&child)).copied(),
+                };
+                let to = match known {
+                    Some(rep) => {
+                        // successor_f(parent) = rep; record f(parent) ≅ rep for R.
+                        let parent = spec.nodes[parent.index()].term;
+                        spec.merges.push(Merge { parent, f, rep });
+                        rep
+                    }
+                    None => {
+                        let state = engine.cursor_state(&child);
+                        let term = spec.tree.child(spec.nodes[parent.index()].term, f);
+                        let id = spec.push_node(term, state.clone());
+                        spec.active_count += 1;
+                        active_by_state.insert(state, id);
+                        expand.push((id, child));
+                        id
+                    }
+                };
+                spec.succ[parent.index() * k + r] = to.0;
+                last = Some((child, to));
             }
         }
-        Ok(GraphSpec {
-            c,
-            funcs,
-            tree,
-            nodes,
-            successor,
-            atoms: engine.atoms().clone(),
-            nf: engine.nf().clone(),
-            merges,
-            active_count,
-        })
+        Ok(spec)
     }
 
+    /// Appends a node with an empty successor row.
     fn push_node(&mut self, term: NodeId, state: State) -> SpecNodeId {
         let id = SpecNodeId::from_index(self.nodes.len());
         self.nodes.push(SpecNode { term, state });
+        self.succ
+            .resize(self.succ.len() + self.funcs.len(), NO_EDGE);
         id
     }
 
@@ -242,16 +255,110 @@ impl GraphSpec {
         (0..self.nodes.len()).map(SpecNodeId::from_index)
     }
 
+    /// The successor `successor_f(node)`, or `None` for a symbol outside
+    /// the program's vocabulary.
+    pub fn succ(&self, node: SpecNodeId, f: Func) -> Option<SpecNodeId> {
+        let r = self.funcs.position(f)? as usize;
+        Some(SpecNodeId(self.succ[node.index() * self.funcs.len() + r]))
+    }
+
+    /// The successor row of a node: `(f, successor_f(node))` for every
+    /// symbol, in [`FuncOrder`] order.
+    pub fn succ_row(&self, node: SpecNodeId) -> impl Iterator<Item = (Func, SpecNodeId)> + '_ {
+        let k = self.funcs.len();
+        self.funcs
+            .symbols()
+            .iter()
+            .zip(&self.succ[node.index() * k..(node.index() + 1) * k])
+            .map(|(&f, &to)| (f, SpecNodeId(to)))
+    }
+
+    /// The merges of Algorithm Q, in the order they were made.
+    pub fn merges(&self) -> &[Merge] {
+        &self.merges
+    }
+
+    /// The symbol path of a merge's potential term `f(parent)`.
+    pub fn merge_path(&self, merge: &Merge) -> Vec<Func> {
+        let mut path = self.tree.path(merge.parent);
+        path.push(merge.f);
+        path
+    }
+
+    /// Checks the structural invariants every specification from Algorithm Q
+    /// or minimization satisfies, so that a specification read from a file
+    /// can be trusted like a computed one: node 0 is the root term and node terms are
+    /// distinct; the successor table is total and functional on
+    /// `nodes × funcs` (a total functional dependency from `(node, f)` to a
+    /// node); every merge names a known term, symbol and node.
+    pub fn validate(&self) -> Result<()> {
+        let invalid = |detail: String| {
+            Err(Error::Parse {
+                offset: 0,
+                detail: format!("invalid specification: {detail}"),
+            })
+        };
+        let (n, k) = (self.nodes.len(), self.funcs.len());
+        if n == 0 {
+            return invalid("no nodes (node 0 must represent the term 0)".into());
+        }
+        if self.nodes[0].term != self.tree.root() {
+            return invalid("node 0 does not represent the term 0".into());
+        }
+        let mut seen = vec![false; self.tree.len()];
+        for (i, node) in self.nodes.iter().enumerate() {
+            match seen.get_mut(node.term.index()) {
+                Some(s) if !*s => *s = true,
+                Some(_) => return invalid(format!("node {i} repeats another node's term")),
+                None => return invalid(format!("node {i} names an unknown term")),
+            }
+        }
+        if self.succ.len() != n * k {
+            return invalid(format!(
+                "successor table has {} cells for {n} nodes × {k} symbols",
+                self.succ.len()
+            ));
+        }
+        for (cell, &to) in self.succ.iter().enumerate() {
+            if to == NO_EDGE {
+                return invalid(format!(
+                    "node {} has no successor under symbol #{}",
+                    cell / k,
+                    cell % k
+                ));
+            }
+            if to as usize >= n {
+                return invalid(format!(
+                    "successor of node {} is unknown node {to}",
+                    cell / k
+                ));
+            }
+        }
+        for m in &self.merges {
+            if m.parent.index() >= self.tree.len() {
+                return invalid("merge names an unknown term".into());
+            }
+            if self.funcs.position(m.f).is_none() {
+                return invalid("merge names a symbol outside the specification".into());
+            }
+            if m.rep.index() >= n {
+                return invalid(format!("merge names unknown node {}", m.rep.index()));
+            }
+        }
+        Ok(())
+    }
+
     /// Walks the successor graph along a symbol path — the paper's `Link`
     /// rules — returning the representative of the term. `None` when the
     /// path uses a function symbol outside the program's vocabulary (such a
     /// term cannot occur in the least fixpoint, Proposition 2.1).
     pub fn representative_of(&self, path: &[Func]) -> Option<SpecNodeId> {
-        let mut cur = self.root();
+        let k = self.funcs.len();
+        let mut cur = 0usize;
         for &f in path {
-            cur = *self.successor.get(&(cur, f))?;
+            cur = self.succ[cur * k + self.funcs.position(f)? as usize] as usize;
         }
-        Some(cur)
+        Some(SpecNodeId::from_index(cur))
     }
 
     /// Yes-no membership `P(t₀, ā) ∈ L` via the graph specification.
@@ -291,7 +398,7 @@ impl GraphSpec {
 
     /// Number of successor edges (|F|).
     pub fn edge_count(&self) -> usize {
-        self.successor.len()
+        self.succ.len()
     }
 
     /// Mutable-spec counterpart of [`crate::serve::FrozenGraphSpec::
@@ -302,17 +409,7 @@ impl GraphSpec {
     /// the program alone and is untouched. Returns the number of rows
     /// retracted.
     pub fn patch_retraction(&mut self, outcome: &dl::RetractOutcome) -> usize {
-        let mut dropped = 0usize;
-        for (p, row) in outcome.net_deleted() {
-            if let Some(rel) = self.nf.relation(p) {
-                let arity = rel.arity();
-                if arity == row.len() && self.nf.relation_mut(p, arity).retract_tuple(row).is_some()
-                {
-                    dropped += 1;
-                }
-            }
-        }
-        dropped
+        crate::serve::retract_net_rows(&mut self.nf, outcome)
     }
 
     /// The bisimulation quotient of the specification: merges every pair of
@@ -336,18 +433,16 @@ impl GraphSpec {
                 block[i] = *by_state.entry(&node.state).or_insert(next_id);
             }
         }
-        // Refine by successor signature. All n·k signature entries live in
+        // Refine by successor signature: the block of every successor, read
+        // straight off the dense table. All n·k signature entries live in
         // one flat arena reused across rounds (keyed by borrowed slices), so
         // refinement allocates nothing per node.
         let k = self.funcs.len();
         let mut sig = vec![0usize; n * k];
         let mut new_block = vec![0usize; n];
         loop {
-            for i in 0..n {
-                let id = SpecNodeId::from_index(i);
-                for (j, &f) in self.funcs.symbols().iter().enumerate() {
-                    sig[i * k + j] = block[self.successor[&(id, f)].index()];
-                }
+            for (s, &to) in sig.iter_mut().zip(&self.succ) {
+                *s = block[to as usize];
             }
             let mut sig_to_block: FxHashMap<(usize, &[usize]), usize> = FxHashMap::default();
             for i in 0..n {
@@ -374,17 +469,20 @@ impl GraphSpec {
         // root stays node 0 and ordering is stable.
         let mut order: Vec<usize> = (0..block_count).collect();
         order.sort_by_key(|&b| rep_of_block[b].expect("every block has a representative"));
-        let mut renum = vec![0usize; block_count];
+        let mut renum = vec![0u32; block_count];
         for (new_id, &b) in order.iter().enumerate() {
-            renum[b] = new_id;
+            renum[b] = new_id as u32;
         }
+        let new_id = |i: usize| SpecNodeId(renum[block[i]]);
 
+        // The quotient keeps the term tree, so every term (representative,
+        // merged member, potential term's argument) keeps its id.
         let mut out = GraphSpec {
             c: self.c,
             funcs: self.funcs.clone(),
-            tree: TermTree::new(),
-            nodes: Vec::new(),
-            successor: FxHashMap::default(),
+            tree: self.tree.clone(),
+            nodes: Vec::with_capacity(block_count),
+            succ: Vec::with_capacity(block_count * k),
             atoms: self.atoms.clone(),
             nf: self.nf.clone(),
             merges: Vec::new(),
@@ -392,35 +490,36 @@ impl GraphSpec {
         };
         for &b in &order {
             let rep = rep_of_block[b].expect("every block has a representative");
-            let path = self.tree.path(self.nodes[rep].term);
-            let term = out.tree.intern_path(&path);
-            out.push_node(term, self.nodes[rep].state.clone());
+            let node = &self.nodes[rep];
+            out.nodes.push(node.clone());
+            out.succ.extend(
+                self.succ[rep * k..(rep + 1) * k]
+                    .iter()
+                    .map(|&to| new_id(to as usize).0),
+            );
+            if out.tree.depth(node.term) > out.c {
+                out.active_count += 1;
+            }
         }
-        out.active_count = out
-            .nodes
-            .iter()
-            .filter(|n| out.tree.depth(n.term) > out.c)
-            .count();
+        // Non-representative members become merge equations, then the
+        // original merges follow with their representatives renumbered.
         for (i, &b) in block.iter().enumerate() {
-            let new_from = SpecNodeId::from_index(renum[b]);
-            let id = SpecNodeId::from_index(i);
-            for &f in self.funcs.symbols() {
-                let to = self.successor[&(id, f)];
-                let new_to = SpecNodeId::from_index(renum[block[to.index()]]);
-                out.successor.insert((new_from, f), new_to);
-            }
-            // Non-representative members become merge equations.
             if rep_of_block[b] != Some(i) {
-                out.merges
-                    .push((self.tree.path(self.nodes[i].term), new_from));
+                let (parent, f) = self
+                    .tree
+                    .parent(self.nodes[i].term)
+                    .expect("the root represents its block");
+                out.merges.push(Merge {
+                    parent,
+                    f,
+                    rep: new_id(i),
+                });
             }
         }
-        for (path, rep) in &self.merges {
-            out.merges.push((
-                path.clone(),
-                SpecNodeId::from_index(renum[block[rep.index()]]),
-            ));
-        }
+        out.merges.extend(self.merges.iter().map(|m| Merge {
+            rep: new_id(m.rep.index()),
+            ..*m
+        }));
         out
     }
 
@@ -429,10 +528,9 @@ impl GraphSpec {
     /// examples.
     pub fn render(&self, interner: &Interner) -> String {
         let mut out = String::new();
-        for (i, node) in self.nodes.iter().enumerate() {
-            let id = SpecNodeId::from_index(i);
+        for (id, node) in self.node_ids().zip(&self.nodes) {
             let term = self.tree.display(node.term, interner).to_string();
-            out.push_str(&format!("node {i}: {term}\n"));
+            out.push_str(&format!("node {}: {term}\n", id.index()));
             let mut slice: Vec<String> = node
                 .state
                 .iter()
@@ -442,14 +540,12 @@ impl GraphSpec {
             for s in slice {
                 out.push_str(&format!("  {s}\n"));
             }
-            for &f in self.funcs.symbols() {
-                if let Some(t) = self.successor.get(&(id, f)) {
-                    out.push_str(&format!(
-                        "  successor_{} -> node {}\n",
-                        interner.resolve(f.sym()),
-                        t.index()
-                    ));
-                }
+            for (f, to) in self.succ_row(id) {
+                out.push_str(&format!(
+                    "  successor_{} -> node {}\n",
+                    interner.resolve(f.sym()),
+                    to.index()
+                ));
             }
         }
         out
@@ -548,11 +644,11 @@ mod tests {
         db.facts.push(fat(p, FTerm::Zero, vec![]));
         let mut engine = Engine::build(&prog, &db, &mut i).unwrap();
         let spec = GraphSpec::from_engine(&mut engine).unwrap();
+        spec.validate().unwrap();
         for idx in 0..spec.cluster_count() {
             for &sym in spec.funcs.symbols() {
                 assert!(
-                    spec.successor
-                        .contains_key(&(SpecNodeId::from_index(idx), sym)),
+                    spec.succ(SpecNodeId::from_index(idx), sym).is_some(),
                     "missing successor at node {idx}"
                 );
             }
@@ -627,9 +723,9 @@ mod tests {
         db.facts.push(fat(even, FTerm::Zero, vec![]));
         let mut engine = Engine::build(&prog, &db, &mut i).unwrap();
         let spec = GraphSpec::from_engine(&mut engine).unwrap();
-        assert!(!spec.merges.is_empty());
-        for (path, rep) in &spec.merges {
-            assert_eq!(spec.representative_of(path), Some(*rep));
+        assert!(!spec.merges().is_empty());
+        for m in spec.merges() {
+            assert_eq!(spec.representative_of(&spec.merge_path(m)), Some(m.rep));
         }
         // The Even lasso: Even holds exactly on even terms.
         for n in 0..20usize {

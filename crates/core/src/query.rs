@@ -365,8 +365,10 @@ impl IncrementalAnswer {
         let mut productive: FxHashSet<SpecNodeId> = map.keys().copied().collect();
         loop {
             let mut grew = false;
-            for (&(from, _), &to) in &spec.successor {
-                if productive.contains(&to) && productive.insert(from) {
+            for from in spec.node_ids() {
+                if spec.succ_row(from).any(|(_, to)| productive.contains(&to))
+                    && productive.insert(from)
+                {
                     grew = true;
                 }
             }
@@ -415,8 +417,7 @@ impl IncrementalAnswer {
             // Advance one level.
             let mut next: FxHashMap<SpecNodeId, Vec<Vec<Func>>> = FxHashMap::default();
             for (node, paths) in &per_node {
-                for &f in spec.funcs.symbols() {
-                    let to = spec.successor[&(*node, f)];
+                for (f, to) in spec.succ_row(*node) {
                     if !productive.contains(&to) {
                         continue;
                     }

@@ -40,7 +40,9 @@ impl<'a> QuotientModel<'a> {
 
     /// Function symbol interpretation: `f(cluster)`.
     pub fn apply(&self, f: Func, cluster: SpecNodeId) -> SpecNodeId {
-        self.spec.successor[&(cluster, f)]
+        self.spec
+            .succ(cluster, f)
+            .expect("function symbol outside the specification")
     }
 
     /// Truth of `P(cluster, ā)` in the quotient model.

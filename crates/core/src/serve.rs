@@ -8,17 +8,17 @@
 //! finished specification into an immutable, `Arc`-shareable snapshot whose
 //! every read takes `&self`:
 //!
-//! * [`FrozenGraphSpec`] — the graph specification `(B, F)` with the
-//!   successor mappings re-laid-out as one dense `nodes × funcs` array, so
-//!   the `Link` walk of a membership query is a lock-free table scan
-//!   instead of per-step hash lookups; plus a hash-consed [`PathTrie`] memo
+//! * [`FrozenGraphSpec`] — the graph specification `(B, F)` whose dense
+//!   `nodes × funcs` successor table, indexed through a flat symbol → column
+//!   map, makes the `Link` walk of a membership query a lock-free table
+//!   scan instead of per-step hash lookups; plus a hash-consed [`PathTrie`] memo
 //!   mapping `[Func]` prefixes to representative nodes (repeated or
 //!   overlapping lookups cost O(unseen suffix)), and a lock-striped answer
 //!   cache keyed by `(Pred, canonical representative, args)`.
 //! * [`FrozenEqSpec`] — the equational specification `(B, R)` with the
 //!   congruence closure precomputed into a class-transition DFA
-//!   ([`fundb_congruence::FrozenClosure`]) and all union-find paths
-//!   compressed at freeze time, removing the `&mut self` poison from
+//!   ([`fundb_congruence::FrozenClosure`]) with every term's class resolved
+//!   at freeze time, removing the `&mut self` poison from
 //!   [`EqSpec::holds`]/[`EqSpec::congruent`].
 //!
 //! **Cache-key soundness.** The answer cache is keyed by the canonical
@@ -113,15 +113,14 @@ type CacheEntry = ((Pred, u32, u64, Box<[Cst]>), bool);
 /// is the striped answer cache (the successor walk itself is a lock-free
 /// dense-array scan). Wrap it in an `Arc` to share across threads.
 pub struct FrozenGraphSpec {
+    /// The sealed specification; its dense successor table is what the
+    /// `Link` walk reads.
     spec: GraphSpec,
-    /// Number of function symbols (row stride of `dense_succ`).
+    /// Number of function symbols (row stride of the successor table).
     nfuncs: usize,
     /// `rank[f.sym().index()]` = column of `f`, or `u32::MAX` for symbols
     /// outside the program's vocabulary.
     rank: Vec<u32>,
-    /// Row-major `nodes × funcs` successor table:
-    /// `dense_succ[node * nfuncs + rank(f)]` is the successor node index.
-    dense_succ: Vec<u32>,
     /// Hash-consed `[Func]`-prefix → representative-node memo.
     memo: RwLock<PathTrie>,
     /// Lock-striped answer cache: shard by key hash, hash-bucket entries
@@ -164,8 +163,8 @@ impl GraphSpec {
     }
 
     /// Governed variant of [`GraphSpec::freeze`]: polls the governor's
-    /// cancellation/deadline gate while building the dense successor table
-    /// and returns [`dl::EvalError::BudgetExhausted`] on a trip.
+    /// cancellation/deadline gate before sealing and returns
+    /// [`dl::EvalError::BudgetExhausted`] on a trip.
     pub fn freeze_governed(
         self,
         governor: &dl::Governor,
@@ -176,7 +175,9 @@ impl GraphSpec {
 
 impl FrozenGraphSpec {
     fn build(spec: GraphSpec, governor: Option<&dl::Governor>) -> Result<Self, dl::EvalError> {
-        let nfuncs = spec.funcs.len();
+        if let Some(gov) = governor {
+            checkpoint(gov)?;
+        }
         let max_sym = spec
             .funcs
             .symbols()
@@ -188,26 +189,10 @@ impl FrozenGraphSpec {
         for (r, &f) in spec.funcs.symbols().iter().enumerate() {
             rank[f.sym().index()] = r as u32;
         }
-        let n = spec.nodes.len();
-        let mut dense_succ = vec![0u32; n * nfuncs];
-        for i in 0..n {
-            if let Some(gov) = governor {
-                if i % 1024 == 0 {
-                    checkpoint(gov)?;
-                }
-            }
-            let id = SpecNodeId::from_dense_index(i);
-            for (r, &f) in spec.funcs.symbols().iter().enumerate() {
-                // The successor graph is total on nodes × funcs (Algorithm Q
-                // invariant), so the lookup cannot miss.
-                dense_succ[i * nfuncs + r] = spec.successor[&(id, f)].index() as u32;
-            }
-        }
         Ok(FrozenGraphSpec {
+            nfuncs: spec.funcs.len(),
             spec,
-            nfuncs,
             rank,
-            dense_succ,
             memo: RwLock::new(PathTrie::new(0)),
             shards: (0..CACHE_SHARDS)
                 .map(|_| Mutex::new(FxHashMap::default()))
@@ -292,17 +277,11 @@ impl FrozenGraphSpec {
     /// operation (`Arc::get_mut`, or before sharing), so readers never
     /// observe a half-applied cone.
     pub fn patch_retraction(&mut self, outcome: &dl::RetractOutcome) -> usize {
-        let net = outcome.net_deleted();
+        retract_net_rows(&mut self.spec.nf, outcome);
         let mut cone: Vec<Pred> = Vec::new();
-        for (p, row) in &net {
-            if let Some(rel) = self.spec.nf.relation(*p) {
-                let arity = rel.arity();
-                if arity == row.len() {
-                    self.spec.nf.relation_mut(*p, arity).retract_tuple(row);
-                }
-            }
-            if !cone.contains(p) {
-                cone.push(*p);
+        for (p, _) in outcome.net_deleted() {
+            if !cone.contains(&p) {
+                cone.push(p);
             }
         }
         let mut dropped = 0usize;
@@ -341,7 +320,7 @@ impl FrozenGraphSpec {
             if r == u32::MAX {
                 return None;
             }
-            cur = self.dense_succ[cur as usize * self.nfuncs + r as usize];
+            cur = self.spec.succ[cur as usize * self.nfuncs + r as usize];
         }
         Some(cur)
     }
@@ -375,7 +354,7 @@ impl FrozenGraphSpec {
             if r == u32::MAX {
                 return None;
             }
-            cur = self.dense_succ[cur as usize * self.nfuncs + r as usize];
+            cur = self.spec.succ[cur as usize * self.nfuncs + r as usize];
             node = memo.child(node, f, cur);
         }
         Some(SpecNodeId::from_dense_index(cur as usize))
@@ -563,28 +542,21 @@ pub struct FrozenEqSpec {
 }
 
 impl EqSpec {
-    /// Seals the specification: interns every deep representative into a
-    /// copy of the closure, freezes it (full union-find compression), and
-    /// indexes the primary database for `&self` lookups.
+    /// Seals the specification: freezes the closure (every representative
+    /// is already interned in it) and indexes the primary database for
+    /// `&self` lookups.
     pub fn freeze(&self) -> FrozenEqSpec {
-        let mut cc = self.closure().clone();
-        let deep_nodes: Vec<(fundb_term::NodeId, &State)> = self
-            .primary
-            .iter()
-            .filter(|(t, _)| t.len() > self.c)
-            .map(|(t, s)| (cc.term(t), s))
-            .collect();
+        let (cc, primary) = self.closure_parts();
         let closure = cc.freeze();
         let mut deep: FxHashMap<u32, State> = FxHashMap::default();
-        for (n, s) in deep_nodes {
-            deep.entry(closure.class_of(n)).or_default().union_with(s);
+        let mut shallow: FxHashMap<Box<[Func]>, State> = FxHashMap::default();
+        for (t, s) in primary {
+            if cc.depth(*t) > self.c {
+                deep.entry(closure.class_of(*t)).or_default().union_with(s);
+            } else {
+                shallow.insert(cc.path(*t).into_boxed_slice(), s.clone());
+            }
         }
-        let shallow = self
-            .primary
-            .iter()
-            .filter(|(t, _)| t.len() <= self.c)
-            .map(|(t, s)| (t.clone().into_boxed_slice(), s.clone()))
-            .collect();
         FrozenEqSpec {
             c: self.c,
             shallow,
@@ -639,18 +611,35 @@ impl FrozenEqSpec {
     /// program alone and is untouched; there is no answer cache here, so
     /// only the rows move. Returns the number of rows retracted.
     pub fn patch_retraction(&mut self, outcome: &dl::RetractOutcome) -> usize {
-        let mut dropped = 0usize;
-        for (p, row) in outcome.net_deleted() {
-            if let Some(rel) = self.nf.relation(p) {
-                let arity = rel.arity();
-                if arity == row.len() && self.nf.relation_mut(p, arity).retract_tuple(row).is_some()
-                {
-                    dropped += 1;
-                }
-            }
-        }
-        dropped
+        retract_net_rows(&mut self.nf, outcome)
     }
+}
+
+/// Applies a completed retraction's net row deletions to a sealed
+/// relational store: the live rows are collected per predicate and
+/// tombstoned in one [`dl::Relation::retract_rows`] batch each. Rows the
+/// store does not hold (or holds at another arity) are skipped. Returns the
+/// number of rows retracted.
+pub(crate) fn retract_net_rows(nf: &mut dl::Database, outcome: &dl::RetractOutcome) -> usize {
+    let mut batches: Vec<(Pred, Vec<dl::RowId>)> = Vec::new();
+    for (p, row) in outcome.net_deleted() {
+        let Some(id) = nf.relation(p).and_then(|rel| rel.find(row)) else {
+            continue;
+        };
+        match batches.iter_mut().find(|(q, _)| *q == p) {
+            Some((_, ids)) => ids.push(id),
+            None => batches.push((p, vec![id])),
+        }
+    }
+    let mut dropped = 0;
+    for (p, mut ids) in batches {
+        ids.sort_unstable();
+        ids.dedup();
+        let arity = nf.relation(p).map_or(0, |rel| rel.arity());
+        nf.relation_mut(p, arity).retract_rows(&ids);
+        dropped += ids.len();
+    }
+    dropped
 }
 
 /// Maps a governor checkpoint trip to the serving layer's error shape.

@@ -34,11 +34,13 @@
 
 use crate::error::{Error, Result};
 use crate::gendb::AtomInterner;
-use crate::graphspec::{GraphSpec, SpecNodeId};
+use crate::graphspec::{GraphSpec, Merge, SpecNode, SpecNodeId, NO_EDGE};
 use crate::state::State;
 use fundb_datalog as dl;
 use fundb_storage::codec::{crc32c, put_str, put_u32, put_u64, CodecError, Reader};
-use fundb_term::{Cst, Func, FuncOrder, FxHashMap, Interner, MixedSym, Pred, Sym, TermTree};
+use fundb_term::{
+    Cst, Func, FuncOrder, FxHashMap, Interner, MixedSym, NodeId, Pred, Sym, TermTree,
+};
 
 /// Magic prefix of binary (version ≥ 2) specification files.
 pub const SPEC_BIN_MAGIC: [u8; 8] = *b"FDBSPECB";
@@ -177,11 +179,14 @@ pub fn write_spec(bundle: &SpecBundle, interner: &Interner) -> Result<String> {
             out.push('\n');
         }
     }
-    for (i, _) in spec.nodes.iter().enumerate() {
-        for f in spec.funcs.symbols() {
-            if let Some(to) = spec.successor.get(&(node_id(i), *f)) {
-                out.push_str(&format!("succ {i} {} {}\n", name(f.sym())?, to.index()));
-            }
+    for i in spec.node_ids() {
+        for (f, to) in spec.succ_row(i) {
+            out.push_str(&format!(
+                "succ {} {} {}\n",
+                i.index(),
+                name(f.sym())?,
+                to.index()
+            ));
         }
     }
     for (p, rel) in spec.nf.iter() {
@@ -194,8 +199,12 @@ pub fn write_spec(bundle: &SpecBundle, interner: &Interner) -> Result<String> {
             out.push('\n');
         }
     }
-    for (path, rep) in &spec.merges {
-        out.push_str(&format!("merge {} {}\n", path_str(path)?, rep.index()));
+    for m in spec.merges() {
+        out.push_str(&format!(
+            "merge {} {}\n",
+            path_str(&spec.merge_path(m))?,
+            m.rep.index()
+        ));
     }
     out.push_str("end\n");
     Ok(out)
@@ -310,14 +319,12 @@ pub fn write_spec_binary(bundle: &SpecBundle, interner: &Interner) -> Vec<u8> {
 
     let mut succ_section = Vec::new();
     let mut succ_count = 0u32;
-    for (i, _) in spec.nodes.iter().enumerate() {
-        for f in spec.funcs.symbols() {
-            if let Some(to) = spec.successor.get(&(node_id(i), *f)) {
-                put_u32(&mut succ_section, i as u32);
-                put_u32(&mut succ_section, table.id(f.sym()));
-                put_u32(&mut succ_section, to.index() as u32);
-                succ_count += 1;
-            }
+    for i in spec.node_ids() {
+        for (f, to) in spec.succ_row(i) {
+            put_u32(&mut succ_section, i.index() as u32);
+            put_u32(&mut succ_section, table.id(f.sym()));
+            put_u32(&mut succ_section, to.index() as u32);
+            succ_count += 1;
         }
     }
     put_u32(&mut body, succ_count);
@@ -337,13 +344,14 @@ pub fn write_spec_binary(bundle: &SpecBundle, interner: &Interner) -> Vec<u8> {
         }
     }
 
-    put_u32(&mut body, spec.merges.len() as u32);
-    for (path, rep) in &spec.merges {
+    put_u32(&mut body, spec.merges().len() as u32);
+    for m in spec.merges() {
+        let path = spec.merge_path(m);
         put_u32(&mut body, path.len() as u32);
-        for f in path {
+        for f in &path {
             put_u32(&mut body, table.id(f.sym()));
         }
-        put_u32(&mut body, rep.index() as u32);
+        put_u32(&mut body, m.rep.index() as u32);
     }
 
     // Assemble: the string table precedes the sections that reference it.
@@ -473,15 +481,12 @@ pub fn read_spec_binary(bytes: &[u8], interner: &mut Interner) -> Result<SpecBun
     }
 
     let nsucc = r.u32()? as usize;
-    let mut successor: FxHashMap<(SpecNodeId, Func), SpecNodeId> = FxHashMap::default();
+    let mut edges = Vec::with_capacity(nsucc.min(body.len() / 12 + 1));
     for _ in 0..nsucc {
         let from = r.u32()? as usize;
         let f = Func(sym(r.u32()?)?);
         let to = r.u32()? as usize;
-        if from >= nnodes || to >= nnodes {
-            return Err(bin_err("successor refers to an unknown node"));
-        }
-        successor.insert((node_id(from), f), node_id(to));
+        edges.push((from, f, to));
     }
 
     let nrels = r.u32()? as usize;
@@ -508,42 +513,109 @@ pub fn read_spec_binary(bytes: &[u8], interner: &mut Interner) -> Result<SpecBun
             .map(|_| Ok(Func(sym(r.u32()?)?)))
             .collect::<Result<_>>()?;
         let rep = r.u32()? as usize;
-        if rep >= nnodes {
-            return Err(bin_err("merge refers to an unknown node"));
-        }
-        merges.push((path, node_id(rep)));
+        merges.push((path, rep));
     }
 
     if !r.is_empty() {
         return Err(bin_err("trailing bytes inside body"));
     }
 
-    let nodes: Vec<crate::graphspec::SpecNode> = node_terms
-        .iter()
-        .zip(states)
-        .map(|(&term, state)| crate::graphspec::SpecNode { term, state })
-        .collect();
-    let active_count = nodes.iter().filter(|n| tree.depth(n.term) > c).count();
-    Ok(SpecBundle {
-        spec: GraphSpec {
-            c,
-            funcs: FuncOrder::new(funcs),
-            tree,
-            nodes,
-            successor,
-            atoms,
-            nf,
-            merges,
-            active_count,
-        },
-        sym_map,
-    })
+    let parts = SpecParts {
+        c,
+        funcs,
+        tree,
+        node_terms,
+        states,
+        edges,
+        merges,
+        atoms,
+        nf,
+    };
+    let spec = parts.assemble().map_err(bin_err)?;
+    Ok(SpecBundle { spec, sym_map })
 }
 
-fn node_id(i: usize) -> SpecNodeId {
-    // SpecNodeId construction is private to graphspec; go through the
-    // public dense-iteration contract.
-    SpecNodeId::from_dense_index(i)
+/// The sections of a specification file, as read and before any check
+/// across sections.
+struct SpecParts {
+    c: usize,
+    funcs: Vec<Func>,
+    tree: TermTree,
+    node_terms: Vec<NodeId>,
+    states: Vec<State>,
+    /// Successor edges `(from, f, to)` by node index.
+    edges: Vec<(usize, Func, usize)>,
+    /// Merges as `(potential term path, representative node index)`.
+    merges: Vec<(Vec<Func>, usize)>,
+    atoms: AtomInterner,
+    nf: dl::Database,
+}
+
+impl SpecParts {
+    /// Builds the specification: fills the dense successor table (an edge
+    /// naming an unknown node or a symbol outside `funcs`, or a second edge
+    /// for one cell, is an error), interns each merge's potential term
+    /// `f(parent)`, and checks the result with [`GraphSpec::validate`]
+    /// (which rejects a missing edge).
+    fn assemble(self) -> std::result::Result<GraphSpec, String> {
+        let funcs = FuncOrder::new(self.funcs);
+        let (n, k) = (self.node_terms.len(), funcs.len());
+        let mut succ = vec![NO_EDGE; n * k];
+        for (from, f, to) in self.edges {
+            let r = funcs
+                .position(f)
+                .ok_or_else(|| format!("successor of node {from} names an unknown symbol"))?;
+            if from >= n || to >= n {
+                return Err("successor refers to an unknown node".into());
+            }
+            let cell = &mut succ[from * k + r as usize];
+            if *cell != NO_EDGE {
+                return Err(format!("node {from} has two successors under one symbol"));
+            }
+            *cell = to as u32;
+        }
+        let mut tree = self.tree;
+        let mut merges = Vec::with_capacity(self.merges.len());
+        for (path, rep) in self.merges {
+            let Some((&f, parent)) = path.split_last() else {
+                return Err("merge of the term 0 (a merged term is f(parent))".into());
+            };
+            if rep >= n {
+                return Err("merge refers to an unknown node".into());
+            }
+            merges.push(Merge {
+                parent: tree.intern_path(parent),
+                f,
+                rep: SpecNodeId::from_dense_index(rep),
+            });
+        }
+        let nodes: Vec<SpecNode> = self
+            .node_terms
+            .iter()
+            .zip(self.states)
+            .map(|(&term, state)| SpecNode { term, state })
+            .collect();
+        let active_count = nodes
+            .iter()
+            .filter(|node| tree.depth(node.term) > self.c)
+            .count();
+        let spec = GraphSpec {
+            c: self.c,
+            funcs,
+            tree,
+            nodes,
+            succ,
+            atoms: self.atoms,
+            nf: self.nf,
+            merges,
+            active_count,
+        };
+        spec.validate().map_err(|e| match e {
+            Error::Parse { detail, .. } => detail,
+            other => other.to_string(),
+        })?;
+        Ok(spec)
+    }
 }
 
 /// Parses the text format back into a [`SpecBundle`]. Symbol names are
@@ -568,9 +640,9 @@ pub fn read_spec(text: &str, interner: &mut Interner) -> Result<SpecBundle> {
     let mut node_terms: Vec<fundb_term::NodeId> = Vec::new();
     let mut states: Vec<State> = Vec::new();
     let mut atoms = AtomInterner::new();
-    let mut successor: FxHashMap<(SpecNodeId, Func), SpecNodeId> = FxHashMap::default();
+    let mut edges: Vec<(usize, Func, usize)> = Vec::new();
     let mut nf = dl::Database::new();
-    let mut merges: Vec<(Vec<Func>, SpecNodeId)> = Vec::new();
+    let mut merges: Vec<(Vec<Func>, usize)> = Vec::new();
     let mut sym_map: FxHashMap<(MixedSym, Box<[Cst]>), Func> = FxHashMap::default();
     let mut ended = false;
 
@@ -670,7 +742,7 @@ pub fn read_spec(text: &str, interner: &mut Interner) -> Result<SpecBundle> {
                 let to: usize = rest[2]
                     .parse()
                     .map_err(|_| err(lineno, "malformed succ target"))?;
-                successor.insert((node_id(from), f), node_id(to));
+                edges.push((from, f, to));
             }
             "nf" => {
                 if rest.is_empty() {
@@ -688,7 +760,7 @@ pub fn read_spec(text: &str, interner: &mut Interner) -> Result<SpecBundle> {
                 let rep: usize = rest[1]
                     .parse()
                     .map_err(|_| err(lineno, "malformed merge target"))?;
-                merges.push((path, node_id(rep)));
+                merges.push((path, rep));
             }
             "end" => {
                 ended = true;
@@ -708,26 +780,22 @@ pub fn read_spec(text: &str, interner: &mut Interner) -> Result<SpecBundle> {
         detail: "specification file missing `c`".into(),
     })?;
 
-    let nodes: Vec<crate::graphspec::SpecNode> = node_terms
-        .iter()
-        .zip(states)
-        .map(|(&term, state)| crate::graphspec::SpecNode { term, state })
-        .collect();
-    let active_count = nodes.iter().filter(|n| tree.depth(n.term) > c).count();
-    Ok(SpecBundle {
-        spec: GraphSpec {
-            c,
-            funcs: FuncOrder::new(funcs),
-            tree,
-            nodes,
-            successor,
-            atoms,
-            nf,
-            merges,
-            active_count,
-        },
-        sym_map,
-    })
+    let parts = SpecParts {
+        c,
+        funcs,
+        tree,
+        node_terms,
+        states,
+        edges,
+        merges,
+        atoms,
+        nf,
+    };
+    let spec = parts.assemble().map_err(|detail| Error::Parse {
+        offset: 0,
+        detail: format!("spec file: {detail}"),
+    })?;
+    Ok(SpecBundle { spec, sym_map })
 }
 
 /// Reads a specification file from disk, auto-detecting the format: files
@@ -1015,14 +1083,6 @@ mod tests {
     /// section: the reader must return `Err`, not abort on the allocation.
     #[test]
     fn binary_rejects_huge_counts_without_aborting() {
-        fn framed(body: &[u8]) -> Vec<u8> {
-            let mut out = SPEC_BIN_MAGIC.to_vec();
-            put_u32(&mut out, SPEC_BIN_VERSION);
-            put_u64(&mut out, body.len() as u64);
-            put_u32(&mut out, crc32c(body));
-            out.extend_from_slice(body);
-            out
-        }
         // Section counts in reading order (`c` is the one u64), each an
         // empty section, then the claimed count at position `huge`.
         let sections = [
@@ -1046,6 +1106,136 @@ mod tests {
                 read_spec_binary(&framed(&body), &mut i).is_err(),
                 "{huge}: u32::MAX entries accepted"
             );
+        }
+    }
+
+    /// Wraps a binary spec body in its magic, version, length and CRC.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut out = SPEC_BIN_MAGIC.to_vec();
+        put_u32(&mut out, SPEC_BIN_VERSION);
+        put_u64(&mut out, body.len() as u64);
+        put_u32(&mut out, crc32c(body));
+        out.extend_from_slice(body);
+        out
+    }
+
+    /// The two-node Even spec (nodes `0` and `+1`, `Even` on node 1) in
+    /// the text format, with the given `succ` lines.
+    fn even_text(succ: &[&str]) -> String {
+        let mut text =
+            String::from("fundbspec 1\nc 0\nfuncs +1\nnode 0 -\nnode 1 +1\natom 1 Even\n");
+        for line in succ {
+            text.push_str(line);
+            text.push('\n');
+        }
+        text.push_str("end\n");
+        text
+    }
+
+    /// The same spec in the binary format, with the given successor edges
+    /// `(from, string id, to)`; string 0 is `+1`, string 1 is `Even`,
+    /// string 2 is `g`.
+    fn even_binary(succ: &[(u32, u32, u32)]) -> Vec<u8> {
+        let mut body = Vec::new();
+        put_u32(&mut body, 3);
+        for name in ["+1", "Even", "g"] {
+            put_str(&mut body, name);
+        }
+        put_u64(&mut body, 0); // c
+        put_u32(&mut body, 1); // funcs: +1
+        put_u32(&mut body, 0);
+        put_u32(&mut body, 0); // no mixed symbols
+        put_u32(&mut body, 2); // nodes: 0 and +1
+        put_u32(&mut body, 0);
+        put_u32(&mut body, 1);
+        put_u32(&mut body, 0);
+        put_u32(&mut body, 1); // atom Even() on node 1
+        put_u32(&mut body, 1);
+        put_u32(&mut body, 1);
+        put_u32(&mut body, 0);
+        put_u32(&mut body, succ.len() as u32);
+        for &(from, f, to) in succ {
+            put_u32(&mut body, from);
+            put_u32(&mut body, f);
+            put_u32(&mut body, to);
+        }
+        put_u32(&mut body, 0); // no relations
+        put_u32(&mut body, 0); // no merges
+        framed(&body)
+    }
+
+    #[test]
+    fn readers_accept_a_total_successor_table() {
+        let mut i = Interner::new();
+        let text = read_spec(&even_text(&["succ 0 +1 1", "succ 1 +1 0"]), &mut i).unwrap();
+        let binary = read_spec_binary(&even_binary(&[(0, 0, 1), (1, 0, 0)]), &mut i).unwrap();
+        let even = Pred(i.get("Even").unwrap());
+        let plus = Func(i.get("+1").unwrap());
+        for bundle in [text, binary] {
+            bundle.spec.validate().unwrap();
+            let frozen = bundle.spec.freeze();
+            for n in 0..8usize {
+                assert_eq!(frozen.holds(even, &vec![plus; n], &[]), n % 2 == 1);
+            }
+        }
+    }
+
+    #[test]
+    fn readers_reject_a_missing_successor_edge() {
+        // Node 1 has no `+1` successor: loading used to succeed and the
+        // first freeze or minimization panicked.
+        let mut i = Interner::new();
+        let err = read_spec(&even_text(&["succ 0 +1 1"]), &mut i)
+            .err()
+            .unwrap();
+        assert!(err.to_string().contains("no successor"), "{err}");
+        let err = read_spec_binary(&even_binary(&[(0, 0, 1)]), &mut i)
+            .err()
+            .unwrap();
+        assert!(err.to_string().contains("no successor"), "{err}");
+
+        let dir = std::env::temp_dir().join(format!("fundb-spec-missing-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let text_path = dir.join("missing.fspec");
+        std::fs::write(&text_path, even_text(&["succ 0 +1 1"])).unwrap();
+        let bin_path = dir.join("missing.fspec.bin");
+        std::fs::write(&bin_path, even_binary(&[(0, 0, 1)])).unwrap();
+        for path in [&text_path, &bin_path] {
+            let path = path.to_str().unwrap();
+            assert!(crate::serve::FrozenGraphSpec::load_binary(path, &mut i).is_err());
+            assert!(read_spec_file_frozen(path, &mut i).is_err());
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn readers_reject_a_duplicate_successor_edge() {
+        let mut i = Interner::new();
+        let text = even_text(&["succ 0 +1 1", "succ 1 +1 0", "succ 1 +1 0"]);
+        let err = read_spec(&text, &mut i).err().unwrap();
+        assert!(err.to_string().contains("two successors"), "{err}");
+        let bytes = even_binary(&[(0, 0, 1), (1, 0, 0), (1, 0, 1)]);
+        let err = read_spec_binary(&bytes, &mut i).err().unwrap();
+        assert!(err.to_string().contains("two successors"), "{err}");
+    }
+
+    #[test]
+    fn readers_reject_unknown_symbols_and_nodes_in_edges_and_merges() {
+        let mut i = Interner::new();
+        for text in [
+            even_text(&["succ 0 +1 1", "succ 1 +1 0", "succ 1 g 0"]),
+            even_text(&["succ 0 +1 1", "succ 1 +1 7"]),
+            even_text(&["succ 0 +1 1", "succ 1 +1 0", "merge +1.+1 9"]),
+            even_text(&["succ 0 +1 1", "succ 1 +1 0", "merge +1.g 0"]),
+            even_text(&["succ 0 +1 1", "succ 1 +1 0", "merge - 0"]),
+        ] {
+            assert!(read_spec(&text, &mut i).is_err(), "accepted:\n{text}");
+        }
+        for edges in [
+            &[(0, 0, 1), (1, 0, 0), (1, 2, 0)][..],
+            &[(0, 0, 1), (1, 0, 2)],
+        ] {
+            assert!(read_spec_binary(&even_binary(edges), &mut i).is_err());
         }
     }
 }

@@ -28,8 +28,8 @@ pub struct State {
 
 impl State {
     /// The empty state.
-    pub fn new() -> Self {
-        Self::default()
+    pub const fn new() -> Self {
+        State { words: Vec::new() }
     }
 
     /// Inserts an atom; returns `true` if it was absent.

@@ -18,7 +18,7 @@
 //! newer than it understands reports a clean error instead of guessing.
 
 use crate::codec::{crc32c, put_str, put_u32, put_u64, CodecError, Reader};
-use crate::wal::{WireAtom, WireTerm, STAT_FIELDS};
+use crate::wal::{put_atom, read_atom, WireAtom, STAT_FIELDS};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::Path;
@@ -75,39 +75,6 @@ pub struct SnapshotData {
     /// Cumulative [`EvalStats`](fundb_datalog::EvalStats) at the
     /// snapshot boundary, as a wire tuple.
     pub stats: [u64; STAT_FIELDS],
-}
-
-fn put_atom(buf: &mut Vec<u8>, atom: &WireAtom) {
-    put_u32(buf, atom.pred);
-    put_u32(buf, atom.args.len() as u32);
-    for a in &atom.args {
-        match a {
-            WireTerm::Var(v) => {
-                buf.push(0);
-                put_u32(buf, *v);
-            }
-            WireTerm::Const(c) => {
-                buf.push(1);
-                put_u32(buf, *c);
-            }
-        }
-    }
-}
-
-fn read_atom(r: &mut Reader<'_>) -> Result<WireAtom, CodecError> {
-    let pred = r.u32()?;
-    let n = r.u32()? as usize;
-    let mut args = Vec::with_capacity(n);
-    for _ in 0..n {
-        let tag = r.u8()?;
-        let id = r.u32()?;
-        args.push(match tag {
-            0 => WireTerm::Var(id),
-            1 => WireTerm::Const(id),
-            _ => return Err(CodecError::BadValue),
-        });
-    }
-    Ok(WireAtom { pred, args })
 }
 
 fn encode_body(data: &SnapshotData) -> Vec<u8> {
@@ -280,6 +247,7 @@ pub fn read_snapshot(path: &Path) -> io::Result<SnapshotData> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::WireTerm;
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let dir =
@@ -333,6 +301,31 @@ mod tests {
             !path.with_extension("tmp").exists(),
             "tmp file renamed away"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn oversized_atom_count_in_a_crc_valid_body_is_rejected() {
+        let dir = tmpdir("oversized-atom");
+        let path = dir.join("snapshot.000001");
+        // No symbols, one rule whose head claims u32::MAX arguments; the
+        // CRC is correct, so only the decoder stands between the count
+        // and the allocator.
+        let mut body = Vec::new();
+        put_u32(&mut body, 0);
+        put_u32(&mut body, 1);
+        put_u32(&mut body, 0);
+        put_u32(&mut body, u32::MAX);
+        let mut file = Vec::new();
+        file.extend_from_slice(&SNAP_MAGIC);
+        put_u32(&mut file, SNAP_VERSION);
+        put_u64(&mut file, 1);
+        put_u64(&mut file, body.len() as u64);
+        put_u32(&mut file, crc32c(&body));
+        file.extend_from_slice(&body);
+        std::fs::write(&path, &file).unwrap();
+        let err = read_snapshot(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

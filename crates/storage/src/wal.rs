@@ -211,7 +211,8 @@ const KIND_ROUND_COMMIT_ROWS16: u8 = 9;
 /// A completed retraction round (commit marker, like `RoundCommit`).
 const KIND_RETRACT: u8 = 10;
 
-fn put_atom(buf: &mut Vec<u8>, atom: &WireAtom) {
+/// Encodes one rule atom (shared with the snapshot body encoding).
+pub(crate) fn put_atom(buf: &mut Vec<u8>, atom: &WireAtom) {
     put_u32(buf, atom.pred);
     put_u32(buf, atom.args.len() as u32);
     for a in &atom.args {
@@ -228,10 +229,13 @@ fn put_atom(buf: &mut Vec<u8>, atom: &WireAtom) {
     }
 }
 
-fn read_atom(r: &mut Reader<'_>) -> Result<WireAtom, CodecError> {
+/// Decodes one rule atom. The argument count is untrusted, so the
+/// pre-allocation is capped by the arguments the remaining bytes could
+/// hold (5 bytes each).
+pub(crate) fn read_atom(r: &mut Reader<'_>) -> Result<WireAtom, CodecError> {
     let pred = r.u32()?;
     let n = r.u32()? as usize;
-    let mut args = Vec::with_capacity(n);
+    let mut args = Vec::with_capacity(n.min(r.remaining() / 5 + 1));
     for _ in 0..n {
         let tag = r.u8()?;
         let id = r.u32()?;
@@ -1032,6 +1036,36 @@ mod tests {
         let again = recover(&path, FaultPlan::default()).unwrap();
         assert_eq!(again.records, sample_records());
         assert_eq!(again.truncated_bytes, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn oversized_atom_count_in_a_crc_valid_rule_stops_the_scan() {
+        let dir = tmpdir("oversized-atom");
+        let path = dir.join("wal.000000");
+        let mut wal = Wal::create(&path, 0, FaultPlan::default()).unwrap();
+        for rec in sample_records() {
+            wal.append(&rec).unwrap();
+        }
+        wal.flush().unwrap();
+        drop(wal);
+        // A rule record whose head claims u32::MAX arguments, framed with
+        // a correct CRC: decoding must fail cleanly, not allocate by the
+        // claimed count.
+        let mut payload = vec![KIND_RULE];
+        put_u32(&mut payload, 0);
+        put_u32(&mut payload, u32::MAX);
+        let mut frame = Vec::new();
+        put_u32(&mut frame, payload.len() as u32);
+        put_u32(&mut frame, crc32c(&payload));
+        frame.extend_from_slice(&payload);
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(&frame).unwrap();
+        drop(file);
+        assert!(WalRecord::decode(&payload).is_err());
+        let scan = recover(&path, FaultPlan::default()).unwrap();
+        assert_eq!(scan.records, sample_records());
+        assert_eq!(scan.truncated_bytes, frame.len() as u64);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

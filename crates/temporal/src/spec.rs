@@ -102,7 +102,9 @@ impl TemporalSpec {
             }
             seen.insert(cur.index(), seq.len());
             seq.push(spec.nodes[cur.index()].state.clone());
-            cur = spec.successor[&(cur, f)];
+            cur = spec
+                .succ(cur, f)
+                .expect("the successor table is total on the spec's symbols");
         };
         let mut lambda = end - q;
         // Minimize λ on the cycle states (distinct spec nodes can carry

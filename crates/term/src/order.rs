@@ -48,6 +48,11 @@ impl FuncOrder {
             .expect("function symbol missing from FuncOrder")
     }
 
+    /// Rank of a symbol, or `None` for a symbol outside the order.
+    pub fn position(&self, f: Func) -> Option<u32> {
+        self.rank.get(&f).copied()
+    }
+
     /// The symbols in ascending order.
     pub fn symbols(&self) -> &[Func] {
         &self.order

@@ -80,6 +80,12 @@ impl TermTree {
         self.nodes.len() == 1
     }
 
+    /// All interned nodes in interning order; every node comes after its
+    /// parent.
+    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> {
+        (0..self.nodes.len() as u32).map(NodeId)
+    }
+
     /// Interns (or retrieves) the child `f(n)`.
     pub fn child(&mut self, n: NodeId, f: Func) -> NodeId {
         if let Some(&c) = self.children.get(&(n, f)) {

@@ -12,6 +12,19 @@ use common::{all_paths, random_program, GenConfig};
 use fundb_core::{normalize, to_pure, BoundedMaterialization, Engine, EqSpec, GraphSpec};
 use proptest::prelude::*;
 
+/// A spec the reader accepted is valid, and its minimization, freeze and
+/// equational spec build without panicking.
+fn check_read_spec(spec: GraphSpec) {
+    spec.validate().unwrap();
+    spec.minimized().validate().unwrap();
+    let eq = EqSpec::from_graph(&spec).freeze();
+    let frozen = spec.freeze();
+    let path = frozen.spec().funcs.symbols().to_vec();
+    for (_, p, args) in frozen.spec().atoms.iter() {
+        let _ = (frozen.holds(p, &path, args), eq.holds(p, &path, args));
+    }
+}
+
 const DEPTH: usize = 4;
 
 proptest! {
@@ -78,7 +91,9 @@ proptest! {
         let mut gen = random_program(GenConfig::default(), seed);
         let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
         let spec = GraphSpec::from_engine(&mut engine).unwrap();
+        spec.validate().unwrap();
         let minimized = spec.minimized();
+        minimized.validate().unwrap();
         let mut eq = EqSpec::from_graph(&spec);
         for path in all_paths(&gen.funcs, DEPTH) {
             for &p in &gen.preds {
@@ -115,6 +130,7 @@ proptest! {
         let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
         engine.solve().unwrap();
         let spec = GraphSpec::from_engine(&mut engine).unwrap();
+        spec.validate().unwrap();
         let mut eq = EqSpec::from_graph(&spec);
         for path in all_paths(&gen.funcs, DEPTH) {
             for &p in &gen.preds {
@@ -162,6 +178,7 @@ proptest! {
         let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
         engine.solve().unwrap();
         let spec = GraphSpec::from_engine(&mut engine).unwrap();
+        spec.validate().unwrap();
         prop_assert!(fundb_core::QuotientModel::new(&spec)
             .is_model_of(engine.compiled())
             .unwrap());
@@ -173,8 +190,11 @@ proptest! {
         let mut gen = random_program(GenConfig::default(), seed);
         let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
         let spec = GraphSpec::from_engine(&mut engine).unwrap();
+        spec.validate().unwrap();
         let m1 = spec.minimized();
+        m1.validate().unwrap();
         let m2 = m1.minimized();
+        m2.validate().unwrap();
         prop_assert!(m1.cluster_count() <= spec.cluster_count());
         prop_assert_eq!(m1.cluster_count(), m2.cluster_count());
         prop_assert_eq!(m1.primary_size(), m2.primary_size());
@@ -500,12 +520,14 @@ mod temporal_and_io {
             let mut engine =
                 Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
             let spec = GraphSpec::from_engine(&mut engine).unwrap();
+            spec.validate().unwrap();
             let text = write_spec(
                 &SpecBundle { spec: spec.clone(), sym_map: FxHashMap::default() },
                 &gen.interner,
             ).unwrap();
             let mut fresh = fundb_term::Interner::new();
             let bundle = read_spec(&text, &mut fresh).unwrap();
+            bundle.spec.validate().unwrap();
             // Translate symbols through names.
             for path in all_paths(&gen.funcs, 3) {
                 let path2: Vec<fundb_term::Func> = path
@@ -557,6 +579,7 @@ mod congruence_theorem {
             engine.solve().unwrap();
             let c = engine.compiled().c;
             let spec = GraphSpec::from_engine(&mut engine).unwrap();
+            spec.validate().unwrap();
             let paths: Vec<_> = all_paths(&gen.funcs, 4)
                 .into_iter()
                 .filter(|p| p.len() > c)
@@ -614,6 +637,7 @@ mod syntax_roundtrip {
             let mut ws = Workspace::new();
             ws.parse(&src).expect("rendered program re-parses");
             let spec = ws.graph_spec().expect("still domain-independent");
+            spec.validate().unwrap();
             // Solve the original.
             let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
             engine.solve().unwrap();
@@ -657,12 +681,13 @@ mod syntax_roundtrip {
         }
 
         /// Fuzzing the spec reader: single-line drops/duplications of a valid
-        /// file never panic.
+        /// file never panic, and whatever is accepted validates and serves.
         #[test]
         fn spec_reader_survives_mutations(seed in any::<u64>()) {
             let mut gen = random_program(GenConfig::default(), seed);
             let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
             let spec = fundb_core::GraphSpec::from_engine(&mut engine).unwrap();
+            spec.validate().unwrap();
             let text = fundb_core::write_spec(
                 &fundb_core::SpecBundle { spec, sym_map: Default::default() },
                 &gen.interner,
@@ -676,7 +701,9 @@ mod syntax_roundtrip {
                     .map(|(_, l)| format!("{l}\n"))
                     .collect();
                 let mut i = fundb_term::Interner::new();
-                let _ = fundb_core::read_spec(&dropped, &mut i);
+                if let Ok(bundle) = fundb_core::read_spec(&dropped, &mut i) {
+                    super::check_read_spec(bundle.spec);
+                }
                 let duped: String = lines
                     .iter()
                     .enumerate()
@@ -686,7 +713,9 @@ mod syntax_roundtrip {
                     })
                     .collect();
                 let mut i = fundb_term::Interner::new();
-                let _ = fundb_core::read_spec(&duped, &mut i);
+                if let Ok(bundle) = fundb_core::read_spec(&duped, &mut i) {
+                    super::check_read_spec(bundle.spec);
+                }
             }
         }
     }

@@ -171,6 +171,11 @@ fn check_relational(s: &Scenario) {
     let spec = ws
         .graph_spec()
         .unwrap_or_else(|e| panic!("{ctx}: graph_spec: {e:?}"));
+    for built in [spec.clone(), spec.minimized()] {
+        built
+            .validate()
+            .unwrap_or_else(|e| panic!("{ctx}: validate: {e:?}"));
+    }
     let frozen = spec.clone().freeze();
     let mut queries = Vec::with_capacity(s.queries.len());
     let mut expected = Vec::with_capacity(s.queries.len());
@@ -304,6 +309,11 @@ fn check_temporal(t: &TemporalScenario) {
     let gspec = ws
         .graph_spec()
         .unwrap_or_else(|e| panic!("{ctx}: graph_spec: {e:?}"));
+    for built in [gspec.clone(), gspec.minimized()] {
+        built
+            .validate()
+            .unwrap_or_else(|e| panic!("{ctx}: validate: {e:?}"));
+    }
     let frozen = gspec.clone().freeze();
     let succ = Func(ws.interner.get("+1").unwrap());
     let (rho, rho_lambda) = spec.equation();

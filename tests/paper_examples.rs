@@ -50,8 +50,8 @@ fn section_1_meets() {
     // "the function symbol (+l) … is represented by a finite function f:
     // f(0)=1. f(1)=0." — the successor graph is the 2-cycle.
     let odd = spec.representative_of(&[plus1]).unwrap();
-    assert_eq!(spec.successor[&(rep0, plus1)], odd);
-    assert_eq!(spec.successor[&(odd, plus1)], rep0);
+    assert_eq!(spec.succ(rep0, plus1).unwrap(), odd);
+    assert_eq!(spec.succ(odd, plus1).unwrap(), rep0);
 
     // "Alternatively, the congruence is represented equationally … R
     // contains 0 ≅ 2": on the minimized spec the first merge equation
@@ -122,12 +122,12 @@ fn section_3_4_lists_worked_example() {
     );
 
     // Successor mappings exactly as in the paper.
-    assert_eq!(spec.successor[&(a, exta)], a);
-    assert_eq!(spec.successor[&(a, extb)], ab);
-    assert_eq!(spec.successor[&(b, exta)], ab);
-    assert_eq!(spec.successor[&(b, extb)], b);
-    assert_eq!(spec.successor[&(ab, exta)], ab);
-    assert_eq!(spec.successor[&(ab, extb)], ab);
+    assert_eq!(spec.succ(a, exta).unwrap(), a);
+    assert_eq!(spec.succ(a, extb).unwrap(), ab);
+    assert_eq!(spec.succ(b, exta).unwrap(), ab);
+    assert_eq!(spec.succ(b, extb).unwrap(), b);
+    assert_eq!(spec.succ(ab, exta).unwrap(), ab);
+    assert_eq!(spec.succ(ab, extb).unwrap(), ab);
 
     // Slices as the paper lists them.
     let slice = |node| {

@@ -39,7 +39,9 @@ proptest! {
         let mat = BoundedMaterialization::run(&pure, DEPTH + 2, &mut gen.interner).unwrap();
         let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
         let spec = GraphSpec::from_engine(&mut engine).unwrap();
+        spec.validate().unwrap();
         let minimized = spec.minimized();
+        minimized.validate().unwrap();
         let mut eq = EqSpec::from_graph(&spec);
         let frozen_eq = eq.freeze();
         let frozen_min = minimized.clone().freeze();
@@ -103,6 +105,7 @@ proptest! {
         let mut gen = random_program(GenConfig::default(), seed);
         let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
         let spec = GraphSpec::from_engine(&mut engine).unwrap();
+        spec.validate().unwrap();
         let eq = EqSpec::from_graph(&spec);
         let frozen_eq = eq.freeze();
         let frozen = spec.clone().freeze();
@@ -140,6 +143,7 @@ proptest! {
         let mut gen = random_program(GenConfig::default(), seed);
         let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
         let spec = GraphSpec::from_engine(&mut engine).unwrap();
+        spec.validate().unwrap();
         let frozen = spec.freeze();
         let mut queries: Vec<ServeQuery> = Vec::new();
         for path in all_paths(&gen.funcs, DEPTH) {
@@ -173,6 +177,7 @@ proptest! {
         let mut gen = random_program(GenConfig::default(), seed);
         let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
         let spec = GraphSpec::from_engine(&mut engine).unwrap();
+        spec.validate().unwrap();
         let s = fundb_term::Var(gen.interner.intern("qs"));
         let x = fundb_term::Var(gen.interner.intern("qx"));
         let queries: Vec<Query> = gen
@@ -200,6 +205,79 @@ proptest! {
                 &batch, &seq,
                 "incremental batch diverged at {} threads", threads
             );
+        }
+    }
+}
+
+/// Patching a frozen or mutable spec with a retraction's net deletions
+/// answers every relational query like a spec rebuilt without the
+/// retracted fact, and leaves the patched store's indexes consistent.
+#[test]
+fn patched_retraction_answers_like_a_rebuild() {
+    use fundb_datalog as dl;
+    use fundb_parser::Workspace;
+
+    let rules = "Edge(x, y) -> Path(x, y).\nPath(x, y), Edge(y, z) -> Path(x, z).\n";
+    let edges = [("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("B", "E")];
+    let source = |skip: Option<usize>| {
+        let mut src = rules.to_string();
+        for (k, (x, y)) in edges.iter().enumerate() {
+            if Some(k) != skip {
+                src.push_str(&format!("Edge({x}, {y}).\n"));
+            }
+        }
+        src
+    };
+    for (retracted, &(x, y)) in edges.iter().enumerate() {
+        let mut ws = Workspace::new();
+        ws.parse(&source(None)).unwrap();
+        let spec = ws.graph_spec().unwrap();
+        spec.validate().unwrap();
+        let mut frozen = spec.clone().freeze();
+        let mut eq = EqSpec::from_graph(&spec).freeze();
+        let mut mutable = spec;
+
+        // Retract one edge from the relational image at its fixpoint.
+        let rel_rules = fundb_core::relational_rules(&ws.program).unwrap();
+        let mut db = fundb_core::relational_facts(&ws.db).unwrap();
+        let plan = dl::DeltaPlan::planned(&rel_rules, &db);
+        dl::IncrementalEval::new()
+            .run(&mut db, &rel_rules, &plan)
+            .unwrap();
+        let edge = fundb_term::Pred(ws.interner.get("Edge").unwrap());
+        let row = [x, y].map(|c| fundb_term::Cst(ws.interner.get(c).unwrap()));
+        let outcome = db.retract_fact(edge, &row, &rel_rules, &plan);
+        let net = outcome.net_deleted().len();
+        assert!(net > 0, "retracting Edge({x}, {y}) deletes something");
+
+        assert_eq!(mutable.patch_retraction(&outcome), net);
+        assert_eq!(eq.patch_retraction(&outcome), net);
+        frozen.patch_retraction(&outcome);
+        mutable.nf.check_invariants().unwrap();
+        frozen.spec().nf.check_invariants().unwrap();
+
+        let mut rebuilt_ws = Workspace::new();
+        rebuilt_ws.parse(&source(Some(retracted))).unwrap();
+        let rebuilt = rebuilt_ws.graph_spec().unwrap();
+        for pred in ["Edge", "Path"] {
+            let p = fundb_term::Pred(ws.interner.get(pred).unwrap());
+            let rp = fundb_term::Pred(rebuilt_ws.interner.get(pred).unwrap());
+            for a in ["A", "B", "C", "D", "E"] {
+                for b in ["A", "B", "C", "D", "E"] {
+                    let args = [a, b].map(|c| fundb_term::Cst(ws.interner.get(c).unwrap()));
+                    // A constant the rebuilt program lost occurs in none of
+                    // its facts.
+                    let rebuilt_const = |c| rebuilt_ws.interner.get(c).map(fundb_term::Cst);
+                    let want = match (rebuilt_const(a), rebuilt_const(b)) {
+                        (Some(ra), Some(rb)) => rebuilt.holds_relational(rp, &[ra, rb]),
+                        _ => false,
+                    };
+                    let what = format!("{pred}({a}, {b}) after retracting Edge({x}, {y})");
+                    assert_eq!(mutable.holds_relational(p, &args), want, "mutable {what}");
+                    assert_eq!(frozen.holds_relational(p, &args), want, "frozen {what}");
+                    assert_eq!(eq.holds_relational(p, &args), want, "eq {what}");
+                }
+            }
         }
     }
 }
