@@ -19,7 +19,7 @@
 
 use fundb_core::{
     analysis, write_spec_file, write_spec_file_binary, Budget, CancelToken, EvalError, Governor,
-    GraphSpec, ServeQuery, ServeStats,
+    GraphSpec, ServeQuery,
 };
 use fundb_parser::Workspace;
 use fundb_storage::{DurableDb, OpenDurable, WalStats};
@@ -41,9 +41,6 @@ pub struct Repl {
     /// Whether any evaluation in this session stopped on a budget, a
     /// cancellation or a worker panic (non-interactive runs exit non-zero).
     eval_failed: bool,
-    /// Accumulated answer-cache counters from `:bench-serve` runs, surfaced
-    /// by `:stats`.
-    serve: ServeStats,
     /// Accumulated goal-directed query counters (magic rules synthesized,
     /// demand-set sizes) from `?-` answers, surfaced by `:stats`.
     demand: fundb_datalog::EvalStats,
@@ -54,9 +51,6 @@ pub struct Repl {
     /// Cumulative incremental-retraction counters (`:retract`), surfaced
     /// by `:stats`: rows tombstoned and rows the re-derive pass restored.
     retract: fundb_datalog::EvalStats,
-    /// Cached-specification rows patched in place by `:retract` instead
-    /// of rebuilding the spec (surfaced by `:stats`).
-    cache_patches: u64,
 }
 
 impl Default for Repl {
@@ -76,11 +70,9 @@ impl Repl {
             budget: Budget::unlimited(),
             cancel: CancelToken::new(),
             eval_failed: false,
-            serve: ServeStats::default(),
             demand: fundb_datalog::EvalStats::default(),
             session: None,
             retract: fundb_datalog::EvalStats::default(),
-            cache_patches: 0,
         }
     }
 
@@ -393,12 +385,6 @@ impl Repl {
                         )?;
                         writeln!(
                             out,
-                            "serve cache hits: {}, serve cache misses: {} \
-                             (frozen-spec answer cache; populate with :bench-serve)",
-                            self.serve.hits, self.serve.misses
-                        )?;
-                        writeln!(
-                            out,
                             "magic rules: {}, demanded tuples: {} \
                              (goal-directed queries this session; see :plan)",
                             self.demand.magic_rules, self.demand.demanded_tuples
@@ -406,9 +392,8 @@ impl Repl {
                         writeln!(
                             out,
                             "incremental retraction: retractions: {}, \
-                             rederived: {}, cache patches: {} (session \
-                             totals from :retract)",
-                            self.retract.retractions, self.retract.rederived, self.cache_patches
+                             rederived: {} (session totals from :retract)",
+                            self.retract.retractions, self.retract.rederived
                         )?;
                         writeln!(
                             out,
@@ -622,8 +607,8 @@ impl Repl {
     /// repairs its derived consequences incrementally: the relational
     /// image is retracted with over-delete + re-derive (DRed), the cached
     /// specification is patched in place instead of rebuilt, and the
-    /// removal is journaled to the durable session. The `retractions`,
-    /// `rederived` and `cache patches` counters accumulate into `:stats`.
+    /// removal is journaled to the durable session. The `retractions` and
+    /// `rederived` counters accumulate into `:stats`.
     fn retract(&mut self, fact: &str, out: &mut dyn Write) -> std::io::Result<()> {
         use fundb_datalog as dl;
         let (pred, fterm, args) = match self.ws.parse_fact(fact) {
@@ -674,7 +659,6 @@ impl Repl {
                     Some(spec) => spec.patch_retraction(&o),
                     None => 0,
                 };
-                self.cache_patches += patched as u64;
                 writeln!(
                     out,
                     "retracted {fact}: {} row(s) tombstoned, {} re-derived, \
@@ -713,89 +697,76 @@ impl Repl {
 
     /// `:bench-serve n` — freezes the current specification and measures
     /// serving throughput on a synthetic membership workload: the per-query
-    /// hash-map walk of the mutable spec against the frozen batch path, cold
-    /// and warm. Answers are cross-checked, and the frozen spec's cache
-    /// counters accumulate into the session totals shown by `:stats`.
+    /// hash-map walk of the mutable spec against one frozen batch pass under
+    /// the session governor. Answers are cross-checked.
     fn bench_serve(&mut self, n: usize, out: &mut dyn Write) -> std::io::Result<()> {
         use std::time::{Duration, Instant};
-        if let Err(e) = self.spec().map(|_| ()) {
-            return self.report_error(&e, out);
+        let spec = match self.spec() {
+            Ok(spec) => spec.clone(),
+            Err(e) => return self.report_error(&e, out),
+        };
+        let funcs = spec.funcs.symbols().to_vec();
+        let atoms: Vec<_> = spec.atoms.iter().map(|(_, p, a)| (p, a.to_vec())).collect();
+        if atoms.is_empty() {
+            return writeln!(
+                out,
+                "bench-serve: the specification has no primary atoms; add facts first"
+            );
         }
-        let spec = self.spec.take().expect("just built");
-        let result = (|| -> std::io::Result<()> {
-            let funcs = spec.funcs.symbols().to_vec();
-            let atoms: Vec<_> = spec.atoms.iter().map(|(_, p, a)| (p, a.to_vec())).collect();
-            if atoms.is_empty() {
-                return writeln!(
-                    out,
-                    "bench-serve: the specification has no primary atoms; add facts first"
-                );
-            }
-            // A deterministic workload of overlapping paths: lengths cycle
-            // 0..64 and symbols rotate through the vocabulary, so the warm
-            // pass exercises cache sharing across equal canonical keys.
-            let queries: Vec<ServeQuery> = (0..n)
-                .map(|k| {
-                    let (pred, args) = &atoms[k % atoms.len()];
-                    let len = if funcs.is_empty() { 0 } else { k % 64 };
-                    ServeQuery::Member {
-                        pred: *pred,
-                        path: (0..len).map(|j| funcs[(k + j) % funcs.len()]).collect(),
-                        args: args.clone(),
-                    }
-                })
-                .collect();
-            let t0 = Instant::now();
-            let baseline: Vec<bool> = queries
-                .iter()
-                .map(|q| match q {
-                    ServeQuery::Member { pred, path, args } => spec.holds(*pred, path, args),
-                    ServeQuery::Relational { pred, args } => spec.holds_relational(*pred, args),
-                })
-                .collect();
-            let base_t = t0.elapsed();
-            let frozen = spec.clone().freeze();
-            let t0 = Instant::now();
-            let cold = frozen.answer_batch(&queries);
-            let cold_t = t0.elapsed();
-            let t0 = Instant::now();
-            let warm = frozen.answer_batch(&queries);
-            let warm_t = t0.elapsed();
-            if cold != baseline || warm != baseline {
-                writeln!(
-                    out,
-                    "bench-serve: ANSWER MISMATCH between the frozen and per-query paths \
-                     (please report this)"
-                )?;
-            }
-            let stats = frozen.serve_stats();
-            self.serve.hits += stats.hits;
-            self.serve.misses += stats.misses;
-            let qps = |t: Duration| {
-                let secs = t.as_secs_f64();
-                if secs > 0.0 {
-                    queries.len() as f64 / secs
-                } else {
-                    f64::INFINITY
+        // A deterministic workload of overlapping paths: lengths cycle
+        // 0..64 and symbols rotate through the vocabulary.
+        let queries: Vec<ServeQuery> = (0..n)
+            .map(|k| {
+                let (pred, args) = &atoms[k % atoms.len()];
+                let len = if funcs.is_empty() { 0 } else { k % 64 };
+                ServeQuery::Member {
+                    pred: *pred,
+                    path: (0..len).map(|j| funcs[(k + j) % funcs.len()]).collect(),
+                    args: args.clone(),
                 }
-            };
+            })
+            .collect();
+        let t0 = Instant::now();
+        let baseline: Vec<bool> = queries
+            .iter()
+            .map(|q| match q {
+                ServeQuery::Member { pred, path, args } => spec.holds(*pred, path, args),
+                ServeQuery::Relational { pred, args } => spec.holds_relational(*pred, args),
+            })
+            .collect();
+        let base_t = t0.elapsed();
+        let frozen = spec.freeze();
+        let threads = fundb_core::default_threads();
+        self.arm_governor();
+        let t0 = Instant::now();
+        let batch = match frozen.answer_batch(&queries, threads, self.ws.governor()) {
+            Ok(answers) => answers,
+            Err(e) => return self.report_error(&fundb_core::Error::Eval(e), out),
+        };
+        let batch_t = t0.elapsed();
+        if batch != baseline {
             writeln!(
                 out,
-                "bench-serve: {} membership queries, {} batch worker thread(s)",
-                queries.len(),
-                fundb_core::default_threads()
+                "bench-serve: ANSWER MISMATCH between the frozen and per-query paths \
+                 (please report this)"
             )?;
-            writeln!(out, "  per-query walk: {:>12.0} q/s", qps(base_t))?;
-            writeln!(out, "  frozen cold:    {:>12.0} q/s", qps(cold_t))?;
-            writeln!(out, "  frozen warm:    {:>12.0} q/s", qps(warm_t))?;
-            writeln!(
-                out,
-                "  answer cache: {} hits / {} misses (session totals in :stats)",
-                stats.hits, stats.misses
-            )
-        })();
-        self.spec = Some(spec);
-        result
+        }
+        let qps = |t: Duration| {
+            let secs = t.as_secs_f64();
+            if secs > 0.0 {
+                queries.len() as f64 / secs
+            } else {
+                f64::INFINITY
+            }
+        };
+        writeln!(
+            out,
+            "bench-serve: {} membership queries, {} batch worker thread(s)",
+            queries.len(),
+            threads
+        )?;
+        writeln!(out, "  per-query walk: {:>12.0} q/s", qps(base_t))?;
+        writeln!(out, "  frozen batch:   {:>12.0} q/s", qps(batch_t))
     }
 
     fn spec_or_report(
@@ -1207,7 +1178,7 @@ mod tests {
     }
 
     #[test]
-    fn bench_serve_reports_throughput_and_cache_counters() {
+    fn bench_serve_reports_one_batch_pass() {
         let mut repl = Repl::new();
         let out = feed(
             &mut repl,
@@ -1219,13 +1190,8 @@ mod tests {
             ],
         );
         assert!(out.contains("bench-serve: 256 membership queries"), "{out}");
-        assert!(out.contains("frozen warm:"), "{out}");
+        assert!(out.contains("frozen batch:"), "{out}");
         assert!(!out.contains("MISMATCH"), "{out}");
-        assert!(out.contains("serve cache hits:"), "{out}");
-        assert!(
-            !out.contains("serve cache hits: 0, serve cache misses: 0"),
-            "bench-serve counters should reach :stats\n{out}"
-        );
     }
 
     #[test]
@@ -1358,7 +1324,7 @@ mod tests {
             "{out}"
         );
         assert!(
-            out.contains("retractions: 3, rederived: 0, cache patches: 3"),
+            out.contains("retractions: 3, rederived: 0 (session"),
             "{out}"
         );
     }

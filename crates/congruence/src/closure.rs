@@ -13,7 +13,7 @@
 //! [DST80]: signatures `(f, find(t))` are kept unique via the per-class
 //! successor tables.
 
-use fundb_term::{Func, FxHashMap, Interner, NodeId, TermTree};
+use fundb_term::{Func, FxHashMap, NodeId, TermTree};
 
 use crate::unionfind::UnionFind;
 
@@ -162,15 +162,6 @@ impl CongruenceClosure {
         self.uf.find(n.index())
     }
 
-    /// Renders a term for diagnostics.
-    pub fn display_term<'a>(
-        &'a self,
-        n: NodeId,
-        interner: &'a Interner,
-    ) -> fundb_term::tree::TermDisplay<'a> {
-        self.tree.display(n, interner)
-    }
-
     /// The symbol path of an interned term (innermost application first).
     pub fn path(&self, n: NodeId) -> Vec<Func> {
         self.tree.path(n)
@@ -226,6 +217,7 @@ impl CongruenceClosure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fundb_term::Interner;
 
     fn symbols(n: usize) -> (Interner, Vec<Func>) {
         let mut i = Interner::new();

@@ -19,7 +19,7 @@
 //! Cl(R) is infinite, the test needs to examine only finitely many terms,
 //! because of the finiteness of B and R."
 
-use crate::gendb::{AtomId, AtomInterner};
+use crate::gendb::AtomInterner;
 use crate::graphspec::GraphSpec;
 use crate::state::State;
 use fundb_congruence::CongruenceClosure;
@@ -251,15 +251,6 @@ impl EqSpec {
             .collect();
         out.sort_unstable();
         out
-    }
-
-    /// The slice atoms of `B` for a representative path, if present.
-    pub fn slice_of(&self, path: &[Func]) -> Option<impl Iterator<Item = AtomId> + '_> {
-        let q = self.cc.lookup_path(path)?;
-        self.primary
-            .iter()
-            .find(|(t, _)| *t == q)
-            .map(|(_, s)| s.iter())
     }
 }
 

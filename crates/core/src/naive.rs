@@ -64,18 +64,6 @@ impl BoundedMaterialization {
         Self::build(pure, depth, interner, false, &dl::Governor::default())
     }
 
-    /// Like [`BoundedMaterialization::run`], but the saturating fixpoint
-    /// runs under `governor`: its budgets and cancellation token bound the
-    /// grounding's (potentially enormous) saturation.
-    pub fn run_governed(
-        pure: &PureProgram,
-        depth: usize,
-        interner: &mut Interner,
-        governor: &dl::Governor,
-    ) -> Result<Self> {
-        Self::build(pure, depth, interner, false, governor)
-    }
-
     fn build(
         pure: &PureProgram,
         depth: usize,

@@ -28,14 +28,6 @@ impl NTerm {
             NTerm::Var(_) => None,
         }
     }
-
-    /// The variable, if this is one.
-    pub fn as_var(self) -> Option<Var> {
-        match self {
-            NTerm::Var(v) => Some(v),
-            NTerm::Const(_) => None,
-        }
-    }
 }
 
 /// A functional term (§2.1). Exactly one functional "spine" runs through the
@@ -348,13 +340,6 @@ impl FTerm {
                 ),
             }),
         )
-    }
-
-    /// Replaces the spine end (variable or `0`) with `inner`. Used by the
-    /// normalization pass to re-root terms.
-    pub fn replace_spine_end(&self, inner: &FTerm) -> FTerm {
-        let (steps, _) = self.decompose();
-        FTerm::rebuild(inner.clone(), steps.into_iter().rev())
     }
 }
 
@@ -702,13 +687,6 @@ impl Schema {
         self.sigs[&p]
     }
 
-    /// Predicates in deterministic (symbol-index) order.
-    pub fn preds_sorted(&self) -> Vec<Pred> {
-        let mut v: Vec<Pred> = self.sigs.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Number of predicates (`s` in §2.5).
     pub fn pred_count(&self) -> usize {
         self.sigs.len()
@@ -771,17 +749,6 @@ fn kind_name(functional: bool) -> &'static str {
 // ---------------------------------------------------------------------------
 // Display helpers
 // ---------------------------------------------------------------------------
-
-/// Renders a functional term.
-pub fn display_fterm<'a>(ft: &'a FTerm, interner: &'a Interner) -> impl fmt::Display + 'a {
-    struct D<'a>(&'a FTerm, &'a Interner);
-    impl fmt::Display for D<'_> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            fmt_fterm(self.0, self.1, f)
-        }
-    }
-    D(ft, interner)
-}
 
 fn fmt_fterm(ft: &FTerm, i: &Interner, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     // Iterative renderer. Runs of the temporal successor symbol `+1` are

@@ -32,12 +32,6 @@ impl<'a> QuotientModel<'a> {
         QuotientModel { spec }
     }
 
-    /// The universe size: clusters (the constants are shared with the
-    /// Herbrand side and not counted here).
-    pub fn universe_size(&self) -> usize {
-        self.spec.cluster_count()
-    }
-
     /// Function symbol interpretation: `f(cluster)`.
     pub fn apply(&self, f: Func, cluster: SpecNodeId) -> SpecNodeId {
         self.spec

@@ -11,37 +11,32 @@
 //! * [`FrozenGraphSpec`] — the graph specification `(B, F)` whose dense
 //!   `nodes × funcs` successor table, indexed through a flat symbol → column
 //!   map, makes the `Link` walk of a membership query a lock-free table
-//!   scan instead of per-step hash lookups; plus a hash-consed [`PathTrie`] memo
-//!   mapping `[Func]` prefixes to representative nodes (repeated or
-//!   overlapping lookups cost O(unseen suffix)), and a lock-striped answer
-//!   cache keyed by `(Pred, canonical representative, args)`.
+//!   scan instead of per-step hash lookups; plus a hash-consed [`PathTrie`]
+//!   memo mapping `[Func]` prefixes to representative nodes (repeated or
+//!   overlapping lookups cost O(unseen suffix)).
 //! * [`FrozenEqSpec`] — the equational specification `(B, R)` with the
 //!   congruence closure precomputed into a class-transition DFA
 //!   ([`fundb_congruence::FrozenClosure`]) with every term's class resolved
 //!   at freeze time, removing the `&mut self` poison from
 //!   [`EqSpec::holds`]/[`EqSpec::congruent`].
 //!
-//! **Cache-key soundness.** The answer cache is keyed by the canonical
-//! representative, not the queried path: `P(t₀, ā) ∈ L` depends on `t₀`
-//! only through its cluster of the state congruence `≅` (Theorem 3.1 — all
-//! members of a cluster carry the same slice `L[t]`), and the successor
-//! walk maps every path to its cluster's representative. Distinct paths in
-//! the same cluster therefore *must* share a cache line, and paths in
-//! different clusters never collide because their representatives differ.
-//! The cache stores only `(key → bool)` pairs that [`FrozenGraphSpec`]
-//! itself computed from immutable data, so a hit is always byte-identical
-//! to a recomputation — caching affects throughput, never answers.
+//! **A read is a walk and a probe.** `P(t₀, ā) ∈ L` depends on `t₀` only
+//! through its cluster of the state congruence `≅` (Theorem 3.1 — all
+//! members of a cluster carry the same slice `L[t]`), so a functional read
+//! is the `Link` walk to the cluster's representative followed by one slice
+//! probe (`atoms.get` plus `State::contains`); a relational read is one
+//! dedup-table probe. Neither takes a lock. There is no answer cache: the
+//! walk would have to run before any cache lookup, and the probe a cache
+//! hit saves costs as much as the lookup itself.
 //!
 //! **Batching.** [`FrozenGraphSpec::answer_batch`] fans a query slice out
 //! over `std::thread::scope` workers, each writing a disjoint input-ordered
 //! chunk of the output vector — results are byte-identical at any thread
 //! count (the determinism contract of the parallel fixpoint rounds, held
-//! to on the read path). Governed variants poll
-//! [`Governor::checkpoint`](dl::Governor::checkpoint) at chunk boundaries
-//! and surface trips as [`dl::EvalError`] without poisoning any cache
-//! shard: every shard lock is taken through
-//! [`PoisonError::into_inner`], so a panicking worker can never wedge the
-//! cache for later readers.
+//! to on the read path). Workers poll
+//! [`Governor::checkpoint`](dl::Governor::checkpoint) every
+//! [`CHECKPOINT_EVERY`] queries and surface trips as [`dl::EvalError`];
+//! the snapshot is never written by a read, so later reads stay exact.
 
 use crate::eqspec::EqSpec;
 use crate::gendb::AtomInterner;
@@ -49,23 +44,11 @@ use crate::graphspec::{GraphSpec, SpecNodeId};
 use crate::state::State;
 use fundb_congruence::FrozenClosure;
 use fundb_datalog as dl;
-use fundb_term::{Cst, Func, FxHashMap, FxHasher, PathTrie, Pred};
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError, RwLock};
+use fundb_term::{Cst, Func, FxHashMap, PathTrie, Pred};
+use std::sync::{PoisonError, RwLock};
 
-/// Number of answer-cache shards (a power of two; the shard is the low
-/// bits of the key hash). Striping bounds contention: concurrent readers
-/// only collide when their keys share a shard.
-const CACHE_SHARDS: usize = 16;
-
-/// Sentinel "representative" for relational (non-functional) cache keys;
-/// unreachable as a real node index (node interning fails first).
-const REL_REP: u32 = u32::MAX;
-
-/// How many queries a governed batch worker answers between governor
-/// checkpoints.
-const GOVERNED_CHUNK: usize = 64;
+/// How many queries a batch worker answers between governor checkpoints.
+const CHECKPOINT_EVERY: usize = 64;
 
 /// One yes/no membership question against a frozen specification.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -88,30 +71,23 @@ pub enum ServeQuery {
     },
 }
 
-/// Cumulative answer-cache counters of a frozen specification.
+/// Answer-cache counters of a frozen specification. [`FrozenGraphSpec`]
+/// has no answer cache, so both fields are always zero; the type and
+/// [`FrozenGraphSpec::serve_stats`] remain only because the `spec_serving`
+/// benchmark workload reads them.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Queries answered from the striped cache.
+    /// Queries answered from a cache (always 0).
     pub hits: u64,
-    /// Queries computed and inserted (first sight of their key).
+    /// Queries computed on a cache miss (always 0).
     pub misses: u64,
-    /// Cache entries dropped by [`FrozenGraphSpec::patch_retraction`]
-    /// (entries outside the recomputed cone are never touched).
-    pub patches: u64,
 }
-
-/// One cached answer: the owned key confirms hash-bucket candidates. The
-/// `u64` component is the *adornment* of the goal (bound-argument bitmask,
-/// see [`dl::magic`]): membership probes are fully ground (all-bound), and
-/// keying on the adorned goal keeps warm serving composable with
-/// demand-driven answering, which caches per binding pattern.
-type CacheEntry = ((Pred, u32, u64, Box<[Cst]>), bool);
 
 /// An immutable, shareable graph specification `(B, F)` snapshot.
 ///
-/// All methods take `&self`; the only interior locking on the hot hit path
-/// is the striped answer cache (the successor walk itself is a lock-free
-/// dense-array scan). Wrap it in an `Arc` to share across threads.
+/// All methods take `&self`, and membership reads take no lock (only the
+/// optional path memo of [`Self::representative_memoized`] does). Wrap it
+/// in an `Arc` to share across threads.
 pub struct FrozenGraphSpec {
     /// The sealed specification; its dense successor table is what the
     /// `Link` walk reads.
@@ -123,32 +99,15 @@ pub struct FrozenGraphSpec {
     rank: Vec<u32>,
     /// Hash-consed `[Func]`-prefix → representative-node memo.
     memo: RwLock<PathTrie>,
-    /// Lock-striped answer cache: shard by key hash, hash-bucket entries
-    /// confirmed against the owned key.
-    shards: Vec<Mutex<FxHashMap<u64, Vec<CacheEntry>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    /// Monotone patch epoch: bumped by every
-    /// [`patch_retraction`](Self::patch_retraction), so serving layers can
-    /// tag answers (or downstream caches) with the spec version they were
-    /// computed against and detect staleness without locking a shard.
-    epoch: AtomicU64,
-    /// Cache entries dropped across all patches.
-    patched: AtomicU64,
 }
 
 impl std::fmt::Debug for FrozenGraphSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "FrozenGraphSpec({:?}, memo {} prefixes, cache {} hits / {} misses)",
+            "FrozenGraphSpec({:?}, memo {} prefixes)",
             self.spec,
-            self.memo
-                .read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len(),
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
+            self.memo_len()
         )
     }
 }
@@ -156,29 +115,7 @@ impl std::fmt::Debug for FrozenGraphSpec {
 impl GraphSpec {
     /// Seals the specification into an immutable, shareable snapshot.
     pub fn freeze(self) -> FrozenGraphSpec {
-        match FrozenGraphSpec::build(self, None) {
-            Ok(frozen) => frozen,
-            Err(_) => unreachable!("ungoverned freeze cannot trip a budget"),
-        }
-    }
-
-    /// Governed variant of [`GraphSpec::freeze`]: polls the governor's
-    /// cancellation/deadline gate before sealing and returns
-    /// [`dl::EvalError::BudgetExhausted`] on a trip.
-    pub fn freeze_governed(
-        self,
-        governor: &dl::Governor,
-    ) -> Result<FrozenGraphSpec, dl::EvalError> {
-        FrozenGraphSpec::build(self, Some(governor))
-    }
-}
-
-impl FrozenGraphSpec {
-    fn build(spec: GraphSpec, governor: Option<&dl::Governor>) -> Result<Self, dl::EvalError> {
-        if let Some(gov) = governor {
-            checkpoint(gov)?;
-        }
-        let max_sym = spec
+        let max_sym = self
             .funcs
             .symbols()
             .iter()
@@ -186,32 +123,27 @@ impl FrozenGraphSpec {
             .max()
             .map_or(0, |m| m + 1);
         let mut rank = vec![u32::MAX; max_sym];
-        for (r, &f) in spec.funcs.symbols().iter().enumerate() {
+        for (r, &f) in self.funcs.symbols().iter().enumerate() {
             rank[f.sym().index()] = r as u32;
         }
-        Ok(FrozenGraphSpec {
-            nfuncs: spec.funcs.len(),
-            spec,
+        FrozenGraphSpec {
+            nfuncs: self.funcs.len(),
+            spec: self,
             rank,
             memo: RwLock::new(PathTrie::new(0)),
-            shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(FxHashMap::default()))
-                .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
-            patched: AtomicU64::new(0),
-        })
+        }
     }
+}
 
+impl FrozenGraphSpec {
     /// The sealed specification (for structural accessors, rendering, and
     /// compiled query evaluation).
     pub fn spec(&self) -> &GraphSpec {
         &self.spec
     }
 
-    /// Unseals the snapshot, returning the owned specification (the memo
-    /// and cache are discarded).
+    /// Unseals the snapshot, returning the owned specification (the path
+    /// memo is discarded).
     pub fn thaw(self) -> GraphSpec {
         self.spec
     }
@@ -219,8 +151,8 @@ impl FrozenGraphSpec {
     /// Persists the sealed specification to `path` in the versioned binary
     /// spec format ([`crate::spec_io::SPEC_BIN_MAGIC`]), so a served spec
     /// can be durably snapshotted without thawing the live snapshot. The
-    /// memo and answer cache are *not* written — they are derived data a
-    /// reload rebuilds on demand.
+    /// path memo is *not* written — it is derived data a reload rebuilds
+    /// on demand.
     pub fn save_binary(
         &self,
         path: &str,
@@ -246,59 +178,26 @@ impl FrozenGraphSpec {
             .freeze())
     }
 
-    /// Cumulative answer-cache counters.
+    /// Answer-cache counters: always zero, since reads are computed
+    /// straight from the sealed spec. Kept for the `spec_serving`
+    /// benchmark workload, which reads them.
     pub fn serve_stats(&self) -> ServeStats {
-        ServeStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            patches: self.patched.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The current patch epoch (0 at freeze; +1 per
-    /// [`patch_retraction`](Self::patch_retraction)).
-    pub fn patch_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
+        ServeStats::default()
     }
 
     /// Patches the sealed snapshot after a completed incremental
     /// retraction in the backing relational database, instead of
     /// re-freezing: applies the retraction's *net* row deletions (the
     /// over-delete set minus re-derived survivors) to the sealed
-    /// relational store and invalidates only the answer-cache entries
-    /// whose predicate lies in the recomputed cone. The functional side
-    /// (successor table, node states, path memo) depends on the program
-    /// alone, so cached entries outside the cone — including every
-    /// `Member` answer under an untouched predicate — stay warm and
-    /// remain byte-identical to recomputation. Bumps the patch epoch;
-    /// returns the number of cache entries dropped.
+    /// relational store. The functional side (successor table, node
+    /// states, path memo) depends on the program alone and is untouched.
+    /// Returns the number of rows retracted.
     ///
     /// Takes `&mut self` deliberately: patching is a maintenance-window
     /// operation (`Arc::get_mut`, or before sharing), so readers never
     /// observe a half-applied cone.
     pub fn patch_retraction(&mut self, outcome: &dl::RetractOutcome) -> usize {
-        retract_net_rows(&mut self.spec.nf, outcome);
-        let mut cone: Vec<Pred> = Vec::new();
-        for (p, _) in outcome.net_deleted() {
-            if !cone.contains(&p) {
-                cone.push(p);
-            }
-        }
-        let mut dropped = 0usize;
-        if !cone.is_empty() {
-            for shard in &self.shards {
-                let mut guard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-                for entries in guard.values_mut() {
-                    let before = entries.len();
-                    entries.retain(|((p, _, _, _), _)| !cone.contains(p));
-                    dropped += before - entries.len();
-                }
-                guard.retain(|_, entries| !entries.is_empty());
-            }
-        }
-        self.patched.fetch_add(dropped as u64, Ordering::Relaxed);
-        self.epoch.fetch_add(1, Ordering::Relaxed);
-        dropped
+        self.spec.patch_retraction(outcome)
     }
 
     /// Number of memoized path prefixes (including the empty one).
@@ -360,30 +259,22 @@ impl FrozenGraphSpec {
         Some(SpecNodeId::from_dense_index(cur as usize))
     }
 
-    /// Yes-no membership `P(t₀, ā) ∈ L`, answered through the striped
-    /// cache (keyed by the canonical representative of `t₀`, so every
-    /// member of a cluster shares one cache line).
+    /// Yes-no membership `P(t₀, ā) ∈ L`: the `Link` walk to the
+    /// representative of `t₀`, then one probe of its slice.
     pub fn holds(&self, pred: Pred, path: &[Func], args: &[Cst]) -> bool {
         let Some(rep) = self.rep_index(path) else {
             return false; // outside the vocabulary: not in L (Prop. 2.1)
         };
-        self.cached(pred, rep, dl::magic::all_bound(args.len()), args, |spec| {
-            spec.atoms
-                .get(pred, args)
-                .is_some_and(|id| spec.nodes[rep as usize].state.contains(id))
-        })
+        self.spec
+            .atoms
+            .get(pred, args)
+            .is_some_and(|id| self.spec.nodes[rep as usize].state.contains(id))
     }
 
-    /// Yes-no membership for a relational tuple, through the same cache
-    /// (under a sentinel representative).
+    /// Yes-no membership for a relational tuple: one probe of the
+    /// relational store.
     pub fn holds_relational(&self, pred: Pred, args: &[Cst]) -> bool {
-        self.cached(
-            pred,
-            REL_REP,
-            dl::magic::all_bound(args.len()),
-            args,
-            |spec| spec.nf.contains(pred, args),
-        )
+        self.spec.nf.contains(pred, args)
     }
 
     /// Answers one query.
@@ -394,44 +285,20 @@ impl FrozenGraphSpec {
         }
     }
 
-    /// Answers a batch of queries in parallel, one output per input in
-    /// input order. Workers own disjoint chunks of the output, so the
-    /// result is byte-identical at any worker count; the shared cache
-    /// affects throughput only.
-    pub fn answer_batch(&self, queries: &[ServeQuery]) -> Vec<bool> {
-        self.answer_batch_threads(queries, dl::default_threads())
-    }
-
-    /// [`Self::answer_batch`] with an explicit worker count.
-    pub fn answer_batch_threads(&self, queries: &[ServeQuery], threads: usize) -> Vec<bool> {
-        match self.batch_inner(queries, threads, None) {
-            Ok(answers) => answers,
-            Err(_) => unreachable!("ungoverned batch cannot trip a budget"),
-        }
-    }
-
-    /// Governed batch answering: workers poll the governor's
-    /// cancellation/deadline gate every [`GOVERNED_CHUNK`] queries; a trip
-    /// discards the batch and returns [`dl::EvalError::BudgetExhausted`].
-    /// The cache is left fully usable (completed entries stay).
-    pub fn answer_batch_governed(
+    /// Answers a batch of queries on up to `threads` workers, one output
+    /// per input in input order. Workers own disjoint chunks of the
+    /// output, so the result is byte-identical at any worker count. Each
+    /// worker polls the governor's cancellation/deadline gate every
+    /// [`CHECKPOINT_EVERY`] queries; a trip discards the batch and returns
+    /// [`dl::EvalError::BudgetExhausted`]. Pass `&Governor::default()` for
+    /// an unbounded batch.
+    pub fn answer_batch(
         &self,
         queries: &[ServeQuery],
+        threads: usize,
         governor: &dl::Governor,
-        threads: usize,
     ) -> Result<Vec<bool>, dl::EvalError> {
-        self.batch_inner(queries, threads, Some(governor))
-    }
-
-    fn batch_inner(
-        &self,
-        queries: &[ServeQuery],
-        threads: usize,
-        governor: Option<&dl::Governor>,
-    ) -> Result<Vec<bool>, dl::EvalError> {
-        if let Some(gov) = governor {
-            checkpoint(gov)?;
-        }
+        governor.checkpoint().map_err(budget_exhausted)?;
         if queries.is_empty() {
             return Ok(Vec::new());
         }
@@ -446,10 +313,8 @@ impl FrozenGraphSpec {
                 .map(|(qs, outs)| {
                     s.spawn(move || -> Result<(), dl::Resource> {
                         for (i, (q, out)) in qs.iter().zip(outs.iter_mut()).enumerate() {
-                            if let Some(gov) = governor {
-                                if i % GOVERNED_CHUNK == 0 {
-                                    gov.checkpoint()?;
-                                }
+                            if i % CHECKPOINT_EVERY == 0 {
+                                governor.checkpoint()?;
                             }
                             *out = self.answer(q);
                         }
@@ -466,57 +331,9 @@ impl FrozenGraphSpec {
             }
         });
         match tripped {
-            Some(resource) => Err(dl::EvalError::BudgetExhausted {
-                resource,
-                partial: dl::EvalStats::default(),
-            }),
+            Some(resource) => Err(budget_exhausted(resource)),
             None => Ok(answers),
         }
-    }
-
-    /// Looks the adorned goal `(pred, rep, adorn, args)` up in the striped
-    /// cache, computing and inserting via `compute` on first sight. Shard
-    /// locks are recovered from poisoning, so a panicked worker cannot
-    /// wedge the cache.
-    fn cached(
-        &self,
-        pred: Pred,
-        rep: u32,
-        adorn: u64,
-        args: &[Cst],
-        compute: impl FnOnce(&GraphSpec) -> bool,
-    ) -> bool {
-        let mut hasher = FxHasher::default();
-        pred.hash(&mut hasher);
-        rep.hash(&mut hasher);
-        adorn.hash(&mut hasher);
-        args.hash(&mut hasher);
-        let h = hasher.finish();
-        let shard = &self.shards[h as usize & (CACHE_SHARDS - 1)];
-        {
-            let guard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(entries) = guard.get(&h) {
-                for ((p, r, ad, a), ans) in entries {
-                    if *p == pred && *r == rep && *ad == adorn && a.as_ref() == args {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return *ans;
-                    }
-                }
-            }
-        }
-        // Miss: compute outside the lock (the computation only reads
-        // immutable data), then insert if no racing worker beat us to it.
-        let ans = compute(&self.spec);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut guard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-        let entries = guard.entry(h).or_default();
-        if !entries
-            .iter()
-            .any(|((p, r, ad, a), _)| *p == pred && *r == rep && *ad == adorn && a.as_ref() == args)
-        {
-            entries.push(((pred, rep, adorn, args.to_vec().into_boxed_slice()), ans));
-        }
-        ans
     }
 }
 
@@ -608,8 +425,8 @@ impl FrozenEqSpec {
     /// [`FrozenGraphSpec::patch_retraction`]: applies a completed
     /// retraction's net row deletions to the sealed relational store.
     /// The congruence side (closure, shallow/deep slices) depends on the
-    /// program alone and is untouched; there is no answer cache here, so
-    /// only the rows move. Returns the number of rows retracted.
+    /// program alone and is untouched. Returns the number of rows
+    /// retracted.
     pub fn patch_retraction(&mut self, outcome: &dl::RetractOutcome) -> usize {
         retract_net_rows(&mut self.nf, outcome)
     }
@@ -643,12 +460,11 @@ pub(crate) fn retract_net_rows(nf: &mut dl::Database, outcome: &dl::RetractOutco
 }
 
 /// Maps a governor checkpoint trip to the serving layer's error shape.
-fn checkpoint(gov: &dl::Governor) -> Result<(), dl::EvalError> {
-    gov.checkpoint()
-        .map_err(|resource| dl::EvalError::BudgetExhausted {
-            resource,
-            partial: dl::EvalStats::default(),
-        })
+fn budget_exhausted(resource: dl::Resource) -> dl::EvalError {
+    dl::EvalError::BudgetExhausted {
+        resource,
+        partial: dl::EvalStats::default(),
+    }
 }
 
 #[cfg(test)]
@@ -699,14 +515,8 @@ mod tests {
                 "Even({n})"
             );
         }
-        let stats = frozen.serve_stats();
-        assert_eq!(stats.hits + stats.misses, 64);
-        // Second sweep: every answer now comes from the cache.
-        for n in 0..64usize {
-            assert_eq!(frozen.holds(even, &vec![plus; n], &[]), n % 2 == 0);
-        }
-        let stats = frozen.serve_stats();
-        assert!(stats.hits >= 64, "warm sweep should hit: {stats:?}");
+        // There is no answer cache to count.
+        assert_eq!(frozen.serve_stats(), ServeStats::default());
     }
 
     #[test]
@@ -787,54 +597,13 @@ mod tests {
         let seq: Vec<bool> = queries.iter().map(|q| frozen.answer(q)).collect();
         for threads in [1usize, 2, 4, 8] {
             assert_eq!(
-                frozen.answer_batch_threads(&queries, threads),
+                frozen
+                    .answer_batch(&queries, threads, &dl::Governor::default())
+                    .unwrap(),
                 seq,
                 "{threads} threads"
             );
         }
-    }
-
-    #[test]
-    fn relational_membership_is_cached() {
-        let mut i = Interner::new();
-        let meets = Pred(i.intern("Meets"));
-        let next = Pred(i.intern("Next"));
-        let succ = Func(i.intern("succ"));
-        let (t, x, y) = (Var(i.intern("t")), Var(i.intern("x")), Var(i.intern("y")));
-        let (tony, jan) = (Cst(i.intern("tony")), Cst(i.intern("jan")));
-        let mut prog = Program::new();
-        prog.push(Rule::new(
-            fat(
-                meets,
-                FTerm::Pure(succ, Box::new(FTerm::Var(t))),
-                vec![NTerm::Var(y)],
-            ),
-            vec![
-                fat(meets, FTerm::Var(t), vec![NTerm::Var(x)]),
-                Atom::Relational {
-                    pred: next,
-                    args: vec![NTerm::Var(x), NTerm::Var(y)],
-                },
-            ],
-        ));
-        let mut db = Database::new();
-        db.facts
-            .push(fat(meets, FTerm::Zero, vec![NTerm::Const(tony)]));
-        db.facts.push(Atom::Relational {
-            pred: next,
-            args: vec![NTerm::Const(tony), NTerm::Const(jan)],
-        });
-        db.facts.push(Atom::Relational {
-            pred: next,
-            args: vec![NTerm::Const(jan), NTerm::Const(tony)],
-        });
-        let mut engine = Engine::build(&prog, &db, &mut i).unwrap();
-        let frozen = GraphSpec::from_engine(&mut engine).unwrap().freeze();
-        assert!(frozen.holds_relational(next, &[tony, jan]));
-        assert!(!frozen.holds_relational(next, &[jan, jan]));
-        assert!(frozen.holds_relational(next, &[tony, jan]));
-        let stats = frozen.serve_stats();
-        assert_eq!((stats.hits, stats.misses), (1, 2));
     }
 
     #[test]
@@ -873,13 +642,9 @@ mod tests {
         });
         let mut engine = Engine::build(&prog, &db, &mut i).unwrap();
         let mut frozen = GraphSpec::from_engine(&mut engine).unwrap().freeze();
-        assert_eq!(frozen.patch_epoch(), 0);
-        // Warm both a relational entry (in the future cone) and a
-        // functional entry (outside it).
         assert!(frozen.holds_relational(next, &[tony, jan]));
+        assert!(!frozen.holds_relational(next, &[jan, jan]));
         assert!(frozen.holds(meets, &[succ], &[jan]));
-        let cold = frozen.serve_stats();
-        assert_eq!(cold.misses, 2);
 
         let outcome = dl::RetractOutcome {
             found: true,
@@ -887,32 +652,21 @@ mod tests {
             restored: Vec::new(),
             stats: dl::EvalStats::default(),
         };
-        let dropped = frozen.patch_retraction(&outcome);
-        assert_eq!(dropped, 1, "only the Next entry is in the cone");
-        assert_eq!(frozen.patch_epoch(), 1);
-        assert_eq!(frozen.serve_stats().patches, 1);
+        assert_eq!(frozen.patch_retraction(&outcome), 1);
 
-        // The patched store answers the retracted row with `false` (a
-        // fresh miss, not a stale hit) …
+        // The retracted row is gone; rows and functional answers outside
+        // the cone are untouched.
         assert!(!frozen.holds_relational(next, &[tony, jan]));
-        // … while the functional entry outside the cone is still warm.
-        let before = frozen.serve_stats().hits;
+        assert!(frozen.holds_relational(next, &[jan, tony]));
         assert!(frozen.holds(meets, &[succ], &[jan]));
-        assert_eq!(frozen.serve_stats().hits, before + 1);
     }
 
     #[test]
-    fn governed_freeze_and_batch_trip_cleanly() {
+    fn governed_batch_trips_cleanly() {
         let (_i, spec, even, plus) = even_spec();
         let cancelled =
             dl::Governor::new(dl::Budget::unlimited()).with_faults(dl::FaultPlan::default());
         cancelled.cancel();
-        let err = spec.clone().freeze_governed(&cancelled).unwrap_err();
-        let dl::EvalError::BudgetExhausted { resource, .. } = err else {
-            panic!("expected BudgetExhausted");
-        };
-        assert_eq!(resource, dl::Resource::Cancelled);
-
         let frozen = spec.freeze();
         let queries: Vec<ServeQuery> = (0..32usize)
             .map(|n| ServeQuery::Member {
@@ -921,9 +675,7 @@ mod tests {
                 args: vec![],
             })
             .collect();
-        let err = frozen
-            .answer_batch_governed(&queries, &cancelled, 4)
-            .unwrap_err();
+        let err = frozen.answer_batch(&queries, 4, &cancelled).unwrap_err();
         assert!(matches!(
             err,
             dl::EvalError::BudgetExhausted {
@@ -931,9 +683,11 @@ mod tests {
                 ..
             }
         ));
-        // The cache shards stay usable after the trip.
+        // Reads after the trip stay exact.
         assert_eq!(
-            frozen.answer_batch_threads(&queries, 2),
+            frozen
+                .answer_batch(&queries, 2, &dl::Governor::default())
+                .unwrap(),
             queries.iter().map(|q| frozen.answer(q)).collect::<Vec<_>>()
         );
     }

@@ -495,6 +495,9 @@ pub fn read_spec_binary(bytes: &[u8], interner: &mut Interner) -> Result<SpecBun
     for _ in 0..nrels {
         let pred = Pred(sym(r.u32()?)?);
         let arity = r.u32()? as usize;
+        if nf.relation(pred).is_some_and(|rel| rel.arity() != arity) {
+            return Err(bin_err("one relational predicate with two arities"));
+        }
         let nrows = r.u64()? as usize;
         for _ in 0..nrows {
             row_buf.clear();
@@ -750,6 +753,12 @@ pub fn read_spec(text: &str, interner: &mut Interner) -> Result<SpecBundle> {
                 }
                 let pred = Pred(interner.intern(rest[0]));
                 let row: Vec<Cst> = rest[1..].iter().map(|n| Cst(interner.intern(n))).collect();
+                if nf
+                    .relation(pred)
+                    .is_some_and(|rel| rel.arity() != row.len())
+                {
+                    return Err(err(lineno, "`nf` predicate used with two arities"));
+                }
                 nf.insert(pred, &row);
             }
             "merge" => {
@@ -1136,6 +1145,12 @@ mod tests {
     /// `(from, string id, to)`; string 0 is `+1`, string 1 is `Even`,
     /// string 2 is `g`.
     fn even_binary(succ: &[(u32, u32, u32)]) -> Vec<u8> {
+        even_binary_with_rels(succ, &[])
+    }
+
+    /// [`even_binary`] plus one relation block per `(pred, row)` entry,
+    /// each holding that single row (all as string ids).
+    fn even_binary_with_rels(succ: &[(u32, u32, u32)], rels: &[(u32, &[u32])]) -> Vec<u8> {
         let mut body = Vec::new();
         put_u32(&mut body, 3);
         for name in ["+1", "Even", "g"] {
@@ -1159,9 +1174,41 @@ mod tests {
             put_u32(&mut body, f);
             put_u32(&mut body, to);
         }
-        put_u32(&mut body, 0); // no relations
+        put_u32(&mut body, rels.len() as u32);
+        for &(pred, row) in rels {
+            put_u32(&mut body, pred);
+            put_u32(&mut body, row.len() as u32);
+            put_u64(&mut body, 1);
+            for &c in row {
+                put_u32(&mut body, c);
+            }
+        }
         put_u32(&mut body, 0); // no merges
         framed(&body)
+    }
+
+    /// One `nf` predicate at two arities used to panic inside the
+    /// relational store; every reader now refuses it.
+    #[test]
+    fn readers_reject_a_predicate_with_two_arities() {
+        let mut i = Interner::new();
+        let text = "fundbspec 1\nc 0\nfuncs +1\nnode 0 -\natom 0 Meets S0\n\
+                    succ 0 +1 0\nnf Next S0 S1\nnf Next S0\nend\n";
+        let err = read_spec(text, &mut i).err().unwrap();
+        assert!(err.to_string().contains("two arities"), "{err}");
+        let bytes = even_binary_with_rels(&[(0, 0, 1), (1, 0, 0)], &[(2, &[]), (2, &[2])]);
+        let err = read_spec_binary(&bytes, &mut i).err().unwrap();
+        assert!(err.to_string().contains("two arities"), "{err}");
+        // The same blocks at one arity are accepted.
+        let bytes = even_binary_with_rels(&[(0, 0, 1), (1, 0, 0)], &[(2, &[2]), (2, &[0])]);
+        assert_eq!(
+            read_spec_binary(&bytes, &mut i)
+                .unwrap()
+                .spec
+                .nf
+                .fact_count(),
+            2
+        );
     }
 
     #[test]

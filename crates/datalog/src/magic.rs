@@ -50,16 +50,6 @@ use fundb_term::{Cst, FxHashMap, FxHashSet, Interner, Pred, Sym, Var};
 /// matching the composite-index signature width used by the compiler.
 pub const MAX_ADORNED_ARITY: usize = 64;
 
-/// The all-bound adornment for an `arity`-column goal: the binding pattern of
-/// a fully ground atom. Used by answer caches that key on the adorned goal.
-pub fn all_bound(arity: usize) -> u64 {
-    if arity >= MAX_ADORNED_ARITY {
-        u64::MAX
-    } else {
-        (1u64 << arity) - 1
-    }
-}
-
 /// Renders an adornment bitmask as the conventional `b`/`f` string, e.g.
 /// `0b01` over arity 2 → `"bf"`.
 pub fn adornment_str(mask: u64, arity: usize) -> String {
@@ -757,8 +747,5 @@ mod tests {
         assert_eq!(adornment_str(0b01, 2), "bf");
         assert_eq!(adornment_str(0b10, 2), "fb");
         assert_eq!(adornment_str(0b11, 2), "bb");
-        assert_eq!(all_bound(0), 0);
-        assert_eq!(all_bound(2), 0b11);
-        assert_eq!(all_bound(64), u64::MAX);
     }
 }

@@ -33,11 +33,6 @@ impl Elaborator {
         Self::default()
     }
 
-    /// Whether a predicate name is (currently known to be) functional.
-    pub fn is_functional(&self, pred: &str) -> bool {
-        self.functional.contains(pred)
-    }
-
     /// Forces a predicate to be treated as functional — used when the kinds
     /// come from an external source (e.g. a loaded specification file)
     /// rather than from syntactic evidence.

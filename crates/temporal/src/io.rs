@@ -132,6 +132,12 @@ pub fn read_lasso(text: &str, interner: &mut Interner) -> Result<TemporalSpec> {
             ["nf", pred, args @ ..] => {
                 let pred = Pred(interner.intern(pred));
                 let row: Vec<Cst> = args.iter().map(|n| Cst(interner.intern(n))).collect();
+                if nf
+                    .relation(pred)
+                    .is_some_and(|rel| rel.arity() != row.len())
+                {
+                    return Err(err(lineno, "`nf` predicate used with two arities"));
+                }
                 nf.insert(pred, &row);
             }
             ["end"] => {
@@ -238,6 +244,8 @@ mod tests {
             "fundblasso 1\nrho 18446744073709551615\nlambda 1\nend\n",
             "fundblasso 1\nrho 0\nlambda 18446744073709551615\nend\n",
             "fundblasso 1\nrho 4000000000\nlambda 1\nend\n",
+            // One `nf` predicate at two arities.
+            "fundblasso 1\nrho 0\nlambda 1\nnf P a\nnf P a b\nend\n",
         ] {
             assert!(read_lasso(bad, &mut i).is_err(), "accepted: {bad:?}");
         }

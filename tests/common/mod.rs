@@ -25,6 +25,11 @@ pub struct GenConfig {
     /// Restrict to forward rules (no body atom deeper than the head):
     /// bounded materialization is then exact up to its depth.
     pub forward_only: bool,
+    /// Also draw the rule shapes the temporal line treats specially:
+    /// functional heads at offset 2 (`f(f(s))`), and relational heads
+    /// (`R(x)` or `R(C)`) over functional bodies, so the relational store
+    /// grows while the line is being computed.
+    pub temporal_shapes: bool,
 }
 
 impl Default for GenConfig {
@@ -36,6 +41,7 @@ impl Default for GenConfig {
             rules: 4,
             facts: 3,
             forward_only: false,
+            temporal_shapes: false,
         }
     }
 }
@@ -77,8 +83,13 @@ pub fn random_program(cfg: GenConfig, seed: u64) -> Generated {
 
     let mut program = Program::new();
     for _ in 0..cfg.rules {
-        // Offsets: body atoms at s (0) or f(s) (1); head likewise.
-        let head_off = rng.gen_range(0..=1usize);
+        // Offsets: body atoms at s (0) or f(s) (1); head likewise, or at
+        // f(f(s)) (2) under `temporal_shapes`.
+        let head_off = if cfg.temporal_shapes {
+            rng.gen_range(0..=2usize)
+        } else {
+            rng.gen_range(0..=1usize)
+        };
         let body_len = rng.gen_range(1..=2usize);
         let mut body = Vec::new();
         let mut body_has_zero = false;
@@ -117,15 +128,23 @@ pub fn random_program(cfg: GenConfig, seed: u64) -> Generated {
                 args: vec![NTerm::Var(x)],
             });
         }
-        let head_ft = if head_off == 0 {
-            FTerm::Var(s)
+        let head = if cfg.temporal_shapes && rng.gen_bool(0.25) {
+            let arg = if rng.gen_bool(0.5) {
+                NTerm::Var(x)
+            } else {
+                NTerm::Const(consts[rng.gen_range(0..consts.len())])
+            };
+            Atom::Relational {
+                pred: rel,
+                args: vec![arg],
+            }
         } else {
-            FTerm::Pure(
-                funcs[rng.gen_range(0..funcs.len())],
-                Box::new(FTerm::Var(s)),
-            )
+            let mut head_ft = FTerm::Var(s);
+            for _ in 0..head_off {
+                head_ft = FTerm::Pure(funcs[rng.gen_range(0..funcs.len())], Box::new(head_ft));
+            }
+            fat(preds[rng.gen_range(0..preds.len())], head_ft, NTerm::Var(x))
         };
-        let head = fat(preds[rng.gen_range(0..preds.len())], head_ft, NTerm::Var(x));
         program.push(Rule::new(head, body));
     }
 

@@ -484,11 +484,18 @@ mod temporal_and_io {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-        /// Single-symbol forward programs: lasso answers == engine answers.
+        /// Single-symbol forward programs: lasso answers == engine answers,
+        /// including heads at `t+2` and relational heads that grow the
+        /// relational store while the line is computed.
         #[test]
         fn temporal_fast_path_matches_engine(seed in any::<u64>()) {
             let mut gen = random_program(
-                GenConfig { funcs: 1, forward_only: true, ..GenConfig::default() },
+                GenConfig {
+                    funcs: 1,
+                    forward_only: true,
+                    temporal_shapes: true,
+                    ..GenConfig::default()
+                },
                 seed,
             );
             prop_assume!(
@@ -510,6 +517,13 @@ mod temporal_and_io {
                         );
                     }
                 }
+            }
+            for &c in &gen.consts {
+                prop_assert_eq!(
+                    spec.holds_relational(gen.rel, &[c]),
+                    engine.holds_relational(gen.rel, &[c]),
+                    "seed {} relational {:?}", seed, c
+                );
             }
         }
 

@@ -215,7 +215,9 @@ fn check_relational(s: &Scenario) {
     }
     for threads in THREADS {
         assert_eq!(
-            frozen.answer_batch_threads(&queries, threads),
+            frozen
+                .answer_batch(&queries, threads, &dl::Governor::default())
+                .unwrap(),
             expected,
             "{ctx}: frozen batch disagrees at {threads} threads"
         );
@@ -360,7 +362,9 @@ fn check_temporal(t: &TemporalScenario) {
     let _ = check_point; // release the &mut queries/expected captures
     for threads in THREADS {
         assert_eq!(
-            frozen.answer_batch_threads(&queries, threads),
+            frozen
+                .answer_batch(&queries, threads, &dl::Governor::default())
+                .unwrap(),
             expected,
             "{ctx}: frozen batch disagrees at {threads} threads"
         );

@@ -10,7 +10,8 @@ mod common;
 use common::{all_paths, random_program, GenConfig};
 use fundb_core::program::{Atom, FTerm, NTerm};
 use fundb_core::{
-    normalize, to_pure, BoundedMaterialization, Engine, EqSpec, GraphSpec, Query, ServeQuery,
+    normalize, to_pure, BoundedMaterialization, Engine, EqSpec, Governor, GraphSpec, Query,
+    ServeQuery,
 };
 use proptest::prelude::*;
 
@@ -77,7 +78,7 @@ proptest! {
                 }
             }
         }
-        // Relational membership goes through the frozen answer cache too.
+        // Relational membership agrees too.
         for &c in &gen.consts {
             let expected = spec.holds_relational(gen.rel, &[c]);
             prop_assert_eq!(frozen.holds_relational(gen.rel, &[c]), expected);
@@ -98,8 +99,7 @@ proptest! {
 
     /// On general programs the frozen snapshots agree with the unfrozen
     /// spec (no naive oracle here — back-propagation can outrun any
-    /// bounded depth), including a second warm pass answered from the
-    /// cache.
+    /// bounded depth).
     #[test]
     fn frozen_specs_agree_on_general_programs(seed in any::<u64>()) {
         let mut gen = random_program(GenConfig::default(), seed);
@@ -109,35 +109,30 @@ proptest! {
         let eq = EqSpec::from_graph(&spec);
         let frozen_eq = eq.freeze();
         let frozen = spec.clone().freeze();
-        for sweep in 0..2 {
-            for path in all_paths(&gen.funcs, DEPTH) {
-                for &p in &gen.preds {
-                    for &c in &gen.consts {
-                        let expected = spec.holds(p, &path, &[c]);
-                        prop_assert_eq!(
-                            frozen.holds(p, &path, &[c]), expected,
-                            "frozen spec (sweep {}): {:?} {:?} {:?}", sweep, p, path, c
-                        );
-                        prop_assert_eq!(
-                            frozen_eq.holds(p, &path, &[c]), expected,
-                            "frozen eq spec: {:?} {:?} {:?}", p, path, c
-                        );
-                        prop_assert_eq!(
-                            frozen.representative_memoized(&path),
-                            frozen.representative_of(&path),
-                            "memoized representative diverged on {:?}", path
-                        );
-                    }
+        for path in all_paths(&gen.funcs, DEPTH) {
+            for &p in &gen.preds {
+                for &c in &gen.consts {
+                    let expected = spec.holds(p, &path, &[c]);
+                    prop_assert_eq!(
+                        frozen.holds(p, &path, &[c]), expected,
+                        "frozen spec: {:?} {:?} {:?}", p, path, c
+                    );
+                    prop_assert_eq!(
+                        frozen_eq.holds(p, &path, &[c]), expected,
+                        "frozen eq spec: {:?} {:?} {:?}", p, path, c
+                    );
+                    prop_assert_eq!(
+                        frozen.representative_memoized(&path),
+                        frozen.representative_of(&path),
+                        "memoized representative diverged on {:?}", path
+                    );
                 }
             }
         }
-        let stats = frozen.serve_stats();
-        prop_assert!(stats.hits > 0, "second sweep must hit the cache: {:?}", stats);
     }
 
     /// `answer_batch` is indistinguishable from a per-query loop at 1, 2,
-    /// 4 and 8 threads — byte-identical answer vectors, shared cache or
-    /// not.
+    /// 4 and 8 threads — byte-identical answer vectors.
     #[test]
     fn batch_equals_per_query_loop_at_any_thread_count(seed in any::<u64>()) {
         let mut gen = random_program(GenConfig::default(), seed);
@@ -163,7 +158,7 @@ proptest! {
         let seq: Vec<bool> = queries.iter().map(|q| frozen.answer(q)).collect();
         for &threads in &THREADS {
             prop_assert_eq!(
-                &frozen.answer_batch_threads(&queries, threads),
+                &frozen.answer_batch(&queries, threads, &Governor::default()).unwrap(),
                 &seq,
                 "batch diverged from the per-query loop at {} threads", threads
             );
