@@ -8,7 +8,7 @@
 //! targets.
 //!
 //! Every run also appends a machine-readable trajectory to
-//! `BENCH_pr17.json` (override with `FUNDB_BENCH_JSON`): one record per
+//! `BENCH_pr18.json` (override with `FUNDB_BENCH_JSON`): one record per
 //! experiment with its wall time, plus detailed records (rows/s, join
 //! probes, index hits/misses, threads) for the timed experiments. CI
 //! uploads the file so the bench history accumulates across PRs.
@@ -159,8 +159,8 @@ impl Bench {
     /// Writes the trajectory file and returns its path.
     fn write(&self) -> std::io::Result<String> {
         let path =
-            std::env::var("FUNDB_BENCH_JSON").unwrap_or_else(|_| "BENCH_pr17.json".to_string());
-        let mut out = String::from("{\"schema\":\"fundb-bench-v1\",\"pr\":17,\"records\":[\n");
+            std::env::var("FUNDB_BENCH_JSON").unwrap_or_else(|_| "BENCH_pr18.json".to_string());
+        let mut out = String::from("{\"schema\":\"fundb-bench-v1\",\"pr\":18,\"records\":[\n");
         out.push_str(&self.records.join(",\n"));
         out.push_str("\n]}\n");
         std::fs::write(&path, out)?;
@@ -2094,7 +2094,7 @@ fn e18_churn(bench: &mut Bench) {
     // by ±3-5% versus an incrementally-grown layout (measured both
     // directions on this container). Normalizing layout makes the pair
     // isolate what the guard is for — residual traces of churn that
-    // compaction failed to clear (parked slots, stale reclaim logs) —
+    // compaction failed to clear (dead slots, stale skew statistics) —
     // rather than allocator geometry.
     base.compact();
     // Each wall sample aggregates GUARD_REPS back-to-back evaluations:

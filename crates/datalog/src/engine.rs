@@ -337,20 +337,9 @@ pub fn default_threads() -> usize {
 #[derive(Clone, Debug)]
 pub struct IncrementalEval {
     marks: FxHashMap<Pred, usize>,
-    /// Slot-reuse epoch each mark was taken under (see
-    /// [`Relation::reuse_epoch`](crate::rel::Relation::reuse_epoch)): a
-    /// relation whose epoch moved had rows revived below the mark. The
-    /// relation's reclaim log (consumed through `reclaim_cursors`) says
-    /// exactly which slots, and those rows are re-fed as single-row
-    /// delta ranges; only a compaction (which renumbers ids and clears
-    /// the log, tracked via `compaction_marks`) still resets the mark
-    /// and re-scans the whole relation.
-    epochs: FxHashMap<Pred, u64>,
-    /// Cursor into each relation's reclaimed-slot log: entries past the
-    /// cursor are rows revived below the mark since the last run.
-    reclaim_cursors: FxHashMap<Pred, usize>,
-    /// Compaction counter each cursor was taken under; a moved value
-    /// invalidates the recorded ids and cursor.
+    /// Compaction counter each mark was taken under: a compaction
+    /// renumbers row ids, so a moved value resets the mark to 0 and the
+    /// next run re-scans the whole relation.
     compaction_marks: FxHashMap<Pred, u64>,
     started: bool,
     /// Worker threads per round; `None` defers to [`default_threads`].
@@ -369,8 +358,6 @@ impl Default for IncrementalEval {
     fn default() -> Self {
         IncrementalEval {
             marks: FxHashMap::default(),
-            epochs: FxHashMap::default(),
-            reclaim_cursors: FxHashMap::default(),
             compaction_marks: FxHashMap::default(),
             started: false,
             threads: None,
@@ -430,8 +417,8 @@ impl IncrementalEval {
     }
 
     /// Marks every current row of `db` as already processed: the next
-    /// [`IncrementalEval::run`] treats only rows inserted (or revived)
-    /// after this call as the delta. [`Database::update_fact`]
+    /// [`IncrementalEval::run`] treats only rows inserted after this call
+    /// as the delta. [`Database::update_fact`]
     /// (crate::rel::Database::update_fact) uses this to re-derive from
     /// just the replacement fact once retraction has restored the
     /// fixpoint, instead of re-running the initial full round.
@@ -439,8 +426,6 @@ impl IncrementalEval {
         self.started = true;
         for (p, rel) in db.iter() {
             self.marks.insert(p, rel.len());
-            self.epochs.insert(p, rel.reuse_epoch());
-            self.reclaim_cursors.insert(p, rel.reclaimed_log().len());
             self.compaction_marks.insert(p, rel.compactions());
         }
     }
@@ -508,47 +493,17 @@ impl IncrementalEval {
         let mut stats = EvalStats::default();
         let mut first = !self.started;
         self.started = true;
-        // Slot-reuse check: a public insert that reclaimed a tombstoned
-        // slot put a live row *below* the dense high-water mark, where
-        // the contiguous mark..len delta cannot see it. The relation logs
-        // exactly which slots were reclaimed, so those rows are re-fed as
-        // single-row delta ranges in the run's first round (`pending`)
-        // instead of rescanning the whole relation — churn (retract +
-        // re-insert) stays O(cone), not O(database). Compaction renumbers
-        // ids and clears the log, so a moved compaction counter falls
-        // back to the conservative mark-to-zero full rescan. Coordinator-
-        // only and data-driven, so thread counts cannot influence it.
-        let mut pending: FxHashMap<Pred, Vec<u32>> = FxHashMap::default();
-        if !first {
-            for (p, rel) in db.iter() {
-                let epoch = rel.reuse_epoch();
-                let compactions = rel.compactions();
-                let log_len = rel.reclaimed_log().len();
-                let prev_epoch = self.epochs.insert(p, epoch);
-                let prev_comp = self.compaction_marks.insert(p, compactions);
-                let cursor = self
-                    .reclaim_cursors
-                    .insert(p, log_len)
-                    .unwrap_or(log_len)
-                    .min(log_len);
-                if prev_comp.is_some_and(|c| c != compactions) {
-                    self.marks.insert(p, 0);
-                } else if prev_epoch.is_some_and(|e| e != epoch) {
-                    let mark = self.marks.get(&p).copied().unwrap_or(0);
-                    // Ids at or above the mark are already covered by the
-                    // contiguous range; sort + dedup keeps the task list
-                    // deterministic even if a slot churned twice.
-                    let mut ids: Vec<u32> = rel.reclaimed_log()[cursor..]
-                        .iter()
-                        .copied()
-                        .filter(|&id| (id as usize) < mark)
-                        .collect();
-                    ids.sort_unstable();
-                    ids.dedup();
-                    if !ids.is_empty() {
-                        pending.insert(p, ids);
-                    }
-                }
+        // Every insert appends, so rows at or past a mark are exactly the
+        // delta. Only a compaction renumbers ids below a mark; a moved
+        // compaction counter resets that mark to 0 (a full rescan).
+        for (p, rel) in db.iter() {
+            let compactions = rel.compactions();
+            if self
+                .compaction_marks
+                .insert(p, compactions)
+                .is_some_and(|c| c != compactions)
+            {
+                self.marks.insert(p, 0);
             }
         }
         loop {
@@ -595,13 +550,11 @@ impl IncrementalEval {
                         .map_or(0, |r| r.len());
                 }
             } else {
-                // Only the rule positions whose predicate has fresh rows
-                // (past the mark, or reclaimed below it).
+                // Only the rule positions whose predicate has rows past
+                // its mark.
                 let mut work: Vec<(u32, u32)> = Vec::new();
                 for (p, rel) in db.iter() {
-                    if rel.len() > self.marks.get(&p).copied().unwrap_or(0)
-                        || pending.contains_key(&p)
-                    {
+                    if rel.len() > self.marks.get(&p).copied().unwrap_or(0) {
                         work.extend_from_slice(plan.positions(p));
                     }
                 }
@@ -621,23 +574,6 @@ impl IncrementalEval {
                     let pred = rules[ri as usize].body[ai as usize].pred;
                     let start = self.marks.get(&pred).copied().unwrap_or(0);
                     let end = db.relation(pred).map_or(start, |r| r.len());
-                    // Reclaimed slots below the mark: one single-row range
-                    // each, ahead of the contiguous tail, so the task list
-                    // (and with it merge order and RowIds) stays
-                    // deterministic.
-                    if let Some(ids) = pending.get(&pred) {
-                        for &id in ids {
-                            round_rows += 1;
-                            tasks.push(Task {
-                                rule: ri,
-                                delta: Some(DeltaRange {
-                                    atom: ai,
-                                    start: id as usize,
-                                    end: id as usize + 1,
-                                }),
-                            });
-                        }
-                    }
                     if end == start {
                         continue;
                     }
@@ -717,17 +653,11 @@ impl IncrementalEval {
             }
 
             // Advance marks to the end of the pre-insertion rows, and
-            // remember the slot-reuse epoch each mark was taken under.
-            // The reclaimed rows were consumed by this round's tasks;
-            // later rounds see only the contiguous mark..len delta
-            // (derived inserts never reclaim slots).
+            // remember the compaction counter each mark was taken under.
             for (p, rel) in db.iter() {
                 self.marks.insert(p, rel.len());
-                self.epochs.insert(p, rel.reuse_epoch());
-                self.reclaim_cursors.insert(p, rel.reclaimed_log().len());
                 self.compaction_marks.insert(p, rel.compactions());
             }
-            pending.clear();
 
             let mut changed = false;
             for (p, t) in buffer.iter() {

@@ -164,36 +164,28 @@ fn for_each_group<K: Ord + Copy>(
     }
 }
 
-/// Removes `ids` from `map[key]`, dropping the entry (and returning its
-/// emptied vector for reuse) when nothing is left, so distinct-value
-/// counts stay exact under deletion.
-fn map_remove<K: std::hash::Hash + Eq>(
-    map: &mut FxHashMap<K, Vec<u32>>,
-    key: K,
-    ids: &[u32],
-) -> Option<Vec<u32>> {
+/// Removes `ids` from `map[key]`, dropping the entry when nothing is
+/// left, so distinct-value counts stay exact under deletion.
+fn map_remove<K: std::hash::Hash + Eq>(map: &mut FxHashMap<K, Vec<u32>>, key: K, ids: &[u32]) {
     match map.entry(key) {
         Entry::Occupied(mut e) => {
             remove_ids(e.get_mut(), ids);
-            e.get().is_empty().then(|| e.remove())
+            if e.get().is_empty() {
+                e.remove();
+            }
         }
-        Entry::Vacant(_) => {
-            debug_assert!(false, "removed ids must be indexed");
-            None
-        }
+        Entry::Vacant(_) => debug_assert!(false, "removed ids must be in the map"),
     }
 }
 
-/// Merges `ids` into `map[key]`, creating the entry from `spare` (an
-/// emptied vector, to skip an allocation) if absent; returns the bucket's
-/// new length.
+/// Merges `ids` into `map[key]`, creating the entry if absent; returns
+/// the bucket's new length.
 fn map_merge<K: std::hash::Hash + Eq>(
     map: &mut FxHashMap<K, Vec<u32>>,
     key: K,
     ids: &[u32],
-    spare: Option<Vec<u32>>,
 ) -> usize {
-    let bucket = map.entry(key).or_insert_with(|| spare.unwrap_or_default());
+    let bucket = map.entry(key).or_default();
     merge_ids(bucket, ids);
     bucket.len()
 }
@@ -265,42 +257,18 @@ pub struct Relation {
     /// Tombstone bitmap over dense row ids: a set bit marks a retracted
     /// row. Tombstoned rows stay in the arena (RowIds stay stable and
     /// reads stay borrowed slices) but are invisible to scans, selects,
-    /// probes, membership, and dumps; the slot is reclaimed when an equal
-    /// tuple is re-asserted and physically dropped only by
+    /// probes, membership, and dumps. A re-asserted equal tuple appends a
+    /// fresh row; the tombstoned one is physically dropped only by
     /// [`Relation::compact`].
     tomb: Vec<u64>,
     /// Number of tombstoned rows (`live() == len - dead`).
     dead: usize,
-    /// The free list: tombstoned rows whose slot (and RowId) an equal
-    /// re-asserted tuple reclaims instead of appending a duplicate.
-    /// Tombstoning only appends a row to `parked` (no hashing); the parked
-    /// rows are indexed into `tomb_dedup` (row hash → ascending row ids)
-    /// by [`Relation::index_parked`] when a lookup needs it, and
-    /// `indexed` marks the ids `tomb_dedup` holds. A row revived while
-    /// parked leaves a stale entry (its tomb bit is clear) that indexing
-    /// skips; a derived relation, never reclaimed from, never pays for
-    /// the hash index at all.
-    tomb_dedup: FxHashMap<u64, Vec<u32>>,
-    parked: Vec<u32>,
-    indexed: Vec<u64>,
     /// Asserted bitmap: a set bit marks a row inserted as a base (EDB)
     /// fact rather than derived by a rule. Retraction never cascades over
     /// asserted rows — they have support independent of any derivation.
     asserted: Vec<u64>,
-    /// Bumped whenever a row below the dense high-water mark comes back to
-    /// life through a public insert (slot reclamation) or row ids are
-    /// renumbered ([`Relation::compact`]). Incremental evaluators compare
-    /// this against their recorded value and reset the predicate's
-    /// low-water mark when it moved, so resurrected rows are re-processed.
-    reuse_epoch: u64,
-    /// Row ids revived through public-insert slot reclamation, in
-    /// reclamation order; cleared by [`Relation::compact`] (the ids it
-    /// holds are renumbered away). Incremental evaluators keep a cursor
-    /// into this log so an epoch move re-feeds exactly the reclaimed
-    /// rows as delta instead of rescanning the whole relation.
-    reclaimed: Vec<u32>,
     /// Number of [`Relation::compact`] renumberings so far; a moved
-    /// value invalidates every row id and reclaim cursor an evaluator
+    /// value invalidates every row id and low-water mark an evaluator
     /// recorded, forcing the conservative full rescan.
     compactions: u64,
 }
@@ -317,12 +285,7 @@ impl Relation {
             max_bucket: vec![0; arity],
             tomb: Vec::new(),
             dead: 0,
-            tomb_dedup: FxHashMap::default(),
-            parked: Vec::new(),
-            indexed: Vec::new(),
             asserted: Vec::new(),
-            reuse_epoch: 0,
-            reclaimed: Vec::new(),
             compactions: 0,
         }
     }
@@ -347,25 +310,11 @@ impl Relation {
         self.len - self.dead
     }
 
-    /// Number of tombstoned rows still occupying arena slots (reclaimed on
-    /// equal re-insert, dropped by [`Relation::compact`]).
+    /// Number of tombstoned rows still occupying arena slots (dropped by
+    /// [`Relation::compact`]).
     #[inline]
     pub fn dead(&self) -> usize {
         self.dead
-    }
-
-    /// See the `reuse_epoch` field: moves when row ids below the dense
-    /// high-water mark are revived or renumbered.
-    #[inline]
-    pub fn reuse_epoch(&self) -> u64 {
-        self.reuse_epoch
-    }
-
-    /// See the `reclaimed` field: slot ids revived through public-insert
-    /// reclamation since the last compaction, in reclamation order.
-    #[inline]
-    pub(crate) fn reclaimed_log(&self) -> &[u32] {
-        &self.reclaimed
     }
 
     /// See the `compactions` field: renumberings so far.
@@ -431,13 +380,13 @@ impl Relation {
     }
 
     /// Inserts a tuple as an asserted (base) fact; returns its handle if
-    /// it was new. Re-inserting a tuple whose retracted row still occupies
-    /// an arena slot *reclaims* that slot — the tuple gets its old RowId
-    /// back (free-list reuse) — and bumps the reuse epoch so incremental
-    /// evaluators re-process the resurrected row. Inserting a tuple that
-    /// is already live (re)marks it asserted.
+    /// it was new. Like every insert it appends: a tuple whose retracted
+    /// row still occupies an arena slot gets a fresh RowId at `len()`, so
+    /// rows at or past an evaluator's low-water mark are exactly its
+    /// delta. Inserting a tuple that is already live (re)marks it
+    /// asserted.
     pub fn insert_row(&mut self, t: &[Cst]) -> Option<RowId> {
-        match self.insert_internal(t, true) {
+        match self.insert_derived_row(t) {
             Some(id) => {
                 bit_set(&mut self.asserted, id.index(), true);
                 Some(id)
@@ -452,30 +401,14 @@ impl Relation {
     }
 
     /// Inserts a tuple derived by a rule; returns its handle if it was
-    /// new. Never reclaims a tombstoned slot (derived rows always append,
-    /// so a round's fresh rows stay a contiguous arena suffix) and leaves
-    /// the asserted bit clear: retraction may cascade over derived rows.
+    /// new. Appends like [`Relation::insert_row`] but leaves the asserted
+    /// bit clear: retraction may cascade over derived rows.
     pub fn insert_derived_row(&mut self, t: &[Cst]) -> Option<RowId> {
-        self.insert_internal(t, false)
-    }
-
-    fn insert_internal(&mut self, t: &[Cst], reclaim: bool) -> Option<RowId> {
         assert_eq!(t.len(), self.arity(), "arity mismatch on insert");
         let h = hash_row(t);
         if let Some(bucket) = self.dedup.get(&h) {
             if bucket.iter().any(|&i| self.pool.row(i as usize) == t) {
                 return None;
-            }
-        }
-        if reclaim && self.dead > 0 {
-            self.index_parked();
-            if let Some(ids) = self.tomb_dedup.get(&h) {
-                if let Some(&id) = ids.iter().find(|&&i| self.pool.row(i as usize) == t) {
-                    self.restore_rows(&[RowId(id)]);
-                    self.reuse_epoch += 1;
-                    self.reclaimed.push(id);
-                    return Some(RowId(id));
-                }
             }
         }
         let id = self.pool.push(t, self.len);
@@ -524,10 +457,9 @@ impl Relation {
     /// Tombstones the live rows `ids` in one batch: sets their bits, then
     /// visits each dedup, per-column and composite bucket the batch
     /// touches once, removing all of its ids in one pass (dropping
-    /// emptied entries so distinct counts stay exact under deletion), and
-    /// parks the rows on the free list. Buckets stay ascending. A bucket
-    /// costs what one `Vec::remove` from it would, however many of its
-    /// ids go.
+    /// emptied entries so distinct counts stay exact under deletion).
+    /// Buckets stay ascending. A bucket costs what one `Vec::remove` from
+    /// it would, however many of its ids go.
     pub fn retract_rows(&mut self, ids: &[RowId]) {
         if ids.is_empty() {
             return;
@@ -542,14 +474,6 @@ impl Relation {
             // Rows are distinct, so a dedup bucket with more than one id
             // is a hash collision: rare enough to remove one id at a time.
             map_remove(&mut self.dedup, hash_row(pool.row(id.index())), &[id.0]);
-        }
-        self.parked.extend(ids.iter().map(|id| id.0));
-        if self.parked.len() > 2 * self.dead + 64 {
-            // Mostly stale entries: drop them, so `parked` stays O(dead).
-            let tomb = &self.tomb;
-            self.parked.sort_unstable();
-            self.parked.dedup();
-            self.parked.retain(|&i| bit_get(tomb, i as usize));
         }
         let mut group = Vec::new();
         let mut hashed: Vec<(u64, u32)> = Vec::new();
@@ -581,11 +505,10 @@ impl Relation {
     }
 
     /// Un-tombstones the rows `ids` in place (same RowIds, same arena
-    /// slots) in one batch: clears their bits, takes them off the free
-    /// list and merges them into every bucket they belong to, each
-    /// touched bucket once, so buckets stay ascending and probe
-    /// enumeration order is identical to never having retracted. Does
-    /// *not* bump the reuse epoch: the retraction passes restore rows
+    /// slots) in one batch: clears their bits and merges them into every
+    /// bucket they belong to, each touched bucket once, so buckets stay
+    /// ascending and probe enumeration order is identical to never having
+    /// retracted. Only the retraction passes call it: they restore rows
     /// whose consequences the over-delete/re-derive fixpoint already
     /// settles, and rollback returns to a state the evaluator has seen.
     /// The asserted bit is left as-is.
@@ -600,14 +523,7 @@ impl Relation {
         self.dead -= ids.len();
         let pool = &self.pool;
         for &id in ids {
-            let h = hash_row(pool.row(id.index()));
-            let spare = if bit_get(&self.indexed, id.index()) {
-                bit_set(&mut self.indexed, id.index(), false);
-                map_remove(&mut self.tomb_dedup, h, &[id.0])
-            } else {
-                None
-            };
-            map_merge(&mut self.dedup, h, &[id.0], spare);
+            map_merge(&mut self.dedup, hash_row(pool.row(id.index())), &[id.0]);
         }
         let mut group = Vec::new();
         let mut hashed: Vec<(u64, u32)> = Vec::new();
@@ -617,7 +533,7 @@ impl Relation {
             valued.extend(ids.iter().map(|id| (pool.row(id.index())[col], id.0)));
             let max = &mut self.max_bucket[col];
             for_each_group(&mut valued, &mut group, |v, g| {
-                *max = (*max).max(map_merge(index, v, g, None));
+                *max = (*max).max(map_merge(index, v, g));
             });
         }
         for (&sig, map) in self.composite.iter_mut() {
@@ -627,31 +543,9 @@ impl Relation {
                     .map(|id| (hash_sig_cols(pool.row(id.index()), sig), id.0)),
             );
             for_each_group(&mut hashed, &mut group, |k, g| {
-                map_merge(map, k, g, None);
+                map_merge(map, k, g);
             });
         }
-    }
-
-    /// Moves the parked rows that are still tombstoned into the free
-    /// list's hash index.
-    fn index_parked(&mut self) {
-        let mut parked = std::mem::take(&mut self.parked);
-        parked.sort_unstable();
-        parked.dedup();
-        for &id in &parked {
-            let i = id as usize;
-            if bit_get(&self.tomb, i) && !bit_get(&self.indexed, i) {
-                bit_set(&mut self.indexed, i, true);
-                map_merge(
-                    &mut self.tomb_dedup,
-                    hash_row(self.pool.row(i)),
-                    &[id],
-                    None,
-                );
-            }
-        }
-        parked.clear();
-        self.parked = parked;
     }
 
     /// Re-derives the skew statistics once tombstones exceed 25% of the
@@ -673,7 +567,6 @@ impl Relation {
     ///
     /// * `dead` counts exactly the set tombstone bits, all below `len`;
     /// * the dedup table holds exactly the live ids, keyed by row hash;
-    /// * the free list holds exactly the tombstoned ids, keyed likewise;
     /// * every per-column and composite index holds exactly the live ids
     ///   under their column value or key hash, with no empty bucket;
     /// * every bucket above is in ascending id order;
@@ -718,30 +611,13 @@ impl Relation {
         }
         let live = || (0..self.len).filter(|&i| !bit_get(&self.tomb, i));
         let mut dedup: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        let mut free: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-        let mut parked = self.parked.clone();
-        parked.sort_unstable();
-        for i in 0..self.len {
-            let h = hash_row(self.pool.row(i));
-            if !bit_get(&self.tomb, i) {
-                if bit_get(&self.indexed, i) {
-                    return Err(format!("live row {i} is on the free list"));
-                }
-                dedup.entry(h).or_default().push(i as u32);
-            } else if bit_get(&self.indexed, i) {
-                free.entry(h).or_default().push(i as u32);
-            } else if parked.binary_search(&(i as u32)).is_err() {
-                return Err(format!("tombstoned row {i} is not on the free list"));
-            }
-        }
-        if (self.len..self.indexed.len() * 64).any(|i| bit_get(&self.indexed, i)) {
-            return Err(format!(
-                "an indexed bit is set at or past len = {}",
-                self.len
-            ));
+        for i in live() {
+            dedup
+                .entry(hash_row(self.pool.row(i)))
+                .or_default()
+                .push(i as u32);
         }
         same("dedup", &self.dedup, &dedup)?;
-        same("free list", &self.tomb_dedup, &free)?;
         for col in 0..self.arity() {
             let mut index: FxHashMap<Cst, Vec<u32>> = FxHashMap::default();
             for i in live() {
@@ -774,7 +650,7 @@ impl Relation {
 
     /// Every piece of the relation's state rendered in a fixed order
     /// (hash maps sorted by key), so two relations render equal exactly
-    /// when their arenas, bitmaps, indexes, free lists and statistics are.
+    /// when their arenas, bitmaps, indexes and statistics are.
     #[cfg(test)]
     pub(crate) fn fingerprint(&self) -> String {
         fn sorted<K: Ord + Copy + fmt::Debug>(map: &FxHashMap<K, Vec<u32>>) -> Vec<(K, &Vec<u32>)> {
@@ -794,36 +670,22 @@ impl Relation {
             let n = w.iter().rposition(|&x| x != 0).map_or(0, |i| i + 1);
             w[..n].to_vec()
         };
-        // The free list as the ids it can hand out: stale parked entries
-        // (revived rows) are garbage no lookup ever returns.
-        let mut parked: Vec<u32> = self
-            .parked
-            .iter()
-            .copied()
-            .filter(|&i| bit_get(&self.tomb, i as usize))
-            .collect();
-        parked.sort_unstable();
-        parked.dedup();
         format!(
-            "len {} dead {} cells {cells:?} tomb {:?} asserted {:?} dedup {:?} free {:?} \
-             parked {parked:?} index {index:?} composite {composite:?} max_bucket {:?} \
-             epoch {} reclaimed {:?} compactions {}",
+            "len {} dead {} cells {cells:?} tomb {:?} asserted {:?} dedup {:?} \
+             index {index:?} composite {composite:?} max_bucket {:?} compactions {}",
             self.len,
             self.dead,
             trim(&self.tomb),
             trim(&self.asserted),
             sorted(&self.dedup),
-            sorted(&self.tomb_dedup),
             self.max_bucket,
-            self.reuse_epoch,
-            self.reclaimed,
             self.compactions,
         )
     }
 
     /// Physically drops tombstoned rows: live rows are renumbered densely
     /// in their existing order and every index (dedup, per-column,
-    /// composite) is rebuilt. Row ids change, so the reuse epoch is
+    /// composite) is rebuilt. Row ids change, so the compaction counter is
     /// bumped. Returns `true` if anything was dropped.
     pub fn compact(&mut self) -> bool {
         if self.dead == 0 {
@@ -848,9 +710,6 @@ impl Relation {
         self.len = n;
         self.dead = 0;
         self.tomb.clear();
-        self.tomb_dedup.clear();
-        self.parked.clear();
-        self.indexed.clear();
         self.asserted = asserted;
         self.dedup.clear();
         for col in 0..arity {
@@ -872,8 +731,6 @@ impl Relation {
         for sig in sigs {
             self.ensure_composite(sig);
         }
-        self.reuse_epoch += 1;
-        self.reclaimed.clear();
         self.compactions += 1;
         true
     }
@@ -1213,11 +1070,6 @@ impl PlanStats {
     pub fn total_rows(&self) -> usize {
         self.total_rows
     }
-
-    /// Whether the snapshot carries no statistics (cold start).
-    pub fn is_cold(&self) -> bool {
-        self.per_pred.is_empty()
-    }
 }
 
 /// A database: one [`Relation`] per predicate, created on demand.
@@ -1252,8 +1104,8 @@ impl Database {
         self.relation_mut(p, t.len()).insert(t)
     }
 
-    /// Inserts a rule-derived fact (never reclaims a tombstoned slot,
-    /// leaves the asserted bit clear); returns `true` if new.
+    /// Inserts a rule-derived fact (leaves the asserted bit clear);
+    /// returns `true` if new.
     pub fn insert_derived(&mut self, p: Pred, t: &[Cst]) -> bool {
         self.relation_mut(p, t.len()).insert_derived(t)
     }
@@ -1600,26 +1452,27 @@ mod tests {
     }
 
     #[test]
-    fn public_insert_reclaims_tombstoned_slot_and_bumps_epoch() {
+    fn public_reinsert_of_a_retracted_tuple_appends() {
         let mut i = Interner::new();
         let v = csts(&mut i, &["a", "b", "c"]);
         let mut r = Relation::new(1);
         let ids: Vec<RowId> = v.iter().map(|&c| r.insert_row(&[c]).unwrap()).collect();
-        let epoch = r.reuse_epoch();
         r.retract_rows(&[ids[1]]);
-        // Re-asserting the same tuple revives the parked slot: same
-        // RowId, no arena growth, and the epoch moves so incremental
-        // marks know a row appeared below the high-water line.
+        let (len_before, live_before) = (r.len(), r.live());
+        // Re-asserting the same tuple appends a fresh row past the old
+        // high-water mark, so a semi-naive delta sees it; the tombstoned
+        // slot stays dead until `compact`.
         let back = r.insert_row(&[v[1]]).unwrap();
-        assert_eq!(back, ids[1]);
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.live(), 3);
+        assert_eq!(back, RowId(len_before as u32));
+        assert_eq!(r.len(), len_before + 1);
+        assert_eq!(r.live(), live_before + 1);
+        assert_eq!(r.dead(), 1);
+        assert!(r.is_tombstoned(ids[1]));
         assert!(r.is_asserted(back));
-        assert_eq!(r.reuse_epoch(), epoch + 1);
-        // Bucket enumeration order is as if the retraction never
-        // happened (sorted re-insertion).
+        assert_eq!(r.find(&[v[1]]), Some(back));
         let all: Vec<&[Cst]> = r.rows().collect();
-        assert_eq!(all, vec![&[v[0]][..], &[v[1]][..], &[v[2]][..]]);
+        assert_eq!(all, vec![&[v[0]][..], &[v[2]][..], &[v[1]][..]]);
+        r.check_invariants().unwrap();
     }
 
     #[test]
@@ -1629,14 +1482,12 @@ mod tests {
         let mut r = Relation::new(1);
         let id = r.insert_row(&[v[0]]).unwrap();
         r.insert_row(&[v[1]]);
-        let epoch = r.reuse_epoch();
         r.retract_rows(&[id]);
         // A derived duplicate of a *tombstoned* tuple must append: round
         // deltas stay contiguous and the WAL's `cells_from` contract
-        // holds. The parked slot stays parked.
+        // holds. The tombstoned slot stays dead.
         let fresh = r.insert_derived_row(&[v[0]]).unwrap();
         assert_eq!(fresh, RowId(2));
-        assert_eq!(r.reuse_epoch(), epoch);
         assert!(r.is_tombstoned(id));
         assert!(!r.is_asserted(fresh));
         assert_eq!(r.live(), 2);
@@ -1649,10 +1500,8 @@ mod tests {
         let mut r = Relation::new(2);
         r.insert(&[v[0], v[1]]);
         let id = r.insert_row(&[v[1], v[2]]).unwrap();
-        let epoch = r.reuse_epoch();
         r.retract_rows(&[id]);
         r.restore_rows(&[id]);
-        assert_eq!(r.reuse_epoch(), epoch);
         assert_eq!(r.live(), 2);
         assert_eq!(r.find(&[v[1], v[2]]), Some(id));
         assert_eq!(r.select(&[Some(v[1]), None]).count(), 1);
@@ -1668,12 +1517,12 @@ mod tests {
         r.insert(&[v[1], v[2]]);
         r.insert(&[v[2], v[3]]);
         r.ensure_composite(0b11);
-        let epoch = r.reuse_epoch();
+        let compactions = r.compactions();
         r.retract_tuple(&[v[1], v[2]]).unwrap();
         assert!(r.compact());
         assert_eq!(r.len(), 2);
         assert_eq!(r.dead(), 0);
-        assert_eq!(r.reuse_epoch(), epoch + 1);
+        assert_eq!(r.compactions(), compactions + 1);
         // Survivors are renumbered densely in their old order.
         assert_eq!(r.row(RowId(0)), &[v[0], v[1]]);
         assert_eq!(r.row(RowId(1)), &[v[2], v[3]]);

@@ -36,6 +36,11 @@
 //!    Every round revives its rows in one batch per relation, and buckets
 //!    stay ascending, so probe order is as if the row had never left.
 //!
+//! Only these passes revive a tombstoned row. Re-asserting a retracted
+//! fact later appends a fresh row like any insert, so the forward
+//! evaluator's low-water marks see it as ordinary delta; the dead slot
+//! stays until [`Relation::compact`].
+//!
 //! Determinism: both passes run sequentially on the calling thread and
 //! consult only deterministic state, so the deleted/restored sequences —
 //! and with them RowIds, stats, and dumps — are byte-identical at any
@@ -924,30 +929,42 @@ mod tests {
 
     #[test]
     fn repeated_churn_stays_consistent() {
-        // Retract and re-insert the same edge repeatedly: slot reuse,
-        // epoch bumps, and delta resumption must keep agreeing with a
-        // from-scratch build at every step.
+        // Retract and re-insert the same edge repeatedly: appended
+        // re-inserts and delta resumption must keep agreeing with a
+        // from-scratch build at every step, and the final store (arena,
+        // RowIds, indexes) must be byte-identical at any thread count.
         let mut fx = fixture();
         let rules = tc_rules(&fx);
         let plan = DeltaPlan::new(&rules);
         let ns = nodes(&mut fx, 5);
-        let mut db = Database::new();
+        let mut scratch = Database::new();
         for w in ns.windows(2) {
-            db.insert(fx.edge, &[w[0], w[1]]);
+            scratch.insert(fx.edge, &[w[0], w[1]]);
         }
-        let mut eval = IncrementalEval::new();
-        eval.run(&mut db, &rules, &plan).unwrap();
-        for _ in 0..3 {
-            let out = retract(&mut db, fx.edge, &[ns[2], ns[3]], &rules, &plan);
-            assert!(out.found);
-            db.insert(fx.edge, &[ns[2], ns[3]]);
-            eval.run(&mut db, &rules, &plan).unwrap();
-            let mut scratch = Database::new();
+        evaluate(&mut scratch, &rules).unwrap();
+        let mut reference = None;
+        for threads in [1usize, 2, 4, 8] {
+            let mut db = Database::new();
             for w in ns.windows(2) {
-                scratch.insert(fx.edge, &[w[0], w[1]]);
+                db.insert(fx.edge, &[w[0], w[1]]);
             }
-            evaluate(&mut scratch, &rules).unwrap();
-            assert_eq!(db.dump(&fx.i), scratch.dump(&fx.i));
+            let mut eval = IncrementalEval::new()
+                .with_threads(threads)
+                .with_parallel_threshold(1);
+            eval.run(&mut db, &rules, &plan).unwrap();
+            for _ in 0..3 {
+                let out = retract(&mut db, fx.edge, &[ns[2], ns[3]], &rules, &plan);
+                assert!(out.found);
+                db.insert(fx.edge, &[ns[2], ns[3]]);
+                eval.run(&mut db, &rules, &plan).unwrap();
+                assert_eq!(db.dump(&fx.i), scratch.dump(&fx.i));
+                db.check_invariants().unwrap();
+            }
+            let fingerprint = db.fingerprint();
+            match &reference {
+                None => reference = Some(fingerprint),
+                Some(r) => assert_eq!(*r, fingerprint, "threads={threads}"),
+            }
         }
     }
 
@@ -1074,8 +1091,8 @@ mod tests {
     #[test]
     fn rolled_back_tombstone_restores_pre_op_bytes() {
         // Tombstone a cone in one batch, optionally re-derive part of it,
-        // then roll back: every index, bucket order, free list, bitmap and
-        // statistic must be as before, not just the dump.
+        // then roll back: every index, bucket order, bitmap and statistic
+        // must be as before, not just the dump.
         let mut fx = fixture();
         let rules = tc_rules(&fx);
         let plan = DeltaPlan::new(&rules);
@@ -1086,7 +1103,7 @@ mod tests {
         }
         db.insert(fx.edge, &[ns[2], ns[4]]);
         evaluate(&mut db, &rules).unwrap();
-        // An earlier retraction leaves parked slots on the free list.
+        // An earlier retraction and re-insert leave a dead slot behind.
         retract(&mut db, fx.edge, &[ns[6], ns[7]], &rules, &plan);
         db.insert(fx.edge, &[ns[6], ns[7]]);
         evaluate(&mut db, &rules).unwrap();

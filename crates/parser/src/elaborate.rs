@@ -182,7 +182,7 @@ impl Elaborator {
             };
             Ok(Atom::Functional {
                 pred,
-                fterm: self.fterm(first, a.offset, interner)?,
+                fterm: self.fterm(first, a.offset, &mut 0, interner)?,
                 args: rest
                     .iter()
                     .map(|t| self.nterm(t, a.offset, interner))
@@ -200,12 +200,20 @@ impl Elaborator {
         }
     }
 
-    fn fterm(&self, t: &PTerm, offset: usize, interner: &mut Interner) -> Result<FTerm> {
+    /// Elaborates a functional term; `steps` counts the successor steps
+    /// its numerals and `+n` offsets have added so far.
+    fn fterm(
+        &self,
+        t: &PTerm,
+        offset: usize,
+        steps: &mut u64,
+        interner: &mut Interner,
+    ) -> Result<FTerm> {
         Ok(match t {
-            PTerm::Num(n) => iterate_succ(FTerm::Zero, *n, interner),
+            PTerm::Num(n) => iterate_succ(FTerm::Zero, *n, offset, steps, interner)?,
             PTerm::Plus(base, n) => {
-                let inner = self.fterm(base, offset, interner)?;
-                iterate_succ(inner, *n, interner)
+                let inner = self.fterm(base, offset, steps, interner)?;
+                iterate_succ(inner, *n, offset, steps, interner)?
             }
             PTerm::Ident(name) => {
                 if is_var_name(name) {
@@ -227,7 +235,7 @@ impl Elaborator {
                         detail: format!("function symbol `{f}` needs arguments"),
                     });
                 };
-                let inner = self.fterm(first, offset, interner)?;
+                let inner = self.fterm(first, offset, steps, interner)?;
                 if rest.is_empty() {
                     FTerm::Pure(Func(interner.intern(f)), Box::new(inner))
                 } else {
@@ -276,12 +284,35 @@ pub(crate) fn succ_symbol(interner: &mut Interner) -> Func {
     Func(interner.intern("+1"))
 }
 
-fn iterate_succ(mut t: FTerm, n: u64, interner: &mut Interner) -> FTerm {
+/// The most successor steps the numerals and `+n` offsets of one
+/// functional term may add. Every step is a boxed term node, so an
+/// unchecked `u64` from the input could exhaust memory; the bound sits
+/// above the million-deep terms the pipeline tests use.
+const MAX_SUCC_STEPS: u64 = 1 << 20;
+
+/// Wraps `t` in `n` successor applications, charging them to `steps`.
+fn iterate_succ(
+    mut t: FTerm,
+    n: u64,
+    offset: usize,
+    steps: &mut u64,
+    interner: &mut Interner,
+) -> Result<FTerm> {
+    *steps = steps.saturating_add(n);
+    if *steps > MAX_SUCC_STEPS {
+        return Err(Error::Parse {
+            offset,
+            detail: format!(
+                "functional term too deep: its numerals and offsets add more than \
+                 {MAX_SUCC_STEPS} successor steps"
+            ),
+        });
+    }
     let s = succ_symbol(interner);
     for _ in 0..n {
         t = FTerm::Pure(s, Box::new(t));
     }
-    t
+    Ok(t)
 }
 
 /// Records variables in functional (spine) positions; returns whether any

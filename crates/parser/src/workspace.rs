@@ -315,6 +315,27 @@ mod tests {
     }
 
     #[test]
+    fn oversized_numerals_are_parse_errors() {
+        // Each successor step is one boxed node: these inputs once
+        // allocated until the process aborted.
+        for src in [
+            "P(99999999999999).",
+            "N0(t) -> B0(t+19999999999999).\nN0(0).\n",
+            "P(0+1048576+1).",
+        ] {
+            let err = Workspace::new().parse(src).unwrap_err();
+            assert!(matches!(err, Error::Parse { .. }), "{src}: {err}");
+            assert!(err.to_string().contains("too deep"), "{src}: {err}");
+        }
+        let mut ws = Workspace::new();
+        ws.parse("Even(t) -> Even(t+2).\nEven(0).").unwrap();
+        let spec = ws.graph_spec().unwrap();
+        let err = ws.holds(&spec, "Even(99999999999999)").unwrap_err();
+        assert!(err.to_string().contains("too deep"), "{err}");
+        assert!(ws.holds(&spec, "Even(1048576)").unwrap());
+    }
+
+    #[test]
     fn non_ground_membership_is_rejected() {
         let mut ws = Workspace::new();
         ws.parse("Even(0).").unwrap();

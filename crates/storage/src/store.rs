@@ -115,9 +115,8 @@ fn rule_to_wire(r: &dl::Rule, to_file: &[u32]) -> Option<WireRule> {
 /// fused rows) into the database, widening file-local ids back to
 /// interner symbols. Returns the number of rows inserted. Rows in these
 /// records came from the engine's merge, so they replay as *derived*
-/// (always appended, never reclaiming a tombstoned slot) — the same
-/// placement the live run used, keeping replayed RowIds byte-identical
-/// even when retractions left free-list slots behind.
+/// (asserted bit clear); like every insert they append, landing on the
+/// RowIds the live run gave them.
 fn replay_rows(
     db: &mut dl::Database,
     from_file: &[Sym],
@@ -361,8 +360,8 @@ impl DurableDb {
                                 // not restore, one batch per predicate. A
                                 // row tombstoned and revived in place ends
                                 // where it began (same slot, same RowId,
-                                // same bucket order), so the free list and
-                                // RowIds match the live pass without
+                                // same bucket order), so the tombstones
+                                // and RowIds match the live pass without
                                 // replaying the round trip.
                                 let p = Pred(sym_from_file(&from_file, *pred)?);
                                 row_buf.clear();

@@ -35,11 +35,12 @@
 //! * `Retract` — one completed retraction round: the asserted target
 //!   tuple, the full over-delete set and the rows re-derivation
 //!   restored (both as row groups, in execution order, so replay
-//!   reproduces the tombstone/free-list state and thereby the RowIds of
-//!   the uninterrupted run), plus the cumulative [`EvalStats`] after
-//!   the round. Like `RoundCommit` it is a **commit marker**: a crash
-//!   mid-retraction leaves no `Retract` record, recovery truncates to
-//!   the previous marker, and the retraction simply never happened;
+//!   reproduces the tombstone bitmap of the uninterrupted run; every
+//!   insert appends, so RowIds follow from record order alone), plus
+//!   the cumulative [`EvalStats`] after the round. Like `RoundCommit`
+//!   it is a **commit marker**: a crash mid-retraction leaves no
+//!   `Retract` record, recovery truncates to the previous marker, and
+//!   the retraction simply never happened;
 //! * `Rule` — a logged rule definition;
 //! * `Note` — an opaque UTF-8 payload for upper layers (the REPL logs
 //!   accepted input lines this way).
@@ -167,8 +168,8 @@ pub enum WalRecord {
     /// crash before this record lands leaves the pre-retraction state).
     /// `deleted` is the over-delete set in discovery order and
     /// `restored` the re-derived survivors in restoration order; replay
-    /// tombstones then revives in exactly that order, reproducing the
-    /// free-list (and so the RowIds) of the uninterrupted run.
+    /// tombstones the deleted rows that were not restored, reproducing
+    /// the tombstones of the uninterrupted run.
     Retract {
         /// File-local id of the retracted fact's predicate.
         pred: u32,

@@ -49,6 +49,16 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Panics unless the store's database passes
+/// [`dl::Database::check_invariants`]. Called after every operation on a
+/// live store and on every recovered one, so a replay or a failed op that
+/// leaves an index out of step with the arena fails where it happens.
+fn check(ddb: &DurableDb) {
+    if let Err(e) = ddb.database().check_invariants() {
+        panic!("store invariants broken: {e}");
+    }
+}
+
 /// `(pred name, rows-of-names in RowId order)` sorted by predicate name —
 /// the interner-independent shape every recovery comparison works over.
 type Dump = Vec<(String, Vec<Vec<String>>)>;
@@ -187,16 +197,21 @@ fn kill_at_every_byte_offset_recovers_completed_round_prefix() {
     let mut ddb = DurableDb::open(&dir_ref, &mut interner).unwrap();
     for (p, row) in chain_facts(&mut interner, CHAIN) {
         ddb.insert(&interner, p, &row).unwrap();
+        check(&ddb);
     }
     let rules = tc_rules(&mut interner);
     for rule in &rules {
         ddb.log_rule(&interner, rule).unwrap();
+        check(&ddb);
     }
     ddb.commit().unwrap();
+    check(&ddb);
     assert_eq!(ddb.snapshot(&interner).unwrap(), 1);
+    check(&ddb);
     let plan = dl::DeltaPlan::planned(ddb.rules(), ddb.database());
     let mut eval = dl::IncrementalEval::new().with_threads(2);
     ddb.run(&interner, &mut eval, &plan).unwrap();
+    check(&ddb);
     let full_dump = dump(ddb.database(), &interner);
     drop(ddb);
 
@@ -253,6 +268,7 @@ fn kill_at_every_byte_offset_recovers_completed_round_prefix() {
 
         let mut fresh = Interner::new();
         let ddb = DurableDb::open(&dir_cut, &mut fresh).unwrap();
+        check(&ddb);
         let m = markers.iter().filter(|&&o| o <= cut).count();
         let (want_dump, want_stats) = expect_at(m);
         assert_eq!(
@@ -292,14 +308,18 @@ fn wal_bytes_are_identical_across_thread_counts() {
         let mut ddb = DurableDb::open(&dir, &mut interner).unwrap();
         for (p, row) in chain_facts(&mut interner, 10) {
             ddb.insert(&interner, p, &row).unwrap();
+            check(&ddb);
         }
         for rule in tc_rules(&mut interner) {
             ddb.log_rule(&interner, &rule).unwrap();
+            check(&ddb);
         }
         ddb.commit().unwrap();
+        check(&ddb);
         let plan = dl::DeltaPlan::planned(ddb.rules(), ddb.database());
         let mut eval = dl::IncrementalEval::new().with_threads(threads);
         ddb.run(&interner, &mut eval, &plan).unwrap();
+        check(&ddb);
         drop(ddb);
         images.push(std::fs::read(dir.join("wal.000000")).unwrap());
         let _ = std::fs::remove_dir_all(&dir);
@@ -332,15 +352,19 @@ fn ambient_io_fault_leaves_recoverable_completed_round_prefix() {
         DurableDb::open_with_faults(&dir_full, &mut interner, dl::FaultPlan::default()).unwrap();
     for (p, row) in chain_facts(&mut interner, CHAIN) {
         ddb.insert(&interner, p, &row).unwrap();
+        check(&ddb);
     }
     let rules = tc_rules(&mut interner);
     for rule in &rules {
         ddb.log_rule(&interner, rule).unwrap();
+        check(&ddb);
     }
     ddb.commit().unwrap();
+    check(&ddb);
     let plan = dl::DeltaPlan::planned(ddb.rules(), ddb.database());
     let mut eval = dl::IncrementalEval::new().with_threads(2);
     ddb.run(&interner, &mut eval, &plan).unwrap();
+    check(&ddb);
     let full_dump = dump(ddb.database(), &interner);
     drop(ddb);
     let _ = std::fs::remove_dir_all(&dir_full);
@@ -355,28 +379,38 @@ fn ambient_io_fault_leaves_recoverable_completed_round_prefix() {
         let Ok(mut ddb) = DurableDb::open_with_faults(&dir, &mut crash_int, ambient) else {
             break 'crashy;
         };
+        check(&ddb);
         for (p, row) in chain_facts(&mut crash_int, CHAIN) {
-            if ddb.insert(&crash_int, p, &row).is_err() {
+            let inserted = ddb.insert(&crash_int, p, &row);
+            check(&ddb);
+            if inserted.is_err() {
                 break 'crashy;
             }
         }
         for rule in tc_rules(&mut crash_int) {
-            if ddb.log_rule(&crash_int, &rule).is_err() {
+            let logged = ddb.log_rule(&crash_int, &rule);
+            check(&ddb);
+            if logged.is_err() {
                 break 'crashy;
             }
         }
         let _ = ddb.sync();
-        if ddb.commit().is_err() {
+        check(&ddb);
+        let committed = ddb.commit();
+        check(&ddb);
+        if committed.is_err() {
             break 'crashy;
         }
         let plan = dl::DeltaPlan::planned(ddb.rules(), ddb.database());
         let mut eval = dl::IncrementalEval::new().with_threads(2);
         let _ = ddb.run(&crash_int, &mut eval, &plan);
+        check(&ddb);
     }
 
     // Recovery under the ambient plan lands on a completed-round prefix.
     let mut fresh = Interner::new();
     let ddb = DurableDb::open(&dir, &mut fresh).unwrap();
+    check(&ddb);
     assert_row_prefix(
         &dump(ddb.database(), &fresh),
         &full_dump,
@@ -387,18 +421,23 @@ fn ambient_io_fault_leaves_recoverable_completed_round_prefix() {
     // Re-applying the workload over a clean handle reaches the fixpoint.
     let mut fresh = Interner::new();
     let mut ddb = DurableDb::open_with_faults(&dir, &mut fresh, dl::FaultPlan::default()).unwrap();
+    check(&ddb);
     for (p, row) in chain_facts(&mut fresh, CHAIN) {
         ddb.insert(&fresh, p, &row).unwrap();
+        check(&ddb);
     }
     if ddb.rules().is_empty() {
         for rule in tc_rules(&mut fresh) {
             ddb.log_rule(&fresh, &rule).unwrap();
+            check(&ddb);
         }
     }
     ddb.commit().unwrap();
+    check(&ddb);
     let plan = dl::DeltaPlan::planned(ddb.rules(), ddb.database());
     let mut eval = dl::IncrementalEval::new().with_threads(2);
     ddb.run(&fresh, &mut eval, &plan).unwrap();
+    check(&ddb);
     assert_eq!(
         sorted(dump(ddb.database(), &fresh)),
         sorted(full_dump),
@@ -427,16 +466,21 @@ fn crash_at_every_byte_during_retract_round_recovers_completed_prefix() {
     let mut ddb = DurableDb::open(&dir_ref, &mut interner).unwrap();
     for (p, row) in chain_facts(&mut interner, CHAIN) {
         ddb.insert(&interner, p, &row).unwrap();
+        check(&ddb);
     }
     let rules = tc_rules(&mut interner);
     for rule in &rules {
         ddb.log_rule(&interner, rule).unwrap();
+        check(&ddb);
     }
     ddb.commit().unwrap();
+    check(&ddb);
     assert_eq!(ddb.snapshot(&interner).unwrap(), 1);
+    check(&ddb);
     let plan = dl::DeltaPlan::planned(ddb.rules(), ddb.database());
     let mut eval = dl::IncrementalEval::new().with_threads(2);
     ddb.run(&interner, &mut eval, &plan).unwrap();
+    check(&ddb);
     let pre_churn_dump = dump(ddb.database(), &interner);
 
     let edge = Pred(interner.get("edge").unwrap());
@@ -451,6 +495,7 @@ fn crash_at_every_byte_during_retract_round_recovers_completed_prefix() {
                 &plan,
             )
             .unwrap();
+        check(&ddb);
         assert!(out.found, "reference retraction of n{a}->n{b} missed");
         retract_states.push((dump(ddb.database(), &interner), ddb.stats()));
     }
@@ -517,6 +562,7 @@ fn crash_at_every_byte_during_retract_round_recovers_completed_prefix() {
 
         let mut fresh = Interner::new();
         let ddb = DurableDb::open(&dir_cut, &mut fresh).unwrap();
+        check(&ddb);
         let m = markers.iter().filter(|&&o| o <= cut).count();
         let (want_dump, want_stats) = expect_at(m);
         assert_eq!(
@@ -552,31 +598,46 @@ fn ambient_io_fault_during_churn_recovers_and_resumes() {
     let apply =
         |dir: &std::path::Path, interner: &mut Interner, fault: dl::FaultPlan| -> Option<Dump> {
             let mut ddb = DurableDb::open_with_faults(dir, interner, fault).ok()?;
+            check(&ddb);
             for (p, row) in chain_facts(interner, CHAIN) {
-                ddb.insert(interner, p, &row).ok()?;
+                let inserted = ddb.insert(interner, p, &row);
+                check(&ddb);
+                inserted.ok()?;
             }
             let rules = tc_rules(interner);
             if ddb.rules().is_empty() {
                 // Rules are all-or-nothing across a crash; re-log only when
                 // the crash predated their commit (replay would duplicate).
                 for rule in &rules {
-                    ddb.log_rule(interner, rule).ok()?;
+                    let logged = ddb.log_rule(interner, rule);
+                    check(&ddb);
+                    logged.ok()?;
                 }
             }
-            ddb.commit().ok()?;
+            let committed = ddb.commit();
+            check(&ddb);
+            committed.ok()?;
             let plan = dl::DeltaPlan::planned(ddb.rules(), ddb.database());
             let mut eval = dl::IncrementalEval::new().with_threads(2);
-            ddb.run(interner, &mut eval, &plan).ok()?;
+            let ran = ddb.run(interner, &mut eval, &plan);
+            check(&ddb);
+            ran.ok()?;
             // Churn: retract two edges, re-insert one, re-run the delta.
             let edge = Pred(interner.intern("edge"));
             for (a, b) in [(3usize, 4usize), (7, 8)] {
                 let t = [node(a, interner), node(b, interner)];
-                ddb.retract_fact(interner, edge, &t, &plan).ok()?;
+                let retracted = ddb.retract_fact(interner, edge, &t, &plan);
+                check(&ddb);
+                retracted.ok()?;
             }
             let t = [node(3, interner), node(4, interner)];
-            ddb.insert(interner, edge, &t).ok()?;
+            let inserted = ddb.insert(interner, edge, &t);
+            check(&ddb);
+            inserted.ok()?;
             eval.prime_marks(ddb.database());
-            ddb.run(interner, &mut eval, &plan).ok()?;
+            let ran = ddb.run(interner, &mut eval, &plan);
+            check(&ddb);
+            ran.ok()?;
             Some(dump(ddb.database(), interner))
         };
 
@@ -596,6 +657,7 @@ fn ambient_io_fault_during_churn_recovers_and_resumes() {
     // Clean recovery, then replay the workload to the post-churn fixpoint.
     let mut fresh = Interner::new();
     let ddb = DurableDb::open(&dir, &mut fresh).unwrap();
+    check(&ddb);
     drop(ddb);
     let mut fresh = Interner::new();
     let resumed = apply(&dir, &mut fresh, dl::FaultPlan::default())
@@ -632,22 +694,30 @@ fn run_durable_crashy(
     let Ok(mut ddb) = DurableDb::open_with_faults(dir, interner, fault) else {
         return;
     };
+    check(&ddb);
     for (p, row) in facts {
-        if ddb.insert(interner, *p, row).is_err() {
+        let inserted = ddb.insert(interner, *p, row);
+        check(&ddb);
+        if inserted.is_err() {
             return;
         }
     }
     for rule in rules {
-        if ddb.log_rule(interner, rule).is_err() {
+        let logged = ddb.log_rule(interner, rule);
+        check(&ddb);
+        if logged.is_err() {
             return;
         }
     }
-    if ddb.commit().is_err() {
+    let committed = ddb.commit();
+    check(&ddb);
+    if committed.is_err() {
         return;
     }
     let plan = dl::DeltaPlan::planned(ddb.rules(), ddb.database());
     let mut eval = dl::IncrementalEval::new().with_threads(threads);
     let _ = ddb.run(interner, &mut eval, &plan);
+    check(&ddb);
 }
 
 fn holds(db: &dl::Database, interner: &Interner, pname: &str, args: &[String]) -> bool {
@@ -693,14 +763,18 @@ proptest! {
         let mut ddb = DurableDb::open(&dir_full, &mut interner).unwrap();
         for (p, row) in &facts {
             ddb.insert(&interner, *p, row).unwrap();
+            check(&ddb);
         }
         for rule in &sc.rules {
             ddb.log_rule(&interner, rule).unwrap();
+            check(&ddb);
         }
         ddb.commit().unwrap();
+        check(&ddb);
         let plan = dl::DeltaPlan::planned(ddb.rules(), ddb.database());
         let mut eval = dl::IncrementalEval::new().with_threads(2);
         ddb.run(&interner, &mut eval, &plan).unwrap();
+        check(&ddb);
         let full_dump = dump(ddb.database(), &interner);
         let records = ddb.wal_stats().records;
         drop(ddb);
@@ -726,6 +800,7 @@ proptest! {
 
             let mut fresh = Interner::new();
             let ddb = DurableDb::open(&dir, &mut fresh).unwrap();
+            check(&ddb);
             let d = dump(ddb.database(), &fresh);
             assert_row_prefix(&d, &full_dump, &format!("{ctx} k={k} t={threads}"));
             match &recovered {
@@ -754,19 +829,24 @@ proptest! {
         let mut fresh = Interner::new();
         std::mem::swap(&mut fresh, &mut sc3.interner);
         let mut ddb = DurableDb::open(&dir, &mut fresh).unwrap();
+        check(&ddb);
         for (p, row) in &scenario_facts(&sc3.db) {
             ddb.insert(&fresh, *p, row).unwrap();
+            check(&ddb);
         }
         if ddb.rules().len() < sc3.rules.len() {
             prop_assert_eq!(ddb.rules().len(), 0, "{}: rules must be all-or-nothing", &ctx);
             for rule in &sc3.rules {
                 ddb.log_rule(&fresh, rule).unwrap();
+                check(&ddb);
             }
         }
         ddb.commit().unwrap();
+        check(&ddb);
         let plan = dl::DeltaPlan::planned(ddb.rules(), ddb.database());
         let mut eval = dl::IncrementalEval::new().with_threads(2);
         ddb.run(&fresh, &mut eval, &plan).unwrap();
+        check(&ddb);
         prop_assert_eq!(
             sorted(dump(ddb.database(), &fresh)),
             sorted(full_dump.clone()),

@@ -89,22 +89,34 @@ fn assert_prefix(
     }
 }
 
+/// Panics unless every relation of `db` passes
+/// `Database::check_invariants` (indexes, dedup table and counters exactly
+/// match the arena).
+fn assert_invariants(db: &dl::Database, ctx: &str, arm: &str) {
+    if let Err(e) = db.check_invariants() {
+        panic!("{ctx}: {arm}: {e}");
+    }
+}
+
 fn check_relational(s: &Scenario) {
     let ctx = format!("{} seed {}", s.family, s.seed);
 
     // Compiled semi-naive under the cost planner (the `evaluate` default).
     let mut compiled = s.db.clone();
     dl::evaluate(&mut compiled, &s.rules).unwrap_or_else(|e| panic!("{ctx}: evaluate: {e:?}"));
+    assert_invariants(&compiled, &ctx, "compiled");
     let dump = compiled.dump(&s.interner);
 
     // Compiled naive.
     let mut naive = s.db.clone();
     dl::evaluate_naive(&mut naive, &s.rules).unwrap();
+    assert_invariants(&naive, &ctx, "naive");
     assert_eq!(dump, naive.dump(&s.interner), "{ctx}: naive disagrees");
 
     // The PR 1/2 interpreter oracle.
     let mut interp = s.db.clone();
     interp::evaluate_naive_interpreted(&mut interp, &s.rules);
+    assert_invariants(&interp, &ctx, "interpreter");
     assert_eq!(
         dump,
         interp.dump(&s.interner),
@@ -117,6 +129,7 @@ fn check_relational(s: &Scenario) {
     dl::IncrementalEval::new()
         .run(&mut greedy, &s.rules, &greedy_plan)
         .unwrap();
+    assert_invariants(&greedy, &ctx, "greedy");
     assert_eq!(
         dump,
         greedy.dump(&s.interner),
@@ -134,6 +147,7 @@ fn check_relational(s: &Scenario) {
             .with_parallel_threshold(1)
             .run(&mut db, &s.rules, &plan)
             .unwrap();
+        assert_invariants(&db, &ctx, &format!("planned at {threads} threads"));
         let rows = row_lists(&db);
         match &reference {
             None => {
@@ -152,7 +166,9 @@ fn check_relational(s: &Scenario) {
     for rounds in [1usize, 2] {
         let mut db = s.db.clone();
         let gov = dl::Governor::new(dl::Budget::unlimited().with_max_rounds(rounds));
-        match dl::evaluate_governed(&mut db, &s.rules, &gov) {
+        let governed = dl::evaluate_governed(&mut db, &s.rules, &gov);
+        assert_invariants(&db, &ctx, &format!("governed to {rounds} rounds"));
+        match governed {
             Ok(_) => assert_eq!(row_lists(&db), full_rows, "{ctx}: governed Ok differs"),
             Err(dl::EvalError::BudgetExhausted { .. }) => {
                 assert_prefix(&row_lists(&db), &full_rows, &ctx);
