@@ -8,7 +8,7 @@
 //! targets.
 //!
 //! Every run also appends a machine-readable trajectory to
-//! `BENCH_pr18.json` (override with `FUNDB_BENCH_JSON`): one record per
+//! `BENCH_pr19.json` (override with `FUNDB_BENCH_JSON`): one record per
 //! experiment with its wall time, plus detailed records (rows/s, join
 //! probes, index hits/misses, threads) for the timed experiments. CI
 //! uploads the file so the bench history accumulates across PRs.
@@ -68,7 +68,7 @@ fn main() {
     }
     if want("e8") {
         let t = Instant::now();
-        e8_incremental_queries();
+        e8_incremental_queries(&mut bench);
         bench.total("E8", t);
     }
     if want("e9") {
@@ -159,8 +159,8 @@ impl Bench {
     /// Writes the trajectory file and returns its path.
     fn write(&self) -> std::io::Result<String> {
         let path =
-            std::env::var("FUNDB_BENCH_JSON").unwrap_or_else(|_| "BENCH_pr18.json".to_string());
-        let mut out = String::from("{\"schema\":\"fundb-bench-v1\",\"pr\":18,\"records\":[\n");
+            std::env::var("FUNDB_BENCH_JSON").unwrap_or_else(|_| "BENCH_pr19.json".to_string());
+        let mut out = String::from("{\"schema\":\"fundb-bench-v1\",\"pr\":19,\"records\":[\n");
         out.push_str(&self.records.join(",\n"));
         out.push_str("\n]}\n");
         std::fs::write(&path, out)?;
@@ -601,16 +601,22 @@ fn e7_scope_bounds() {
 }
 
 /// E8 — Theorem 5.1: incremental vs full-recompute query answering.
-fn e8_incremental_queries() {
+///
+/// Both times are the median pair of interleaved (incremental, extension)
+/// runs. Before timing, the incremental answer is checked against the
+/// by-extension one: on every term up to depth 4 the two answer sets are
+/// equal.
+fn e8_incremental_queries(bench: &mut Bench) {
     banner(
         "E8",
         "Incremental query answering (Theorem 5.1)",
         "uniform queries have incremental specifications (Q(B), F): no \
          recomputation of the fixpoint specification is needed",
     );
+    const PAIRS: usize = 7;
     println!(
-        "{:>18} {:>16} {:>18}",
-        "workload", "incremental (ms)", "by extension (ms)"
+        "{:>18} {:>8} {:>16} {:>18}",
+        "workload", "size", "incremental (ms)", "by extension (ms)"
     );
     for (name, mut ws) in [
         ("rotation(16)", rotation(16)),
@@ -621,15 +627,70 @@ fn e8_incremental_queries() {
         // The canonical uniform query {(s, x̄) : P(s, x̄)} over the first
         // functional predicate.
         let q = first_functional_query(&mut ws);
-        let t0 = Instant::now();
-        let _inc = q.answer_incremental(&spec, &ws.interner).unwrap();
-        let inc_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t1 = Instant::now();
-        let _ext = q
+        let inc = q.answer_incremental(&spec, &ws.interner).unwrap();
+        let (ext, qp) = q
             .answer_by_extension(&ws.program, &ws.db, &mut ws.interner)
             .unwrap();
-        let ext_ms = t1.elapsed().as_secs_f64() * 1e3;
-        println!("{name:>18} {inc_ms:>16.2} {ext_ms:>18.2}");
+        let fundb_core::IncrementalAnswer::PerCluster(per_cluster) = &inc else {
+            panic!("{name}: a functional output answers per cluster");
+        };
+        let mut paths: Vec<Vec<fundb_term::Func>> = vec![vec![]];
+        let mut shorter = 0..1;
+        for _ in 0..4 {
+            for i in shorter.clone() {
+                for &f in spec.funcs.symbols() {
+                    paths.push([&paths[i][..], &[f]].concat());
+                }
+            }
+            shorter = shorter.end..paths.len();
+        }
+        for path in &paths {
+            let rep = spec.representative_of(path).unwrap();
+            let mut incremental: Vec<&[fundb_term::Cst]> = per_cluster
+                .get(&rep)
+                .map_or(Vec::new(), |set| set.iter().map(Vec::as_slice).collect());
+            let ext_rep = ext.representative_of(path).unwrap();
+            let mut extension: Vec<&[fundb_term::Cst]> = ext
+                .slice(ext_rep)
+                .filter(|&(p, _)| p == qp)
+                .map(|(_, row)| row)
+                .collect();
+            incremental.sort_unstable();
+            extension.sort_unstable();
+            assert_eq!(incremental, extension, "{name}: answers differ at {path:?}");
+        }
+        let size = inc.size();
+        let ws = std::cell::RefCell::new(ws);
+        let timed = paired(
+            PAIRS,
+            || {
+                let w = ws.borrow();
+                let t = Instant::now();
+                q.answer_incremental(&spec, &w.interner).unwrap();
+                t.elapsed().as_secs_f64() * 1e3
+            },
+            || {
+                let w = &mut *ws.borrow_mut();
+                let t = Instant::now();
+                q.answer_by_extension(&w.program, &w.db, &mut w.interner)
+                    .unwrap();
+                t.elapsed().as_secs_f64() * 1e3
+            },
+        );
+        println!(
+            "{name:>18} {size:>8} {:>16.3} {:>18.2}",
+            timed.base_ms, timed.treat_ms
+        );
+        bench.push(
+            "E8",
+            name,
+            &[
+                ("size", size as f64),
+                ("paths_checked", paths.len() as f64),
+                ("incremental_ms", timed.base_ms),
+                ("extension_ms", timed.treat_ms),
+            ],
+        );
     }
     println!("expected shape: incremental orders of magnitude cheaper\n");
 }
@@ -1039,7 +1100,7 @@ fn e13_serving_throughput(bench: &mut Bench) {
 
     banner(
         "E13",
-        "Frozen-spec serving throughput (freeze + memoize + batch)",
+        "Frozen-spec serving throughput (freeze + batch)",
         "engine-level (no paper claim): a sealed specification answers \
          yes/no queries as a successor-table walk plus one slice probe, \
          through a parallel batch path; answers stay byte-identical to the \

@@ -550,6 +550,21 @@ Meets(0, Tony). Next(Tony, Jan). Next(Jan, Tony).\n";
     }
 
     #[test]
+    fn relational_queries_of_the_wrong_arity_answer_empty() {
+        let dir = tempdir();
+        let prog = write_program(&dir, "meets_arity.fdb", MEETS);
+        for body in ["Next(x)", "Next(x, y, z)"] {
+            let out = run_str(&["query", &prog, body]).unwrap();
+            assert_eq!(
+                out, "incremental answer: 0 tuple(s) over the specification\n",
+                "{body}"
+            );
+        }
+        let out = run_str(&["query", &prog, "Next(x, y)"]).unwrap();
+        assert!(out.contains("(Tony, Jan)"), "{out}");
+    }
+
+    #[test]
     fn analyze_reports_infinity_and_params() {
         let dir = tempdir();
         let prog = write_program(&dir, "meets3.fdb", MEETS);

@@ -876,7 +876,9 @@ impl Repl {
         if self.spec.is_none() && q.validate(&self.ws.interner).is_ok() {
             self.arm_governor();
             let gov = self.ws.governor().clone();
-            if let Some(result) = q.answer_goal_directed(&self.ws.program, &self.ws.db, &gov) {
+            if let Some(result) =
+                q.answer_goal_directed(&self.ws.program, &self.ws.db, &self.ws.interner, &gov)
+            {
                 return match result {
                     Ok(ans) => {
                         self.demand.magic_rules += ans.stats.magic_rules;
@@ -1272,6 +1274,42 @@ mod tests {
         );
         assert!(out.contains("replayed 2 line(s)"), "{out}");
         assert!(out.contains("true"), "{out}");
+    }
+
+    #[test]
+    fn goal_queries_of_the_wrong_arity_answer_empty() {
+        let mut repl = Repl::new();
+        feed(
+            &mut repl,
+            &[
+                "Edge(A, B). Edge(B, C).",
+                "Edge(x, y) -> Path(x, y).",
+                "Path(x, y), Edge(y, z) -> Path(x, z).",
+            ],
+        );
+        for goal in [
+            "?- Path(x).",
+            "?- Edge(x).",
+            "?- Path(A, x, y).",
+            "?- Edge(x, y, z).",
+        ] {
+            let out = feed(&mut repl, &[goal]);
+            assert_eq!(out, "no answers\n", "{goal}");
+        }
+        // The session is intact: a well-formed goal still answers.
+        let out = feed(&mut repl, &["?- Path(A, x)."]);
+        assert!(out.contains("(B)") && out.contains("(C)"), "{out}");
+    }
+
+    #[test]
+    fn goal_query_over_an_unsafe_fact_reports_section_2_3() {
+        let mut repl = Repl::new();
+        // Lower-case arguments are variables: the "fact" is a rule whose
+        // head variables occur in no body.
+        let out = feed(&mut repl, &["Edge(a, b).", "?- Edge(A, x)."]);
+        assert!(out.contains("not range-restricted"), "{out}");
+        assert!(out.contains("§2.3"), "{out}");
+        assert!(!out.contains("rolled back"), "{out}");
     }
 
     #[test]

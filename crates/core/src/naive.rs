@@ -40,20 +40,20 @@ pub struct BoundedMaterialization {
     /// hits/misses) — the baseline's cost, comparable to the engine's
     /// [`EngineStats`](crate::engine::EngineStats).
     pub eval: dl::EvalStats,
-    /// First-derivation provenance (present when built with
+    /// Derivation provenance (present when built with
     /// [`BoundedMaterialization::run_traced`]).
     pub provenance: Option<dl::Provenance>,
     term_consts: FxHashMap<Vec<Func>, Cst>,
 }
 
 impl BoundedMaterialization {
-    /// Like [`BoundedMaterialization::run`], but records first-derivation
+    /// Like [`BoundedMaterialization::run`], but records derivation
     /// provenance so that [`BoundedMaterialization::explain`] can produce
     /// proofs. Within the horizon this doubles as a *why* facility for the
     /// infinite fixpoint: a derivation found at any depth is a genuine
     /// derivation in `LFP(Z, D)`.
     pub fn run_traced(pure: &PureProgram, depth: usize, interner: &mut Interner) -> Result<Self> {
-        let out = Self::build(pure, depth, interner, true, &dl::Governor::default())?;
+        let out = Self::build(pure, depth, interner, true)?;
         debug_assert!(out.provenance.is_some());
         Ok(out)
     }
@@ -61,7 +61,7 @@ impl BoundedMaterialization {
     /// Grounds `pure` to depth `D` and saturates. `D` must be ≥ the depth
     /// of the deepest ground term in the program (`c`).
     pub fn run(pure: &PureProgram, depth: usize, interner: &mut Interner) -> Result<Self> {
-        Self::build(pure, depth, interner, false, &dl::Governor::default())
+        Self::build(pure, depth, interner, false)
     }
 
     fn build(
@@ -69,7 +69,6 @@ impl BoundedMaterialization {
         depth: usize,
         interner: &mut Interner,
         traced: bool,
-        governor: &dl::Governor,
     ) -> Result<Self> {
         assert!(
             depth >= pure.schema.max_ground_depth,
@@ -145,10 +144,10 @@ impl BoundedMaterialization {
 
         let ground_rules = rules.len();
         let (eval, provenance) = if traced {
-            let (stats, prov) = dl::evaluate_traced_governed(&mut db, &rules, governor)?;
+            let (stats, prov) = dl::evaluate_traced(&mut db, &rules)?;
             (stats, Some(prov))
         } else {
-            (dl::evaluate_governed(&mut db, &rules, governor)?, None)
+            (dl::evaluate(&mut db, &rules)?, None)
         };
         Ok(BoundedMaterialization {
             depth,

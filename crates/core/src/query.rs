@@ -15,30 +15,54 @@
 //!    preferable, because to process new queries we don't have to recompute
 //!    the specification of the least fixpoint."
 //!
-//! Ground functional terms in a query are replaced by the representative
-//! term of their cluster, as §5 prescribes.
+//! [`Query::answer_incremental`] computes `Q(B)` as a relational query in
+//! the plain sense: it writes `B` as a function-free [`dl::Database`] and
+//! runs the body through [`dl::query`], the compiled join executor every
+//! fixpoint uses. The mapping:
+//!
+//! * a cluster (a representative node of the graph specification) is a
+//!   constant, and each functional predicate `P` of the body is a relation
+//!   `P♯` with one row `(cluster, ā)` per atom `P(ā)` in that cluster's
+//!   slice — `B`, with the cluster as column 0;
+//! * relational predicates keep their rows from the relational store;
+//! * `P(s, ā)` becomes `P♯(C, ā)`, with one cluster variable `C` shared by
+//!   every such atom: all members of a cluster carry the same slice
+//!   (Theorem 3.1), so `s` ranges over clusters exactly;
+//! * a ground `P(t₀, ā)` becomes `P♯(rep(t₀), ā)` — §5 replaces ground
+//!   terms by the representative of their cluster; a term with no
+//!   representative leaves the answer empty;
+//! * a functional output makes `C` the first output column, and the rows
+//!   group by it into per-cluster tuple sets, read together with the
+//!   unchanged successor mappings `F`; without one, the query's own
+//!   duplicate elimination performs the `∃s` projection.
+//!
+//! The clusters, the `P♯` relations and `C` are [`Sym::synthetic`] handles
+//! past every interned symbol, as the magic-set rewrite names its
+//! auxiliary predicates; they never leave the scratch database.
 
+use crate::domaincheck;
 use crate::engine::Engine;
 use crate::error::{Error, Result};
 use crate::graphspec::{GraphSpec, SpecNodeId};
 use crate::program::{Atom, Database, FTerm, NTerm, Program, Rule};
 use fundb_datalog as dl;
-use fundb_datalog::{Probe, RowId};
 use fundb_term::{Cst, Func, FxHashMap, FxHashSet, Interner, Pred, Sym, Var};
+
+/// A non-functional argument as a Datalog term.
+fn to_dl_term(t: &NTerm) -> dl::Term {
+    match t {
+        NTerm::Var(v) => dl::Term::Var(*v),
+        NTerm::Const(c) => dl::Term::Const(*c),
+    }
+}
 
 /// A purely relational atom in function-free Datalog form; `None` if the
 /// atom is functional.
 fn to_dl_atom(atom: &Atom) -> Option<dl::Atom> {
     match atom {
-        Atom::Relational { pred, args } => Some(dl::Atom::new(
-            *pred,
-            args.iter()
-                .map(|t| match t {
-                    NTerm::Var(v) => dl::Term::Var(*v),
-                    NTerm::Const(c) => dl::Term::Const(*c),
-                })
-                .collect(),
-        )),
+        Atom::Relational { pred, args } => {
+            Some(dl::Atom::new(*pred, args.iter().map(to_dl_term).collect()))
+        }
         Atom::Functional { .. } => None,
     }
 }
@@ -183,7 +207,10 @@ impl Query {
     }
 
     /// Strategy 2 (Theorem 5.1): evaluate a uniform query against the
-    /// primary database only, reusing the successor mappings.
+    /// primary database only, reusing the successor mappings — one
+    /// [`dl::query`] over `B` written as a function-free database (see the
+    /// module docs for the mapping). `spec` must have been built with
+    /// `interner`, so every symbol it holds is below `interner.len()`.
     pub fn answer_incremental(
         &self,
         spec: &GraphSpec,
@@ -195,41 +222,75 @@ impl Query {
                 detail: "incremental specifications require a uniform query (Theorem 5.1)".into(),
             });
         }
-        let has_fvar = self.body.iter().any(|a| a.spine_var().is_some());
-        if !has_fvar {
-            // A body with no functional atom at all routes through the
-            // shared Datalog query executor over the primary relational
-            // store — the same compiled-join path goal-directed answering
-            // uses — rather than the per-cluster interpreter.
-            if let Some((body, out)) = self.to_datalog_goal() {
-                let rows = dl::query(&spec.nf, &body, &out)?;
-                return Ok(IncrementalAnswer::Tuples(rows.into_iter().collect()));
+        // Synthetic handles past every interned symbol: cluster `i` is the
+        // constant `base + i`, then the cluster variable, then one `P♯` per
+        // functional predicate of the body.
+        let base = interner.len();
+        let synthetic =
+            |i: usize| Sym::synthetic(u32::try_from(base + i).expect("symbol space exhausted"));
+        let clusters = spec.cluster_count();
+        let cluster = |node: SpecNodeId| Cst(synthetic(node.index()));
+        let cluster_var = Var(synthetic(clusters));
+        let mut sharp: FxHashMap<Pred, Pred> = FxHashMap::default();
+        let mut scratch = dl::Database::new();
+        let mut body = Vec::with_capacity(self.body.len());
+        for atom in &self.body {
+            let (pred, fterm, args) = match atom {
+                Atom::Relational { pred, args } => {
+                    if let Some(rel) = spec.nf.relation(*pred) {
+                        *scratch.relation_mut(*pred, rel.arity()) = rel.clone();
+                    }
+                    body.push(dl::Atom::new(*pred, args.iter().map(to_dl_term).collect()));
+                    continue;
+                }
+                Atom::Functional { pred, fterm, args } => (pred, fterm, args),
+            };
+            let column0 = match fterm {
+                FTerm::Var(_) => dl::Term::Var(cluster_var),
+                // Ground term: replaced by its representative (§5).
+                ground => match ground.pure_path().and_then(|p| spec.representative_of(&p)) {
+                    Some(rep) => dl::Term::Const(cluster(rep)),
+                    None => return Ok(self.empty_answer()),
+                },
+            };
+            let next = Pred(synthetic(clusters + 1 + sharp.len()));
+            let pred_sharp = *sharp.entry(*pred).or_insert(next);
+            let args = std::iter::once(column0).chain(args.iter().map(to_dl_term));
+            body.push(dl::Atom::new(pred_sharp, args.collect()));
+        }
+        if !sharp.is_empty() {
+            let mut row = Vec::new();
+            for node in spec.node_ids() {
+                for (p, args) in spec.slice(node) {
+                    if let Some(&p_sharp) = sharp.get(&p) {
+                        row.clear();
+                        row.push(cluster(node));
+                        row.extend_from_slice(args);
+                        scratch.insert(p_sharp, &row);
+                    }
+                }
             }
         }
-        // Compile the conjunction once; every cluster reuses the program.
-        let compiled = CompiledBody::compile(&self.body, &self.out_nvars);
-        if !has_fvar {
-            // Ground functional atoms present: evaluate once against the
-            // spec (cluster representatives resolve the ground spines).
-            let tuples = compiled.eval_at(spec, None);
-            return Ok(IncrementalAnswer::Tuples(tuples));
+        if self.out_fvar.is_none() {
+            let rows = dl::query(&scratch, &body, &self.out_nvars)?;
+            return Ok(IncrementalAnswer::Tuples(rows.into_iter().collect()));
         }
+        let mut out_vars = Vec::with_capacity(self.out_nvars.len() + 1);
+        out_vars.push(cluster_var);
+        out_vars.extend_from_slice(&self.out_nvars);
         let mut map: FxHashMap<SpecNodeId, FxHashSet<Vec<Cst>>> = FxHashMap::default();
-        for cluster in spec.node_ids() {
-            let tuples = compiled.eval_at(spec, Some(cluster));
-            if !tuples.is_empty() {
-                map.insert(cluster, tuples);
-            }
+        for mut row in dl::query(&scratch, &body, &out_vars)? {
+            let node = SpecNodeId::from_dense_index(row.remove(0).index() - base);
+            map.entry(node).or_default().insert(row);
         }
-        if self.out_fvar.is_some() {
-            Ok(IncrementalAnswer::PerCluster(map))
-        } else {
-            // ∃s: project clusters away.
-            let mut tuples = FxHashSet::default();
-            for set in map.into_values() {
-                tuples.extend(set);
-            }
-            Ok(IncrementalAnswer::Tuples(tuples))
+        Ok(IncrementalAnswer::PerCluster(map))
+    }
+
+    /// The empty answer of this query's shape.
+    fn empty_answer(&self) -> IncrementalAnswer {
+        match self.out_fvar {
+            Some(_) => IncrementalAnswer::PerCluster(FxHashMap::default()),
+            None => IncrementalAnswer::Tuples(FxHashSet::default()),
         }
     }
 
@@ -258,54 +319,25 @@ impl Query {
     /// [`dl::DemandAnswer::goal_directed`]).
     ///
     /// Returns `None` when a functional atom occurs anywhere, so callers
-    /// fall back to spec-based answering.
+    /// fall back to spec-based answering. A program that is not
+    /// range-restricted answers the §2.3 error, as spec construction does.
     pub fn answer_goal_directed(
         &self,
         program: &Program,
         db: &Database,
+        interner: &Interner,
         governor: &dl::Governor,
     ) -> Option<Result<dl::DemandAnswer>> {
         let (body, out_vars) = self.to_datalog_goal()?;
         let rules = relational_rules(program)?;
         let facts = relational_facts(db)?;
+        if let Err(e) = domaincheck::check_program(program, interner) {
+            return Some(Err(e));
+        }
         Some(
             dl::query_demand_governed(&facts, &rules, &body, &out_vars, governor)
                 .map_err(Error::from),
         )
-    }
-
-    /// Batched [`Query::answer_incremental`]: answers every query against
-    /// the same specification, chunked over `std::thread::scope` workers.
-    /// Each worker owns a disjoint input-ordered chunk of the output, so
-    /// the result vector is byte-identical at any thread count; on failure
-    /// the error of the *first* failing query in input order is returned
-    /// (never a race winner's).
-    pub fn answer_incremental_batch(
-        queries: &[Query],
-        spec: &GraphSpec,
-        interner: &Interner,
-        threads: usize,
-    ) -> Result<Vec<IncrementalAnswer>> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let workers = threads.clamp(1, queries.len());
-        let chunk = queries.len().div_ceil(workers);
-        let mut slots: Vec<Option<Result<IncrementalAnswer>>> = Vec::new();
-        slots.resize_with(queries.len(), || None);
-        std::thread::scope(|s| {
-            for (qs, outs) in queries.chunks(chunk).zip(slots.chunks_mut(chunk)) {
-                s.spawn(move || {
-                    for (q, slot) in qs.iter().zip(outs.iter_mut()) {
-                        *slot = Some(q.answer_incremental(spec, interner));
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every slot is written by exactly one worker"))
-            .collect()
     }
 }
 
@@ -440,250 +472,6 @@ impl IncrementalAnswer {
         }
         out
     }
-}
-
-/// Where a compiled atom draws its candidate rows from.
-enum QSource {
-    /// A relational predicate: probed through the relation's indexes.
-    Relational(Pred),
-    /// A functional predicate at a ground term's representative cluster
-    /// (`Some(path)`) or at the current evaluation cluster (`None`).
-    Functional(Pred, Option<Vec<Func>>),
-}
-
-/// A key column resolved at probe time: a query constant or a register
-/// bound by an earlier atom.
-enum QSlot {
-    Const(Cst),
-    Reg(u32),
-}
-
-impl QSlot {
-    #[inline]
-    fn resolve(&self, regs: &[Cst]) -> Cst {
-        match *self {
-            QSlot::Const(c) => c,
-            QSlot::Reg(r) => regs[r as usize],
-        }
-    }
-}
-
-/// Per-column action against a candidate row (mirrors the datalog
-/// substrate's compiled scheme; see `fundb_datalog::program`).
-enum QColOp {
-    /// Row column must equal a query constant.
-    CheckConst(u32, Cst),
-    /// Row column must equal an already-bound register.
-    CheckReg(u32, u32),
-    /// Row column binds a fresh register.
-    Load(u32, u32),
-}
-
-/// One compiled body atom: candidate source, probe signature/key over the
-/// bound columns, and the per-column ops run on each candidate.
-struct QAtom {
-    source: QSource,
-    arity: usize,
-    /// Bitmask of columns bound before this atom runs (relational only).
-    sig: u64,
-    key: Vec<QSlot>,
-    cols: Vec<QColOp>,
-}
-
-/// A query body compiled once to a register program, reused across every
-/// cluster. Registers are numbered by first occurrence in written body
-/// order (the atom order is *not* reordered here: candidate enumeration
-/// order is part of the per-cluster evaluation contract).
-struct CompiledBody {
-    atoms: Vec<QAtom>,
-    /// Register index of each output variable (validated queries bind all
-    /// outputs in the body).
-    out_regs: Vec<u32>,
-    nregs: usize,
-}
-
-impl CompiledBody {
-    fn compile(body: &[Atom], out_vars: &[Var]) -> Self {
-        let mut regs: FxHashMap<Var, u32> = FxHashMap::default();
-        // Variables bound by *earlier* atoms: only those may enter a probe
-        // key. A within-atom repeat gets a CheckReg op (confirmed per row)
-        // but its register holds nothing at probe time.
-        let mut prebound: FxHashSet<Var> = FxHashSet::default();
-        let mut atoms = Vec::with_capacity(body.len());
-        for atom in body {
-            let source = match atom {
-                Atom::Relational { pred, .. } => QSource::Relational(*pred),
-                Atom::Functional { pred, fterm, .. } => {
-                    QSource::Functional(*pred, fterm.pure_path())
-                }
-            };
-            let relational = matches!(source, QSource::Relational(_));
-            let args = atom.args();
-            assert!(
-                !relational || args.len() <= 64,
-                "relational atoms are limited to 64 columns (signature bitmask)"
-            );
-            let mut sig = 0u64;
-            let mut key = Vec::new();
-            let mut cols = Vec::with_capacity(args.len());
-            for (i, t) in args.iter().enumerate() {
-                let col = i as u32;
-                match t {
-                    NTerm::Const(c) => {
-                        if relational {
-                            sig |= 1 << i;
-                            key.push(QSlot::Const(*c));
-                        }
-                        cols.push(QColOp::CheckConst(col, *c));
-                    }
-                    NTerm::Var(v) => match regs.get(v) {
-                        Some(&r) => {
-                            if relational && prebound.contains(v) {
-                                sig |= 1 << i;
-                                key.push(QSlot::Reg(r));
-                            }
-                            cols.push(QColOp::CheckReg(col, r));
-                        }
-                        None => {
-                            let r = regs.len() as u32;
-                            regs.insert(*v, r);
-                            cols.push(QColOp::Load(col, r));
-                        }
-                    },
-                }
-            }
-            for t in args {
-                if let NTerm::Var(v) = t {
-                    prebound.insert(*v);
-                }
-            }
-            atoms.push(QAtom {
-                source,
-                arity: args.len(),
-                sig,
-                key,
-                cols,
-            });
-        }
-        // Invariant: `Query::validate` rejects queries whose output
-        // variables do not occur in the body, so every output variable was
-        // assigned a register while compiling the body atoms above.
-        let out_regs = out_vars
-            .iter()
-            .map(|v| *regs.get(v).expect("outputs bound by validated query"))
-            .collect();
-        CompiledBody {
-            atoms,
-            out_regs,
-            nregs: regs.len(),
-        }
-    }
-
-    /// Evaluates at a cluster (or globally when `cluster` is `None`),
-    /// returning the distinct bindings of the output variables.
-    fn eval_at(&self, spec: &GraphSpec, cluster: Option<SpecNodeId>) -> FxHashSet<Vec<Cst>> {
-        let mut out = FxHashSet::default();
-        // Every register is written (Load) before it is read (CheckReg /
-        // output), so a placeholder initialisation is safe and lets one
-        // flat buffer serve the whole recursion — no per-probe maps.
-        let mut regs = vec![Cst(Sym::PLACEHOLDER); self.nregs];
-        self.eval_rec(spec, 0, cluster, &mut regs, &mut |regs| {
-            let tuple: Vec<Cst> = self.out_regs.iter().map(|&r| regs[r as usize]).collect();
-            out.insert(tuple);
-        });
-        out
-    }
-
-    fn eval_rec(
-        &self,
-        spec: &GraphSpec,
-        depth: usize,
-        cluster: Option<SpecNodeId>,
-        regs: &mut [Cst],
-        emit: &mut dyn FnMut(&[Cst]),
-    ) {
-        if depth == self.atoms.len() {
-            emit(regs);
-            return;
-        }
-        let ca = &self.atoms[depth];
-        match &ca.source {
-            QSource::Relational(pred) => {
-                let Some(rel) = spec.nf.relation(*pred) else {
-                    return;
-                };
-                if ca.sig == 0 {
-                    for row in rel.rows() {
-                        if row.len() == ca.arity && apply_cols(&ca.cols, row, regs) {
-                            self.eval_rec(spec, depth + 1, cluster, regs, emit);
-                        }
-                    }
-                    return;
-                }
-                // Resolve the key against the registers and probe; hash
-                // buckets may collide, so the column ops re-confirm every
-                // candidate.
-                let key: Vec<Cst> = ca.key.iter().map(|s| s.resolve(regs)).collect();
-                match rel.probe(ca.sig, &key) {
-                    Probe::Index(ids) | Probe::Partial(ids) => {
-                        for &id in ids {
-                            let row = rel.row(RowId(id));
-                            if row.len() == ca.arity && apply_cols(&ca.cols, row, regs) {
-                                self.eval_rec(spec, depth + 1, cluster, regs, emit);
-                            }
-                        }
-                    }
-                    Probe::Scan => {
-                        for row in rel.rows() {
-                            if row.len() == ca.arity && apply_cols(&ca.cols, row, regs) {
-                                self.eval_rec(spec, depth + 1, cluster, regs, emit);
-                            }
-                        }
-                    }
-                }
-            }
-            QSource::Functional(pred, path) => {
-                let node = match path {
-                    // Ground term: replaced by its representative (§5).
-                    Some(p) => match spec.representative_of(p) {
-                        Some(n) => n,
-                        None => return,
-                    },
-                    // Invariant: a `None` path (functional *variable*) is
-                    // only compiled for uniform queries, and those are
-                    // always evaluated once per cluster with `Some(node)`.
-                    None => cluster.expect("functional variable implies per-cluster evaluation"),
-                };
-                for (p, row) in spec.slice(node) {
-                    if p == *pred && row.len() == ca.arity && apply_cols(&ca.cols, row, regs) {
-                        self.eval_rec(spec, depth + 1, cluster, regs, emit);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Runs an atom's column ops against a candidate row. No unwinding on
-/// failure: a register is always re-loaded before any later read.
-#[inline]
-fn apply_cols(cols: &[QColOp], row: &[Cst], regs: &mut [Cst]) -> bool {
-    for op in cols {
-        match *op {
-            QColOp::CheckConst(c, k) => {
-                if row[c as usize] != k {
-                    return false;
-                }
-            }
-            QColOp::CheckReg(c, r) => {
-                if row[c as usize] != regs[r as usize] {
-                    return false;
-                }
-            }
-            QColOp::Load(c, r) => regs[r as usize] = row[c as usize],
-        }
-    }
-    true
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! The read-serving layer: frozen specifications, canonical-path
-//! memoization, and parallel batch answering.
+//! The read-serving layer: frozen specifications and parallel batch
+//! answering.
 //!
 //! The paper's product is a *finite* representation of an *infinite* least
 //! fixpoint that can be queried forever after the one-off construction
@@ -11,9 +11,7 @@
 //! * [`FrozenGraphSpec`] — the graph specification `(B, F)` whose dense
 //!   `nodes × funcs` successor table, indexed through a flat symbol → column
 //!   map, makes the `Link` walk of a membership query a lock-free table
-//!   scan instead of per-step hash lookups; plus a hash-consed [`PathTrie`]
-//!   memo mapping `[Func]` prefixes to representative nodes (repeated or
-//!   overlapping lookups cost O(unseen suffix)).
+//!   scan instead of per-step hash lookups.
 //! * [`FrozenEqSpec`] — the equational specification `(B, R)` with the
 //!   congruence closure precomputed into a class-transition DFA
 //!   ([`fundb_congruence::FrozenClosure`]) with every term's class resolved
@@ -44,8 +42,7 @@ use crate::graphspec::{GraphSpec, SpecNodeId};
 use crate::state::State;
 use fundb_congruence::FrozenClosure;
 use fundb_datalog as dl;
-use fundb_term::{Cst, Func, FxHashMap, PathTrie, Pred};
-use std::sync::{PoisonError, RwLock};
+use fundb_term::{Cst, Func, FxHashMap, Pred};
 
 /// How many queries a batch worker answers between governor checkpoints.
 const CHECKPOINT_EVERY: usize = 64;
@@ -85,9 +82,8 @@ pub struct ServeStats {
 
 /// An immutable, shareable graph specification `(B, F)` snapshot.
 ///
-/// All methods take `&self`, and membership reads take no lock (only the
-/// optional path memo of [`Self::representative_memoized`] does). Wrap it
-/// in an `Arc` to share across threads.
+/// All methods take `&self`, and no read takes a lock. Wrap it in an `Arc`
+/// to share across threads.
 pub struct FrozenGraphSpec {
     /// The sealed specification; its dense successor table is what the
     /// `Link` walk reads.
@@ -97,18 +93,11 @@ pub struct FrozenGraphSpec {
     /// `rank[f.sym().index()]` = column of `f`, or `u32::MAX` for symbols
     /// outside the program's vocabulary.
     rank: Vec<u32>,
-    /// Hash-consed `[Func]`-prefix → representative-node memo.
-    memo: RwLock<PathTrie>,
 }
 
 impl std::fmt::Debug for FrozenGraphSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "FrozenGraphSpec({:?}, memo {} prefixes)",
-            self.spec,
-            self.memo_len()
-        )
+        write!(f, "FrozenGraphSpec({:?})", self.spec)
     }
 }
 
@@ -130,7 +119,6 @@ impl GraphSpec {
             nfuncs: self.funcs.len(),
             spec: self,
             rank,
-            memo: RwLock::new(PathTrie::new(0)),
         }
     }
 }
@@ -142,17 +130,14 @@ impl FrozenGraphSpec {
         &self.spec
     }
 
-    /// Unseals the snapshot, returning the owned specification (the path
-    /// memo is discarded).
+    /// Unseals the snapshot, returning the owned specification.
     pub fn thaw(self) -> GraphSpec {
         self.spec
     }
 
     /// Persists the sealed specification to `path` in the versioned binary
     /// spec format ([`crate::spec_io::SPEC_BIN_MAGIC`]), so a served spec
-    /// can be durably snapshotted without thawing the live snapshot. The
-    /// path memo is *not* written — it is derived data a reload rebuilds
-    /// on demand.
+    /// can be durably snapshotted without thawing the live snapshot.
     pub fn save_binary(
         &self,
         path: &str,
@@ -190,7 +175,7 @@ impl FrozenGraphSpec {
     /// re-freezing: applies the retraction's *net* row deletions (the
     /// over-delete set minus re-derived survivors) to the sealed
     /// relational store. The functional side (successor table, node
-    /// states, path memo) depends on the program alone and is untouched.
+    /// states) depends on the program alone and is untouched.
     /// Returns the number of rows retracted.
     ///
     /// Takes `&mut self` deliberately: patching is a maintenance-window
@@ -200,12 +185,10 @@ impl FrozenGraphSpec {
         self.spec.patch_retraction(outcome)
     }
 
-    /// Number of memoized path prefixes (including the empty one).
+    /// Always 1. There is no path memo; the `spec_serving` benchmark
+    /// workload still reads this count.
     pub fn memo_len(&self) -> usize {
-        self.memo
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        1
     }
 
     /// Dense representative-node index of a path, or `None` when the path
@@ -229,34 +212,6 @@ impl FrozenGraphSpec {
     pub fn representative_of(&self, path: &[Func]) -> Option<SpecNodeId> {
         self.rep_index(path)
             .map(|i| SpecNodeId::from_dense_index(i as usize))
-    }
-
-    /// Memoized representative lookup: the longest previously-seen prefix
-    /// is resolved through the hash-consed trie, so the walk only pays for
-    /// the unseen suffix. Prefer this for workloads with many overlapping
-    /// long paths; for one-off short paths [`Self::representative_of`]
-    /// avoids the read lock.
-    pub fn representative_memoized(&self, path: &[Func]) -> Option<SpecNodeId> {
-        {
-            let memo = self.memo.read().unwrap_or_else(PoisonError::into_inner);
-            let (node, consumed) = memo.longest_prefix(path);
-            if consumed == path.len() {
-                return Some(SpecNodeId::from_dense_index(memo.value(node) as usize));
-            }
-        }
-        let mut memo = self.memo.write().unwrap_or_else(PoisonError::into_inner);
-        // Re-walk under the write lock: the trie may have grown since.
-        let (mut node, consumed) = memo.longest_prefix(path);
-        let mut cur = memo.value(node);
-        for &f in &path[consumed..] {
-            let r = *self.rank.get(f.sym().index())?;
-            if r == u32::MAX {
-                return None;
-            }
-            cur = self.spec.succ[cur as usize * self.nfuncs + r as usize];
-            node = memo.child(node, f, cur);
-        }
-        Some(SpecNodeId::from_dense_index(cur as usize))
     }
 
     /// Yes-no membership `P(t₀, ā) ∈ L`: the `Link` walk to the
@@ -566,21 +521,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn memoized_representatives_match_plain_walks() {
-        let (_i, spec, _even, plus) = even_spec();
-        let frozen = spec.freeze();
-        for n in (0..64usize).rev() {
-            let path = vec![plus; n];
-            assert_eq!(
-                frozen.representative_memoized(&path),
-                frozen.representative_of(&path)
-            );
-        }
-        // All 64 prefixes of the longest path are memoized exactly once.
-        assert_eq!(frozen.memo_len(), 64);
     }
 
     #[test]

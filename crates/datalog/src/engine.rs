@@ -1101,26 +1101,35 @@ pub fn evaluate_naive_governed(
 /// (derivation order is part of the contract, so no reordering here); the
 /// database is borrowed immutably, so multi-column probes that lack a
 /// pre-built composite index fall back to the most selective single-column
-/// bucket and count as `index_misses`.
+/// bucket and count as `index_misses`. A body atom whose arity differs from
+/// its relation's matches no row, so the answer is empty; a panic during
+/// execution (e.g. an output variable unbound by the body) surfaces as
+/// [`EvalError::WorkerPanicked`] instead of unwinding through the caller.
 pub fn query(db: &Database, body: &[Atom], out_vars: &[Var]) -> Result<Vec<Vec<Cst>>, EvalError> {
-    query_governed(db, body, out_vars, &Governor::default())
-}
-
-/// [`query`] under an explicit governor: the join is interruptible at the
-/// usual probe granularity, and a panic during execution (e.g. an output
-/// variable unbound by the body) surfaces as [`EvalError::WorkerPanicked`]
-/// instead of unwinding through the caller.
-pub fn query_governed(
-    db: &Database,
-    body: &[Atom],
-    out_vars: &[Var],
-    governor: &Governor,
-) -> Result<Vec<Vec<Cst>>, EvalError> {
+    if arity_mismatch(db, &[], body) {
+        return Ok(Vec::new());
+    }
     let mut stats = EvalStats::default();
-    query_collect(db, body, out_vars, governor, &mut stats)
+    query_collect(db, body, out_vars, &Governor::default(), &mut stats)
 }
 
-/// The shared executor behind [`query_governed`] and the goal-directed
+/// Whether some atom of `body` is used at an arity other than its
+/// predicate's: the arity of its relation in `db`, or of any atom of
+/// `rules` naming the same predicate. Such an atom matches no row; the
+/// compiled join indexes columns by position and would read past the end
+/// of a shorter row, so the query entry points answer it up front.
+fn arity_mismatch(db: &Database, rules: &[Rule], body: &[Atom]) -> bool {
+    body.iter().any(|atom| {
+        let n = atom.args.len();
+        db.relation(atom.pred).is_some_and(|rel| rel.arity() != n)
+            || rules
+                .iter()
+                .flat_map(|r| std::iter::once(&r.head).chain(&r.body))
+                .any(|a| a.pred == atom.pred && a.args.len() != n)
+    })
+}
+
+/// The shared executor behind [`query`] and the goal-directed
 /// [`query_demand_governed`]: runs the compiled body and *accumulates* probe
 /// counters into `stats` instead of discarding them.
 fn query_collect(
@@ -1211,7 +1220,9 @@ pub struct DemandAnswer {
 ///
 /// Degenerate goals fall back transparently: an all-free goal materializes
 /// the full fixpoint into the overlay; a goal over EDB (or missing)
-/// predicates only is answered by a direct join against `db`.
+/// predicates only is answered by a direct join against `db`. A goal atom
+/// whose arity differs from its predicate's in `db` or in `rules` matches
+/// no row: the answer is empty, and nothing is evaluated.
 pub fn query_demand(
     db: &Database,
     rules: &[Rule],
@@ -1246,6 +1257,9 @@ pub fn query_demand_tuned(
     threads: Option<usize>,
     min_parallel_rows: Option<usize>,
 ) -> Result<DemandAnswer, EvalError> {
+    if arity_mismatch(db, rules, body) {
+        return Ok(DemandAnswer::default());
+    }
     let overlay_eval = |scratch: &mut Database, rules: &[Rule]| -> Result<EvalStats, EvalError> {
         let plan = DeltaPlan::planned(rules, scratch);
         let mut eval = IncrementalEval::new().with_governor(governor.clone());
@@ -2083,6 +2097,31 @@ mod tests {
         assert_eq!(resource, Resource::Rows);
         assert_eq!(partial.derived, 5);
         assert_eq!(db.relation(fx.path).unwrap().len(), 5);
+    }
+
+    #[test]
+    fn atoms_of_the_wrong_arity_match_no_row() {
+        let mut fx = fixture();
+        let rules = transitive_closure_rules(&fx);
+        let db = chain_db(&mut fx, 4);
+        let v0 = Term::Const(Cst(fx.i.intern("v0")));
+        let (x, y, z) = (Term::Var(fx.x), Term::Var(fx.y), Term::Var(fx.z));
+        let edge_short = vec![Atom::new(fx.edge, vec![x])];
+        let edge_long = vec![Atom::new(fx.edge, vec![x, y, z])];
+        // `Path` has no relation in `db`: its arity comes from the rules.
+        let path_short = vec![Atom::new(fx.path, vec![x])];
+        let path_long = vec![Atom::new(fx.path, vec![v0, x, y])];
+        for body in [&edge_short, &edge_long] {
+            assert!(query(&db, body, &[fx.x]).unwrap().is_empty());
+        }
+        for body in [&edge_short, &edge_long, &path_short, &path_long] {
+            let ans = query_demand(&db, &rules, body, &[fx.x]).unwrap();
+            assert!(ans.rows.is_empty(), "{body:?}");
+        }
+        // A well-formed conjunct does not rescue a malformed one.
+        let mixed = vec![Atom::new(fx.edge, vec![x, y]), Atom::new(fx.edge, vec![y])];
+        assert!(query(&db, &mixed, &[fx.x]).unwrap().is_empty());
+        assert_eq!(query(&db, &mixed[..1], &[fx.x]).unwrap().len(), 4);
     }
 
     #[test]

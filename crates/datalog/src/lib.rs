@@ -32,7 +32,7 @@ pub mod rule;
 
 pub use engine::{
     default_threads, evaluate, evaluate_governed, evaluate_naive, evaluate_naive_governed, query,
-    query_governed, DeltaPlan, EvalStats, IncrementalEval, RoundSink, DEFAULT_MIN_PARALLEL_ROWS,
+    DeltaPlan, EvalStats, IncrementalEval, RoundSink, DEFAULT_MIN_PARALLEL_ROWS,
 };
 pub use engine::{query_demand, query_demand_governed, query_demand_tuned, DemandAnswer};
 pub use governor::{
@@ -40,9 +40,7 @@ pub use governor::{
 };
 pub use magic::{magic_rewrite, MagicProgram};
 pub use program::JoinProgram;
-pub use provenance::{
-    evaluate_traced, evaluate_traced_governed, Derivation, Justification, Provenance,
-};
+pub use provenance::{evaluate_traced, Derivation, Provenance};
 pub use rel::{Database, PlanStats, Probe, RelStats, Relation, RowId, RowPool, Tuple};
 pub use retract::RetractOutcome;
 pub use rule::{Atom, Rule, Term};

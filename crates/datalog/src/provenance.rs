@@ -1,31 +1,42 @@
 //! Derivation provenance: why is a fact in the fixpoint?
 //!
-//! [`evaluate_traced`] runs the same semi-naive fixpoint as
-//! [`crate::evaluate`] while recording, for every *first* derivation of a
-//! fact, the rule index and the grounded body facts that produced it.
-//! [`Provenance::explain`] then reconstructs a finite derivation tree
-//! bottoming out in database (EDB) facts — well-founded because each
-//! recorded premise was inserted strictly before its conclusion.
+//! [`evaluate_traced`] runs exactly the fixpoint [`crate::evaluate`] runs —
+//! the same planned [`DeltaPlan`], the same [`IncrementalEval`] rounds, so
+//! the same rows in the same order and the same probe-level governor
+//! checks — with a [`RoundSink`] that records each relation's length after
+//! every round. Relations are append-only, so those lengths rank every row
+//! by the round that inserted it: the round of row `i` is the first
+//! recorded round whose end length exceeds `i`, one binary search. Rows
+//! present before the run are round 0, *given*.
+//!
+//! [`Provenance::explain`] rebuilds a derivation from the ranks alone. A
+//! row of round `r ≥ 1` was derived by a rule firing over the database as
+//! it stood after round `r − 1`, so some rule and some binding of its body
+//! have every premise in a round `< r`. The explanation takes the first
+//! rule, in rule order, whose head unifies with the fact, and the first
+//! [`crate::query`] binding of that rule's head-substituted body whose
+//! premises all lie in strictly earlier rounds, then recurses on the
+//! premises. Ranks strictly decrease along every branch, so the tree is
+//! finite and every leaf is a given row; the choice depends only on the
+//! rule order and the database, so it is deterministic. The justification
+//! found is "first rule, then first binding, from strictly earlier rounds",
+//! which need not be the firing whose row the merge inserted first.
 
-use crate::engine::EvalStats;
-use crate::governor::{EvalError, Governor, Resource};
+use crate::engine::{DeltaPlan, EvalStats, IncrementalEval, RoundSink};
+use crate::governor::EvalError;
 use crate::rel::{Database, Tuple};
 use crate::rule::{Atom, Rule, Term};
 use fundb_term::{Cst, FxHashMap, Interner, Pred, Var};
 
-/// A recorded justification: which rule fired with which ground premises.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Justification {
-    /// Index of the rule in the evaluated rule set.
-    pub rule: usize,
-    /// The grounded body facts.
-    pub premises: Vec<(Pred, Tuple)>,
-}
-
-/// First-derivation provenance for a fixpoint computation.
+/// Round ranks of a fixpoint run, for explaining its rows.
 #[derive(Clone, Debug, Default)]
 pub struct Provenance {
-    why: FxHashMap<(Pred, Tuple), Justification>,
+    /// The evaluated rule set, in rule order.
+    rules: Vec<Rule>,
+    /// Per relation, `(round, length after that round)` for round 0 (the
+    /// length before the run) and every round that grew the relation, in
+    /// round order.
+    ends: FxHashMap<Pred, Vec<(u32, usize)>>,
 }
 
 /// A derivation tree for one fact.
@@ -40,39 +51,109 @@ pub struct Derivation {
 }
 
 impl Provenance {
-    /// The justification recorded for a fact, if it was derived (rather
-    /// than given).
-    pub fn why(&self, pred: Pred, tuple: &[Cst]) -> Option<&Justification> {
-        self.why.get(&(pred, tuple.into()))
+    /// Reconstructs a derivation tree of a fact of the traced run's
+    /// database. Returns `None` if the fact is not in the database at all;
+    /// rows present before the run (or inserted after it) are leaves.
+    pub fn explain(&self, db: &Database, pred: Pred, tuple: &[Cst]) -> Option<Derivation> {
+        let round = self.round(db, pred, tuple)?;
+        Some(self.explain_at(db, pred, tuple, round))
     }
 
-    /// Reconstructs the full derivation tree of a fact. Returns `None` if
-    /// the fact is not in the database at all; facts without a recorded
-    /// justification are EDB leaves.
-    pub fn explain(&self, db: &Database, pred: Pred, tuple: &[Cst]) -> Option<Derivation> {
-        if !db.contains(pred, tuple) {
+    /// The round of the traced run that inserted a live row of `db` (0 for
+    /// rows the run did not insert), or `None` if the row is absent.
+    pub fn round(&self, db: &Database, pred: Pred, tuple: &[Cst]) -> Option<u32> {
+        let id = db.relation(pred)?.find(tuple)?.index();
+        let ends = self.ends.get(&pred).map_or(&[][..], Vec::as_slice);
+        Some(
+            ends.get(ends.partition_point(|&(_, end)| end <= id))
+                .map_or(0, |&(round, _)| round),
+        )
+    }
+
+    fn explain_at(&self, db: &Database, pred: Pred, tuple: &[Cst], round: u32) -> Derivation {
+        let fact = (pred, Tuple::from(tuple));
+        if round > 0 {
+            for (ri, rule) in self.rules.iter().enumerate() {
+                if let Some(premises) = self.justify(db, rule, pred, tuple, round) {
+                    return Derivation {
+                        fact,
+                        rule: Some(ri),
+                        premises: premises
+                            .iter()
+                            .map(|(p, t, r)| self.explain_at(db, *p, t, *r))
+                            .collect(),
+                    };
+                }
+            }
+        }
+        // Round 0, or a database changed since the run: a leaf.
+        Derivation {
+            fact,
+            rule: None,
+            premises: Vec::new(),
+        }
+    }
+
+    /// The premises, with their rounds, of the first binding of `rule`
+    /// that derives `pred(tuple)` from rows of rounds `< round`.
+    fn justify(
+        &self,
+        db: &Database,
+        rule: &Rule,
+        pred: Pred,
+        tuple: &[Cst],
+        round: u32,
+    ) -> Option<Vec<(Pred, Tuple, u32)>> {
+        if rule.head.pred != pred || rule.head.args.len() != tuple.len() {
             return None;
         }
-        Some(self.explain_known(pred, tuple))
-    }
-
-    fn explain_known(&self, pred: Pred, tuple: &[Cst]) -> Derivation {
-        match self.why(pred, tuple) {
-            None => Derivation {
-                fact: (pred, tuple.into()),
-                rule: None,
-                premises: Vec::new(),
-            },
-            Some(just) => Derivation {
-                fact: (pred, tuple.into()),
-                rule: Some(just.rule),
-                premises: just
-                    .premises
-                    .iter()
-                    .map(|(p, t)| self.explain_known(*p, t))
-                    .collect(),
-            },
+        let mut subst: FxHashMap<Var, Cst> = FxHashMap::default();
+        for (t, &c) in rule.head.args.iter().zip(tuple) {
+            let bound = match *t {
+                Term::Const(k) => k,
+                Term::Var(v) => *subst.entry(v).or_insert(c),
+            };
+            if bound != c {
+                return None;
+            }
         }
+        let body: Vec<Atom> = rule
+            .body
+            .iter()
+            .map(|a| {
+                let args = a
+                    .args
+                    .iter()
+                    .map(|t| match *t {
+                        Term::Var(v) => subst.get(&v).map_or(*t, |&c| Term::Const(c)),
+                        Term::Const(_) => *t,
+                    })
+                    .collect();
+                Atom::new(a.pred, args)
+            })
+            .collect();
+        let mut free: Vec<Var> = Vec::new();
+        for v in body.iter().flat_map(Atom::vars) {
+            if !free.contains(&v) {
+                free.push(v);
+            }
+        }
+        for binding in crate::query(db, &body, &free).ok()? {
+            subst.extend(free.iter().copied().zip(binding));
+            let premises: Option<Vec<_>> = rule
+                .body
+                .iter()
+                .map(|a| {
+                    let t = a.ground(&subst);
+                    let r = self.round(db, a.pred, &t).filter(|&r| r < round)?;
+                    Some((a.pred, t, r))
+                })
+                .collect();
+            if premises.is_some() {
+                return premises;
+            }
+        }
+        None
     }
 
     /// Renders a derivation tree as an indented proof, for humans.
@@ -104,176 +185,66 @@ impl Provenance {
     }
 }
 
-/// Semi-naive evaluation that records first derivations.
+/// The sink that ranks rows: each relation's length after every round
+/// that grew it.
+struct RoundEnds {
+    ends: FxHashMap<Pred, Vec<(u32, usize)>>,
+    /// Rounds completed so far.
+    round: u32,
+}
+
+impl RoundEnds {
+    fn grow(&mut self, pred: Pred, count: usize) {
+        let round = self.round + 1;
+        let ends = self.ends.entry(pred).or_default();
+        match ends.last_mut() {
+            Some((r, end)) if *r == round => *end += count,
+            last => {
+                let end = last.map_or(0, |&mut (_, end)| end) + count;
+                ends.push((round, end));
+            }
+        }
+    }
+}
+
+impl RoundSink for RoundEnds {
+    fn row_committed(&mut self, pred: Pred, _row: &[Cst]) {
+        self.grow(pred, 1);
+    }
+
+    fn rows_committed(&mut self, pred: Pred, _arity: usize, count: usize, _cells: &[Cst]) {
+        self.grow(pred, count);
+    }
+
+    fn round_committed(&mut self, _stats: &EvalStats) -> Result<(), String> {
+        self.round += 1;
+        Ok(())
+    }
+}
+
+/// [`crate::evaluate`], recording the round ranks [`Provenance::explain`]
+/// needs. The fixpoint, its row order and its statistics are the untraced
+/// run's.
 pub fn evaluate_traced(
     db: &mut Database,
     rules: &[Rule],
 ) -> Result<(EvalStats, Provenance), EvalError> {
-    evaluate_traced_governed(db, rules, &Governor::default())
-}
-
-/// [`evaluate_traced`] under an explicit governor. The tracing loop is
-/// interpreted, so budgets and cancellation are enforced at round
-/// boundaries and in the merge loop (no probe-level checks here).
-pub fn evaluate_traced_governed(
-    db: &mut Database,
-    rules: &[Rule],
-    governor: &Governor,
-) -> Result<(EvalStats, Provenance), EvalError> {
-    let mut stats = EvalStats::default();
-    let mut prov = Provenance::default();
-    let mut marks: FxHashMap<Pred, usize> = FxHashMap::default();
-    let mut first_round = true;
-
-    loop {
-        let committed = stats;
-        if let Err(resource) = governor.begin_round() {
-            governor.abort_round();
-            return Err(EvalError::BudgetExhausted {
-                resource,
-                partial: committed,
-            });
-        }
-        if let Some(limit) = governor.max_bytes() {
-            if db.approx_bytes() > limit {
-                governor.abort_round();
-                return Err(EvalError::BudgetExhausted {
-                    resource: Resource::Bytes,
-                    partial: committed,
-                });
-            }
-        }
-        stats.rounds += 1;
-        let mut buffer: Vec<(Pred, Tuple, Justification)> = Vec::new();
-
-        for (ri, rule) in rules.iter().enumerate() {
-            if rule.body.is_empty() {
-                if first_round {
-                    let subst = FxHashMap::default();
-                    buffer.push((
-                        rule.head.pred,
-                        rule.head.ground(&subst),
-                        Justification {
-                            rule: ri,
-                            premises: Vec::new(),
-                        },
-                    ));
-                }
-                continue;
-            }
-            let deltas: Vec<Option<usize>> = if first_round {
-                vec![None]
-            } else {
-                (0..rule.body.len()).map(Some).collect()
-            };
-            for delta_idx in deltas {
-                let mut subst: FxHashMap<Var, Cst> = FxHashMap::default();
-                trace_join(db, rule, ri, 0, delta_idx, &marks, &mut subst, &mut buffer);
-            }
-        }
-
-        for (p, rel) in db.iter() {
-            marks.insert(p, rel.len());
-        }
-
-        let mut changed = false;
-        for (p, t, just) in buffer {
-            if db.insert_derived(p, &t) {
-                changed = true;
-                stats.derived += 1;
-                prov.why.entry((p, t)).or_insert(just);
-                if !governor.note_row() {
-                    return Err(EvalError::BudgetExhausted {
-                        resource: Resource::Rows,
-                        partial: stats,
-                    });
-                }
-            }
-        }
-        first_round = false;
-        if !changed {
-            return Ok((stats, prov));
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn trace_join(
-    db: &Database,
-    rule: &Rule,
-    rule_idx: usize,
-    idx: usize,
-    delta_idx: Option<usize>,
-    marks: &FxHashMap<Pred, usize>,
-    subst: &mut FxHashMap<Var, Cst>,
-    out: &mut Vec<(Pred, Tuple, Justification)>,
-) {
-    if idx == rule.body.len() {
-        let premises: Vec<(Pred, Tuple)> = rule
-            .body
+    let mut sink = RoundEnds {
+        ends: db
             .iter()
-            .map(|a| (a.pred, a.ground(subst)))
-            .collect();
-        out.push((
-            rule.head.pred,
-            rule.head.ground(subst),
-            Justification {
-                rule: rule_idx,
-                premises,
-            },
-        ));
-        return;
-    }
-    let atom: &Atom = &rule.body[idx];
-    let Some(rel) = db.relation(atom.pred) else {
-        return;
+            .map(|(p, rel)| (p, vec![(0, rel.len())]))
+            .collect(),
+        round: 0,
     };
-    let rows: Vec<&[Cst]> = if delta_idx == Some(idx) {
-        rel.rows_from(marks.get(&atom.pred).copied().unwrap_or(0))
-            .collect()
-    } else {
-        let pattern: Vec<Option<Cst>> = atom
-            .args
-            .iter()
-            .map(|t| match t {
-                Term::Const(c) => Some(*c),
-                Term::Var(v) => subst.get(v).copied(),
-            })
-            .collect();
-        rel.select(&pattern).collect()
-    };
-    for row in rows {
-        let mut bound = Vec::new();
-        let mut ok = true;
-        for (t, v) in atom.args.iter().zip(row.iter()) {
-            match t {
-                Term::Const(c) => {
-                    if c != v {
-                        ok = false;
-                        break;
-                    }
-                }
-                Term::Var(var) => match subst.get(var) {
-                    Some(&existing) => {
-                        if existing != *v {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    None => {
-                        subst.insert(*var, *v);
-                        bound.push(*var);
-                    }
-                },
-            }
-        }
-        if ok {
-            trace_join(db, rule, rule_idx, idx + 1, delta_idx, marks, subst, out);
-        }
-        for var in bound {
-            subst.remove(&var);
-        }
-    }
+    let plan = DeltaPlan::planned(rules, db);
+    let stats = IncrementalEval::new().run_with_sink(db, rules, &plan, &mut sink)?;
+    Ok((
+        stats,
+        Provenance {
+            rules: rules.to_vec(),
+            ends: sink.ends,
+        },
+    ))
 }
 
 #[cfg(test)]
@@ -309,12 +280,37 @@ mod tests {
 
     #[test]
     fn traced_fixpoint_matches_untrace() {
-        let (i, db0, rules, _, _, _) = tc_setup();
+        let (_, db0, rules, _, _, _) = tc_setup();
         let mut db1 = db0.clone();
         let mut db2 = db0;
-        crate::evaluate(&mut db1, &rules).unwrap();
-        evaluate_traced(&mut db2, &rules).unwrap();
-        assert_eq!(db1.dump(&i), db2.dump(&i));
+        let untraced = crate::evaluate(&mut db1, &rules).unwrap();
+        let (traced, _) = evaluate_traced(&mut db2, &rules).unwrap();
+        assert_eq!(untraced, traced);
+        let rows = |db: &Database| -> Vec<(Pred, Vec<Vec<Cst>>)> {
+            let mut out: Vec<_> = db
+                .iter()
+                .map(|(p, rel)| (p, rel.rows().map(<[Cst]>::to_vec).collect()))
+                .collect();
+            out.sort_by_key(|(p, _)| *p);
+            out
+        };
+        assert_eq!(rows(&db1), rows(&db2), "same rows in the same order");
+    }
+
+    #[test]
+    fn premises_come_from_strictly_earlier_rounds() {
+        let (_, mut db, rules, _, path, nodes) = tc_setup();
+        let (_, prov) = evaluate_traced(&mut db, &rules).unwrap();
+        // Path(v0,v1) is round 1, Path(v0,v2) round 2, Path(v0,v3) round 3.
+        for (k, round) in [(1, 1), (2, 2), (3, 3)] {
+            assert_eq!(prov.round(&db, path, &[nodes[0], nodes[k]]), Some(round));
+        }
+        let d = prov.explain(&db, path, &[nodes[0], nodes[3]]).unwrap();
+        assert_eq!(
+            d.premises[0].fact,
+            (path, Tuple::from(&[nodes[0], nodes[2]][..]))
+        );
+        assert_eq!(d.premises[0].rule, Some(1));
     }
 
     #[test]

@@ -21,10 +21,8 @@ pub mod hash;
 pub mod interner;
 pub mod order;
 pub mod tree;
-pub mod trie;
 
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use interner::{Cst, Func, Interner, MixedSym, Pred, Sym, Var};
 pub use order::{FuncOrder, Precedence};
 pub use tree::{NodeId, TermTree};
-pub use trie::{PathTrie, TrieNode};

@@ -567,6 +567,137 @@ proptest! {
     }
 }
 
+/// Binds `atom` to the ground fact `pred(tuple)` under `subst`, extending
+/// it; `false` if they do not unify.
+fn unify(
+    atom: &dl::Atom,
+    pred: Pred,
+    tuple: &[Cst],
+    subst: &mut std::collections::HashMap<Var, Cst>,
+) -> bool {
+    atom.pred == pred
+        && atom.args.len() == tuple.len()
+        && atom.args.iter().zip(tuple).all(|(t, &c)| match *t {
+            dl::Term::Const(k) => k == c,
+            dl::Term::Var(v) => *subst.entry(v).or_insert(c) == c,
+        })
+}
+
+/// Checks one derivation tree of a traced run: each node's rule grounds,
+/// under one substitution, to the node's fact and its premises; every
+/// premise is in the database in a strictly earlier round; every leaf is a
+/// given row.
+fn check_derivation(
+    d: &dl::Derivation,
+    s: &Scenario,
+    db: &dl::Database,
+    prov: &dl::Provenance,
+    ctx: &str,
+) {
+    let (pred, tuple) = (d.fact.0, &d.fact.1[..]);
+    let round = prov
+        .round(db, pred, tuple)
+        .unwrap_or_else(|| panic!("{ctx}: {:?} is not in the database", d.fact));
+    let Some(ri) = d.rule else {
+        assert!(d.premises.is_empty(), "{ctx}: a leaf has premises");
+        assert_eq!(round, 0, "{ctx}: leaf {:?} was derived", d.fact);
+        assert!(
+            s.db.contains(pred, tuple),
+            "{ctx}: leaf {:?} is not given",
+            d.fact
+        );
+        return;
+    };
+    let rule = &s.rules[ri];
+    assert_eq!(
+        rule.body.len(),
+        d.premises.len(),
+        "{ctx}: rule {ri} premises"
+    );
+    let mut subst = std::collections::HashMap::new();
+    assert!(
+        unify(&rule.head, pred, tuple, &mut subst),
+        "{ctx}: rule {ri} head does not ground to {:?}",
+        d.fact
+    );
+    for (atom, sub) in rule.body.iter().zip(&d.premises) {
+        assert!(
+            unify(atom, sub.fact.0, &sub.fact.1, &mut subst),
+            "{ctx}: rule {ri} body does not ground to {:?}",
+            sub.fact
+        );
+        let r = prov.round(db, sub.fact.0, &sub.fact.1);
+        assert!(
+            r.is_some_and(|r| r < round),
+            "{ctx}: premise {:?} of round {r:?} under a fact of round {round}",
+            sub.fact
+        );
+        check_derivation(sub, s, db, prov, ctx);
+    }
+}
+
+/// Provenance on the relational families: the traced run leaves the
+/// untraced fixpoint (rows in the same order, same statistics), its round
+/// ranks match a round-budgeted run's completed prefix, and every derived
+/// row explains to a well-founded tree over given rows.
+fn check_provenance(s: &Scenario) {
+    let ctx = format!("{} seed {}", s.family, s.seed);
+    let mut plain = s.db.clone();
+    let plain_stats = dl::evaluate(&mut plain, &s.rules).unwrap();
+    let mut traced = s.db.clone();
+    let (traced_stats, prov) = dl::evaluate_traced(&mut traced, &s.rules).unwrap();
+    assert_eq!(row_lists(&plain), row_lists(&traced), "{ctx}: traced rows");
+    assert_eq!(plain_stats, traced_stats, "{ctx}: traced statistics");
+
+    // Round `k`'s completed prefix holds exactly the rows ranked `≤ k`.
+    let rounds = plain_stats.rounds;
+    for k in [1, rounds / 2].into_iter().filter(|&k| k >= 1) {
+        let mut prefix = s.db.clone();
+        let gov = dl::Governor::new(dl::Budget::unlimited().with_max_rounds(k));
+        let _ = dl::evaluate_governed(&mut prefix, &s.rules, &gov);
+        for (p, rel) in traced.iter() {
+            for row in rel.rows() {
+                let ranked = prov.round(&traced, p, row).expect("live row");
+                assert_eq!(
+                    prefix.contains(p, row),
+                    ranked as usize <= k,
+                    "{ctx}: row {row:?} ranked {ranked}, prefix of {k} rounds"
+                );
+            }
+        }
+    }
+
+    for (p, rel) in traced.iter() {
+        for row in rel.rows() {
+            if s.db.contains(p, row) {
+                continue;
+            }
+            let d = prov
+                .explain(&traced, p, row)
+                .unwrap_or_else(|| panic!("{ctx}: derived row {row:?} has no explanation"));
+            assert!(
+                d.rule.is_some(),
+                "{ctx}: derived row {row:?} explained as given"
+            );
+            check_derivation(&d, s, &traced, &prov, &ctx);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 12,
+        .. ProptestConfig::default()
+    })]
+
+    #[test]
+    fn traced_runs_explain_every_derived_row(seed in any::<u64>()) {
+        for &(_, family) in RELATIONAL_FAMILIES {
+            check_provenance(&family(seed));
+        }
+    }
+}
+
 /// The churn lattice must exercise the re-derive pass, not only
 /// over-deletion: at least one of a fixed set of seeded scripts restores
 /// rows (the shortcut edges give mid-chain paths alternative derivations).

@@ -9,9 +9,12 @@ use fundb_core::{Engine, GraphSpec, Query};
 use fundb_parser::Workspace;
 use proptest::prelude::*;
 
-/// Theorem 5.1 on random programs: for the canonical uniform query
-/// `{(s, x) : P(s, x)}`, incremental and by-extension answers agree on
-/// every term up to the test depth.
+/// Theorem 5.1 on random programs: incremental and by-extension answers
+/// agree on every term up to the test depth, for the canonical uniform
+/// query `{(s, x) : P(s, x)}` and for conjunctions that exercise every
+/// case of the rewrite onto the relational query executor: two functional
+/// atoms sharing `s` and `x`, a functional atom joined to a relational
+/// one, a ground-term atom next to an `s` atom, and an `∃s` projection.
 #[test]
 fn theorem_5_1_on_random_programs() {
     for seed in 0..30u64 {
@@ -20,28 +23,83 @@ fn theorem_5_1_on_random_programs() {
         let spec = GraphSpec::from_engine(&mut engine).unwrap();
         let s = fundb_term::Var(gen.interner.intern("qs"));
         let x = fundb_term::Var(gen.interner.intern("qx"));
-        for &p in &gen.preds {
-            let q = Query {
-                out_fvar: Some(s),
-                out_nvars: vec![x],
-                body: vec![Atom::Functional {
-                    pred: p,
-                    fterm: FTerm::Var(s),
-                    args: vec![NTerm::Var(x)],
-                }],
-            };
-            assert!(q.is_uniform());
-            let inc = q.answer_incremental(&spec, &gen.interner).unwrap();
-            let (ext, qp) = q
-                .answer_by_extension(&gen.program, &gen.db, &mut gen.interner)
-                .unwrap();
-            for path in all_paths(&gen.funcs, 3) {
-                for &c in &gen.consts {
-                    assert_eq!(
-                        inc.holds_term(&spec, &path, &[c]),
-                        ext.holds(qp, &path, &[c]),
-                        "seed {seed} pred {p:?} path {path:?}"
-                    );
+        let y = fundb_term::Var(gen.interner.intern("qy"));
+        let fat = |pred, fterm, arg| Atom::Functional {
+            pred,
+            fterm,
+            args: vec![NTerm::Var(arg)],
+        };
+        let ground = FTerm::from_path(&gen.funcs[..1]);
+        for (k, &p) in gen.preds.iter().enumerate() {
+            let q = gen.preds[(k + 1) % gen.preds.len()];
+            let queries = [
+                Query {
+                    out_fvar: Some(s),
+                    out_nvars: vec![x],
+                    body: vec![fat(p, FTerm::Var(s), x)],
+                },
+                Query {
+                    out_fvar: Some(s),
+                    out_nvars: vec![x],
+                    body: vec![fat(p, FTerm::Var(s), x), fat(q, FTerm::Var(s), x)],
+                },
+                Query {
+                    out_fvar: Some(s),
+                    out_nvars: vec![x],
+                    body: vec![
+                        fat(p, FTerm::Var(s), x),
+                        Atom::Relational {
+                            pred: gen.rel,
+                            args: vec![NTerm::Var(x)],
+                        },
+                    ],
+                },
+                Query {
+                    out_fvar: Some(s),
+                    out_nvars: vec![x, y],
+                    body: vec![fat(p, FTerm::Var(s), x), fat(q, ground.clone(), y)],
+                },
+                Query {
+                    out_fvar: None,
+                    out_nvars: vec![x],
+                    body: vec![fat(p, FTerm::Var(s), x), fat(q, FTerm::Var(s), x)],
+                },
+            ];
+            for (qi, query) in queries.iter().enumerate() {
+                assert!(query.is_uniform());
+                let inc = query.answer_incremental(&spec, &gen.interner).unwrap();
+                let (ext, qp) = query
+                    .answer_by_extension(&gen.program, &gen.db, &mut gen.interner)
+                    .unwrap();
+                let mut tuples: Vec<Vec<fundb_term::Cst>> = vec![vec![]];
+                for _ in &query.out_nvars {
+                    tuples = tuples
+                        .iter()
+                        .flat_map(|t| {
+                            gen.consts.iter().map(move |&c| {
+                                let mut t = t.clone();
+                                t.push(c);
+                                t
+                            })
+                        })
+                        .collect();
+                }
+                for t in &tuples {
+                    if query.out_fvar.is_none() {
+                        assert_eq!(
+                            inc.holds_tuple(t),
+                            ext.holds_relational(qp, t),
+                            "seed {seed} pred {p:?} query {qi} tuple {t:?}"
+                        );
+                        continue;
+                    }
+                    for path in all_paths(&gen.funcs, 3) {
+                        assert_eq!(
+                            inc.holds_term(&spec, &path, t),
+                            ext.holds(qp, &path, t),
+                            "seed {seed} pred {p:?} query {qi} path {path:?} tuple {t:?}"
+                        );
+                    }
                 }
             }
         }
