@@ -8,7 +8,7 @@
 //! targets.
 //!
 //! Every run also appends a machine-readable trajectory to
-//! `BENCH_pr19.json` (override with `FUNDB_BENCH_JSON`): one record per
+//! `BENCH_pr20.json` (override with `FUNDB_BENCH_JSON`): one record per
 //! experiment with its wall time, plus detailed records (rows/s, join
 //! probes, index hits/misses, threads) for the timed experiments. CI
 //! uploads the file so the bench history accumulates across PRs.
@@ -159,8 +159,8 @@ impl Bench {
     /// Writes the trajectory file and returns its path.
     fn write(&self) -> std::io::Result<String> {
         let path =
-            std::env::var("FUNDB_BENCH_JSON").unwrap_or_else(|_| "BENCH_pr19.json".to_string());
-        let mut out = String::from("{\"schema\":\"fundb-bench-v1\",\"pr\":19,\"records\":[\n");
+            std::env::var("FUNDB_BENCH_JSON").unwrap_or_else(|_| "BENCH_pr20.json".to_string());
+        let mut out = String::from("{\"schema\":\"fundb-bench-v1\",\"pr\":20,\"records\":[\n");
         out.push_str(&self.records.join(",\n"));
         out.push_str("\n]}\n");
         std::fs::write(&path, out)?;
@@ -1505,10 +1505,9 @@ fn e15_goal_directed(bench: &mut Bench) {
 
         // Goal-directed: magic-rewritten overlay evaluation of the same
         // ground goal against the unmaterialized base facts.
-        let gov = dl::Governor::default();
+        let eval = dl::IncrementalEval::new().with_threads(1);
         let t1 = Instant::now();
-        let ans =
-            dl::query_demand_tuned(&s.db, &s.rules, &ground, &[], &gov, Some(1), None).unwrap();
+        let ans = dl::query_demand(&s.db, &s.rules, &ground, &[], &eval).unwrap();
         let demand_ms = t1.elapsed().as_secs_f64() * 1e3;
         let mut demand_ground = ans.rows.clone();
         demand_ground.sort();
@@ -1531,8 +1530,7 @@ fn e15_goal_directed(bench: &mut Bench) {
             )];
             let mut full_open = dl::query(&full_db, &open, &[y]).unwrap();
             full_open.sort();
-            let open_ans =
-                dl::query_demand_tuned(&s.db, &s.rules, &open, &[y], &gov, Some(1), None).unwrap();
+            let open_ans = dl::query_demand(&s.db, &s.rules, &open, &[y], &eval).unwrap();
             let mut demand_open = open_ans.rows.clone();
             demand_open.sort();
             assert_eq!(demand_open, full_open, "E15 {name}: open answers differ");
@@ -1943,7 +1941,9 @@ fn e18_churn(bench: &mut Bench) {
             for op in &script {
                 let (p, row) = resolve(&s, op);
                 if op.retract {
-                    let out = db.retract_fact(p, &row, &s.rules, &plan);
+                    let out = db
+                        .retract_fact(p, &row, &s.rules, &plan, &dl::Governor::default())
+                        .unwrap();
                     retractions += out.stats.retractions as u64;
                     rederived += out.stats.rederived as u64;
                 } else {
@@ -2041,7 +2041,9 @@ fn e18_churn(bench: &mut Bench) {
     for _ in 0..5 {
         let mut db = fixed.clone();
         let t0 = Instant::now();
-        let out = db.retract_fact(p, &row, &s.rules, &plan);
+        let out = db
+            .retract_fact(p, &row, &s.rules, &plan, &dl::Governor::default())
+            .unwrap();
         incr_best = incr_best.min(t0.elapsed().as_secs_f64() * 1e3);
         assert!(out.found, "E18: seeded retract target missing");
         cone = out.deleted.len();
@@ -2104,7 +2106,8 @@ fn e18_churn(bench: &mut Bench) {
         for op in &script {
             let (p, row) = resolve(&s, op);
             if op.retract {
-                total.absorb(db.retract_fact(p, &row, &s.rules, &plan).stats);
+                let out = db.retract_fact(p, &row, &s.rules, &plan, &dl::Governor::default());
+                total.absorb(out.unwrap().stats);
             } else {
                 eval.prime_marks(&db);
                 db.insert(p, &row);

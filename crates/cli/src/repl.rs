@@ -636,14 +636,12 @@ impl Repl {
         );
         let outcome = if let (Some(rules), Some(mut db)) = relational {
             self.arm_governor();
-            let gov = self.ws.governor().clone();
             let plan = dl::DeltaPlan::planned(&rules, &db);
-            let mut eval = dl::IncrementalEval::new();
-            eval.set_governor(gov.clone());
+            let mut eval = dl::IncrementalEval::new().with_governor(self.ws.governor().clone());
             if let Err(e) = eval.run(&mut db, &rules, &plan) {
                 return self.report_error(&fundb_core::Error::Eval(e), out);
             }
-            match db.retract_fact_governed(pred, &args, &rules, &plan, &gov) {
+            match db.retract_fact(pred, &args, &rules, &plan, eval.governor()) {
                 Ok(o) => Some(o),
                 Err(e) => return self.report_error(&fundb_core::Error::Eval(e), out),
             }

@@ -305,9 +305,13 @@ impl Engine {
     ///
     /// On `Err` ([`crate::error::Error::Eval`]: budget exhausted,
     /// cancelled, or a worker panicked) the engine is left consistent —
-    /// every local context holds only fully-committed rounds, already
-    /// absorbed into the global stores — and not marked solved, so a later
-    /// call (e.g. under a fresh governor) resumes where this one stopped.
+    /// every local context holds its committed rounds plus, after a row
+    /// budget trip, the deterministic prefix of the tripping round's
+    /// merge, all absorbed into the global stores — and not marked solved.
+    /// A later call (e.g. under a fresh governor) resumes where this one
+    /// stopped: a local evaluator's marks move only when a round's merge
+    /// completes, so the tripped round runs again and the resumed solve
+    /// equals an uninterrupted one.
     pub fn solve(&mut self) -> Result<()> {
         if self.solved {
             return Ok(());

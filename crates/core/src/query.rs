@@ -313,10 +313,10 @@ impl Query {
     /// all purely relational, skip the graph specification entirely —
     /// rewrite the rules by the magic-set transformation for this goal's
     /// binding pattern and evaluate only the demanded cone into a scratch
-    /// overlay ([`dl::query_demand_governed`]). Ground and partially-bound
-    /// goals touch a fraction of the full fixpoint; degenerate goals fall
-    /// back to full materialization inside the same call (see
-    /// [`dl::DemandAnswer::goal_directed`]).
+    /// overlay ([`dl::query_demand`] under `governor`). Ground and
+    /// partially-bound goals touch a fraction of the full fixpoint;
+    /// degenerate goals fall back to full materialization inside the same
+    /// call (see [`dl::DemandAnswer::goal_directed`]).
     ///
     /// Returns `None` when a functional atom occurs anywhere, so callers
     /// fall back to spec-based answering. A program that is not
@@ -335,8 +335,14 @@ impl Query {
             return Some(Err(e));
         }
         Some(
-            dl::query_demand_governed(&facts, &rules, &body, &out_vars, governor)
-                .map_err(Error::from),
+            dl::query_demand(
+                &facts,
+                &rules,
+                &body,
+                &out_vars,
+                &dl::IncrementalEval::new().with_governor(governor.clone()),
+            )
+            .map_err(Error::from),
         )
     }
 }

@@ -18,7 +18,9 @@
 //! statistic and spec output — is byte-identical to a sequential run
 //! regardless of thread count. [`evaluate_naive`] re-derives everything
 //! each round and exists as a differential-testing oracle and as the
-//! textbook baseline.
+//! textbook baseline. Both run on one round driver — gate, select,
+//! execute, commit — and [`IncrementalEval`] is the one options value
+//! (governor, threads, parallel threshold) every evaluation takes.
 //!
 //! Every evaluation is governed (see [`crate::governor`]): entry points
 //! return `Result<…, EvalError>`, budgets and cancellation are checked at
@@ -26,7 +28,8 @@
 //! caught on the worker and surfaced as [`EvalError::WorkerPanicked`], and
 //! any early stop leaves the database in a deterministic prefix of the
 //! fixpoint — complete rounds, plus (for the row budget only) a
-//! deterministic prefix of the tripping round's merge.
+//! deterministic prefix of the tripping round's merge — from which the
+//! next run of the same evaluator resumes to the same fixpoint.
 
 use crate::governor::{EvalError, FaultPlan, Governor, ProbeGuard, Resource};
 use crate::program::{register_file, CompiledRule, HeadSlot, JoinProgram};
@@ -108,43 +111,28 @@ impl EvalStats {
     }
 }
 
-/// Observer of the deterministic commit sequence of a governed fixpoint
-/// run, attached via [`IncrementalEval::run_with_sink`]. The durable
-/// storage layer implements this to tee every committed row and every
-/// completed-round boundary into a write-ahead log.
+/// Observer of the deterministic commit sequence of a fixpoint run,
+/// attached via [`IncrementalEval::run_with_sink`]. The durable storage
+/// layer implements this to tee every committed round into a write-ahead
+/// log.
 ///
-/// All callbacks run on the coordinating thread at round boundaries,
-/// after the sequential, task-ordered merge, so the observed sequence is
-/// byte-identical at any thread count — the same determinism contract the
-/// row store itself keeps. Erroring out of
-/// [`round_committed`](RoundSink::round_committed)
-/// aborts the run with [`EvalError::WalFailed`]; the in-memory database
-/// still holds every completed round.
+/// Both callbacks run on the coordinating thread in the round's commit
+/// step, after the sequential, task-ordered merge, so the observed
+/// sequence is byte-identical at any thread count — the same determinism
+/// contract the row store itself keeps. Erroring out of
+/// [`round_committed`](RoundSink::round_committed) aborts the run with
+/// [`EvalError::WalFailed`]; the in-memory database still holds every
+/// completed round.
 pub trait RoundSink {
-    /// One row was inserted into `pred` by the round's merge. Infallible
-    /// by design: implementations buffer IO errors and surface them from
-    /// the next [`round_committed`](RoundSink::round_committed).
-    fn row_committed(&mut self, pred: Pred, row: &[Cst]);
-
     /// This round's freshly inserted rows for `pred`: `count` rows of
     /// `arity` cells each, as one contiguous arena slice in insertion
     /// order (`cells` is empty when `arity` is 0). The engine feeds each
     /// round's touched relations in predicate order once the round's
-    /// merge completes, so a bulk implementation can copy whole slices;
-    /// the default forwards to [`row_committed`](RoundSink::row_committed)
-    /// row by row. Per-relation row order — the order that assigns
+    /// merge completes. Per-relation row order — the order that assigns
     /// [`RowId`](crate::RowId)s — is identical at every thread count.
-    fn rows_committed(&mut self, pred: Pred, arity: usize, count: usize, cells: &[Cst]) {
-        if arity == 0 {
-            for _ in 0..count {
-                self.row_committed(pred, &[]);
-            }
-        } else {
-            for row in cells.chunks_exact(arity) {
-                self.row_committed(pred, row);
-            }
-        }
-    }
+    /// Infallible by design: implementations buffer IO errors and surface
+    /// them from the next [`round_committed`](RoundSink::round_committed).
+    fn rows_committed(&mut self, pred: Pred, arity: usize, count: usize, cells: &[Cst]);
 
     /// A fixpoint round completed and its rows are all in the database
     /// (also called for rounds that derived nothing, including the final
@@ -155,13 +143,13 @@ pub trait RoundSink {
     fn round_committed(&mut self, stats: &EvalStats) -> Result<(), String>;
 }
 
-/// The sink type behind sink-less [`IncrementalEval::run`] — never
-/// instantiated, it just gives `run_inner`'s generic parameter a concrete
-/// type whose (empty, inlined) callbacks compile out of the merge loop.
+/// The sink type behind sink-less runs — never instantiated, it just gives
+/// the driver's generic parameter a concrete type whose callbacks compile
+/// out of the commit step.
 enum NoopSink {}
 
 impl RoundSink for NoopSink {
-    fn row_committed(&mut self, _pred: Pred, _row: &[Cst]) {}
+    fn rows_committed(&mut self, _pred: Pred, _arity: usize, _count: usize, _cells: &[Cst]) {}
     fn round_committed(&mut self, _stats: &EvalStats) -> Result<(), String> {
         Ok(())
     }
@@ -331,9 +319,11 @@ pub fn default_threads() -> usize {
     })
 }
 
-/// A resumable semi-naive fixpoint: owns the low-water marks of one
-/// database, so [`IncrementalEval::run`] can be called repeatedly as the
-/// caller injects new facts, re-deriving only their consequences.
+/// The one options value of every fixpoint evaluation — governor, worker
+/// threads and parallel threshold — and a resumable semi-naive fixpoint:
+/// it owns the low-water marks of one database, so
+/// [`IncrementalEval::run`] can be called repeatedly as the caller injects
+/// new facts, re-deriving only their consequences.
 #[derive(Clone, Debug)]
 pub struct IncrementalEval {
     marks: FxHashMap<Pred, usize>,
@@ -341,6 +331,8 @@ pub struct IncrementalEval {
     /// renumbers row ids, so a moved value resets the mark to 0 and the
     /// next run re-scans the whole relation.
     compaction_marks: FxHashMap<Pred, u64>,
+    /// Whether a round has committed: until then every round is a full
+    /// round (every rule, empty-body rules included, over everything).
     started: bool,
     /// Worker threads per round; `None` defers to [`default_threads`].
     threads: Option<usize>,
@@ -348,10 +340,10 @@ pub struct IncrementalEval {
     min_parallel_rows: usize,
     /// Budgets, cancellation and fault injection for every run.
     governor: Governor,
-    /// Scratch for the per-round sink hand-off (relations the round
-    /// touched, in predicate order) — reused so sink-attached runs don't
-    /// allocate per round.
-    sink_touched: Vec<Pred>,
+    /// Scratch for the commit step, reused so rounds don't allocate: the
+    /// pre-merge `(relation, length)` pairs the marks move to once the
+    /// merge completes, then the relations the round touched.
+    round_ends: Vec<(Pred, usize)>,
 }
 
 impl Default for IncrementalEval {
@@ -363,7 +355,7 @@ impl Default for IncrementalEval {
             threads: None,
             min_parallel_rows: DEFAULT_MIN_PARALLEL_ROWS,
             governor: Governor::default(),
-            sink_touched: Vec::new(),
+            round_ends: Vec::new(),
         }
     }
 }
@@ -372,6 +364,17 @@ impl IncrementalEval {
     /// A fresh evaluation (first `run` performs the full initial round).
     pub fn new() -> IncrementalEval {
         IncrementalEval::default()
+    }
+
+    /// A fresh evaluation with this one's governor, threads and parallel
+    /// threshold, but none of its marks.
+    fn fresh(&self) -> IncrementalEval {
+        IncrementalEval {
+            threads: self.threads,
+            min_parallel_rows: self.min_parallel_rows,
+            governor: self.governor.clone(),
+            ..IncrementalEval::default()
+        }
     }
 
     /// Pins the worker-thread count (1 = always sequential). Builder form.
@@ -432,31 +435,43 @@ impl IncrementalEval {
 
     /// Runs the fixpoint to saturation and returns this run's counters.
     ///
-    /// The first call evaluates every rule over the whole database (and
-    /// fires empty-body rules); later calls treat rows inserted since the
-    /// previous call as the delta and only re-run the plan positions that
-    /// can see them. The caller must pass the same `rules`/`plan` pair on
-    /// every call.
+    /// Each round is gate, select, execute, commit: the gate asks the
+    /// governor to start a round (round, fault, cancellation, deadline and
+    /// byte budgets); selection picks the tasks — every rule over the
+    /// whole database until a round has committed (which also fires
+    /// empty-body rules), then only the plan positions that can see rows
+    /// past their marks; execution runs them, in parallel when the round
+    /// is large; the commit merges the derived rows in task order, moves
+    /// the marks and reports the round to the sink. The run stops after a
+    /// round that inserted nothing. The caller must pass the same
+    /// `rules`/`plan` pair on every call.
     ///
     /// On `Err`, the database holds a deterministic prefix of the fixpoint:
     /// every completed round, plus — for [`Resource::Rows`] only — the
     /// first `max_rows` rows of the tripping round's (sequential,
     /// task-ordered) merge. `partial` describes exactly those committed
     /// rows, so error results are byte-identical at any thread count.
+    ///
+    /// Resume contract: the marks move only when a round's merge
+    /// completes, so after any `Err` the next call (e.g. under a fresh
+    /// governor) re-runs the tripped round — a full round if no round had
+    /// committed yet — and reaches the same fixpoint as an uninterrupted
+    /// run.
     pub fn run(
         &mut self,
         db: &mut Database,
         rules: &[Rule],
         plan: &DeltaPlan,
     ) -> Result<EvalStats, EvalError> {
-        self.run_inner::<NoopSink>(db, rules, plan, None)
+        self.drive::<NoopSink>(db, rules, plan, false, None)
     }
 
     /// [`IncrementalEval::run`] with a [`RoundSink`] observing the commit
-    /// sequence: every inserted row (in deterministic merge order) and
-    /// every completed-round boundary. The durable storage layer uses this
-    /// to write its WAL at exactly the governor's checkpoint boundaries,
-    /// so recovery always replays onto a completed-round prefix.
+    /// sequence: every round's inserted rows (in deterministic merge
+    /// order) and every completed-round boundary. The durable storage
+    /// layer uses this to write its WAL at exactly the governor's
+    /// checkpoint boundaries, so recovery always replays onto a
+    /// completed-round prefix.
     ///
     /// Error returns never report a round the sink was not told about: a
     /// budget trip, fault, or panic surfaces *before* the tripping round's
@@ -466,9 +481,7 @@ impl IncrementalEval {
     /// never handed to the sink (rows reach the sink only when their round
     /// completes) — a recovered store drops exactly that partial tail.
     /// The sink parameter is generic (not `&mut dyn`) so a concrete sink's
-    /// per-row callback inlines into the merge loop — the WAL encoder runs
-    /// on every derived row, and virtual dispatch there is measurable
-    /// against the E17 ≤5% overhead budget. `dyn RoundSink` still works
+    /// callback inlines into the commit step; `dyn RoundSink` still works
     /// (`S: ?Sized`).
     pub fn run_with_sink<S: RoundSink + ?Sized>(
         &mut self,
@@ -477,22 +490,35 @@ impl IncrementalEval {
         plan: &DeltaPlan,
         sink: &mut S,
     ) -> Result<EvalStats, EvalError> {
-        self.run_inner(db, rules, plan, Some(sink))
+        self.drive(db, rules, plan, false, Some(sink))
     }
 
-    fn run_inner<S: RoundSink + ?Sized>(
+    /// The naive oracle under this evaluator's governor: every round runs
+    /// every rule over the whole database, sequentially, through the same
+    /// gate and commit step as [`IncrementalEval::run`]. Same fixpoint,
+    /// same budget semantics; the textbook baseline.
+    pub fn run_naive(
         &mut self,
         db: &mut Database,
         rules: &[Rule],
         plan: &DeltaPlan,
+    ) -> Result<EvalStats, EvalError> {
+        self.drive::<NoopSink>(db, rules, plan, true, None)
+    }
+
+    /// The round driver behind every run: gate, select, execute, commit,
+    /// until a round changes nothing.
+    fn drive<S: RoundSink + ?Sized>(
+        &mut self,
+        db: &mut Database,
+        rules: &[Rule],
+        plan: &DeltaPlan,
+        naive: bool,
         mut sink: Option<&mut S>,
     ) -> Result<EvalStats, EvalError> {
-        let threads = self.effective_threads();
+        let threads = if naive { 1 } else { self.effective_threads() };
         let gov = self.governor.clone();
-        let fault = *gov.fault();
         let mut stats = EvalStats::default();
-        let mut first = !self.started;
-        self.started = true;
         // Every insert appends, so rows at or past a mark are exactly the
         // delta. Only a compaction renumbers ids below a mark; a moved
         // compaction counter resets that mark to 0 (a full rescan).
@@ -507,210 +533,221 @@ impl IncrementalEval {
             }
         }
         loop {
-            // Round boundary: `db` holds exactly the committed rounds and
-            // `stats` describes them, so this snapshot is what any early
-            // stop below reports as `partial`.
+            // `db` holds exactly the committed rounds and `stats`
+            // describes them: what any early stop reports as `partial`.
             let committed = stats;
-            if let Err(resource) = gov.begin_round() {
-                gov.abort_round();
-                return Err(EvalError::BudgetExhausted {
-                    resource,
-                    partial: committed,
-                });
-            }
-            if let Some(limit) = gov.max_bytes() {
-                if db.approx_bytes() > limit {
-                    gov.abort_round();
-                    return Err(EvalError::BudgetExhausted {
-                        resource: Resource::Bytes,
-                        partial: committed,
-                    });
-                }
-            }
+            gate(&gov, db, committed)?;
             stats.rounds += 1;
             // Composite indexes demanded by the compiled programs must
             // exist before workers share the database immutably; inserts
             // keep them current within and after the round.
             plan.ensure_indexes(db);
-            let mut tasks: Vec<Task> = Vec::new();
-            // Total delta rows the round will scan, for the parallel/
-            // sequential decision (first rounds count whole relations).
-            let mut round_rows = 0usize;
-
-            if first {
-                for (ri, rule) in rules.iter().enumerate() {
-                    tasks.push(Task {
-                        rule: ri as u32,
-                        delta: None,
-                    });
-                    round_rows += rule
-                        .body
-                        .first()
-                        .and_then(|a| db.relation(a.pred))
-                        .map_or(0, |r| r.len());
-                }
-            } else {
-                // Only the rule positions whose predicate has rows past
-                // its mark.
-                let mut work: Vec<(u32, u32)> = Vec::new();
-                for (p, rel) in db.iter() {
-                    if rel.len() > self.marks.get(&p).copied().unwrap_or(0) {
-                        work.extend_from_slice(plan.positions(p));
-                    }
-                }
-                if work.is_empty() {
-                    // Nothing to do is itself a completed round: mark it so
-                    // a recovered run reports the same `rounds` counter.
-                    if let Some(s) = sink.as_mut() {
-                        if let Err(detail) = s.round_committed(&stats) {
-                            return Err(EvalError::WalFailed { detail });
-                        }
-                    }
-                    return Ok(stats);
-                }
-                work.sort_unstable();
-                work.dedup();
-                for (ri, ai) in work {
-                    let pred = rules[ri as usize].body[ai as usize].pred;
-                    let start = self.marks.get(&pred).copied().unwrap_or(0);
-                    let end = db.relation(pred).map_or(start, |r| r.len());
-                    if end == start {
-                        continue;
-                    }
-                    round_rows += end - start;
-                    // The compiled per-delta program always runs the delta
-                    // atom outermost, so splitting the range partitions the
-                    // work exactly for *any* body position (under the PR 2
-                    // interpreter only a leading delta atom could chunk).
-                    if end - start >= 2 * MIN_CHUNK_ROWS {
-                        let chunks = (threads * TASKS_PER_THREAD)
-                            .min((end - start).div_ceil(MIN_CHUNK_ROWS))
-                            .max(1);
-                        let size = (end - start).div_ceil(chunks);
-                        let mut lo = start;
-                        while lo < end {
-                            let hi = (lo + size).min(end);
-                            tasks.push(Task {
-                                rule: ri,
-                                delta: Some(DeltaRange {
-                                    atom: ai,
-                                    start: lo,
-                                    end: hi,
-                                }),
-                            });
-                            lo = hi;
-                        }
-                    } else {
-                        tasks.push(Task {
-                            rule: ri,
-                            delta: Some(DeltaRange {
-                                atom: ai,
-                                start,
-                                end,
-                            }),
-                        });
-                    }
-                }
-            }
-
-            // Deterministic global task indexes for this round: base +
-            // position in `tasks` — independent of which worker actually
-            // executes a task, so `panic_task` faults are reproducible.
-            let base = gov.reserve_tasks(tasks.len());
+            let (tasks, round_rows) = self.select(db, rules, plan, naive || !self.started, threads);
             let parallel =
                 threads > 1 && tasks.len() > 1 && round_rows >= self.min_parallel_rows.max(1);
-            let mut buffer = DerivedBuffer::default();
-            let round = if parallel {
-                run_tasks_parallel(
-                    db,
-                    plan,
-                    &tasks,
-                    threads,
-                    base,
-                    &gov,
-                    &fault,
-                    &mut buffer,
-                    &mut stats,
-                )
-            } else {
-                run_tasks_sequential(
-                    db,
-                    plan,
-                    &tasks,
-                    base,
-                    &gov,
-                    &fault,
-                    &mut buffer,
-                    &mut stats,
-                )
-            };
-            if let Err(abort) = round {
-                // Mid-round failure: the round's buffer is discarded whole,
+            let buffer = execute(db, plan, &tasks, threads, parallel, &gov, &mut stats)
+                // A mid-round failure discards the round's buffer whole,
                 // leaving the database at the last completed round — the
                 // only truncation point that is identical no matter which
                 // worker tripped first.
-                return Err(abort.into_eval_error(committed));
-            }
-
-            // Advance marks to the end of the pre-insertion rows, and
-            // remember the compaction counter each mark was taken under.
-            for (p, rel) in db.iter() {
-                self.marks.insert(p, rel.len());
-                self.compaction_marks.insert(p, rel.compactions());
-            }
-
-            let mut changed = false;
-            for (p, t) in buffer.iter() {
-                if db.insert_derived(p, t) {
-                    changed = true;
-                    stats.derived += 1;
-                    if !gov.note_row() {
-                        // Exactly `max_rows` rows were inserted: the merge
-                        // is sequential and in task order, so this cut is
-                        // a deterministic prefix of the unbudgeted
-                        // insertion sequence at any thread count.
-                        return Err(EvalError::BudgetExhausted {
-                            resource: Resource::Rows,
-                            partial: stats,
-                        });
-                    }
-                }
-            }
-            // Round boundary: the merge is complete and `stats` describes
-            // exactly the committed state, so this is the durable-log
-            // checkpoint. The round's inserted rows are handed over as
-            // contiguous arena slices, relation by relation in predicate
-            // order — rows land in their relations before the sink sees
-            // them, and per-relation order is the merge's (sequential,
-            // deterministic) insertion order, so the observed sequence is
-            // byte-identical at any thread count. A sink failure aborts
-            // the run *after* the in-memory commit — the database keeps
-            // the round, the log ends at the previous marker.
-            if let Some(s) = sink.as_mut() {
-                let marks = &self.marks;
-                let touched = &mut self.sink_touched;
-                touched.clear();
-                touched.extend(
-                    db.iter()
-                        .filter(|&(p, rel)| rel.len() > marks.get(&p).copied().unwrap_or(0))
-                        .map(|(p, _)| p),
-                );
-                touched.sort_unstable();
-                for &p in touched.iter() {
-                    let rel = db.relation(p).expect("touched relation exists");
-                    let from = marks.get(&p).copied().unwrap_or(0);
-                    s.rows_committed(p, rel.arity(), rel.len() - from, rel.cells_from(from));
-                }
-                if let Err(detail) = s.round_committed(&stats) {
-                    return Err(EvalError::WalFailed { detail });
-                }
-            }
-            first = false;
-            if !changed {
+                .map_err(|abort| abort.into_eval_error(committed))?;
+            if !self.commit(db, &buffer, &gov, &mut stats, sink.as_deref_mut())? {
                 return Ok(stats);
             }
         }
     }
+
+    /// A round's tasks and the rows they scan (for the parallel decision).
+    /// A full round runs every rule's full program; a delta round runs
+    /// each plan position whose predicate has rows past its mark over
+    /// exactly those rows, split into chunks when they are many.
+    fn select(
+        &self,
+        db: &Database,
+        rules: &[Rule],
+        plan: &DeltaPlan,
+        full: bool,
+        threads: usize,
+    ) -> (Vec<Task>, usize) {
+        let mut tasks: Vec<Task> = Vec::new();
+        let mut round_rows = 0usize;
+        if full {
+            for (ri, rule) in rules.iter().enumerate() {
+                tasks.push(Task {
+                    rule: ri as u32,
+                    delta: None,
+                });
+                round_rows += rule
+                    .body
+                    .first()
+                    .and_then(|a| db.relation(a.pred))
+                    .map_or(0, |r| r.len());
+            }
+            return (tasks, round_rows);
+        }
+        let mark = |p: Pred| self.marks.get(&p).copied().unwrap_or(0);
+        let mut work: Vec<(u32, u32)> = Vec::new();
+        for (p, rel) in db.iter() {
+            if rel.len() > mark(p) {
+                work.extend_from_slice(plan.positions(p));
+            }
+        }
+        work.sort_unstable();
+        work.dedup();
+        for (ri, ai) in work {
+            let pred = rules[ri as usize].body[ai as usize].pred;
+            let start = mark(pred);
+            let end = db.relation(pred).map_or(start, |r| r.len());
+            round_rows += end - start;
+            // The per-delta program runs the delta atom outermost, so
+            // splitting the range partitions the work exactly for any body
+            // position.
+            let chunks = if end - start >= 2 * MIN_CHUNK_ROWS {
+                (threads * TASKS_PER_THREAD).min((end - start).div_ceil(MIN_CHUNK_ROWS))
+            } else {
+                1
+            };
+            let size = (end - start).div_ceil(chunks);
+            let mut lo = start;
+            while lo < end {
+                let hi = (lo + size).min(end);
+                tasks.push(Task {
+                    rule: ri,
+                    delta: Some(DeltaRange {
+                        atom: ai,
+                        start: lo,
+                        end: hi,
+                    }),
+                });
+                lo = hi;
+            }
+        }
+        (tasks, round_rows)
+    }
+
+    /// The round's commit: merges `buffer` in task order, counting each
+    /// new row against the row budget, then moves the marks to the
+    /// pre-merge ends and reports the round to the sink. Returns whether
+    /// the round inserted anything.
+    ///
+    /// A row-budget trip stops the merge after exactly `max_rows` rows —
+    /// a deterministic prefix of the unbudgeted insertion sequence at any
+    /// thread count — and returns before the marks move, so a resumed run
+    /// re-runs this round instead of losing its unmerged tail. A sink
+    /// failure aborts the run *after* the in-memory commit: the database
+    /// keeps the round, the log ends at the previous marker.
+    fn commit<S: RoundSink + ?Sized>(
+        &mut self,
+        db: &mut Database,
+        buffer: &DerivedBuffer,
+        gov: &Governor,
+        stats: &mut EvalStats,
+        sink: Option<&mut S>,
+    ) -> Result<bool, EvalError> {
+        // A merge never compacts, so the compaction counters can be taken
+        // now; the lengths wait in `ends` until the merge completes.
+        let ends = &mut self.round_ends;
+        ends.clear();
+        for (p, rel) in db.iter() {
+            ends.push((p, rel.len()));
+            self.compaction_marks.insert(p, rel.compactions());
+        }
+        let mut changed = false;
+        for (p, t) in buffer.iter() {
+            if db.insert_derived(p, t) {
+                changed = true;
+                stats.derived += 1;
+                if !gov.note_row() {
+                    return Err(EvalError::BudgetExhausted {
+                        resource: Resource::Rows,
+                        partial: *stats,
+                    });
+                }
+            }
+        }
+        self.started = true;
+        self.marks.extend(ends.iter().copied());
+        if let Some(s) = sink {
+            // The round's rows, relation by relation in predicate order,
+            // as contiguous arena slices from the pre-merge ends (0 for a
+            // relation the merge created).
+            let marks = &self.marks;
+            ends.clear();
+            ends.extend(db.iter().filter_map(|(p, rel)| {
+                let from = marks.get(&p).copied().unwrap_or(0);
+                (rel.len() > from).then_some((p, from))
+            }));
+            ends.sort_unstable();
+            for &(p, from) in ends.iter() {
+                let rel = db.relation(p).expect("touched relation exists");
+                s.rows_committed(p, rel.arity(), rel.len() - from, rel.cells_from(from));
+            }
+            s.round_committed(stats)
+                .map_err(|detail| EvalError::WalFailed { detail })?;
+        }
+        Ok(changed)
+    }
+}
+
+/// The round gate: asks the governor to start a round (fault,
+/// cancellation, deadline and round budget, in that order) and checks the
+/// byte budget against `db`. A refused round is taken back off the
+/// governor's round counter, and the error reports `committed`.
+fn gate(gov: &Governor, db: &Database, committed: EvalStats) -> Result<(), EvalError> {
+    let refused = match gov.begin_round() {
+        Err(resource) => Some(resource),
+        Ok(()) => gov
+            .max_bytes()
+            .filter(|&limit| db.approx_bytes() > limit)
+            .map(|_| Resource::Bytes),
+    };
+    match refused {
+        None => Ok(()),
+        Some(resource) => {
+            gov.abort_round();
+            Err(EvalError::BudgetExhausted {
+                resource,
+                partial: committed,
+            })
+        }
+    }
+}
+
+/// Executes a round's tasks into a fresh buffer — on `threads` scoped
+/// workers when `parallel`, else in order on the calling thread — under
+/// deterministic global task indexes (reserved per round, independent of
+/// which worker runs a task, so `panic_task` faults are reproducible).
+fn execute(
+    db: &Database,
+    plan: &DeltaPlan,
+    tasks: &[Task],
+    threads: usize,
+    parallel: bool,
+    gov: &Governor,
+    stats: &mut EvalStats,
+) -> Result<DerivedBuffer, RoundAbort> {
+    let base = gov.reserve_tasks(tasks.len());
+    let fault = *gov.fault();
+    let mut buffer = DerivedBuffer::default();
+    if parallel {
+        run_tasks_parallel(
+            db,
+            plan,
+            tasks,
+            threads,
+            base,
+            gov,
+            &fault,
+            &mut buffer,
+            stats,
+        )?;
+    } else {
+        let guard = gov.probe_guard(None);
+        for (i, &task) in tasks.iter().enumerate() {
+            run_task(db, plan, task, base + i, &guard, &fault, &mut buffer, stats)?;
+        }
+    }
+    Ok(buffer)
 }
 
 /// Minimum rows per delta chunk — below this the per-task overhead beats
@@ -824,10 +861,23 @@ fn inject_task_fault(fault: &FaultPlan, index: usize) {
     }
 }
 
-/// Runs one task into `out` under `catch_unwind`: executes the task's
-/// compiled program over a freshly-zeroed register file. `index` is the
-/// task's deterministic global index, the one `panic_task` faults address
-/// and a panic reports.
+/// Runs `body` under `catch_unwind` as the task with deterministic global
+/// index `index`: a probe-level trip becomes [`RoundAbort::Resource`], a
+/// panic [`RoundAbort::Panic`] naming the task.
+fn guarded(index: usize, body: impl FnOnce() -> Result<(), Resource>) -> Result<(), RoundAbort> {
+    match catch_unwind(AssertUnwindSafe(body)) {
+        Ok(Ok(())) => Ok(()),
+        Ok(Err(resource)) => Err(RoundAbort::Resource(resource)),
+        Err(payload) => Err(RoundAbort::Panic {
+            task: index,
+            payload: panic_payload(payload),
+        }),
+    }
+}
+
+/// Runs one task into `out`: executes the task's compiled program over a
+/// freshly-zeroed register file. `index` is the task's deterministic
+/// global index, the one `panic_task` faults address and a panic reports.
 #[allow(clippy::too_many_arguments)]
 fn run_task(
     db: &Database,
@@ -839,7 +889,7 @@ fn run_task(
     out: &mut DerivedBuffer,
     stats: &mut EvalStats,
 ) -> Result<(), RoundAbort> {
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
+    guarded(index, || {
         inject_task_fault(fault, index);
         let prog = plan.program(task.rule, task.delta.map(|d| d.atom));
         let mut regs = register_file(prog);
@@ -848,36 +898,7 @@ fn run_task(
         prog.execute(db, range, &mut regs, guard, stats, &mut |head, regs| {
             out.push_slots(pred, head, regs);
         })
-    }));
-    match outcome {
-        Ok(Ok(())) => Ok(()),
-        Ok(Err(resource)) => Err(RoundAbort::Resource(resource)),
-        Err(payload) => Err(RoundAbort::Panic {
-            task: index,
-            payload: panic_payload(payload),
-        }),
-    }
-}
-
-/// Executes `tasks` in order on the calling thread, with the same panic
-/// isolation as the parallel path (a poisoned task must not abort the
-/// process on single-core machines either).
-#[allow(clippy::too_many_arguments)]
-fn run_tasks_sequential(
-    db: &Database,
-    plan: &DeltaPlan,
-    tasks: &[Task],
-    base: usize,
-    gov: &Governor,
-    fault: &FaultPlan,
-    out: &mut DerivedBuffer,
-    stats: &mut EvalStats,
-) -> Result<(), RoundAbort> {
-    let guard = gov.probe_guard(None);
-    for (i, &task) in tasks.iter().enumerate() {
-        run_task(db, plan, task, base + i, &guard, fault, out, stats)?;
-    }
-    Ok(())
+    })
 }
 
 /// Executes `tasks` on `threads` scoped workers. A shared atomic cursor
@@ -998,100 +1019,21 @@ fn run_tasks_parallel(
     Ok(())
 }
 
-/// Evaluates `rules` over `db` to the least fixpoint, semi-naively.
+/// Evaluates `rules` over `db` to the least fixpoint, semi-naively, under
+/// a default [`IncrementalEval`]. The initial facts are already loaded, so
+/// the plan is ordered by their statistics (cold relations fall back to
+/// greedy).
 pub fn evaluate(db: &mut Database, rules: &[Rule]) -> Result<EvalStats, EvalError> {
-    evaluate_governed(db, rules, &Governor::default())
-}
-
-/// [`evaluate`] under an explicit governor (budgets/cancellation/faults).
-pub fn evaluate_governed(
-    db: &mut Database,
-    rules: &[Rule],
-    governor: &Governor,
-) -> Result<EvalStats, EvalError> {
-    // One-shot entry point: the initial facts are already loaded, so plan
-    // against their statistics (cold relations fall back to greedy).
     let plan = DeltaPlan::planned(rules, db);
-    IncrementalEval::new()
-        .with_governor(governor.clone())
-        .run(db, rules, &plan)
+    IncrementalEval::new().run(db, rules, &plan)
 }
 
-/// Evaluates `rules` naively (full re-derivation each round). Same fixpoint
-/// as [`evaluate`]; used as an oracle and the textbook baseline. Always
-/// sequential, but runs the same compiled programs as the semi-naive path.
+/// Evaluates `rules` naively (full re-derivation each round) under a
+/// default [`IncrementalEval`] (see [`IncrementalEval::run_naive`]). Same
+/// fixpoint as [`evaluate`]; used as an oracle and the textbook baseline.
 pub fn evaluate_naive(db: &mut Database, rules: &[Rule]) -> Result<EvalStats, EvalError> {
-    evaluate_naive_governed(db, rules, &Governor::default())
-}
-
-/// [`evaluate_naive`] under an explicit governor. Same round-boundary and
-/// merge-loop checks as the semi-naive path (the oracle must stay honest
-/// about budgets too, or differential tests of truncated runs diverge).
-pub fn evaluate_naive_governed(
-    db: &mut Database,
-    rules: &[Rule],
-    governor: &Governor,
-) -> Result<EvalStats, EvalError> {
     let plan = DeltaPlan::planned(rules, db);
-    let fault = *governor.fault();
-    let mut stats = EvalStats::default();
-    loop {
-        let committed = stats;
-        if let Err(resource) = governor.begin_round() {
-            governor.abort_round();
-            return Err(EvalError::BudgetExhausted {
-                resource,
-                partial: committed,
-            });
-        }
-        if let Some(limit) = governor.max_bytes() {
-            if db.approx_bytes() > limit {
-                governor.abort_round();
-                return Err(EvalError::BudgetExhausted {
-                    resource: Resource::Bytes,
-                    partial: committed,
-                });
-            }
-        }
-        stats.rounds += 1;
-        plan.ensure_indexes(db);
-        let tasks: Vec<Task> = (0..rules.len())
-            .map(|ri| Task {
-                rule: ri as u32,
-                delta: None,
-            })
-            .collect();
-        let base = governor.reserve_tasks(tasks.len());
-        let mut buffer = DerivedBuffer::default();
-        if let Err(abort) = run_tasks_sequential(
-            db,
-            &plan,
-            &tasks,
-            base,
-            governor,
-            &fault,
-            &mut buffer,
-            &mut stats,
-        ) {
-            return Err(abort.into_eval_error(committed));
-        }
-        let mut changed = false;
-        for (p, t) in buffer.iter() {
-            if db.insert_derived(p, t) {
-                changed = true;
-                stats.derived += 1;
-                if !governor.note_row() {
-                    return Err(EvalError::BudgetExhausted {
-                        resource: Resource::Rows,
-                        partial: stats,
-                    });
-                }
-            }
-        }
-        if !changed {
-            return Ok(stats);
-        }
-    }
+    IncrementalEval::new().run_naive(db, rules, &plan)
 }
 
 /// Evaluates the conjunctive query `body` over `db` and returns the distinct
@@ -1130,8 +1072,8 @@ fn arity_mismatch(db: &Database, rules: &[Rule], body: &[Atom]) -> bool {
 }
 
 /// The shared executor behind [`query`] and the goal-directed
-/// [`query_demand_governed`]: runs the compiled body and *accumulates* probe
-/// counters into `stats` instead of discarding them.
+/// [`query_demand`]: runs the compiled body as one guarded task and
+/// *accumulates* probe counters into `stats` instead of discarding them.
 fn query_collect(
     db: &Database,
     body: &[Atom],
@@ -1158,41 +1100,25 @@ fn query_collect(
     let mut seen: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
     let task = governor.reserve_tasks(1);
     let guard = governor.probe_guard(None);
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
-        prog.execute(
-            db,
-            None,
-            &mut regs,
-            &guard,
-            &mut *stats,
-            &mut |head, regs| {
-                let row: Vec<Cst> = head
-                    .iter()
-                    .map(|s| match s {
-                        HeadSlot::Const(c) => *c,
-                        HeadSlot::Reg(r) => regs[*r as usize],
-                        HeadSlot::Unbound => panic!("query output variable unbound by body"),
-                    })
-                    .collect();
-                let bucket = seen.entry(hash_row(&row)).or_default();
-                if !bucket.iter().any(|&i| out[i as usize] == row) {
-                    bucket.push(out.len() as u32);
-                    out.push(row);
-                }
-            },
-        )
-    }));
-    match outcome {
-        Ok(Ok(())) => Ok(out),
-        Ok(Err(resource)) => Err(EvalError::BudgetExhausted {
-            resource,
-            partial: *stats,
-        }),
-        Err(payload) => Err(EvalError::WorkerPanicked {
-            task,
-            payload: panic_payload(payload),
-        }),
-    }
+    guarded(task, || {
+        prog.execute(db, None, &mut regs, &guard, stats, &mut |head, regs| {
+            let row: Vec<Cst> = head
+                .iter()
+                .map(|s| match s {
+                    HeadSlot::Const(c) => *c,
+                    HeadSlot::Reg(r) => regs[*r as usize],
+                    HeadSlot::Unbound => panic!("query output variable unbound by body"),
+                })
+                .collect();
+            let bucket = seen.entry(hash_row(&row)).or_default();
+            if !bucket.iter().any(|&i| out[i as usize] == row) {
+                bucket.push(out.len() as u32);
+                out.push(row);
+            }
+        })
+    })
+    .map_err(|abort| abort.into_eval_error(*stats))?;
+    Ok(out)
 }
 
 /// The answer of a goal-directed query: the distinct output rows, the
@@ -1218,6 +1144,9 @@ pub struct DemandAnswer {
 /// `evaluate(db.clone(), rules)` followed by [`query`] — the differential
 /// fuzz harness pins that — but only the goal-reachable cone is derived.
 ///
+/// The overlay run and the answer join take `eval`'s governor, threads and
+/// parallel threshold; `eval`'s marks are never read or moved.
+///
 /// Degenerate goals fall back transparently: an all-free goal materializes
 /// the full fixpoint into the overlay; a goal over EDB (or missing)
 /// predicates only is answered by a direct join against `db`. A goal atom
@@ -1228,49 +1157,16 @@ pub fn query_demand(
     rules: &[Rule],
     body: &[Atom],
     out_vars: &[Var],
-) -> Result<DemandAnswer, EvalError> {
-    query_demand_governed(db, rules, body, out_vars, &Governor::default())
-}
-
-/// [`query_demand`] under an explicit governor: the overlay fixpoint and the
-/// answer join observe the same budgets, cancellation, and fault plan as
-/// [`evaluate_governed`].
-pub fn query_demand_governed(
-    db: &Database,
-    rules: &[Rule],
-    body: &[Atom],
-    out_vars: &[Var],
-    governor: &Governor,
-) -> Result<DemandAnswer, EvalError> {
-    query_demand_tuned(db, rules, body, out_vars, governor, None, None)
-}
-
-/// [`query_demand_governed`] with the overlay evaluator's thread count and
-/// parallel threshold pinned, for determinism tests and benchmarks.
-#[doc(hidden)]
-pub fn query_demand_tuned(
-    db: &Database,
-    rules: &[Rule],
-    body: &[Atom],
-    out_vars: &[Var],
-    governor: &Governor,
-    threads: Option<usize>,
-    min_parallel_rows: Option<usize>,
+    eval: &IncrementalEval,
 ) -> Result<DemandAnswer, EvalError> {
     if arity_mismatch(db, rules, body) {
         return Ok(DemandAnswer::default());
     }
     let overlay_eval = |scratch: &mut Database, rules: &[Rule]| -> Result<EvalStats, EvalError> {
         let plan = DeltaPlan::planned(rules, scratch);
-        let mut eval = IncrementalEval::new().with_governor(governor.clone());
-        if let Some(t) = threads {
-            eval = eval.with_threads(t);
-        }
-        if let Some(m) = min_parallel_rows {
-            eval = eval.with_parallel_threshold(m);
-        }
-        eval.run(scratch, rules, &plan)
+        eval.fresh().run(scratch, rules, &plan)
     };
+    let governor = eval.governor();
     let mut stats = EvalStats::default();
     if let Some(mp) = crate::magic::magic_rewrite(rules, body) {
         // Seed the overlay with exactly the base relations the rewritten
@@ -2090,13 +1986,63 @@ mod tests {
         let mut db = chain_db(&mut fx, 12);
         let gov =
             Governor::new(Budget::default().with_max_rows(5)).with_faults(FaultPlan::default());
-        let err = evaluate_naive_governed(&mut db, &rules, &gov).unwrap_err();
+        let plan = DeltaPlan::planned(&rules, &db);
+        let err = IncrementalEval::new()
+            .with_governor(gov)
+            .run_naive(&mut db, &rules, &plan)
+            .unwrap_err();
         let EvalError::BudgetExhausted { resource, partial } = err else {
             panic!("expected BudgetExhausted, got {err:?}");
         };
         assert_eq!(resource, Resource::Rows);
         assert_eq!(partial.derived, 5);
         assert_eq!(db.relation(fx.path).unwrap().len(), 5);
+    }
+
+    #[test]
+    fn runs_resumed_after_a_row_trip_reach_the_fixpoint() {
+        // Transitive closure of a 40-edge chain plus an empty-body rule,
+        // which only a full round fires. A row budget trips the merge
+        // partway (inside the first round for caps below 41); resuming the
+        // same evaluator under an unlimited governor must re-run the
+        // tripped round and reach the uninterrupted fixpoint.
+        let mut fx = fixture();
+        let mut rules = transitive_closure_rules(&fx);
+        let seed = Pred(fx.i.intern("Seed"));
+        let a = Cst(fx.i.intern("a"));
+        rules.push(Rule::new(Atom::new(seed, vec![Term::Const(a)]), vec![]));
+        let quiet = |budget: Budget| Governor::new(budget).with_faults(FaultPlan::default());
+        let mut full = chain_db(&mut fx, 40);
+        evaluate(&mut full, &rules).unwrap();
+        assert_eq!(full.relation(fx.path).unwrap().len(), 40 * 41 / 2);
+        for threads in [1usize, 2, 4, 8] {
+            for cap in [1usize, 5, 40, 41, 100, 500] {
+                let plan = DeltaPlan::new(&rules);
+                let mut db = chain_db(&mut fx, 40);
+                let mut eval = IncrementalEval::new()
+                    .with_threads(threads)
+                    .with_parallel_threshold(1)
+                    .with_governor(quiet(Budget::default().with_max_rows(cap)));
+                let err = eval.run(&mut db, &rules, &plan).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        EvalError::BudgetExhausted {
+                            resource: Resource::Rows,
+                            ..
+                        }
+                    ),
+                    "cap {cap}: {err:?}"
+                );
+                eval.set_governor(quiet(Budget::default()));
+                eval.run(&mut db, &rules, &plan).unwrap();
+                assert_eq!(
+                    db.dump(&fx.i),
+                    full.dump(&fx.i),
+                    "cap {cap} at {threads} threads"
+                );
+            }
+        }
     }
 
     #[test]
@@ -2115,7 +2061,7 @@ mod tests {
             assert!(query(&db, body, &[fx.x]).unwrap().is_empty());
         }
         for body in [&edge_short, &edge_long, &path_short, &path_long] {
-            let ans = query_demand(&db, &rules, body, &[fx.x]).unwrap();
+            let ans = query_demand(&db, &rules, body, &[fx.x], &IncrementalEval::new()).unwrap();
             assert!(ans.rows.is_empty(), "{body:?}");
         }
         // A well-formed conjunct does not rescue a malformed one.
@@ -2183,7 +2129,7 @@ mod tests {
                 vs.dedup();
                 vs
             };
-            let ans = query_demand(&db, &rules, &body, &out_vars).unwrap();
+            let ans = query_demand(&db, &rules, &body, &out_vars, &IncrementalEval::new()).unwrap();
             assert!(ans.goal_directed);
             assert!(ans.stats.magic_rules > 0);
             assert!(ans.stats.demanded_tuples > 0);
@@ -2201,7 +2147,7 @@ mod tests {
         let db = chain_db(&mut fx, 64);
         let v0 = Cst(fx.i.get("v0").unwrap());
         let body = vec![Atom::new(fx.path, vec![Term::Const(v0), Term::Var(fx.y)])];
-        let ans = query_demand(&db, &rules, &body, &[fx.y]).unwrap();
+        let ans = query_demand(&db, &rules, &body, &[fx.y], &IncrementalEval::new()).unwrap();
         assert_eq!(ans.rows.len(), 64);
         // Only the cone from v0 is derived: O(n) tuples, not O(n²).
         let mut full = db.clone();
@@ -2222,7 +2168,7 @@ mod tests {
         let before = db.dump(&fx.i);
         let v0 = Cst(fx.i.get("v0").unwrap());
         let body = vec![Atom::new(fx.path, vec![Term::Const(v0), Term::Var(fx.y)])];
-        query_demand(&db, &rules, &body, &[fx.y]).unwrap();
+        query_demand(&db, &rules, &body, &[fx.y], &IncrementalEval::new()).unwrap();
         assert_eq!(db.dump(&fx.i), before);
         assert!(db.relation(fx.path).is_none());
     }
@@ -2233,7 +2179,7 @@ mod tests {
         let rules = transitive_closure_rules(&fx);
         let db = chain_db(&mut fx, 8);
         let body = vec![Atom::new(fx.path, vec![Term::Var(fx.x), Term::Var(fx.y)])];
-        let ans = query_demand(&db, &rules, &body, &[fx.x, fx.y]).unwrap();
+        let ans = query_demand(&db, &rules, &body, &[fx.x, fx.y], &IncrementalEval::new()).unwrap();
         assert!(!ans.goal_directed);
         assert_eq!(ans.stats.magic_rules, 0);
         assert_eq!(
@@ -2255,6 +2201,7 @@ mod tests {
             &rules,
             &[Atom::new(ghost, vec![Term::Var(fx.x)])],
             &[fx.x],
+            &IncrementalEval::new(),
         )
         .unwrap();
         assert!(!ans.goal_directed);
@@ -2273,6 +2220,7 @@ mod tests {
             &rules,
             &[Atom::new(fx.edge, vec![Term::Const(v0), Term::Const(v1)])],
             &[],
+            &IncrementalEval::new(),
         )
         .unwrap();
         assert!(!ans.goal_directed);
@@ -2289,12 +2237,15 @@ mod tests {
         let db = chain_db(&mut fx, 32);
         let v0 = Cst(fx.i.get("v0").unwrap());
         let body = vec![Atom::new(fx.path, vec![Term::Const(v0), Term::Var(fx.y)])];
-        let gov = Governor::default();
         // Force chunked parallel execution with a tiny threshold.
-        let base = query_demand_tuned(&db, &rules, &body, &[fx.y], &gov, Some(1), Some(1)).unwrap();
+        let eval = |threads| {
+            IncrementalEval::new()
+                .with_threads(threads)
+                .with_parallel_threshold(1)
+        };
+        let base = query_demand(&db, &rules, &body, &[fx.y], &eval(1)).unwrap();
         for threads in [2usize, 4, 8] {
-            let ans = query_demand_tuned(&db, &rules, &body, &[fx.y], &gov, Some(threads), Some(1))
-                .unwrap();
+            let ans = query_demand(&db, &rules, &body, &[fx.y], &eval(threads)).unwrap();
             assert_eq!(ans.rows, base.rows, "rows differ at {threads} threads");
             assert_eq!(ans.stats, base.stats, "stats differ at {threads} threads");
         }
@@ -2307,8 +2258,9 @@ mod tests {
         let db = chain_db(&mut fx, 32);
         let v0 = Cst(fx.i.get("v0").unwrap());
         let body = vec![Atom::new(fx.path, vec![Term::Const(v0), Term::Var(fx.y)])];
-        let gov = Governor::new(Budget::default().with_max_rows(3));
-        let err = query_demand_governed(&db, &rules, &body, &[fx.y], &gov).unwrap_err();
+        let eval =
+            IncrementalEval::new().with_governor(Governor::new(Budget::default().with_max_rows(3)));
+        let err = query_demand(&db, &rules, &body, &[fx.y], &eval).unwrap_err();
         assert!(matches!(
             err,
             EvalError::BudgetExhausted {
@@ -2392,7 +2344,8 @@ mod tests {
                     vs.dedup();
                     vs
                 };
-                let ans = query_demand(&db, &rules, &body, &out_vars).unwrap();
+                let ans =
+                    query_demand(&db, &rules, &body, &out_vars, &IncrementalEval::new()).unwrap();
                 assert_eq!(
                     sorted(ans.rows),
                     materialized_answers(&db, &rules, &body, &out_vars),

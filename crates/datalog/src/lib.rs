@@ -31,10 +31,10 @@ pub mod retract;
 pub mod rule;
 
 pub use engine::{
-    default_threads, evaluate, evaluate_governed, evaluate_naive, evaluate_naive_governed, query,
-    DeltaPlan, EvalStats, IncrementalEval, RoundSink, DEFAULT_MIN_PARALLEL_ROWS,
+    default_threads, evaluate, evaluate_naive, query, DeltaPlan, EvalStats, IncrementalEval,
+    RoundSink, DEFAULT_MIN_PARALLEL_ROWS,
 };
-pub use engine::{query_demand, query_demand_governed, query_demand_tuned, DemandAnswer};
+pub use engine::{query_demand, DemandAnswer};
 pub use governor::{
     Budget, CancelToken, EvalError, FaultPlan, Governor, Resource, PROBE_CHECK_INTERVAL,
 };

@@ -208,10 +208,6 @@ impl RoundEnds {
 }
 
 impl RoundSink for RoundEnds {
-    fn row_committed(&mut self, pred: Pred, _row: &[Cst]) {
-        self.grow(pred, 1);
-    }
-
     fn rows_committed(&mut self, pred: Pred, _arity: usize, count: usize, _cells: &[Cst]) {
         self.grow(pred, count);
     }

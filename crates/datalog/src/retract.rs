@@ -222,23 +222,12 @@ impl Database {
     /// the fixpoint of `rules`, and `plan` must be the [`DeltaPlan`] it
     /// was evaluated under (built from the same `rules`); on return it is
     /// at the fixpoint of `rules` over the remaining asserted facts.
+    ///
+    /// `gov`'s cancellation and wall-clock deadline are polled throughout
+    /// both passes. On `Err` the retraction has been rolled back whole —
+    /// every tombstone revived in place, the target's asserted bit
+    /// restored — so the database is byte-identical to the pre-call state.
     pub fn retract_fact(
-        &mut self,
-        p: Pred,
-        t: &[Cst],
-        rules: &[Rule],
-        plan: &DeltaPlan,
-    ) -> RetractOutcome {
-        self.retract_fact_governed(p, t, rules, plan, &Governor::default())
-            .expect("ungoverned retraction cannot trip a budget")
-    }
-
-    /// [`Database::retract_fact`] under a [`Governor`]: cancellation and
-    /// the wall-clock deadline are polled throughout both passes. On
-    /// `Err` the retraction has been rolled back whole — every tombstone
-    /// revived in place, the target's asserted bit restored — so the
-    /// database is byte-identical to the pre-call state.
-    pub fn retract_fact_governed(
         &mut self,
         p: Pred,
         t: &[Cst],
@@ -502,8 +491,7 @@ impl Database {
         plan: &DeltaPlan,
         eval: &mut IncrementalEval,
     ) -> Result<RetractOutcome, EvalError> {
-        let gov = eval.governor().clone();
-        let mut out = self.retract_fact_governed(p, old, rules, plan, &gov)?;
+        let mut out = self.retract_fact(p, old, rules, plan, eval.governor())?;
         eval.prime_marks(self);
         self.insert(p, new);
         let forward = eval.run(self, rules, plan)?;
@@ -685,7 +673,9 @@ mod tests {
         rules: &[Rule],
         plan: &DeltaPlan,
     ) -> RetractOutcome {
-        let out = db.retract_fact(p, t, rules, plan);
+        let out = db
+            .retract_fact(p, t, rules, plan, &Governor::default())
+            .expect("an unbudgeted retraction completes");
         db.check_invariants().expect("invariants after retraction");
         out
     }
@@ -851,7 +841,7 @@ mod tests {
         let gov = Governor::default();
         gov.cancel();
         let err = db
-            .retract_fact_governed(fx.edge, &[ns[3], ns[4]], &rules, &plan, &gov)
+            .retract_fact(fx.edge, &[ns[3], ns[4]], &rules, &plan, &gov)
             .unwrap_err();
         assert!(matches!(
             err,
@@ -883,7 +873,7 @@ mod tests {
         let before = db.dump(&fx.i);
         let gov = Governor::new(Budget::unlimited().with_max_millis(0));
         let err = db
-            .retract_fact_governed(fx.edge, &[ns[2], ns[3]], &rules, &plan, &gov)
+            .retract_fact(fx.edge, &[ns[2], ns[3]], &rules, &plan, &gov)
             .unwrap_err();
         assert!(matches!(err, EvalError::BudgetExhausted { .. }));
         assert_eq!(db.dump(&fx.i), before);

@@ -560,7 +560,9 @@ impl DurableDb {
     /// invariant — a crash before the marker lands truncates to the
     /// previous marker and the retraction simply never happened. If the
     /// append itself fails the in-memory state is ahead of the log;
-    /// the caller should treat the handle as poisoned and reopen.
+    /// the caller should treat the handle as poisoned and reopen. A
+    /// retraction stopped by the default governor (an ambient fault plan)
+    /// was rolled back whole and logs nothing; it surfaces as an IO error.
     pub fn retract_fact(
         &mut self,
         interner: &Interner,
@@ -569,7 +571,10 @@ impl DurableDb {
         plan: &dl::DeltaPlan,
     ) -> io::Result<dl::RetractOutcome> {
         self.sync_symbols(interner)?;
-        let outcome = self.db.retract_fact(pred, row, &self.rules, plan);
+        let outcome = self
+            .db
+            .retract_fact(pred, row, &self.rules, plan, &dl::Governor::default())
+            .map_err(io::Error::other)?;
         if !outcome.found {
             return Ok(outcome);
         }
@@ -809,10 +814,6 @@ impl WalSink<'_> {
 }
 
 impl dl::RoundSink for WalSink<'_> {
-    fn row_committed(&mut self, pred: Pred, row: &[Cst]) {
-        self.rows_committed(pred, row.len(), 1, row);
-    }
-
     fn rows_committed(&mut self, pred: Pred, arity: usize, count: usize, cells: &[Cst]) {
         if self.failed.is_some() || count == 0 {
             return;

@@ -335,8 +335,21 @@ fn step_position(
                 let head_args = match &rule.head {
                     THead::At(_, _, args) | THead::Relational(_, args) => args,
                 };
+                let states: &[State] = states;
+                // Candidate rows are borrowed from the interner / NF store —
+                // no per-row clone just to read them.
+                let slice = |i: usize| {
+                    let atom = &rule.body[i];
+                    let rows = match atom.offset {
+                        Some(off) => states
+                            .get(m + off)
+                            .map_or_else(Vec::new, |state| state_rows(state, atoms, atom.pred)),
+                        None => nf_rows(nf, atom.pred),
+                    };
+                    (atom.args.as_slice(), rows)
+                };
                 let mut subst: FxHashMap<Var, Cst> = FxHashMap::default();
-                fire_rec(rule, 0, m, states, nf, atoms, &mut subst, &mut |s| {
+                match_body(rule.body.len(), 0, &slice, &mut subst, &mut |s| {
                     derived.push(ground(head_args, s));
                 });
             }
@@ -375,49 +388,50 @@ fn ground(args: &[NTerm], subst: &FxHashMap<Var, Cst>) -> Vec<Cst> {
         .collect()
 }
 
-#[allow(clippy::too_many_arguments)]
-fn fire_rec(
-    rule: &TRule,
+/// The rows of `pred` in a state slice, borrowed from the interner.
+pub(crate) fn state_rows<'a>(
+    state: &'a State,
+    atoms: &'a AtomInterner,
+    pred: Pred,
+) -> Vec<&'a [Cst]> {
+    state
+        .iter()
+        .map(|id| atoms.resolve(id))
+        .filter(|(p, _)| *p == pred)
+        .map(|(_, args)| args)
+        .collect()
+}
+
+/// The rows of relation `pred` of the NF store (none if it is absent).
+pub(crate) fn nf_rows(nf: &dl::Database, pred: Pred) -> Vec<&[Cst]> {
+    nf.relation(pred)
+        .map_or_else(Vec::new, |rel| rel.rows().collect())
+}
+
+/// The crate's one body matcher: a nested-loop join of body atoms
+/// `idx..len`, in order, under `subst`. `slice(i)` gives atom `i`'s
+/// argument terms and its candidate rows (a time point's slice or the NF
+/// store); a row of another arity never matches. `emit` sees every
+/// complete binding.
+pub(crate) fn match_body<'a>(
+    len: usize,
     idx: usize,
-    m: usize,
-    states: &[State],
-    nf: &dl::Database,
-    atoms: &AtomInterner,
+    slice: &impl Fn(usize) -> (&'a [NTerm], Vec<&'a [Cst]>),
     subst: &mut FxHashMap<Var, Cst>,
     emit: &mut dyn FnMut(&FxHashMap<Var, Cst>),
 ) {
-    if idx == rule.body.len() {
+    if idx == len {
         emit(subst);
         return;
     }
-    let atom = &rule.body[idx];
-    // Candidate rows are borrowed from the interner / NF store — no
-    // per-row clone just to read them.
-    let candidates: Vec<&[Cst]> = match atom.offset {
-        Some(off) => {
-            let pos = m + off;
-            match states.get(pos) {
-                Some(state) => state
-                    .iter()
-                    .map(|id| atoms.resolve(id))
-                    .filter(|(p, _)| *p == atom.pred)
-                    .map(|(_, args)| args)
-                    .collect(),
-                None => return,
-            }
-        }
-        None => match nf.relation(atom.pred) {
-            Some(rel) => rel.rows().collect(),
-            None => Vec::new(),
-        },
-    };
+    let (args, candidates) = slice(idx);
     for row in candidates {
-        if row.len() != atom.args.len() {
+        if row.len() != args.len() {
             continue;
         }
         let mut bound = Vec::new();
         let mut ok = true;
-        for (t, v) in atom.args.iter().copied().zip(row.iter().copied()) {
+        for (t, v) in args.iter().copied().zip(row.iter().copied()) {
             match t {
                 NTerm::Const(c) => {
                     if c != v {
@@ -440,7 +454,7 @@ fn fire_rec(
             }
         }
         if ok {
-            fire_rec(rule, idx + 1, m, states, nf, atoms, subst, emit);
+            match_body(len, idx + 1, slice, subst, emit);
         }
         for var in bound {
             subst.remove(&var);

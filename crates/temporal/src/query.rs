@@ -6,11 +6,11 @@
 //! tuples. Membership for any time point — however large — is then O(1),
 //! and enumeration walks the time line directly.
 
+use crate::line::{match_body, nf_rows, state_rows};
 use crate::spec::TemporalSpec;
 use fundb_core::error::{Error, Result};
-use fundb_core::program::{Atom, FTerm, NTerm};
+use fundb_core::program::{Atom, FTerm};
 use fundb_core::query::Query;
-use fundb_core::state::State;
 use fundb_term::{Cst, FxHashMap, FxHashSet, Var};
 
 /// The lasso-shaped answer to a uniform temporal query.
@@ -36,9 +36,24 @@ impl TemporalAnswer {
         let rho = spec.rho();
         let lambda = spec.lambda();
         let eval = |n: u64| -> Vec<Vec<Cst>> {
+            let slice = |i: usize| {
+                let atom = &query.body[i];
+                let rows = match atom {
+                    Atom::Relational { pred, .. } => nf_rows(&spec.nf, *pred),
+                    Atom::Functional { pred, fterm, .. } => {
+                        // A ground temporal term's depth is its time point.
+                        let at = match fterm {
+                            FTerm::Var(_) => n,
+                            _ => fterm.depth() as u64,
+                        };
+                        state_rows(spec.state_at(at), &spec.atoms, *pred)
+                    }
+                };
+                (atom.args(), rows)
+            };
             let mut out: FxHashSet<Vec<Cst>> = FxHashSet::default();
             let mut subst: FxHashMap<Var, Cst> = FxHashMap::default();
-            eval_rec(query, spec, 0, n, &mut subst, &mut |s| {
+            match_body(query.body.len(), 0, &slice, &mut subst, &mut |s| {
                 let tuple: Vec<Cst> = query
                     .out_nvars
                     .iter()
@@ -102,82 +117,10 @@ impl TemporalAnswer {
     }
 }
 
-fn eval_rec(
-    query: &Query,
-    spec: &TemporalSpec,
-    idx: usize,
-    n: u64,
-    subst: &mut FxHashMap<Var, Cst>,
-    emit: &mut dyn FnMut(&FxHashMap<Var, Cst>),
-) {
-    if idx == query.body.len() {
-        emit(subst);
-        return;
-    }
-    let atom = &query.body[idx];
-    // Candidate rows are borrowed straight from the spec — no per-row
-    // clone just to read them.
-    let candidates: Vec<&[Cst]> = match atom {
-        Atom::Relational { pred, .. } => match spec.nf.relation(*pred) {
-            Some(rel) => rel.rows().collect(),
-            None => Vec::new(),
-        },
-        Atom::Functional { pred, fterm, .. } => {
-            let state: &State = if matches!(fterm, FTerm::Var(_)) {
-                spec.state_at(n)
-            } else {
-                // Ground temporal term: its depth is its time point.
-                spec.state_at(fterm.depth() as u64)
-            };
-            state
-                .iter()
-                .map(|id| spec.atoms.resolve(id))
-                .filter(|(p, _)| p == pred)
-                .map(|(_, args)| args)
-                .collect()
-        }
-    };
-    for row in candidates {
-        if row.len() != atom.args().len() {
-            continue;
-        }
-        let mut bound = Vec::new();
-        let mut ok = true;
-        for (t, v) in atom.args().iter().copied().zip(row.iter().copied()) {
-            match t {
-                NTerm::Const(c) => {
-                    if c != v {
-                        ok = false;
-                        break;
-                    }
-                }
-                NTerm::Var(var) => match subst.get(&var) {
-                    Some(&existing) => {
-                        if existing != v {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    None => {
-                        subst.insert(var, v);
-                        bound.push(var);
-                    }
-                },
-            }
-        }
-        if ok {
-            eval_rec(query, spec, idx + 1, n, subst, emit);
-        }
-        for var in bound {
-            subst.remove(&var);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fundb_core::program::{Database, Program, Rule};
+    use fundb_core::program::{Database, NTerm, Program, Rule};
     use fundb_term::{Func, Interner, Pred};
 
     fn meets() -> (Interner, Program, Database, Pred, Var, Var, Cst, Cst) {

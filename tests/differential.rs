@@ -476,9 +476,10 @@ mod parser_roundtrip {
 /// temporal programs, and serialization round-trips preserve every answer.
 mod temporal_and_io {
     use super::common::{all_paths, random_program, GenConfig};
-    use fundb_core::{read_spec, write_spec, Engine, GraphSpec, SpecBundle};
-    use fundb_temporal::{classify, TemporalClass, TemporalSpec};
-    use fundb_term::FxHashMap;
+    use fundb_core::program::{Atom, FTerm, NTerm};
+    use fundb_core::{read_spec, write_spec, Engine, GraphSpec, Query, SpecBundle};
+    use fundb_temporal::{classify, TemporalAnswer, TemporalClass, TemporalSpec};
+    use fundb_term::{Cst, FxHashMap, Var};
     use proptest::prelude::*;
 
     proptest! {
@@ -524,6 +525,84 @@ mod temporal_and_io {
                     engine.holds_relational(gen.rel, &[c]),
                     "seed {} relational {:?}", seed, c
                 );
+            }
+        }
+
+        /// The temporal query answer (one nested-loop matcher over the
+        /// lasso's slices) equals Theorem 5.1's incremental answer over the
+        /// engine's graph specification at every time point `0..ρ+2λ`, for
+        /// a single atom, two atoms sharing `t` and `x`, a functional atom
+        /// joined to the relational one, and a ground time point.
+        #[test]
+        fn temporal_answers_match_incremental_answers(seed in any::<u64>()) {
+            let mut gen = random_program(
+                GenConfig {
+                    funcs: 1,
+                    forward_only: true,
+                    temporal_shapes: true,
+                    ..GenConfig::default()
+                },
+                seed,
+            );
+            prop_assume!(
+                classify(&gen.program, &gen.db, &gen.interner) == TemporalClass::Forward
+            );
+            let lasso =
+                TemporalSpec::compute(&gen.program, &gen.db, &mut gen.interner).unwrap();
+            let mut engine =
+                Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
+            let spec = GraphSpec::from_engine(&mut engine).unwrap();
+            let t = Var(gen.interner.intern("qt"));
+            let x = Var(gen.interner.intern("qx"));
+            let y = Var(gen.interner.intern("qy"));
+            let fat = |pred, fterm, arg| Atom::Functional {
+                pred,
+                fterm,
+                args: vec![NTerm::Var(arg)],
+            };
+            let f = gen.funcs[0];
+            for (k, &p) in gen.preds.iter().enumerate() {
+                let q = gen.preds[(k + 1) % gen.preds.len()];
+                let queries = [
+                    (vec![x], vec![fat(p, FTerm::Var(t), x)]),
+                    (vec![x], vec![fat(p, FTerm::Var(t), x), fat(q, FTerm::Var(t), x)]),
+                    (
+                        vec![x],
+                        vec![
+                            fat(p, FTerm::Var(t), x),
+                            Atom::Relational { pred: gen.rel, args: vec![NTerm::Var(x)] },
+                        ],
+                    ),
+                    (
+                        vec![x, y],
+                        vec![fat(p, FTerm::Var(t), x), fat(q, FTerm::from_path(&[f]), y)],
+                    ),
+                ];
+                for (qi, (out_nvars, body)) in queries.into_iter().enumerate() {
+                    let query = Query { out_fvar: Some(t), out_nvars, body };
+                    let temporal = TemporalAnswer::evaluate(&query, &lasso).unwrap();
+                    let inc = query.answer_incremental(&spec, &gen.interner).unwrap();
+                    let mut tuples: Vec<Vec<Cst>> = vec![vec![]];
+                    for _ in &query.out_nvars {
+                        tuples = tuples
+                            .iter()
+                            .flat_map(|tu| gen.consts.iter().map(move |&c| {
+                                let mut tu = tu.clone();
+                                tu.push(c);
+                                tu
+                            }))
+                            .collect();
+                    }
+                    for n in 0..lasso.rho() + 2 * lasso.lambda() {
+                        for tu in &tuples {
+                            prop_assert_eq!(
+                                temporal.holds(n as u64, tu),
+                                inc.holds_term(&spec, &vec![f; n], tu),
+                                "seed {} pred {:?} query {} n {} tuple {:?}", seed, p, qi, n, tu
+                            );
+                        }
+                    }
+                }
             }
         }
 

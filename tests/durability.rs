@@ -171,8 +171,9 @@ struct Recorder {
 }
 
 impl dl::RoundSink for Recorder {
-    fn row_committed(&mut self, pred: Pred, row: &[Cst]) {
-        self.current.push((pred, row.to_vec()));
+    fn rows_committed(&mut self, pred: Pred, arity: usize, count: usize, cells: &[Cst]) {
+        self.current
+            .extend((0..count).map(|k| (pred, cells[k * arity..(k + 1) * arity].to_vec())));
     }
     fn round_committed(&mut self, stats: &dl::EvalStats) -> Result<(), String> {
         self.rounds.push((self.current.clone(), *stats));

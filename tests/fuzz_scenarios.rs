@@ -166,7 +166,10 @@ fn check_relational(s: &Scenario) {
     for rounds in [1usize, 2] {
         let mut db = s.db.clone();
         let gov = dl::Governor::new(dl::Budget::unlimited().with_max_rounds(rounds));
-        let governed = dl::evaluate_governed(&mut db, &s.rules, &gov);
+        let plan = dl::DeltaPlan::planned(&s.rules, &db);
+        let governed = dl::IncrementalEval::new()
+            .with_governor(gov)
+            .run(&mut db, &s.rules, &plan);
         assert_invariants(&db, &ctx, &format!("governed to {rounds} rounds"));
         match governed {
             Ok(_) => assert_eq!(row_lists(&db), full_rows, "{ctx}: governed Ok differs"),
@@ -281,7 +284,7 @@ fn check_demand(s: &Scenario, compiled: &dl::Database, ctx: &str) {
             let mut expected = dl::query(compiled, &body, &outs)
                 .unwrap_or_else(|e| panic!("{ctx}: full query: {e:?}"));
             expected.sort();
-            let ans = dl::query_demand(&s.db, &s.rules, &body, &outs)
+            let ans = dl::query_demand(&s.db, &s.rules, &body, &outs, &dl::IncrementalEval::new())
                 .unwrap_or_else(|e| panic!("{ctx}: demand query: {e:?}"));
             let mut got = ans.rows.clone();
             got.sort();
@@ -292,19 +295,13 @@ fn check_demand(s: &Scenario, compiled: &dl::Database, ctx: &str) {
             // Thread determinism on the first goal's patterns: same rows
             // and same stats at every thread count, forced-parallel.
             if qi == 0 {
-                let gov = dl::Governor::default();
                 let mut reference: Option<dl::DemandAnswer> = None;
                 for threads in THREADS {
-                    let tuned = dl::query_demand_tuned(
-                        &s.db,
-                        &s.rules,
-                        &body,
-                        &outs,
-                        &gov,
-                        Some(threads),
-                        Some(1),
-                    )
-                    .unwrap_or_else(|e| panic!("{ctx}: tuned demand: {e:?}"));
+                    let eval = dl::IncrementalEval::new()
+                        .with_threads(threads)
+                        .with_parallel_threshold(1);
+                    let tuned = dl::query_demand(&s.db, &s.rules, &body, &outs, &eval)
+                        .unwrap_or_else(|e| panic!("{ctx}: tuned demand: {e:?}"));
                     match &reference {
                         None => reference = Some(tuned),
                         Some(r) => {
@@ -472,7 +469,9 @@ fn check_churn(seed: u64, percent: usize) -> usize {
         for op in &script {
             let (p, row) = resolve(op);
             if op.retract {
-                let out = db.retract_fact(p, &row, &s.rules, &plan);
+                let out = db
+                    .retract_fact(p, &row, &s.rules, &plan, &dl::Governor::default())
+                    .unwrap_or_else(|e| panic!("{ctx}: retraction: {e:?}"));
                 assert!(out.found, "{ctx}: script retracted an absent fact");
                 total.absorb(out.stats);
                 present.retain(|(pp, rr)| !(*pp == p && *rr == row));
@@ -527,9 +526,7 @@ fn check_churn(seed: u64, percent: usize) -> usize {
         let before = row_lists(&db);
         let gov = dl::Governor::default();
         gov.cancel();
-        let err = db
-            .retract_fact_governed(p, &row, &s.rules, &plan, &gov)
-            .unwrap_err();
+        let err = db.retract_fact(p, &row, &s.rules, &plan, &gov).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -654,7 +651,10 @@ fn check_provenance(s: &Scenario) {
     for k in [1, rounds / 2].into_iter().filter(|&k| k >= 1) {
         let mut prefix = s.db.clone();
         let gov = dl::Governor::new(dl::Budget::unlimited().with_max_rounds(k));
-        let _ = dl::evaluate_governed(&mut prefix, &s.rules, &gov);
+        let plan = dl::DeltaPlan::planned(&s.rules, &prefix);
+        let _ = dl::IncrementalEval::new()
+            .with_governor(gov)
+            .run(&mut prefix, &s.rules, &plan);
         for (p, rel) in traced.iter() {
             for row in rel.rows() {
                 let ranked = prov.round(&traced, p, row).expect("live row");
@@ -822,7 +822,8 @@ fn check_probe_soundness_after_retract(seed: u64) {
             // Replaying retract ops out of script order may hit an
             // already-gone fact; `found == false` leaves the db untouched
             // and still exercises the lookup path.
-            db.retract_fact(p, &row, &s.rules, &plan);
+            db.retract_fact(p, &row, &s.rules, &plan, &dl::Governor::default())
+                .unwrap_or_else(|e| panic!("retraction: {e:?}"));
             row
         })
         .collect();

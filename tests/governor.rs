@@ -21,8 +21,8 @@
 //! the suite stays green under that same matrix.
 
 use fundb_datalog::{
-    evaluate_governed, Atom, Budget, Database, DeltaPlan, EvalError, FaultPlan, Governor,
-    IncrementalEval, Resource, Rule, Term,
+    Atom, Budget, Database, DeltaPlan, EvalError, EvalStats, FaultPlan, Governor, IncrementalEval,
+    Resource, Rule, Term,
 };
 use fundb_term::{Cst, Interner, Pred, Var};
 use proptest::prelude::*;
@@ -89,6 +89,18 @@ fn path_rows(db: &Database, fx: &Fixture) -> Vec<Vec<Cst>> {
     db.relation(fx.path)
         .map(|r| r.rows().map(<[Cst]>::to_vec).collect())
         .unwrap_or_default()
+}
+
+/// The fixpoint of `rules` over `db` under `governor`, planned on `db`.
+fn evaluate_governed(
+    db: &mut Database,
+    rules: &[Rule],
+    governor: &Governor,
+) -> Result<EvalStats, EvalError> {
+    let plan = DeltaPlan::planned(rules, db);
+    IncrementalEval::new()
+        .with_governor(governor.clone())
+        .run(db, rules, &plan)
 }
 
 /// A governor immune to the ambient `FUNDB_FAULT` plan, so these tests
@@ -277,7 +289,7 @@ fn deadline_mid_retraction_leaves_the_fixpoint_prefix_intact() {
     let gov = quiet(Budget::unlimited());
     gov.cancel();
     let err = db
-        .retract_fact_governed(fx.edge, &[target.0, target.1], &fx.rules, &plan, &gov)
+        .retract_fact(fx.edge, &[target.0, target.1], &fx.rules, &plan, &gov)
         .unwrap_err();
     assert!(
         matches!(
@@ -315,7 +327,7 @@ fn deadline_mid_retraction_leaves_the_fixpoint_prefix_intact() {
     // the deadline wins (rollback: untouched bytes) or the retraction
     // completes first (dump equals the rebuild oracle); nothing between.
     let gov = quiet(Budget::unlimited().with_max_millis(1));
-    match db.retract_fact_governed(fx.edge, &[target.0, target.1], &fx.rules, &plan, &gov) {
+    match db.retract_fact(fx.edge, &[target.0, target.1], &fx.rules, &plan, &gov) {
         Err(EvalError::BudgetExhausted {
             resource: Resource::Time,
             ..
@@ -462,7 +474,10 @@ mod serving_trips {
 /// Under the CI fault matrix (`FUNDB_FAULT` set), *default* governors must
 /// pick up the ambient plan: armed panics and round failures surface as
 /// error values (never a process abort), and `slow_probe` alone still
-/// completes with the exact fixpoint.
+/// completes with the exact fixpoint. A tripped run resumed under an inert
+/// governor completes the exact fixpoint, and the naive oracle (which runs
+/// the same round gate and commit step) returns an error or the exact
+/// fixpoint, never a wrong one.
 #[test]
 fn ambient_fault_plan_reaches_default_governors() {
     let plan = *FaultPlan::from_env();
@@ -476,11 +491,11 @@ fn ambient_fault_plan_reaches_default_governors() {
 
     let delta_plan = DeltaPlan::new(&fx.rules);
     let mut db = chain_db(&mut fx, 24);
-    let result = IncrementalEval::new()
+    let mut eval = IncrementalEval::new()
         .with_threads(4)
         .with_parallel_threshold(1)
-        .with_governor(Governor::default())
-        .run(&mut db, &fx.rules, &delta_plan);
+        .with_governor(Governor::default());
+    let result = eval.run(&mut db, &fx.rules, &delta_plan);
     let rows = path_rows(&db, &fx);
     if plan.panic_task.is_some() || plan.fail_round.is_some() {
         assert!(result.is_err(), "armed fault was ignored: {result:?}");
@@ -492,5 +507,133 @@ fn ambient_fault_plan_reaches_default_governors() {
     } else {
         result.expect("slow_probe alone must not fail an undeadlined run");
         assert_eq!(rows, full_rows);
+    }
+
+    eval.set_governor(quiet(Budget::unlimited()));
+    eval.run(&mut db, &fx.rules, &delta_plan)
+        .expect("an inert governor completes the resumed run");
+    assert_eq!(path_rows(&db, &fx), full_rows, "resumed run");
+
+    let mut naive = chain_db(&mut fx, 24);
+    if fundb_datalog::evaluate_naive(&mut naive, &fx.rules).is_ok() {
+        assert_eq!(
+            naive.dump(&fx.interner),
+            full.dump(&fx.interner),
+            "naive oracle"
+        );
+    }
+}
+
+/// The resume contract of `Engine::solve`: a solve stopped by a row budget
+/// and resumed under an unlimited governor equals a fresh solve on every
+/// path to depth 4, for the paper's adversarial families counter(4) and
+/// subset_lists(3) at several caps.
+mod resumed_solves {
+    use super::quiet;
+    use fundb_core::Engine;
+    use fundb_datalog::Budget;
+    use fundb_parser::Workspace;
+    use fundb_term::{Cst, Func, Pred};
+    use std::fmt::Write as _;
+
+    /// A `w`-bit binary counter over time (the E4 counter family).
+    fn counter(w: usize) -> String {
+        let mut src = String::from("B0(t) -> N0(t+1).\nN0(t) -> B0(t+1).\n");
+        for i in 1..w {
+            let low: Vec<String> = (0..i).map(|j| format!("B{j}(t)")).collect();
+            let low = low.join(", ");
+            writeln!(src, "{low}, B{i}(t) -> N{i}(t+1).").unwrap();
+            writeln!(src, "{low}, N{i}(t) -> B{i}(t+1).").unwrap();
+            for j in 0..i {
+                writeln!(src, "N{j}(t), B{i}(t) -> B{i}(t+1).").unwrap();
+                writeln!(src, "N{j}(t), N{i}(t) -> N{i}(t+1).").unwrap();
+            }
+        }
+        for i in 0..w {
+            writeln!(src, "N{i}(0).").unwrap();
+        }
+        src
+    }
+
+    /// The §3.4 list program over `n` constants (the E5 family).
+    fn subset_lists(n: usize) -> String {
+        let mut src = String::from(
+            "P(x) -> Member(ext(0, x), x).
+             P(y), Member(s, x) -> Member(ext(s, y), y).
+             P(y), Member(s, x) -> Member(ext(s, y), x).\n",
+        );
+        for i in 0..n {
+            writeln!(src, "P(E{i}).").unwrap();
+        }
+        src
+    }
+
+    fn paths(funcs: &[Func], depth: usize) -> Vec<Vec<Func>> {
+        let mut out = vec![vec![]];
+        let mut frontier = 0;
+        for _ in 0..depth {
+            let end = out.len();
+            for k in frontier..end {
+                for &f in funcs {
+                    let mut p = out[k].clone();
+                    p.push(f);
+                    out.push(p);
+                }
+            }
+            frontier = end;
+        }
+        out
+    }
+
+    /// The slice at `path`, as sorted `(pred, args)` atoms (atom ids are
+    /// engine-local).
+    fn slice(engine: &Engine, path: &[Func]) -> Vec<(Pred, Vec<Cst>)> {
+        let mut atoms: Vec<(Pred, Vec<Cst>)> = engine
+            .state_of_path(path)
+            .iter()
+            .map(|id| {
+                let (p, args) = engine.atoms().resolve(id);
+                (p, args.to_vec())
+            })
+            .collect();
+        atoms.sort();
+        atoms
+    }
+
+    #[test]
+    fn resumed_solves_equal_fresh_solves_on_every_path() {
+        for (family, src, caps) in [
+            ("counter(4)", counter(4), [1, 3, 7]),
+            ("subset_lists(3)", subset_lists(3), [1, 7, 20]),
+        ] {
+            let mut ws = Workspace::new();
+            ws.parse(&src).unwrap();
+            let mut fresh = Engine::build(&ws.program, &ws.db, &mut ws.interner).unwrap();
+            fresh.set_governor(quiet(Budget::unlimited()));
+            fresh.solve().unwrap();
+            let paths = paths(fresh.compiled().funcs.symbols(), 4);
+            for cap in caps {
+                let mut resumed = Engine::build(&ws.program, &ws.db, &mut ws.interner).unwrap();
+                resumed.set_governor(quiet(Budget::unlimited().with_max_rows(cap)));
+                assert!(resumed.solve().is_err(), "{family}: cap {cap} did not trip");
+                resumed.set_governor(quiet(Budget::unlimited()));
+                resumed.solve().unwrap();
+                let differing = paths
+                    .iter()
+                    .filter(|p| slice(&resumed, p) != slice(&fresh, p))
+                    .count();
+                assert_eq!(
+                    differing,
+                    0,
+                    "{family}: cap {cap}: {differing} of {} paths differ",
+                    paths.len()
+                );
+                assert_eq!(
+                    resumed.nf().dump(&ws.interner),
+                    fresh.nf().dump(&ws.interner),
+                    "{family}: cap {cap}: relational store"
+                );
+            }
+        }
     }
 }

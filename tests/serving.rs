@@ -254,7 +254,9 @@ fn patched_retraction_answers_like_a_rebuild() {
             .unwrap();
         let edge = fundb_term::Pred(ws.interner.get("Edge").unwrap());
         let row = [x, y].map(|c| fundb_term::Cst(ws.interner.get(c).unwrap()));
-        let outcome = db.retract_fact(edge, &row, &rel_rules, &plan);
+        let outcome = db
+            .retract_fact(edge, &row, &rel_rules, &plan, &dl::Governor::default())
+            .unwrap();
         let net = outcome.net_deleted().len();
         assert!(net > 0, "retracting Edge({x}, {y}) deletes something");
 
