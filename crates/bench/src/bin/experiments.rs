@@ -159,8 +159,8 @@ impl Bench {
     /// Writes the trajectory file and returns its path.
     fn write(&self) -> std::io::Result<String> {
         let path =
-            std::env::var("FUNDB_BENCH_JSON").unwrap_or_else(|_| "BENCH_pr20.json".to_string());
-        let mut out = String::from("{\"schema\":\"fundb-bench-v1\",\"pr\":20,\"records\":[\n");
+            std::env::var("FUNDB_BENCH_JSON").unwrap_or_else(|_| "BENCH_pr21.json".to_string());
+        let mut out = String::from("{\"schema\":\"fundb-bench-v1\",\"pr\":21,\"records\":[\n");
         out.push_str(&self.records.join(",\n"));
         out.push_str("\n]}\n");
         std::fs::write(&path, out)?;
@@ -455,6 +455,8 @@ fn e5_graphspec_size(bench: &mut Bench) {
 /// E6 — Theorem 4.3: equational vs graph specification sizes, and the
 /// per-stage cost of the specification back end.
 fn e6_eqspec(bench: &mut Bench) {
+    use fundb_congruence::{CongruenceClosure, GenCongruence};
+
     banner(
         "E6",
         "Equational specification size (Theorem 4.3)",
@@ -551,6 +553,58 @@ fn e6_eqspec(bench: &mut Bench) {
         );
         assert_eq!(got_clusters, clusters, "E6: {name} clusters");
         assert_eq!(got_equations, equations, "E6: {name} |R|");
+    }
+
+    // Ablation: the unary congruence closure the equational specs use
+    // against the general k-ary procedure, on a chain collapsed modulo 7
+    // (f^7 = ε); both must decide f^len ≅ f^(len mod 7).
+    println!(
+        "{:>18} {:>10} {:>13} {:>10}",
+        "closure", "unary (ms)", "generic (ms)", "speedup"
+    );
+    let mut interner = fundb_term::Interner::new();
+    let f = fundb_term::Func(interner.intern("f"));
+    let zero = interner.intern("0");
+    for len in [256usize, 1024] {
+        let mut unary_ms = Vec::new();
+        let mut generic_ms = Vec::new();
+        for _ in 0..REPS {
+            let t0 = Instant::now();
+            let mut cc = CongruenceClosure::new();
+            cc.equate_paths(&[], &[f; 7]);
+            let unary = cc.congruent_paths(&vec![f; len], &vec![f; len % 7]);
+            unary_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+            let t0 = Instant::now();
+            let mut gc = GenCongruence::new();
+            let chain = |gc: &mut GenCongruence, n: usize| {
+                let mut t = gc.term(zero, &[]);
+                for _ in 0..n {
+                    t = gc.term(f.0, &[t]);
+                }
+                t
+            };
+            let (seven, zero) = (chain(&mut gc, 7), chain(&mut gc, 0));
+            gc.merge(seven, zero);
+            let (long, short) = (chain(&mut gc, len), chain(&mut gc, len % 7));
+            let generic = gc.congruent(long, short);
+            generic_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+            assert!(unary && generic, "E6: closures disagree on f^{len}");
+        }
+        let (unary_ms, generic_ms) = (median(unary_ms), median(generic_ms));
+        let speedup = generic_ms / unary_ms.max(1e-9);
+        println!(
+            "{:>18} {unary_ms:>10.3} {generic_ms:>13.3} {speedup:>9.2}x",
+            format!("chain({len}) mod 7")
+        );
+        bench.push(
+            "E6",
+            &format!("closure chain({len}) unary vs generic"),
+            &[
+                ("unary_ms", unary_ms),
+                ("generic_ms", generic_ms),
+                ("speedup", speedup),
+            ],
+        );
     }
     println!();
 }
@@ -928,6 +982,48 @@ fn e11_parallel_scaling(bench: &mut Bench) {
                 );
             }
         }
+    }
+
+    // Ablation: the naive oracle (every round re-joins the whole database)
+    // against semi-naive evaluation, on the same chains; both must reach
+    // the same fixpoint.
+    println!(
+        "{:>14} {:>12} {:>16} {:>10}",
+        "workload", "naive (ms)", "semi-naive (ms)", "speedup"
+    );
+    for n in [32usize, 64] {
+        type Eval = fn(&mut dl::Database, &[dl::Rule]) -> Result<dl::EvalStats, dl::EvalError>;
+        let run = |eval: Eval| {
+            let (_i, mut db, rules) = tc_chain_dir(n, false);
+            let t0 = Instant::now();
+            eval(&mut db, &rules).unwrap();
+            (t0.elapsed().as_secs_f64() * 1e3, db)
+        };
+        let (naive_ms, naive) = run(dl::evaluate_naive);
+        let (semi_ms, semi) = run(dl::evaluate);
+        let same = naive.fact_count() == semi.fact_count()
+            && naive
+                .iter()
+                .all(|(p, rel)| rel.rows().all(|r| semi.contains(p, r)));
+        assert!(
+            same,
+            "E11: naive and semi-naive fixpoints differ on tc_chain({n})"
+        );
+        let speedup = naive_ms / semi_ms.max(1e-9);
+        println!(
+            "{:>14} {naive_ms:>12.2} {semi_ms:>16.2} {speedup:>9.2}x",
+            format!("tc_chain({n})")
+        );
+        bench.push(
+            "E11",
+            &format!("tc_chain({n}) naive vs semi-naive"),
+            &[
+                ("naive_ms", naive_ms),
+                ("semi_naive_ms", semi_ms),
+                ("rows", semi.fact_count() as f64),
+                ("speedup", speedup),
+            ],
+        );
     }
 
     // The same knob on the general engine (the E4 workloads): local
@@ -1667,8 +1763,7 @@ fn e17_durability(bench: &mut Bench) {
     ];
 
     println!(
-        "{:>16} {:>13} {:>13} {:>9} {:>8} {:>10} {:>10}",
-        "workload", "plain (ms)", "WAL on (ms)", "overhead", "noise", "records", "log KiB"
+        "        workload    plain (ms)   WAL on (ms)  overhead    noise    records    log KiB  symbols"
     );
     for (name, gen) in workloads {
         // Plain in-memory run: only the fixpoint is timed.
@@ -1682,8 +1777,9 @@ fn e17_durability(bench: &mut Bench) {
         };
         // WAL-on: same fixpoint through DurableDb::run (facts and rules
         // are journaled before the clock starts — steady-state only).
-        let mut last = (0u64, 0u64); // (records, bytes) of the final run
-        let wal = |last: &mut (u64, u64)| {
+        // (records, bytes, file-local symbols) of the final run.
+        let mut last = (0u64, 0u64, 0usize);
+        let wal = |last: &mut (u64, u64, usize)| {
             let dir = scratch_dir("run");
             let (mut i, db, rules) = gen();
             let mut ddb = DurableDb::open(&dir, &mut i).unwrap();
@@ -1702,7 +1798,9 @@ fn e17_durability(bench: &mut Bench) {
             ddb.run(&i, &mut eval, &plan).unwrap();
             let ms = t0.elapsed().as_secs_f64() * 1e3;
             let w = ddb.wal_stats();
-            *last = (w.records, w.bytes);
+            // Every interned symbol is logged, so the file-local symbol
+            // table is the interner.
+            *last = (w.records, w.bytes, i.len());
             drop(ddb);
             let _ = std::fs::remove_dir_all(&dir);
             ms
@@ -1713,10 +1811,10 @@ fn e17_durability(bench: &mut Bench) {
             overhead_pct,
             noise_pct,
         } = paired(21, base, || wal(&mut last));
-        let (records, bytes) = last;
+        let (records, bytes, symbols) = last;
         println!(
             "{name:>16} {base_ms:>13.2} {wal_ms:>13.2} {overhead_pct:>+8.2}% {noise_pct:>7.2}% \
-             {records:>10} {:>10.1}",
+             {records:>10} {:>10.1} {symbols:>8}",
             bytes as f64 / 1024.0
         );
         bench.push(
@@ -1729,6 +1827,7 @@ fn e17_durability(bench: &mut Bench) {
                 ("noise_pct", noise_pct),
                 ("wal_records", records as f64),
                 ("wal_bytes", bytes as f64),
+                ("symbols", symbols as f64),
             ],
         );
     }

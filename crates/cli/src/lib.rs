@@ -550,6 +550,20 @@ Meets(0, Tony). Next(Tony, Jan). Next(Jan, Tony).\n";
     }
 
     #[test]
+    fn queries_mixing_variable_sorts_are_rejected() {
+        let dir = tempdir();
+        let prog = write_program(&dir, "meets_sorts.fdb", MEETS);
+        for body in ["Meets(t,t)", "Meets(t,x), Next(x,t)"] {
+            let err = run_str(&["query", &prog, body]);
+            assert!(
+                matches!(&err, Err(CliError::Failed(msg))
+                    if msg.contains("variable t is used in both functional and non-functional")),
+                "{body}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn relational_queries_of_the_wrong_arity_answer_empty() {
         let dir = tempdir();
         let prog = write_program(&dir, "meets_arity.fdb", MEETS);

@@ -1089,6 +1089,25 @@ mod tests {
     }
 
     #[test]
+    fn queries_mixing_variable_sorts_are_rejected() {
+        let mut repl = Repl::new();
+        feed(
+            &mut repl,
+            &[
+                "Meets(t, x), Next(x, y) -> Meets(t+1, y).",
+                "Meets(0, Tony). Next(Tony, Jan). Next(Jan, Tony).",
+            ],
+        );
+        for goal in ["?- Meets(t,t).", "?- Meets(t,x), Next(x,t)."] {
+            let out = feed(&mut repl, &[goal]);
+            assert!(
+                out.contains("error: variable t is used in both functional and non-functional"),
+                "{goal}: {out}"
+            );
+        }
+    }
+
+    #[test]
     fn incremental_extension_invalidates_spec() {
         let mut repl = Repl::new();
         let out1 = feed(&mut repl, &["Even(0).", ":check Even(2)"]);

@@ -125,7 +125,8 @@ pub struct Query {
 }
 
 impl Query {
-    /// Validates the §5 restrictions.
+    /// Validates the disjoint variable sorts (§2.1) and the §5
+    /// restrictions.
     pub fn validate(&self, interner: &Interner) -> Result<()> {
         let mut fvars: FxHashSet<Var> = FxHashSet::default();
         let mut nvars: FxHashSet<Var> = FxHashSet::default();
@@ -136,6 +137,11 @@ impl Query {
             for v in atom.nvars() {
                 nvars.insert(v);
             }
+        }
+        if let Some(v) = fvars.intersection(&nvars).next() {
+            return Err(Error::MixedVariableSorts {
+                var: interner.resolve(v.sym()).to_string(),
+            });
         }
         if fvars.len() > 1 {
             return Err(Error::UnsupportedQuery {
@@ -666,6 +672,35 @@ mod tests {
             body: vec![fat(m.meets, FTerm::Var(m.t), vec![NTerm::Var(m.x)])],
         };
         assert!(q2.validate(&m.i).is_err());
+    }
+
+    /// A variable in both a functional and a non-functional position is
+    /// rejected, as in programs (§2.1), instead of being answered as two
+    /// variables.
+    #[test]
+    fn validation_rejects_mixed_variable_sorts() {
+        let mut m = meets_setup();
+        let next = Pred(m.i.intern("Next"));
+        for body in [
+            vec![fat(m.meets, FTerm::Var(m.t), vec![NTerm::Var(m.t)])],
+            vec![
+                fat(m.meets, FTerm::Var(m.t), vec![NTerm::Var(m.x)]),
+                Atom::Relational {
+                    pred: next,
+                    args: vec![NTerm::Var(m.x), NTerm::Var(m.t)],
+                },
+            ],
+        ] {
+            let q = Query {
+                out_fvar: Some(m.t),
+                out_nvars: vec![],
+                body,
+            };
+            assert!(matches!(
+                q.validate(&m.i),
+                Err(Error::MixedVariableSorts { var }) if var == "t"
+            ));
+        }
     }
 
     /// Non-uniform queries are rejected by the incremental path but work by

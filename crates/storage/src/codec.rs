@@ -118,9 +118,10 @@ pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-/// Appends an LEB128 varint — the encoding of the row-batch records on
-/// the WAL hot path, where symbol and predicate ids are small and a
-/// fixed-width `u32` would quadruple the log's row payload.
+/// Appends an LEB128 varint: seven bits per byte, low bits first. The
+/// WAL writes every row with it (`wal::put_group`): file-local ids are
+/// dense from 0, so a cell takes one byte below id 128 and two below
+/// 16,384, where a fixed-width `u32` would take four.
 pub fn put_uv(buf: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         buf.push((v as u8) | 0x80);

@@ -11,7 +11,6 @@
 //! starts with a fresh [`Interner`] reconstructs byte-identical symbol
 //! ids, rows, RowIds, and [`dl::EvalStats`].
 
-use crate::codec::put_uv;
 use crate::snapshot::{self, SnapshotData, WireRelation, WireRule};
 use crate::wal::{
     self, stats_from_wire, stats_to_wire, Wal, WalRecord, WalStats, WireAtom, WireTerm,
@@ -74,24 +73,20 @@ impl OpenDurable for dl::Database {
     }
 }
 
+/// The file-local id of `s`, if it has been logged.
+fn file_id(to_file: &[u32], s: Sym) -> Option<u32> {
+    to_file.get(s.index()).copied().filter(|&f| f != UNMAPPED)
+}
+
 fn term_to_wire(t: &dl::Term, to_file: &[u32]) -> Option<WireTerm> {
-    let fid = |s: Sym| -> Option<u32> {
-        match to_file.get(s.index()) {
-            Some(&f) if f != UNMAPPED => Some(f),
-            _ => None,
-        }
-    };
     Some(match t {
-        dl::Term::Var(v) => WireTerm::Var(fid(v.sym())?),
-        dl::Term::Const(c) => WireTerm::Const(fid(c.sym())?),
+        dl::Term::Var(v) => WireTerm::Var(file_id(to_file, v.sym())?),
+        dl::Term::Const(c) => WireTerm::Const(file_id(to_file, c.sym())?),
     })
 }
 
 fn atom_to_wire(a: &dl::Atom, to_file: &[u32]) -> Option<WireAtom> {
-    let pred = match to_file.get(a.pred.index()) {
-        Some(&f) if f != UNMAPPED => f,
-        _ => return None,
-    };
+    let pred = file_id(to_file, a.pred.sym())?;
     let args = a
         .args
         .iter()
@@ -111,10 +106,9 @@ fn rule_to_wire(r: &dl::Rule, to_file: &[u32]) -> Option<WireRule> {
     })
 }
 
-/// Replays one decoded row-group batch (a `Rows` spill or a marker's
-/// fused rows) into the database, widening file-local ids back to
-/// interner symbols. Returns the number of rows inserted. Rows in these
-/// records came from the engine's merge, so they replay as *derived*
+/// Replays a marker's rows into the database, widening file-local ids
+/// back to interner symbols. Returns the number of rows inserted. Rows in
+/// these records came from the engine's merge, so they replay as *derived*
 /// (asserted bit clear); like every insert they append, landing on the
 /// RowIds the live run gave them.
 fn replay_rows(
@@ -343,10 +337,6 @@ impl DurableDb {
                                 });
                             }
                             WalRecord::Note { text } => notes.push(text.clone()),
-                            WalRecord::Rows { rows } => {
-                                report.replayed_facts +=
-                                    replay_rows(&mut db, &from_file, rows, &mut row_buf)?;
-                            }
                             WalRecord::Retract {
                                 pred,
                                 row,
@@ -500,12 +490,9 @@ impl DurableDb {
     }
 
     fn file_id(&self, s: Sym) -> io::Result<u32> {
-        match self.to_file.get(s.index()) {
-            Some(&f) if f != UNMAPPED => Ok(f),
-            _ => Err(invalid(
-                "symbol has no logged definition (synthetic, or sync_symbols was skipped)",
-            )),
-        }
+        file_id(&self.to_file, s).ok_or_else(|| {
+            invalid("symbol has no logged definition (synthetic, or sync_symbols was skipped)")
+        })
     }
 
     /// Logs `DefSym` records for every interner symbol not yet in the
@@ -542,11 +529,11 @@ impl DurableDb {
         }
         self.sync_symbols(interner)?;
         let p = self.file_id(pred.sym())?;
-        let mapped: Vec<u32> = row
+        let ids = row
             .iter()
             .map(|c| self.file_id(c.sym()))
             .collect::<io::Result<_>>()?;
-        self.wal.append_fact(p, &mapped)?;
+        self.wal.append(&WalRecord::Fact { pred: p, row: ids })?;
         Ok(self.db.insert(pred, row))
     }
 
@@ -624,13 +611,13 @@ impl DurableDb {
     /// This is the commit point recovery rolls forward to: everything
     /// logged before it (facts, rules, notes) becomes recoverable.
     pub fn commit(&mut self) -> io::Result<()> {
-        self.wal.append_round_commit(&self.stats)?;
+        self.wal.append_round_commit(&self.stats, &[])?;
         self.wal.flush()
     }
 
     /// [`commit`](Self::commit) plus an fsync durability barrier.
     pub fn sync(&mut self) -> io::Result<()> {
-        self.wal.append_round_commit(&self.stats)?;
+        self.wal.append_round_commit(&self.stats, &[])?;
         self.wal.sync()
     }
 
@@ -651,22 +638,12 @@ impl DurableDb {
             detail: e.to_string(),
         };
         self.sync_symbols(interner).map_err(wal_failed)?;
-        // Fresh sessions and fresh-interner opens log symbols in interner
-        // order, making the file id map an identity — which lets the sink
-        // skip per-cell translation. O(symbols), once per run.
-        let identity = self.to_file.iter().enumerate().all(|(i, &f)| f == i as u32);
-        // File-local ids are dense, so when the whole symbol table fits a
-        // u16 the sink halves the log's row payload with 2-byte cells. No
-        // symbol can appear mid-run: sync_symbols above fixed the table.
-        let narrow = self.from_file.len() <= usize::from(u16::MAX) + 1;
         let mut sink = WalSink {
             wal: &mut self.wal,
             to_file: &self.to_file,
-            ident_len: if identity { self.to_file.len() } else { 0 },
-            narrow,
             base: self.stats,
             batch: Vec::new(),
-            batched: 0,
+            cells: Vec::new(),
             committed: None,
             failed: None,
         };
@@ -755,62 +732,27 @@ impl DurableDb {
     }
 }
 
-/// A wide round's row batch is cut into `Rows` records of roughly this
-/// many payload bytes, bounding sink memory and keeping the WAL's
-/// auto-flush cadence (recovery only commits at markers, so mid-round
-/// record boundaries are semantically invisible).
-const ROWS_CHUNK: usize = 256 * 1024;
-
 /// The engine-facing WAL adapter: buffers row-append failures (the
 /// [`dl::RoundSink`] row callbacks are infallible by design) and surfaces
 /// them at the next round boundary, where the engine can abort cleanly.
 ///
 /// Rows arrive per relation as contiguous arena slices
-/// ([`dl::RoundSink::rows_committed`]) and are copied into a per-round
-/// batch of fixed-width cell groups (`u16` cells when the symbol table
-/// fits, else `u32`), fused into the round's `RoundCommit` record at the
-/// boundary — one frame, one checksum, and (in the common
-/// identity-mapped case) one bounds check per cell is all the steady
-/// state costs (the E17 overhead budget).
+/// ([`dl::RoundSink::rows_committed`]); each slice is mapped to file-local
+/// ids and written as one row group into the round's batch, which rides
+/// inside the round's `RoundCommit` record.
 struct WalSink<'a> {
     wal: &'a mut Wal,
     to_file: &'a [u32],
-    /// When the file-local symbol table is an identity prefix of the
-    /// interner (every fresh session, and every fresh-interner open),
-    /// symbols below this index need no translation and rows can be
-    /// copied cell by cell. 0 disables the fast path.
-    ident_len: usize,
-    /// Emit 2-byte cells (every file-local id fits a `u16`).
-    narrow: bool,
     /// Committed totals at run start; markers carry `base + run` so the
     /// log always holds absolute counters.
     base: dl::EvalStats,
-    /// Encoded row groups of the current round.
+    /// The current round's row groups, written by [`wal::put_group`].
     batch: Vec<u8>,
-    /// Rows in `batch`.
-    batched: u64,
+    /// One slice's cells in file-local ids (reused across calls).
+    cells: Vec<u32>,
     /// Totals at the last marker that reached the log.
     committed: Option<dl::EvalStats>,
     failed: Option<String>,
-}
-
-impl WalSink<'_> {
-    /// Spills the buffered row batch (if any) as one `Rows` record —
-    /// only wide rounds that outgrow [`ROWS_CHUNK`] take this path; a
-    /// round that fits fuses its batch into the marker instead.
-    fn flush_batch(&mut self) -> Result<(), String> {
-        if self.batched == 0 {
-            return Ok(());
-        }
-        let res = self.wal.append_rows_raw(&self.batch, self.narrow);
-        self.batch.clear();
-        self.batched = 0;
-        res.map_err(|e| e.to_string())
-    }
-
-    fn fail_unmapped(&mut self) {
-        self.failed = Some("derived row uses a symbol with no logged definition".into());
-    }
 }
 
 impl dl::RoundSink for WalSink<'_> {
@@ -819,97 +761,29 @@ impl dl::RoundSink for WalSink<'_> {
             return;
         }
         let to_file = self.to_file;
-        let fid = |s: Sym| -> Option<u32> {
-            match to_file.get(s.index()) {
-                Some(&f) if f != UNMAPPED => Some(f),
-                _ => None,
+        self.cells.clear();
+        self.cells
+            .extend(cells.iter().map_while(|c| file_id(to_file, c.sym())));
+        match file_id(to_file, pred.sym()) {
+            Some(p) if self.cells.len() == cells.len() => {
+                wal::put_group(&mut self.batch, p, arity, count, self.cells.iter().copied())
             }
-        };
-        let Some(p) = fid(pred.sym()) else {
-            self.fail_unmapped();
-            return;
-        };
-        if arity == 0 {
-            // Cell-less rows: one group per row (the decoder's contract).
-            for _ in 0..count {
-                put_uv(&mut self.batch, u64::from(p));
-                put_uv(&mut self.batch, 0);
-                put_uv(&mut self.batch, 1);
-            }
-            self.batched += count as u64;
-            return;
-        }
-        // Cut wide deltas into whole-row groups of at most ~ROWS_CHUNK
-        // bytes so a chunk flush never splits a group.
-        let cell_bytes = if self.narrow { 2 } else { 4 };
-        let per_group = (ROWS_CHUNK / (arity * cell_bytes)).max(1);
-        let mut done = 0;
-        while done < count {
-            let n = per_group.min(count - done);
-            put_uv(&mut self.batch, u64::from(p));
-            put_uv(&mut self.batch, arity as u64);
-            put_uv(&mut self.batch, n as u64);
-            let slice = &cells[done * arity..(done + n) * arity];
-            self.batch.reserve(slice.len() * cell_bytes);
-            if self.ident_len > 0 {
-                // Identity-mapped symbols: file id == interner id, so the
-                // group body is a straight cell copy.
-                for &c in slice {
-                    let id = c.index();
-                    if id >= self.ident_len {
-                        self.fail_unmapped();
-                        return;
-                    }
-                    if self.narrow {
-                        self.batch.extend_from_slice(&(id as u16).to_le_bytes());
-                    } else {
-                        self.batch.extend_from_slice(&(id as u32).to_le_bytes());
-                    }
-                }
-            } else {
-                for &c in slice {
-                    match fid(c.sym()) {
-                        Some(f) if self.narrow => {
-                            self.batch.extend_from_slice(&(f as u16).to_le_bytes());
-                        }
-                        Some(f) => self.batch.extend_from_slice(&f.to_le_bytes()),
-                        None => {
-                            // A partial group may land in `batch` here;
-                            // `round_committed` discards the whole batch
-                            // on failure, so it never reaches the log.
-                            self.fail_unmapped();
-                            return;
-                        }
-                    }
-                }
-            }
-            self.batched += n as u64;
-            done += n;
-            if self.batch.len() >= ROWS_CHUNK {
-                if let Err(e) = self.flush_batch() {
-                    self.failed = Some(e);
-                    return;
-                }
-            }
+            _ => self.failed = Some("derived row uses a symbol with no logged definition".into()),
         }
     }
 
     fn round_committed(&mut self, stats: &dl::EvalStats) -> Result<(), String> {
-        if let Some(e) = self.failed.take() {
-            self.batch.clear();
-            self.batched = 0;
-            return Err(e);
-        }
         let mut total = self.base;
         total.absorb(*stats);
-        // The round's batch rides inside the marker record: one frame,
-        // one checksum, one fault point per round.
-        let res = self
-            .wal
-            .append_round_commit_rows(&total, &self.batch, self.narrow);
+        let res = match self.failed.take() {
+            Some(e) => Err(e),
+            None => self
+                .wal
+                .append_round_commit(&total, &self.batch)
+                .map_err(|e| e.to_string()),
+        };
         self.batch.clear();
-        self.batched = 0;
-        res.map_err(|e| e.to_string())?;
+        res?;
         self.committed = Some(total);
         Ok(())
     }

@@ -4,46 +4,43 @@
 //! records:
 //!
 //! ```text
-//! header:  "FDBWAL01" (8)  version u32 (=1)  base_seq u64
+//! header:  "FDBWAL01" (8)  version u32 (=2)  base_seq u64
 //! record:  len u32  crc u32  payload (len bytes, crc = CRC-32C of payload)
-//! payload: kind u8  kind-specific fields (little-endian)
+//! payload: kind u8  kind-specific fields
+//! group:   varint pred, arity, count  then count * arity varint cells
 //! ```
 //!
 //! `base_seq` names the snapshot the log extends: replaying the log onto
-//! snapshot `base_seq` reconstructs the database. Record kinds:
+//! snapshot `base_seq` reconstructs the database. Every row the log
+//! carries is written as a row *group* by `put_group` and read back by
+//! one reader, in file-local symbol ids: a cell takes one byte below id
+//! 128 and two below 16,384, and must fit a `u32`. Record kinds:
 //!
-//! * `DefSym` — defines file-local symbol id `n` (dense, in order) as a
-//!   string, so facts and rules can be stored as fixed-width ids and the
-//!   recovered interner assigns identical ids when it starts empty;
-//! * `Fact` — one inserted row (file-local pred and constant ids);
-//! * `Rows` — a batch of derived rows, emitted when a wide round
-//!   overflows the sink's in-memory batch (the common case fuses the
-//!   batch into the round's marker instead; see `RoundCommit`). The
-//!   payload is a sequence of groups — a varint `pred, arity, count`
-//!   header, then `count * arity` raw little-endian cells — so a round's
-//!   contiguous per-relation row slices are copied in, not re-encoded
-//!   per value. Cells are `u32`, or `u16` in the narrow variant the
-//!   writer picks when every file-local symbol id fits (which halves
-//!   the log's row payload — the E17 overhead budget);
-//! * `RoundCommit` — a completed-round marker carrying the cumulative
-//!   [`EvalStats`] at that boundary, and, fused into the same record,
-//!   the row groups the round derived (one frame, one checksum, and one
-//!   fault point per round instead of two). **Recovery replays only up
-//!   to the last intact marker**: everything after it (intact or torn)
-//!   is truncated, which is what makes recovery land on a
-//!   completed-round prefix of the uninterrupted run;
-//! * `Retract` — one completed retraction round: the asserted target
-//!   tuple, the full over-delete set and the rows re-derivation
-//!   restored (both as row groups, in execution order, so replay
-//!   reproduces the tombstone bitmap of the uninterrupted run; every
-//!   insert appends, so RowIds follow from record order alone), plus
-//!   the cumulative [`EvalStats`] after the round. Like `RoundCommit`
-//!   it is a **commit marker**: a crash mid-retraction leaves no
-//!   `Retract` record, recovery truncates to the previous marker, and
-//!   the retraction simply never happened;
-//! * `Rule` — a logged rule definition;
-//! * `Note` — an opaque UTF-8 payload for upper layers (the REPL logs
-//!   accepted input lines this way).
+//! * `DefSym` (1) — defines file-local symbol id `n` (dense, in order) as
+//!   a string, so the recovered interner assigns identical ids when it
+//!   starts empty;
+//! * `Fact` (2) — one inserted base row, as a one-row group;
+//! * `RoundCommit` (3) — a completed-round marker carrying the cumulative
+//!   [`EvalStats`] at that boundary, then zero or more groups: the rows
+//!   the round derived, in commit order (one frame, one checksum and one
+//!   fault point per round). **Recovery replays only up to the last
+//!   intact marker**: everything after it (intact or torn) is truncated,
+//!   which is what makes recovery land on a completed-round prefix of the
+//!   uninterrupted run;
+//! * `Rule` (4) — a logged rule definition;
+//! * `Note` (5) — an opaque UTF-8 payload for upper layers (the REPL logs
+//!   accepted input lines this way);
+//! * `Retract` (10) — one completed retraction round: the asserted target
+//!   row, the cumulative [`EvalStats`] after the round, the full
+//!   over-delete set and the rows re-derivation restored (both as groups,
+//!   in execution order, so replay reproduces the tombstones of the
+//!   uninterrupted run; every insert appends, so RowIds follow from
+//!   record order alone). Like `RoundCommit` it is a **commit marker**: a
+//!   crash mid-retraction leaves no `Retract` record, recovery truncates
+//!   to the previous marker, and the retraction simply never happened.
+//!
+//! Kinds 6–9 are retired (version 1's row records) and rejected like any
+//! unknown kind.
 //!
 //! The IO faults of [`FaultPlan`] (`torn_write`, `short_read`,
 //! `fsync_fail`, `crash_after_record`) are injected here, at the record
@@ -58,7 +55,7 @@ use std::path::{Path, PathBuf};
 /// Magic bytes opening every WAL file.
 pub const WAL_MAGIC: [u8; 8] = *b"FDBWAL01";
 /// Current WAL format version.
-pub const WAL_VERSION: u32 = 1;
+pub const WAL_VERSION: u32 = 2;
 /// Header length: magic + version + base sequence number.
 pub const WAL_HEADER_LEN: u64 = 8 + 4 + 8;
 
@@ -67,6 +64,9 @@ pub const WAL_HEADER_LEN: u64 = 8 + 4 + 8;
 pub const STAT_FIELDS: usize = 12;
 
 /// Appended bytes buffered in memory before an automatic write-through.
+/// A handle allocates its buffer at this size once: regrowing it between
+/// the database's own large allocations left a heap layout that slowed
+/// the `durable_churn` benchmark's set-up by about 15%.
 const FLUSH_THRESHOLD: usize = 256 * 1024;
 
 /// [`EvalStats`] as the fixed-width wire tuple a `RoundCommit` carries.
@@ -147,9 +147,9 @@ pub enum WalRecord {
     RoundCommit {
         /// [`EvalStats`] as a wire tuple (see [`stats_to_wire`]).
         stats: [u64; STAT_FIELDS],
-        /// The rows this round derived (empty for bare markers such as
-        /// base-fact commits), in the same group encoding and order as
-        /// [`WalRecord::Rows`].
+        /// The rows this round derived, in commit order (relations in
+        /// predicate order, rows in insertion order); empty for bare
+        /// markers such as base-fact commits.
         rows: Vec<(u32, Vec<u32>)>,
     },
     /// A logged rule definition.
@@ -183,18 +183,6 @@ pub enum WalRecord {
         /// Rows re-derivation restored in place, in restoration order.
         restored: Vec<(u32, Vec<u32>)>,
     },
-    /// A batch of derived rows spilled mid-round (rounds that fit the
-    /// sink's batch fuse their rows into the `RoundCommit` instead). The
-    /// payload is a sequence of groups — varint `pred, arity, count`
-    /// header, then `count * arity` raw little-endian cells (`u32`, or
-    /// `u16` in the narrow on-disk variant) — so the writer can memcpy a
-    /// round's contiguous per-relation row slices straight into the log
-    /// (the E17 ns-per-row budget).
-    Rows {
-        /// `(pred, row)` pairs in deterministic commit order (relations in
-        /// predicate order, rows in insertion order), file-local ids.
-        rows: Vec<(u32, Vec<u32>)>,
-    },
 }
 
 const KIND_DEFSYM: u8 = 1;
@@ -202,14 +190,6 @@ const KIND_FACT: u8 = 2;
 const KIND_ROUND_COMMIT: u8 = 3;
 const KIND_RULE: u8 = 4;
 const KIND_NOTE: u8 = 5;
-const KIND_ROWS: u8 = 6;
-/// `Rows` with 2-byte cells (every file-local id fits a `u16`).
-const KIND_ROWS16: u8 = 7;
-/// `RoundCommit` with the round's row groups fused in (4-byte cells).
-const KIND_ROUND_COMMIT_ROWS: u8 = 8;
-/// `RoundCommit` with fused row groups, 2-byte cells.
-const KIND_ROUND_COMMIT_ROWS16: u8 = 9;
-/// A completed retraction round (commit marker, like `RoundCommit`).
 const KIND_RETRACT: u8 = 10;
 
 /// Encodes one rule atom (shared with the snapshot body encoding).
@@ -249,75 +229,77 @@ pub(crate) fn read_atom(r: &mut Reader<'_>) -> Result<WireAtom, CodecError> {
     Ok(WireAtom { pred, args })
 }
 
-/// Encodes row groups (varint `pred, arity, count` headers followed by
-/// raw little-endian `u32` cells), merging consecutive same-shape rows
-/// under one header — the same layout the storage layer's bulk writer
-/// emits.
-fn put_groups(buf: &mut Vec<u8>, rows: &[(u32, Vec<u32>)]) {
-    let mut i = 0;
-    while i < rows.len() {
-        let (pred, ref first) = rows[i];
-        let arity = first.len();
-        let mut j = i + 1;
-        // Arity-0 rows carry no cells, so their count is the only record
-        // of multiplicity — keep it 1 per group.
-        while arity > 0 && j < rows.len() && rows[j].0 == pred && rows[j].1.len() == arity {
-            j += 1;
-        }
+/// Appends one row group: varint `pred, arity, count`, then the
+/// `count * arity` cells (row-major) as varints. The only row writer of
+/// the log. Cell-less rows carry no payload to bound a count by, so each
+/// goes in a group of its own.
+pub(crate) fn put_group(
+    buf: &mut Vec<u8>,
+    pred: u32,
+    arity: usize,
+    count: usize,
+    cells: impl IntoIterator<Item = u32>,
+) {
+    let (groups, count) = if arity == 0 { (count, 1) } else { (1, count) };
+    for _ in 0..groups {
         put_uv(buf, u64::from(pred));
         put_uv(buf, arity as u64);
-        put_uv(buf, (j - i) as u64);
-        for (_, row) in &rows[i..j] {
-            for &c in row {
-                buf.extend_from_slice(&c.to_le_bytes());
-            }
-        }
-        i = j;
+        put_uv(buf, count as u64);
+    }
+    for c in cells {
+        put_uv(buf, u64::from(c));
     }
 }
 
-/// Decodes row groups until the reader is exhausted. `cell_bytes` is 4
-/// for the `u32` variants, 2 for the narrow `u16` variants; both widen to
-/// `u32` rows, so replay never sees the on-disk width.
-fn read_groups(r: &mut Reader<'_>, cell_bytes: usize) -> Result<Vec<(u32, Vec<u32>)>, CodecError> {
+/// Writes `rows` as groups, one per run of consecutive same-predicate,
+/// same-arity rows.
+fn put_rows(buf: &mut Vec<u8>, rows: &[(u32, Vec<u32>)]) {
+    for run in rows.chunk_by(|a, b| a.0 == b.0 && a.1.len() == b.1.len()) {
+        let cells = run.iter().flat_map(|(_, row)| row.iter().copied());
+        put_group(buf, run[0].0, run[0].1.len(), run.len(), cells);
+    }
+}
+
+/// A varint that must fit a `u32` (a file-local id).
+fn read_id(r: &mut Reader<'_>) -> Result<u32, CodecError> {
+    u32::try_from(r.uv()?).map_err(|_| CodecError::BadValue)
+}
+
+/// Reads one row group onto `rows`: the only row reader of the log. Every
+/// cell takes at least one byte, so a group promising more cells than the
+/// payload has left is rejected before anything is allocated for it.
+fn read_group(r: &mut Reader<'_>, rows: &mut Vec<(u32, Vec<u32>)>) -> Result<(), CodecError> {
+    let pred = read_id(r)?;
+    let arity = usize::try_from(r.uv()?).map_err(|_| CodecError::BadValue)?;
+    let count = usize::try_from(r.uv()?).map_err(|_| CodecError::BadValue)?;
+    let fits = count.checked_mul(arity).is_some_and(|n| n <= r.remaining());
+    if count == 0 || (arity == 0 && count != 1) || !fits {
+        return Err(CodecError::BadValue);
+    }
+    for _ in 0..count {
+        let row = (0..arity).map(|_| read_id(r)).collect::<Result<_, _>>()?;
+        rows.push((pred, row));
+    }
+    Ok(())
+}
+
+/// Reads groups until the reader is exhausted.
+fn read_rows(r: &mut Reader<'_>) -> Result<Vec<(u32, Vec<u32>)>, CodecError> {
     let mut rows = Vec::new();
     while !r.is_empty() {
-        let pred = u32::try_from(r.uv()?).map_err(|_| CodecError::BadValue)?;
-        let arity = r.uv()? as usize;
-        let count = r.uv()? as usize;
-        if count == 0 {
-            return Err(CodecError::BadValue);
-        }
-        if arity == 0 {
-            // Cell-less rows carry no payload to bound `count` by; the
-            // writer emits exactly one per group.
-            if count != 1 {
-                return Err(CodecError::BadValue);
-            }
-            rows.push((pred, Vec::new()));
-            continue;
-        }
-        let nbytes = count
-            .checked_mul(arity)
-            .and_then(|n| n.checked_mul(cell_bytes))
-            .ok_or(CodecError::BadValue)?;
-        let cells = r.bytes(nbytes)?;
-        for row_cells in cells.chunks_exact(arity * cell_bytes) {
-            let row: Vec<u32> = if cell_bytes == 4 {
-                row_cells
-                    .chunks_exact(4)
-                    .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-                    .collect()
-            } else {
-                row_cells
-                    .chunks_exact(2)
-                    .map(|b| u32::from(u16::from_le_bytes([b[0], b[1]])))
-                    .collect()
-            };
-            rows.push((pred, row));
-        }
+        read_group(r, &mut rows)?;
     }
     Ok(rows)
+}
+
+/// Reads one group holding exactly one row.
+fn read_one(r: &mut Reader<'_>) -> Result<(u32, Vec<u32>), CodecError> {
+    let mut rows = Vec::with_capacity(1);
+    read_group(r, &mut rows)?;
+    match rows.pop() {
+        Some(row) if rows.is_empty() => Ok(row),
+        _ => Err(CodecError::BadValue),
+    }
 }
 
 impl WalRecord {
@@ -331,22 +313,12 @@ impl WalRecord {
             }
             WalRecord::Fact { pred, row } => {
                 buf.push(KIND_FACT);
-                put_u32(buf, *pred);
-                put_u32(buf, row.len() as u32);
-                for &c in row {
-                    put_u32(buf, c);
-                }
+                put_group(buf, *pred, row.len(), 1, row.iter().copied());
             }
             WalRecord::RoundCommit { stats, rows } => {
-                buf.push(if rows.is_empty() {
-                    KIND_ROUND_COMMIT
-                } else {
-                    KIND_ROUND_COMMIT_ROWS
-                });
-                for &v in stats {
-                    put_u64(buf, v);
-                }
-                put_groups(buf, rows);
+                buf.push(KIND_ROUND_COMMIT);
+                stats.iter().for_each(|&v| put_u64(buf, v));
+                put_rows(buf, rows);
             }
             WalRecord::Retract {
                 pred,
@@ -356,22 +328,15 @@ impl WalRecord {
                 restored,
             } => {
                 buf.push(KIND_RETRACT);
-                put_u32(buf, *pred);
-                put_u32(buf, row.len() as u32);
-                for &c in row {
-                    put_u32(buf, c);
-                }
-                for &v in stats {
-                    put_u64(buf, v);
-                }
+                put_group(buf, *pred, row.len(), 1, row.iter().copied());
+                stats.iter().for_each(|&v| put_u64(buf, v));
                 // The deleted groups are length-prefixed so the decoder
-                // knows where the restored groups begin (group decoding
-                // otherwise runs to the end of the payload).
+                // knows where the restored groups begin.
                 let mut del = Vec::new();
-                put_groups(&mut del, deleted);
+                put_rows(&mut del, deleted);
                 put_uv(buf, del.len() as u64);
                 buf.extend_from_slice(&del);
-                put_groups(buf, restored);
+                put_rows(buf, restored);
             }
             WalRecord::Rule { head, body } => {
                 buf.push(KIND_RULE);
@@ -385,67 +350,45 @@ impl WalRecord {
                 buf.push(KIND_NOTE);
                 put_str(buf, text);
             }
-            WalRecord::Rows { rows } => {
-                buf.push(KIND_ROWS);
-                put_groups(buf, rows);
-            }
         }
     }
 
     /// Parses a record payload. Any violation (unknown kind, short field,
-    /// bad UTF-8) is a [`CodecError`] — during recovery that stops the
-    /// scan, exactly like a CRC mismatch.
+    /// bad UTF-8, an id past `u32`) is a [`CodecError`] — during recovery
+    /// that stops the scan, exactly like a CRC mismatch.
     pub fn decode(payload: &[u8]) -> Result<WalRecord, CodecError> {
         let mut r = Reader::new(payload);
+        let read_stats = |r: &mut Reader<'_>| -> Result<[u64; STAT_FIELDS], CodecError> {
+            let mut stats = [0u64; STAT_FIELDS];
+            for v in stats.iter_mut() {
+                *v = r.u64()?;
+            }
+            Ok(stats)
+        };
         let rec = match r.u8()? {
             KIND_DEFSYM => WalRecord::DefSym {
                 id: r.u32()?,
                 name: r.str()?.to_string(),
             },
             KIND_FACT => {
-                let pred = r.u32()?;
-                let n = r.u32()? as usize;
-                let mut row = Vec::with_capacity(n.min(payload.len() / 4 + 1));
-                for _ in 0..n {
-                    row.push(r.u32()?);
-                }
+                let (pred, row) = read_one(&mut r)?;
                 WalRecord::Fact { pred, row }
             }
-            kind @ (KIND_ROUND_COMMIT | KIND_ROUND_COMMIT_ROWS | KIND_ROUND_COMMIT_ROWS16) => {
-                let mut stats = [0u64; STAT_FIELDS];
-                for v in stats.iter_mut() {
-                    *v = r.u64()?;
-                }
-                // A bare marker's trailing bytes are caught by the
-                // whole-payload emptiness check below.
-                let rows = match kind {
-                    KIND_ROUND_COMMIT => Vec::new(),
-                    KIND_ROUND_COMMIT_ROWS => read_groups(&mut r, 4)?,
-                    _ => read_groups(&mut r, 2)?,
-                };
-                WalRecord::RoundCommit { stats, rows }
-            }
+            KIND_ROUND_COMMIT => WalRecord::RoundCommit {
+                stats: read_stats(&mut r)?,
+                rows: read_rows(&mut r)?,
+            },
             KIND_RETRACT => {
-                let pred = r.u32()?;
-                let n = r.u32()? as usize;
-                let mut row = Vec::with_capacity(n.min(payload.len() / 4 + 1));
-                for _ in 0..n {
-                    row.push(r.u32()?);
-                }
-                let mut stats = [0u64; STAT_FIELDS];
-                for v in stats.iter_mut() {
-                    *v = r.u64()?;
-                }
-                let dlen = r.uv()? as usize;
-                let mut del = Reader::new(r.bytes(dlen)?);
-                let deleted = read_groups(&mut del, 4)?;
-                let restored = read_groups(&mut r, 4)?;
+                let (pred, row) = read_one(&mut r)?;
+                let stats = read_stats(&mut r)?;
+                let dlen = usize::try_from(r.uv()?).map_err(|_| CodecError::BadValue)?;
+                let deleted = read_rows(&mut Reader::new(r.bytes(dlen)?))?;
                 WalRecord::Retract {
                     pred,
                     row,
                     stats,
                     deleted,
-                    restored,
+                    restored: read_rows(&mut r)?,
                 }
             }
             KIND_RULE => {
@@ -459,12 +402,6 @@ impl WalRecord {
             }
             KIND_NOTE => WalRecord::Note {
                 text: r.str()?.to_string(),
-            },
-            KIND_ROWS => WalRecord::Rows {
-                rows: read_groups(&mut r, 4)?,
-            },
-            KIND_ROWS16 => WalRecord::Rows {
-                rows: read_groups(&mut r, 2)?,
             },
             _ => return Err(CodecError::BadValue),
         };
@@ -537,7 +474,7 @@ impl Wal {
         Ok(Wal {
             file,
             path: path.to_path_buf(),
-            buf: Vec::new(),
+            buf: Vec::with_capacity(FLUSH_THRESHOLD),
             fault,
             appended: 0,
             sync_attempts: 0,
@@ -560,7 +497,7 @@ impl Wal {
             Wal {
                 file,
                 path: path.to_path_buf(),
-                buf: Vec::new(),
+                buf: Vec::with_capacity(FLUSH_THRESHOLD),
                 fault,
                 appended: 0,
                 sync_attempts: 0,
@@ -595,66 +532,26 @@ impl Wal {
         self.append_with(commit, |buf| rec.encode(buf))
     }
 
-    /// Appends a `Fact` record without an intermediate allocation — the
-    /// hot path of the engine's row sink.
-    pub fn append_fact(&mut self, pred: u32, row: &[u32]) -> io::Result<()> {
-        self.append_with(false, |buf| {
-            buf.push(KIND_FACT);
-            put_u32(buf, pred);
-            put_u32(buf, row.len() as u32);
-            for &c in row {
-                put_u32(buf, c);
-            }
-        })
-    }
-
-    /// Appends a `Rows` batch from a pre-encoded group buffer (a sequence
-    /// of `pred, arity, count` varint headers each followed by
-    /// `count * arity` raw little-endian cells — the layout
-    /// [`WalRecord::Rows`] decodes; `narrow` selects 2-byte cells) — the
-    /// engine sink's spill record for rounds too wide to fuse into their
-    /// marker, framed and checksummed once for the whole batch.
-    pub fn append_rows_raw(&mut self, entries: &[u8], narrow: bool) -> io::Result<()> {
-        self.append_with(false, |buf| {
-            buf.push(if narrow { KIND_ROWS16 } else { KIND_ROWS });
-            buf.extend_from_slice(entries);
-        })
-    }
-
-    /// Appends a `RoundCommit` marker carrying `stats`.
-    pub fn append_round_commit(&mut self, stats: &EvalStats) -> io::Result<()> {
-        self.append(&WalRecord::RoundCommit {
-            stats: stats_to_wire(stats),
-            rows: Vec::new(),
-        })
-    }
-
-    /// Appends a `RoundCommit` marker with the round's pre-encoded row
-    /// groups (same buffer layout as [`append_rows_raw`](Self::append_rows_raw))
-    /// fused into the record — the engine sink's steady-state path: one
-    /// frame, one checksum, and one fault point per round.
-    pub fn append_round_commit_rows(
+    /// Appends a `RoundCommit` marker carrying `stats` and the round's
+    /// row groups, written by [`put_group`] (empty for a bare marker) —
+    /// the engine sink's path: one frame, one checksum, and one fault
+    /// point per round.
+    pub(crate) fn append_round_commit(
         &mut self,
         stats: &EvalStats,
-        entries: &[u8],
-        narrow: bool,
+        groups: &[u8],
     ) -> io::Result<()> {
         let wire = stats_to_wire(stats);
         self.append_with(true, |buf| {
-            buf.push(match (entries.is_empty(), narrow) {
-                (true, _) => KIND_ROUND_COMMIT,
-                (false, false) => KIND_ROUND_COMMIT_ROWS,
-                (false, true) => KIND_ROUND_COMMIT_ROWS16,
-            });
-            for &v in &wire {
-                put_u64(buf, v);
-            }
-            buf.extend_from_slice(entries);
+            buf.push(KIND_ROUND_COMMIT);
+            wire.iter().for_each(|&v| put_u64(buf, v));
+            buf.extend_from_slice(groups);
         })
     }
 
     /// Core append: frames the payload written by `build`, applying the
     /// `crash_after_record` and `torn_write` faults at record granularity.
+    /// A payload too long for the `u32` length field is refused whole.
     fn append_with(&mut self, commit: bool, build: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
         if let Some(msg) = &self.dead {
             return Err(dead_err(msg));
@@ -671,9 +568,15 @@ impl Wal {
         let start = self.buf.len();
         self.buf.extend_from_slice(&[0u8; 8]);
         build(&mut self.buf);
-        let payload_len = self.buf.len() - start - 8;
+        let Ok(payload_len) = u32::try_from(self.buf.len() - start - 8) else {
+            self.buf.truncate(start);
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "WAL record payload exceeds u32::MAX bytes",
+            ));
+        };
         let crc = crc32c(&self.buf[start + 8..]);
-        self.buf[start..start + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+        self.buf[start..start + 4].copy_from_slice(&payload_len.to_le_bytes());
         self.buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 
         let this_record = self.appended + 1;
@@ -913,57 +816,43 @@ mod tests {
     }
 
     #[test]
-    fn narrow_and_fused_row_records_round_trip() {
-        let dir = tmpdir("narrow");
+    fn sink_groups_ride_in_their_round_commit() {
+        let dir = tmpdir("groups");
         let path = dir.join("wal.000000");
         let mut wal = Wal::create(&path, 0, FaultPlan::default()).unwrap();
-        let rows = vec![(0u32, vec![1u32, 2]), (0, vec![2, 65535]), (3, vec![])];
-        // Hand-encode the group buffer the storage sink produces: one
-        // 2-cell group of two rows, then one cell-less group.
-        let mut narrow_buf = Vec::new();
-        for (cells, n) in [(vec![1u16, 2, 2, 65535], 2u64), (Vec::new(), 1)] {
-            put_uv(&mut narrow_buf, if cells.is_empty() { 3 } else { 0 });
-            put_uv(&mut narrow_buf, (cells.len() as u64) / n);
-            put_uv(&mut narrow_buf, n);
-            for c in cells {
-                narrow_buf.extend_from_slice(&c.to_le_bytes());
-            }
-        }
-        let mut wide_buf = Vec::new();
-        put_groups(&mut wide_buf, &rows);
+        // The buffer the storage sink builds: one 2-cell group of two rows
+        // (ids on both sides of the 1- and 2-byte varint bounds, and the
+        // widest id), then two cell-less rows.
+        let mut groups = Vec::new();
+        put_group(&mut groups, 0, 2, 2, [127, 128, 16_384, u32::MAX]);
+        put_group(&mut groups, 3, 0, 2, []);
         let stats = EvalStats {
             rounds: 7,
             ..EvalStats::default()
         };
-        wal.append_rows_raw(&narrow_buf, true).unwrap();
-        wal.append_rows_raw(&wide_buf, false).unwrap();
-        wal.append_round_commit_rows(&stats, &narrow_buf, true)
-            .unwrap();
-        wal.append_round_commit_rows(&stats, &wide_buf, false)
-            .unwrap();
-        // An empty batch degrades to a bare marker regardless of width.
-        wal.append_round_commit_rows(&stats, &[], true).unwrap();
+        wal.append_round_commit(&stats, &groups).unwrap();
+        wal.append_round_commit(&stats, &[]).unwrap();
         wal.flush().unwrap();
-        assert_eq!(wal.stats().round_commits, 3);
+        assert_eq!(wal.stats().round_commits, 2);
         drop(wal);
         let scan = recover(&path, FaultPlan::default()).unwrap();
+        let rows = vec![
+            (0u32, vec![127u32, 128]),
+            (0, vec![16_384, u32::MAX]),
+            (3, vec![]),
+            (3, vec![]),
+        ];
         let wire = stats_to_wire(&stats);
-        assert_eq!(
-            scan.records,
-            vec![
-                WalRecord::Rows { rows: rows.clone() },
-                WalRecord::Rows { rows: rows.clone() },
-                WalRecord::RoundCommit {
-                    stats: wire,
-                    rows: rows.clone(),
-                },
-                WalRecord::RoundCommit { stats: wire, rows },
-                WalRecord::RoundCommit {
-                    stats: wire,
-                    rows: Vec::new(),
-                },
-            ]
-        );
+        let fused = WalRecord::RoundCommit { stats: wire, rows };
+        // The record encoder writes the same bytes as the sink.
+        let mut encoded = Vec::new();
+        fused.encode(&mut encoded);
+        assert_eq!(encoded[1 + 8 * STAT_FIELDS..], groups[..]);
+        let bare = WalRecord::RoundCommit {
+            stats: wire,
+            rows: Vec::new(),
+        };
+        assert_eq!(scan.records, vec![fused, bare]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1161,6 +1050,121 @@ mod tests {
         let err = recover(&path, FaultPlan::default()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("not supported"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Appends `payload` to a log holding [`sample_records`] as one
+    /// CRC-valid record, then checks that recovery stops at the last marker
+    /// before it and cuts the record away.
+    fn assert_scan_stops_before(tag: &str, payload: &[u8]) {
+        let dir = tmpdir(tag);
+        let path = dir.join("wal.000000");
+        let mut wal = Wal::create(&path, 0, FaultPlan::default()).unwrap();
+        for rec in sample_records() {
+            wal.append(&rec).unwrap();
+        }
+        wal.flush().unwrap();
+        drop(wal);
+        let mut frame = Vec::new();
+        put_u32(&mut frame, payload.len() as u32);
+        put_u32(&mut frame, crc32c(payload));
+        frame.extend_from_slice(payload);
+        let mut file = OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(&frame).unwrap();
+        drop(file);
+        assert!(WalRecord::decode(payload).is_err(), "{tag}: decoded");
+        let scan = recover(&path, FaultPlan::default()).unwrap();
+        assert_eq!(scan.records, sample_records(), "{tag}");
+        assert_eq!(scan.truncated_bytes, frame.len() as u64, "{tag}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A `RoundCommit` payload (zero stats) followed by `groups`.
+    fn round_commit_with(groups: &[u8]) -> Vec<u8> {
+        let mut payload = vec![KIND_ROUND_COMMIT];
+        payload.extend_from_slice(&[0u8; 8 * STAT_FIELDS]);
+        payload.extend_from_slice(groups);
+        payload
+    }
+
+    #[test]
+    fn cell_above_u32_stops_the_scan() {
+        let mut groups = Vec::new();
+        for v in [0, 1, 1, 1u64 << 32] {
+            put_uv(&mut groups, v);
+        }
+        assert_scan_stops_before("cell-u32", &round_commit_with(&groups));
+        let mut fact = vec![KIND_FACT];
+        for v in [u64::from(u32::MAX) + 1, 0, 1] {
+            put_uv(&mut fact, v);
+        }
+        assert_scan_stops_before("pred-u32", &fact);
+    }
+
+    #[test]
+    fn varint_longer_than_ten_bytes_stops_the_scan() {
+        let mut groups = vec![0x80; 11];
+        groups.push(0);
+        assert_scan_stops_before("long-varint", &round_commit_with(&groups));
+    }
+
+    #[test]
+    fn group_promising_more_cells_than_the_payload_stops_the_scan() {
+        for (tag, arity, count) in [
+            ("count-short", 2, 3),
+            ("count-max", 1, u64::MAX),
+            ("arity-max", u64::MAX, 1),
+            ("product-overflow", 1 << 33, 1 << 33),
+        ] {
+            let mut groups = Vec::new();
+            for v in [0, arity, count, 1, 2, 3, 4] {
+                put_uv(&mut groups, v);
+            }
+            assert_scan_stops_before(tag, &round_commit_with(&groups));
+        }
+    }
+
+    #[test]
+    fn cell_less_group_with_count_other_than_one_stops_the_scan() {
+        for count in [0, 2, u64::MAX] {
+            let mut groups = Vec::new();
+            for v in [0, 0, count] {
+                put_uv(&mut groups, v);
+            }
+            assert_scan_stops_before(&format!("arity0-{count}"), &round_commit_with(&groups));
+        }
+    }
+
+    #[test]
+    fn retired_version_one_kinds_stop_the_scan() {
+        for kind in 6u8..=9 {
+            // Shaped like the version-1 record: stats, then one group.
+            let mut payload = round_commit_with(&[0, 1, 1, 4, 0, 0, 0]);
+            payload[0] = kind;
+            assert_scan_stops_before(&format!("kind{kind}"), &payload);
+        }
+    }
+
+    #[test]
+    fn open_refuses_a_version_one_log_and_leaves_it_unchanged() {
+        let dir = tmpdir("v1");
+        let path = dir.join("wal.000000");
+        let mut bytes = WAL_MAGIC.to_vec();
+        put_u32(&mut bytes, 1);
+        put_u64(&mut bytes, 0);
+        // A version-1 `RoundCommitRows16` record: stats, one u16 group.
+        let mut payload = vec![9u8];
+        payload.extend_from_slice(&[0u8; 8 * STAT_FIELDS]);
+        payload.extend_from_slice(&[0, 1, 1, 4, 0]);
+        put_u32(&mut bytes, payload.len() as u32);
+        put_u32(&mut bytes, crc32c(&payload));
+        bytes.extend_from_slice(&payload);
+        std::fs::write(&path, &bytes).unwrap();
+        let mut interner = fundb_term::Interner::new();
+        let err = crate::DurableDb::open(&dir, &mut interner).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("not supported"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -195,3 +195,157 @@ pub fn all_paths(funcs: &[Func], depth: usize) -> Vec<Vec<Func>> {
     }
     out
 }
+
+/// A temporal program with a planted periodic core, from
+/// [`random_lasso_program`].
+pub struct LassoProgram {
+    /// The parsed program, database and interner.
+    pub ws: fundb_parser::Workspace,
+    /// Every functional predicate with its non-functional arity.
+    pub fpreds: Vec<(Pred, usize)>,
+    /// Every relational predicate (all unary or binary).
+    pub rels: Vec<(Pred, usize)>,
+    /// Every constant of the program.
+    pub consts: Vec<Cst>,
+    /// The core's own period: the lasso's λ is a multiple of it.
+    pub core_lambda: usize,
+    /// The time point of the core's start facts: the lasso's ρ is at
+    /// least this.
+    pub delay: usize,
+}
+
+/// Generates a temporal program whose least fixpoint is a lasso with
+/// λ ≥ 2 and ρ > 0: a rotation over `k ∈ 2..=64` constants (λ = k) or a
+/// `w ∈ 1..=5`-bit binary counter (λ = 2^w), started by facts at a delay
+/// `d ∈ 1..=6`. Relational noise, delayed noise facts and (in about a
+/// third of the programs) a backward rule go on top; no noise rule
+/// derives a core predicate, so the core's states fix the lower bounds.
+pub fn random_lasso_program(seed: u64) -> LassoProgram {
+    use std::fmt::Write;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let delay = rng.gen_range(1..=6usize);
+    let mut src = String::new();
+    let mut fpreds: Vec<(String, usize)> = Vec::new();
+    let mut rels: Vec<(String, usize)> = vec![("R".into(), 1)];
+    let mut consts: Vec<String> = (0..3).map(|i| format!("C{i}")).collect();
+    // The core: a rotation over `k` constants, or a `bits`-bit counter.
+    let bits = if rng.gen_bool(0.5) {
+        0
+    } else {
+        rng.gen_range(1..=5usize)
+    };
+    let core_lambda = if bits == 0 {
+        let k = rng.gen_range(2..=64usize);
+        src.push_str("Rot(t, x), Next(x, y) -> Rot(t+1, y).\n");
+        writeln!(src, "Rot({delay}, S0).").unwrap();
+        for i in 0..k {
+            writeln!(src, "Next(S{i}, S{}).", (i + 1) % k).unwrap();
+            consts.push(format!("S{i}"));
+        }
+        fpreds.push(("Rot".into(), 1));
+        rels.push(("Next".into(), 2));
+        k
+    } else {
+        // Bit i flips when bits 0..i are all set (B = set, N = clear).
+        src.push_str("B0(t) -> N0(t+1).\nN0(t) -> B0(t+1).\n");
+        for i in 1..bits {
+            let low: Vec<String> = (0..i).map(|j| format!("B{j}(t)")).collect();
+            let low = low.join(", ");
+            writeln!(src, "{low}, B{i}(t) -> N{i}(t+1).").unwrap();
+            writeln!(src, "{low}, N{i}(t) -> B{i}(t+1).").unwrap();
+            for j in 0..i {
+                writeln!(src, "N{j}(t), B{i}(t) -> B{i}(t+1).").unwrap();
+                writeln!(src, "N{j}(t), N{i}(t) -> N{i}(t+1).").unwrap();
+            }
+        }
+        for i in 0..bits {
+            writeln!(src, "N{i}({delay}).").unwrap();
+            fpreds.push((format!("B{i}"), 0));
+            fpreds.push((format!("N{i}"), 0));
+        }
+        1 << bits
+    };
+    // An atom of the core at offset `o` (binding `x` for the rotation).
+    let core = |o: &str, rng: &mut StdRng| {
+        if bits == 0 {
+            format!("Rot({o}, x)")
+        } else {
+            let bit = if rng.gen_bool(0.5) { "B" } else { "N" };
+            format!("{bit}{}({o})", rng.gen_range(0..bits))
+        }
+    };
+    // Relational noise: facts over noise and core constants.
+    src.push_str("R(C0).\n");
+    for _ in 0..rng.gen_range(0..3usize) {
+        let c = &consts[rng.gen_range(0..consts.len())];
+        writeln!(src, "R({c}).").unwrap();
+    }
+    // Noise rules on top of the core, and delayed noise facts.
+    let mut q = false;
+    if rng.gen_bool(0.7) {
+        writeln!(src, "{}, R(x) -> Q(t+1, x).", core("t", &mut rng)).unwrap();
+        q = true;
+    }
+    if rng.gen_bool(0.5) {
+        let c = &consts[rng.gen_range(0..consts.len())];
+        writeln!(src, "Q({}, {c}).", rng.gen_range(0..=delay)).unwrap();
+        q = true;
+    }
+    if q && rng.gen_bool(0.5) {
+        src.push_str("Q(t, x) -> Q(t+1, x).\n");
+    }
+    if rng.gen_bool(0.5) {
+        writeln!(src, "{}, R(x) -> R2(x).", core("t", &mut rng)).unwrap();
+        rels.push(("R2".into(), 1));
+        if q {
+            src.push_str("Q(t, x), R2(x) -> Q2(t, x).\n");
+            fpreds.push(("Q2".into(), 1));
+        }
+    }
+    if q {
+        fpreds.push(("Q".into(), 1));
+    }
+    if rng.gen_bool(0.35) {
+        writeln!(src, "{}, R(x) -> Back(t, x).", core("t+1", &mut rng)).unwrap();
+        fpreds.push(("Back".into(), 1));
+    }
+    let mut ws = fundb_parser::Workspace::new();
+    ws.parse(&src)
+        .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
+    let interner = &mut ws.interner;
+    let fpreds = fpreds
+        .iter()
+        .map(|(p, a)| (Pred(interner.intern(p)), *a))
+        .collect();
+    let rels = rels
+        .iter()
+        .map(|(p, a)| (Pred(interner.intern(p)), *a))
+        .collect();
+    let consts = consts.iter().map(|c| Cst(interner.intern(c))).collect();
+    LassoProgram {
+        ws,
+        fpreds,
+        rels,
+        consts,
+        core_lambda,
+        delay,
+    }
+}
+
+/// Every tuple of `arity` constants drawn from `consts`.
+pub fn tuples(consts: &[Cst], arity: usize) -> Vec<Vec<Cst>> {
+    let mut out = vec![vec![]];
+    for _ in 0..arity {
+        out = out
+            .iter()
+            .flat_map(|t| {
+                consts.iter().map(move |&c| {
+                    let mut t = t.clone();
+                    t.push(c);
+                    t
+                })
+            })
+            .collect();
+    }
+    out
+}

@@ -813,3 +813,144 @@ mod syntax_roundtrip {
         }
     }
 }
+
+/// Planted lassos with λ ∈ 2..64 and ρ > 0: the forward line (or, for
+/// programs with a backward rule, the general path of
+/// `TemporalSpec::compute`), `TemporalSpec::from_graph_spec`, the graph
+/// spec itself and a `.lasso` round trip agree on every atom at every
+/// instant of `0..ρ+3λ`; `TemporalAnswer` agrees with Theorem 5.1's
+/// incremental answer there; and no smaller (ρ, λ) reproduces the states.
+mod planted_lassos {
+    use super::common::{random_lasso_program, tuples};
+    use fundb_core::program::{Atom, FTerm, NTerm};
+    use fundb_core::{Engine, GraphSpec, Query};
+    use fundb_temporal::TemporalSpec;
+    use fundb_temporal::{classify, read_lasso, write_lasso, TemporalAnswer, TemporalClass};
+    use fundb_term::Var;
+
+    const CASES: u64 = 24;
+
+    #[test]
+    fn planted_lassos_agree_across_representations() {
+        let (mut lambdas, mut forward) = (Vec::new(), 0);
+        for seed in 0..CASES {
+            let mut g = random_lasso_program(seed);
+            let ws = &mut g.ws;
+            if classify(&ws.program, &ws.db, &ws.interner) == TemporalClass::Forward {
+                forward += 1;
+            }
+            let lasso = TemporalSpec::compute(&ws.program, &ws.db, &mut ws.interner).unwrap();
+            let mut engine = Engine::build(&ws.program, &ws.db, &mut ws.interner).unwrap();
+            let spec = GraphSpec::from_engine(&mut engine).unwrap();
+            let from_graph = TemporalSpec::from_graph_spec(&spec).unwrap();
+            let text = write_lasso(&lasso, &ws.interner);
+            let read = read_lasso(&text, &mut ws.interner).unwrap();
+            let (rho, lambda) = (lasso.rho(), lasso.lambda());
+            assert_eq!(
+                (from_graph.rho(), from_graph.lambda()),
+                (rho, lambda),
+                "seed {seed}"
+            );
+            assert_eq!((read.rho(), read.lambda()), (rho, lambda), "seed {seed}");
+            assert!(
+                rho >= g.delay,
+                "seed {seed}: ρ {rho} below the delay {}",
+                g.delay
+            );
+            assert_eq!(lambda % g.core_lambda, 0, "seed {seed}: λ {lambda}");
+            let horizon = rho + 3 * lambda;
+            let f = spec.funcs.symbols()[0];
+            for n in 0..horizon {
+                let path = vec![f; n];
+                for &(p, arity) in &g.fpreds {
+                    for args in tuples(&g.consts, arity) {
+                        let want = spec.holds(p, &path, &args);
+                        for (name, got) in [
+                            ("line", &lasso),
+                            ("from_graph_spec", &from_graph),
+                            (".lasso", &read),
+                        ] {
+                            assert_eq!(
+                                got.holds(p, n as u64, &args),
+                                want,
+                                "seed {seed} {name}: {p:?}{args:?} at {n}\n{text}"
+                            );
+                        }
+                    }
+                }
+            }
+            for &(p, arity) in &g.rels {
+                for args in tuples(&g.consts, arity) {
+                    let want = spec.nf.contains(p, &args);
+                    assert_eq!(lasso.holds_relational(p, &args), want, "seed {seed}");
+                    assert_eq!(read.holds_relational(p, &args), want, "seed {seed}");
+                }
+            }
+            // Minimality over the horizon: no shorter period reproduces the
+            // states from ρ on, and λ does not reproduce them from ρ - 1.
+            let repeats = |from: usize, period: usize| {
+                (from..horizon - period)
+                    .all(|n| lasso.state_at(n as u64) == lasso.state_at((n + period) as u64))
+            };
+            for shorter in 1..lambda {
+                assert!(
+                    !repeats(rho, shorter),
+                    "seed {seed}: λ' = {shorter} < {lambda}"
+                );
+            }
+            assert!(
+                rho == 0 || !repeats(rho - 1, lambda),
+                "seed {seed}: ρ {rho} not minimal"
+            );
+
+            // Queries: every predicate alone, and the first two sharing t.
+            let t = Var(ws.interner.intern("qt"));
+            let x = Var(ws.interner.intern("qx"));
+            let atom = |(pred, arity): (fundb_term::Pred, usize)| Atom::Functional {
+                pred,
+                fterm: FTerm::Var(t),
+                args: vec![NTerm::Var(x); arity],
+            };
+            let mut queries: Vec<Vec<Atom>> = g.fpreds.iter().map(|&p| vec![atom(p)]).collect();
+            queries.push(g.fpreds.iter().take(2).map(|&p| atom(p)).collect());
+            for body in queries {
+                let out_nvars = if body.iter().any(|a| !a.nvars().is_empty()) {
+                    vec![x]
+                } else {
+                    vec![]
+                };
+                let outs = tuples(&g.consts, out_nvars.len());
+                let query = Query {
+                    out_fvar: Some(t),
+                    out_nvars,
+                    body,
+                };
+                let temporal = TemporalAnswer::evaluate(&query, &lasso).unwrap();
+                let inc = query.answer_incremental(&spec, &ws.interner).unwrap();
+                for n in 0..horizon {
+                    let path = vec![f; n];
+                    for tu in &outs {
+                        assert_eq!(
+                            temporal.holds(n as u64, tu),
+                            inc.holds_term(&spec, &path, tu),
+                            "seed {seed}: {:?} at {n} {tu:?}",
+                            query.body
+                        );
+                    }
+                }
+            }
+            lambdas.push(lambda);
+        }
+        // The generator must keep producing the lassos this suite exists for.
+        let long = lambdas.iter().filter(|&&l| l >= 2).count();
+        assert!(
+            2 * long >= lambdas.len(),
+            "λ ≥ 2 in only {long} cases: {lambdas:?}"
+        );
+        assert!(lambdas.iter().any(|&l| l >= 16), "no λ ≥ 16: {lambdas:?}");
+        assert!(
+            0 < forward && forward < CASES,
+            "forward line cases: {forward}"
+        );
+    }
+}
