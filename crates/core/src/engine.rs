@@ -67,6 +67,10 @@ struct LocalCtx {
     injected_fixed: FxHashMap<Pred, State>,
     /// Per relational predicate, rows of the global store already injected.
     nf_cursors: FxHashMap<Pred, usize>,
+    /// Per relation of `db`, the rows already absorbed or injected.
+    absorbed: FxHashMap<Pred, usize>,
+    /// Whether the last run returned `Ok`, leaving `db` at its fixpoint.
+    settled: bool,
 }
 
 /// Where a local step runs: the fixed rules, a top-region node, or a
@@ -165,7 +169,7 @@ pub struct EngineStats {
     /// Bound-column selections that fell back to a partial single-column
     /// cover because no full index was available.
     pub index_misses: usize,
-    /// Semi-naive rounds summed over all local evaluations.
+    /// Semi-naive rounds with tasks summed over all local evaluations.
     pub datalog_rounds: usize,
     /// Rows derived by local Datalog evaluations (before absorption).
     pub derived_rows: usize,
@@ -300,8 +304,11 @@ impl Engine {
     /// *delta* of every input into the persistent local contexts, and each
     /// local Datalog run resumes from its low-water marks, so work is
     /// proportional to what is newly derivable rather than to everything
-    /// derived so far. The final pass absorbs nothing ([`EngineStats::
-    /// pass_deltas`] ends in 0) and only verifies the fixpoint.
+    /// derived so far. A local step with nothing to inject into a settled
+    /// context runs nothing, and [`EngineStats::datalog_rounds`] counts
+    /// only local rounds with tasks. The final pass absorbs nothing
+    /// ([`EngineStats::pass_deltas`] ends in 0) and only verifies the
+    /// fixpoint.
     ///
     /// On `Err` ([`crate::error::Error::Eval`]: budget exhausted,
     /// cancelled, or a worker panicked) the engine is left consistent —
@@ -310,8 +317,9 @@ impl Engine {
     /// merge, all absorbed into the global stores — and not marked solved.
     /// A later call (e.g. under a fresh governor) resumes where this one
     /// stopped: a local evaluator's marks move only when a round's merge
-    /// completes, so the tripped round runs again and the resumed solve
-    /// equals an uninterrupted one.
+    /// completes, and a context whose run tripped is not settled, so its
+    /// next step runs even with nothing injected; the tripped round runs
+    /// again and the resumed solve equals an uninterrupted one.
     pub fn solve(&mut self) -> Result<()> {
         if self.solved {
             return Ok(());
@@ -616,10 +624,10 @@ impl Engine {
 
     /// One star-local step (Lemma 3.1) at `site`: injects the delta of the
     /// site's inputs, resumes the context's semi-naive fixpoint under the
-    /// engine's thread count and governor, and absorbs the new rows.
-    /// Returns whether the seed entry (at [`Site::Seed`]) and whether the
-    /// global stores (top region, boundary seeds, relational store)
-    /// changed.
+    /// engine's thread count and governor unless nothing was injected into
+    /// a settled context, and absorbs the new rows. Returns whether the
+    /// seed entry (at [`Site::Seed`]) and whether the global stores (top
+    /// region, boundary seeds, relational store) changed.
     ///
     /// On `Err` the local database still holds a deterministic prefix of
     /// committed rows; they are absorbed before the error propagates, so a
@@ -630,8 +638,9 @@ impl Engine {
             Site::Top(n) => Some(&self.top[n]),
             Site::Seed(entry) => Some(&entry.state),
         };
+        let mut injected = false;
         if let Some(here) = here {
-            Self::inject_state_diff(
+            injected |= Self::inject_state_diff(
                 &self.atoms,
                 &mut ctx.db,
                 here,
@@ -654,31 +663,38 @@ impl Engine {
                     Site::Fixed => unreachable!("the fixed site has no here state"),
                 };
                 let snap = ctx.injected_child.entry(f).or_default();
-                Self::inject_state_diff(&self.atoms, &mut ctx.db, &child, snap, lookup);
+                injected |= Self::inject_state_diff(&self.atoms, &mut ctx.db, &child, snap, lookup);
             }
         }
-        self.inject_fixed_and_nf_diff(ctx);
+        injected |= self.inject_fixed_and_nf_diff(ctx);
+        if !injected && ctx.settled {
+            return Ok((false, false));
+        }
 
         let (rules, plan) = match site {
             Site::Fixed => (&self.cp.fixed_rules, &self.cp.fixed_plan),
             _ => (&self.cp.star_rules, &self.cp.star_plan),
         };
-        let lens = Self::row_counts(&ctx.db);
         ctx.eval.set_threads(self.threads);
         ctx.eval.set_governor(self.governor.clone());
         let run = ctx.eval.run(&mut ctx.db, rules, plan);
+        ctx.settled = run.is_ok();
         if let Ok(es) = run {
             self.stats.absorb(es);
         }
 
         let (mut entry_grew, mut global) = (false, false);
         for (tagged, rel) in ctx.db.iter() {
-            let from = lens.get(&tagged).copied().unwrap_or(0);
+            let from = std::mem::replace(ctx.absorbed.entry(tagged).or_insert(0), rel.len());
             if rel.len() == from {
                 continue;
             }
             let untagged = self.cp.untag(tagged);
-            for row in rel.rows_from(from) {
+            // Injected rows are asserted; the evaluator's are derived.
+            let derived = (from..rel.len())
+                .map(|i| dl::RowId(i as u32))
+                .filter(|&id| !rel.is_asserted(id));
+            for row in derived.map(|id| rel.row(id)) {
                 let Some((p, loc)) = untagged else {
                     if !self.nf.contains(tagged, row) {
                         self.nf.insert(tagged, row);
@@ -736,54 +752,46 @@ impl Engine {
     /// Injects the atoms of `state` not yet recorded in `snap` into the
     /// tagged relations of `db`, and records them. Atoms whose predicate
     /// has no tag at this location are recorded but not injected — no rule
-    /// can read them there.
+    /// can read them there. Returns whether a row was added.
     fn inject_state_diff(
         atoms: &AtomInterner,
         db: &mut dl::Database,
         state: &State,
         snap: &mut State,
         lookup: &FxHashMap<Pred, Pred>,
-    ) {
-        for id in state.iter() {
-            if !snap.insert(id) {
-                continue;
-            }
+    ) -> bool {
+        let mut added = false;
+        for id in state.iter().filter(|&id| snap.insert(id)) {
             let (p, args) = atoms.resolve(id);
             if let Some(&tag) = lookup.get(&p) {
-                db.insert(tag, args);
+                added |= db.insert(tag, args);
             }
         }
+        added
     }
 
     /// Injects the delta of the fixed-node slices and of the non-functional
-    /// store into a local context.
-    fn inject_fixed_and_nf_diff(&self, ctx: &mut LocalCtx) {
+    /// store into a local context. Returns whether a row was added.
+    fn inject_fixed_and_nf_diff(&self, ctx: &mut LocalCtx) -> bool {
+        let mut added = false;
         for (p, n, tag) in self.cp.fixed_tags() {
             let state = &self.top[&n];
             let snap = ctx.injected_fixed.entry(tag).or_default();
-            for id in state.iter() {
-                if !snap.insert(id) {
-                    continue;
-                }
+            for id in state.iter().filter(|&id| snap.insert(id)) {
                 let (pp, args) = self.atoms.resolve(id);
                 if pp == p {
-                    ctx.db.insert(tag, args);
+                    added |= ctx.db.insert(tag, args);
                 }
             }
         }
         for (p, rel) in self.nf.iter() {
             let cur = ctx.nf_cursors.entry(p).or_insert(0);
             for row in rel.rows_from(*cur) {
-                ctx.db.insert(p, row);
+                added |= ctx.db.insert(p, row);
             }
             *cur = rel.len();
         }
-    }
-
-    /// Per-predicate row counts of a local database: rows beyond these are
-    /// the output of the next evaluation run.
-    fn row_counts(db: &dl::Database) -> FxHashMap<Pred, usize> {
-        db.iter().map(|(p, r)| (p, r.len())).collect()
+        added
     }
 }
 

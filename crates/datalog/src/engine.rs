@@ -18,9 +18,10 @@
 //! statistic and spec output — is byte-identical to a sequential run
 //! regardless of thread count. [`evaluate_naive`] re-derives everything
 //! each round and exists as a differential-testing oracle and as the
-//! textbook baseline. Both run on one round driver — gate, select,
-//! execute, commit — and [`IncrementalEval`] is the one options value
-//! (governor, threads, parallel threshold) every evaluation takes.
+//! textbook baseline. Both run on one round driver — select, gate,
+//! execute, commit, ending at the first round whose selection yields no
+//! task — and [`IncrementalEval`] is the one options value (governor,
+//! threads, parallel threshold) every evaluation takes.
 //!
 //! Every evaluation is governed (see [`crate::governor`]): entry points
 //! return `Result<…, EvalError>`, budgets and cancellation are checked at
@@ -45,7 +46,9 @@ use std::sync::{Mutex, OnceLock};
 /// them back, so stats equality is part of the determinism contract.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Number of fixpoint rounds (including the final no-change round).
+    /// Number of fixpoint rounds that ran tasks. A run ends at the first
+    /// selection with no task, which is not a round: a run with nothing
+    /// past its marks reports 0.
     pub rounds: usize,
     /// Number of new facts derived (excluding the initial database).
     pub derived: usize,
@@ -135,24 +138,13 @@ pub trait RoundSink {
     fn rows_committed(&mut self, pred: Pred, arity: usize, count: usize, cells: &[Cst]);
 
     /// A fixpoint round completed and its rows are all in the database
-    /// (also called for rounds that derived nothing, including the final
-    /// no-change round). `stats` is the run's cumulative counter snapshot
-    /// at this boundary — exactly what [`IncrementalEval::run`] would
-    /// report if the run stopped here. `Err` aborts the run with
+    /// (also called for a round whose tasks derived nothing; never for the
+    /// selection with no task that ends a run, so an idle run makes no
+    /// callback). `stats` is the run's cumulative counter snapshot at this
+    /// boundary — exactly what [`IncrementalEval::run`] would report if
+    /// the run stopped here. `Err` aborts the run with
     /// [`EvalError::WalFailed`] carrying the message.
     fn round_committed(&mut self, stats: &EvalStats) -> Result<(), String>;
-}
-
-/// The sink type behind sink-less runs — never instantiated, it just gives
-/// the driver's generic parameter a concrete type whose callbacks compile
-/// out of the commit step.
-enum NoopSink {}
-
-impl RoundSink for NoopSink {
-    fn rows_committed(&mut self, _pred: Pred, _arity: usize, _count: usize, _cells: &[Cst]) {}
-    fn round_committed(&mut self, _stats: &EvalStats) -> Result<(), String> {
-        Ok(())
-    }
 }
 
 /// A predicate-argument index over a rule set — for each predicate, the
@@ -326,11 +318,11 @@ pub fn default_threads() -> usize {
 /// new facts, re-deriving only their consequences.
 #[derive(Clone, Debug)]
 pub struct IncrementalEval {
-    marks: FxHashMap<Pred, usize>,
-    /// Compaction counter each mark was taken under: a compaction
-    /// renumbers row ids, so a moved value resets the mark to 0 and the
-    /// next run re-scans the whole relation.
-    compaction_marks: FxHashMap<Pred, u64>,
+    /// Per relation, the low-water mark (rows below it are processed) and
+    /// the compaction counter it was taken under: a compaction renumbers
+    /// row ids, so a moved counter resets the mark to 0 and the next round
+    /// re-scans the whole relation.
+    marks: FxHashMap<Pred, (usize, u64)>,
     /// Whether a round has committed: until then every round is a full
     /// round (every rule, empty-body rules included, over everything).
     started: bool,
@@ -340,22 +332,16 @@ pub struct IncrementalEval {
     min_parallel_rows: usize,
     /// Budgets, cancellation and fault injection for every run.
     governor: Governor,
-    /// Scratch for the commit step, reused so rounds don't allocate: the
-    /// pre-merge `(relation, length)` pairs the marks move to once the
-    /// merge completes, then the relations the round touched.
-    round_ends: Vec<(Pred, usize)>,
 }
 
 impl Default for IncrementalEval {
     fn default() -> Self {
         IncrementalEval {
             marks: FxHashMap::default(),
-            compaction_marks: FxHashMap::default(),
             started: false,
             threads: None,
             min_parallel_rows: DEFAULT_MIN_PARALLEL_ROWS,
             governor: Governor::default(),
-            round_ends: Vec::new(),
         }
     }
 }
@@ -428,23 +414,23 @@ impl IncrementalEval {
     pub fn prime_marks(&mut self, db: &Database) {
         self.started = true;
         for (p, rel) in db.iter() {
-            self.marks.insert(p, rel.len());
-            self.compaction_marks.insert(p, rel.compactions());
+            self.marks.insert(p, (rel.len(), rel.compactions()));
         }
     }
 
     /// Runs the fixpoint to saturation and returns this run's counters.
     ///
-    /// Each round is gate, select, execute, commit: the gate asks the
-    /// governor to start a round (round, fault, cancellation, deadline and
-    /// byte budgets); selection picks the tasks — every rule over the
-    /// whole database until a round has committed (which also fires
-    /// empty-body rules), then only the plan positions that can see rows
-    /// past their marks; execution runs them, in parallel when the round
-    /// is large; the commit merges the derived rows in task order, moves
-    /// the marks and reports the round to the sink. The run stops after a
-    /// round that inserted nothing. The caller must pass the same
-    /// `rules`/`plan` pair on every call.
+    /// Each round is select, gate, execute, commit: selection picks the
+    /// tasks — every rule over the whole database until a round has
+    /// committed (which also fires empty-body rules), then only the plan
+    /// positions that can see rows past their marks — and the run ends at
+    /// the first selection with no task, so a run with nothing past its
+    /// marks returns at once with `rounds == 0`; the gate asks the governor
+    /// to start the round (round, fault, cancellation, deadline and byte
+    /// budgets); execution runs the tasks, in parallel when the round is
+    /// large; the commit merges the derived rows in task order, moves the
+    /// marks and reports the round to the sink. The caller must pass the
+    /// same `rules`/`plan` pair on every call.
     ///
     /// On `Err`, the database holds a deterministic prefix of the fixpoint:
     /// every completed round, plus — for [`Resource::Rows`] only — the
@@ -452,18 +438,18 @@ impl IncrementalEval {
     /// task-ordered) merge. `partial` describes exactly those committed
     /// rows, so error results are byte-identical at any thread count.
     ///
-    /// Resume contract: the marks move only when a round's merge
-    /// completes, so after any `Err` the next call (e.g. under a fresh
-    /// governor) re-runs the tripped round — a full round if no round had
-    /// committed yet — and reaches the same fixpoint as an uninterrupted
-    /// run.
+    /// Resume contract: the marks of relations some rule reads move only
+    /// when a round's merge completes, so after any `Err` the next call
+    /// (e.g. under a fresh governor) re-runs the tripped round — a full
+    /// round if no round had committed yet — and reaches the same fixpoint
+    /// as an uninterrupted run.
     pub fn run(
         &mut self,
         db: &mut Database,
         rules: &[Rule],
         plan: &DeltaPlan,
     ) -> Result<EvalStats, EvalError> {
-        self.drive::<NoopSink>(db, rules, plan, false, None)
+        self.drive(db, rules, plan, false, None::<&mut dyn RoundSink>)
     }
 
     /// [`IncrementalEval::run`] with a [`RoundSink`] observing the commit
@@ -495,7 +481,8 @@ impl IncrementalEval {
 
     /// The naive oracle under this evaluator's governor: every round runs
     /// every rule over the whole database, sequentially, through the same
-    /// gate and commit step as [`IncrementalEval::run`]. Same fixpoint,
+    /// gate and commit step as [`IncrementalEval::run`], until a round
+    /// leaves every relation a rule reads where it was. Same fixpoint,
     /// same budget semantics; the textbook baseline.
     pub fn run_naive(
         &mut self,
@@ -503,11 +490,11 @@ impl IncrementalEval {
         rules: &[Rule],
         plan: &DeltaPlan,
     ) -> Result<EvalStats, EvalError> {
-        self.drive::<NoopSink>(db, rules, plan, true, None)
+        self.drive(db, rules, plan, true, None::<&mut dyn RoundSink>)
     }
 
-    /// The round driver behind every run: gate, select, execute, commit,
-    /// until a round changes nothing.
+    /// The round driver behind every run: select, then — while the
+    /// selection yields a task — gate, execute and commit.
     fn drive<S: RoundSink + ?Sized>(
         &mut self,
         db: &mut Database,
@@ -519,20 +506,11 @@ impl IncrementalEval {
         let threads = if naive { 1 } else { self.effective_threads() };
         let gov = self.governor.clone();
         let mut stats = EvalStats::default();
-        // Every insert appends, so rows at or past a mark are exactly the
-        // delta. Only a compaction renumbers ids below a mark; a moved
-        // compaction counter resets that mark to 0 (a full rescan).
-        for (p, rel) in db.iter() {
-            let compactions = rel.compactions();
-            if self
-                .compaction_marks
-                .insert(p, compactions)
-                .is_some_and(|c| c != compactions)
-            {
-                self.marks.insert(p, 0);
-            }
-        }
         loop {
+            let (tasks, rows, ends) = self.select(db, rules, plan, naive, threads);
+            if tasks.is_empty() {
+                return Ok(stats);
+            }
             // `db` holds exactly the committed rounds and `stats`
             // describes them: what any early stop reports as `partial`.
             let committed = stats;
@@ -542,63 +520,80 @@ impl IncrementalEval {
             // exist before workers share the database immutably; inserts
             // keep them current within and after the round.
             plan.ensure_indexes(db);
-            let (tasks, round_rows) = self.select(db, rules, plan, naive || !self.started, threads);
-            let parallel =
-                threads > 1 && tasks.len() > 1 && round_rows >= self.min_parallel_rows.max(1);
+            let parallel = threads > 1 && tasks.len() > 1 && rows >= self.min_parallel_rows.max(1);
             let buffer = execute(db, plan, &tasks, threads, parallel, &gov, &mut stats)
                 // A mid-round failure discards the round's buffer whole,
                 // leaving the database at the last completed round — the
                 // only truncation point that is identical no matter which
                 // worker tripped first.
                 .map_err(|abort| abort.into_eval_error(committed))?;
-            if !self.commit(db, &buffer, &gov, &mut stats, sink.as_deref_mut())? {
-                return Ok(stats);
-            }
+            self.commit(db, &ends, &buffer, &mut stats, sink.as_deref_mut())?;
         }
     }
 
-    /// A round's tasks and the rows they scan (for the parallel decision).
-    /// A full round runs every rule's full program; a delta round runs
-    /// each plan position whose predicate has rows past its mark over
-    /// exactly those rows, split into chunks when they are many.
+    /// Selects a round: its tasks, the rows they scan (for the parallel
+    /// decision) and the `(relation, length)` marks its commit moves. One
+    /// walk over the relations resets marks a compaction invalidated,
+    /// moves the mark of a grown relation no rule reads and collects the
+    /// grown ones some rule reads. A full round runs every rule's full
+    /// program (until a round has committed, and in a naive run while a
+    /// read relation grows); a delta round runs each plan position whose
+    /// predicate has rows past its mark over exactly those rows, split
+    /// into chunks when they are many.
     fn select(
-        &self,
+        &mut self,
         db: &Database,
         rules: &[Rule],
         plan: &DeltaPlan,
-        full: bool,
+        naive: bool,
         threads: usize,
-    ) -> (Vec<Task>, usize) {
+    ) -> (Vec<Task>, usize, Vec<(Pred, usize)>) {
+        let mut ends: Vec<(Pred, usize)> = Vec::new();
+        for (p, rel) in db.iter() {
+            // Every insert appends, so rows at or past a mark are exactly
+            // the delta; only a compaction renumbers ids below a mark.
+            let compactions = rel.compactions();
+            let (mark, taken) = self.marks.entry(p).or_insert((0, compactions));
+            if *taken != compactions {
+                *mark = 0;
+                *taken = compactions;
+            }
+            if rel.len() > *mark {
+                if plan.positions(p).is_empty() {
+                    *mark = rel.len();
+                } else {
+                    ends.push((p, rel.len()));
+                }
+            }
+        }
         let mut tasks: Vec<Task> = Vec::new();
-        let mut round_rows = 0usize;
-        if full {
+        let mut rows = 0usize;
+        if !self.started || (naive && !ends.is_empty()) {
             for (ri, rule) in rules.iter().enumerate() {
                 tasks.push(Task {
                     rule: ri as u32,
                     delta: None,
                 });
-                round_rows += rule
+                rows += rule
                     .body
                     .first()
                     .and_then(|a| db.relation(a.pred))
                     .map_or(0, |r| r.len());
             }
-            return (tasks, round_rows);
+            return (tasks, rows, ends);
         }
-        let mark = |p: Pred| self.marks.get(&p).copied().unwrap_or(0);
+        // A naive run past this point has no grown relation: no task.
         let mut work: Vec<(u32, u32)> = Vec::new();
-        for (p, rel) in db.iter() {
-            if rel.len() > mark(p) {
-                work.extend_from_slice(plan.positions(p));
-            }
+        for &(p, _) in &ends {
+            work.extend_from_slice(plan.positions(p));
         }
         work.sort_unstable();
         work.dedup();
         for (ri, ai) in work {
             let pred = rules[ri as usize].body[ai as usize].pred;
-            let start = mark(pred);
+            let start = self.marks[&pred].0;
             let end = db.relation(pred).map_or(start, |r| r.len());
-            round_rows += end - start;
+            rows += end - start;
             // The per-delta program runs the delta atom outermost, so
             // splitting the range partitions the work exactly for any body
             // position.
@@ -622,13 +617,12 @@ impl IncrementalEval {
                 lo = hi;
             }
         }
-        (tasks, round_rows)
+        (tasks, rows, ends)
     }
 
     /// The round's commit: merges `buffer` in task order, counting each
     /// new row against the row budget, then moves the marks to the
-    /// pre-merge ends and reports the round to the sink. Returns whether
-    /// the round inserted anything.
+    /// selection's `ends` and reports the round to the sink.
     ///
     /// A row-budget trip stops the merge after exactly `max_rows` rows —
     /// a deterministic prefix of the unbudgeted insertion sequence at any
@@ -639,25 +633,23 @@ impl IncrementalEval {
     fn commit<S: RoundSink + ?Sized>(
         &mut self,
         db: &mut Database,
+        ends: &[(Pred, usize)],
         buffer: &DerivedBuffer,
-        gov: &Governor,
         stats: &mut EvalStats,
         sink: Option<&mut S>,
-    ) -> Result<bool, EvalError> {
-        // A merge never compacts, so the compaction counters can be taken
-        // now; the lengths wait in `ends` until the merge completes.
-        let ends = &mut self.round_ends;
-        ends.clear();
-        for (p, rel) in db.iter() {
-            ends.push((p, rel.len()));
-            self.compaction_marks.insert(p, rel.compactions());
-        }
-        let mut changed = false;
+    ) -> Result<(), EvalError> {
+        // Rows merged per relation, for the sink.
+        let mut merged: Option<Vec<(Pred, usize)>> = sink.is_some().then(Vec::new);
         for (p, t) in buffer.iter() {
             if db.insert_derived(p, t) {
-                changed = true;
                 stats.derived += 1;
-                if !gov.note_row() {
+                if let Some(merged) = merged.as_mut() {
+                    match merged.iter_mut().rev().find(|(q, _)| *q == p) {
+                        Some((_, n)) => *n += 1,
+                        None => merged.push((p, 1)),
+                    }
+                }
+                if !self.governor.note_row() {
                     return Err(EvalError::BudgetExhausted {
                         resource: Resource::Rows,
                         partial: *stats,
@@ -666,26 +658,21 @@ impl IncrementalEval {
             }
         }
         self.started = true;
-        self.marks.extend(ends.iter().copied());
-        if let Some(s) = sink {
+        for &(p, end) in ends {
+            self.marks.get_mut(&p).expect("selection took the mark").0 = end;
+        }
+        if let (Some(s), Some(mut merged)) = (sink, merged) {
             // The round's rows, relation by relation in predicate order,
-            // as contiguous arena slices from the pre-merge ends (0 for a
-            // relation the merge created).
-            let marks = &self.marks;
-            ends.clear();
-            ends.extend(db.iter().filter_map(|(p, rel)| {
-                let from = marks.get(&p).copied().unwrap_or(0);
-                (rel.len() > from).then_some((p, from))
-            }));
-            ends.sort_unstable();
-            for &(p, from) in ends.iter() {
-                let rel = db.relation(p).expect("touched relation exists");
-                s.rows_committed(p, rel.arity(), rel.len() - from, rel.cells_from(from));
+            // as contiguous arena slices: each relation's last `n` rows.
+            merged.sort_unstable();
+            for (p, n) in merged {
+                let rel = db.relation(p).expect("merged relation exists");
+                s.rows_committed(p, rel.arity(), n, rel.cells_from(rel.len() - n));
             }
             s.round_committed(stats)
                 .map_err(|detail| EvalError::WalFailed { detail })?;
         }
-        Ok(changed)
+        Ok(())
     }
 }
 
@@ -694,23 +681,18 @@ impl IncrementalEval {
 /// byte budget against `db`. A refused round is taken back off the
 /// governor's round counter, and the error reports `committed`.
 fn gate(gov: &Governor, db: &Database, committed: EvalStats) -> Result<(), EvalError> {
-    let refused = match gov.begin_round() {
-        Err(resource) => Some(resource),
-        Ok(()) => gov
-            .max_bytes()
-            .filter(|&limit| db.approx_bytes() > limit)
-            .map(|_| Resource::Bytes),
+    let over_bytes = gov
+        .max_bytes()
+        .is_some_and(|limit| db.approx_bytes() > limit);
+    let refused = gov.begin_round().err();
+    let Some(resource) = refused.or(over_bytes.then_some(Resource::Bytes)) else {
+        return Ok(());
     };
-    match refused {
-        None => Ok(()),
-        Some(resource) => {
-            gov.abort_round();
-            Err(EvalError::BudgetExhausted {
-                resource,
-                partial: committed,
-            })
-        }
-    }
+    gov.abort_round();
+    Err(EvalError::BudgetExhausted {
+        resource,
+        partial: committed,
+    })
 }
 
 /// Executes a round's tasks into a fresh buffer — on `threads` scoped
@@ -1164,7 +1146,11 @@ pub fn query_demand(
     }
     let overlay_eval = |scratch: &mut Database, rules: &[Rule]| -> Result<EvalStats, EvalError> {
         let plan = DeltaPlan::planned(rules, scratch);
-        eval.fresh().run(scratch, rules, &plan)
+        let run = eval.fresh().run(scratch, rules, &plan);
+        // No caller can reach the overlay, so debug builds (the demand
+        // differential tests among them) validate it here.
+        debug_assert_eq!(scratch.check_invariants(), Ok(()), "demand overlay");
+        run
     };
     let governor = eval.governor();
     let mut stats = EvalStats::default();
@@ -1503,6 +1489,65 @@ mod tests {
         let mut fresh = chain_db(&mut fx, 11);
         evaluate(&mut fresh, &rules).unwrap();
         assert_eq!(db.dump(&fx.i), fresh.dump(&fx.i));
+    }
+
+    /// Counts sink callbacks.
+    #[derive(Default)]
+    struct CountingSink {
+        rows: usize,
+        rounds: usize,
+    }
+
+    impl RoundSink for CountingSink {
+        fn rows_committed(&mut self, _: Pred, _: usize, _: usize, _: &[Cst]) {
+            self.rows += 1;
+        }
+        fn round_committed(&mut self, _: &EvalStats) -> Result<(), String> {
+            self.rounds += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn idle_runs_spend_no_round() {
+        // A run with nothing past its marks selects no task, so it ends
+        // before the gate: no round, no sink callback, no governor round.
+        let mut fx = fixture();
+        let rules = transitive_closure_rules(&fx);
+        let plan = DeltaPlan::new(&rules);
+        let mut db = chain_db(&mut fx, 6);
+        let gov = Governor::new(Budget::unlimited()).with_faults(FaultPlan::default());
+        let mut eval = IncrementalEval::new().with_governor(gov.clone());
+        let first = eval.run(&mut db, &rules, &plan).unwrap();
+        assert_eq!(gov.rounds_used(), first.rounds);
+        let mut sink = CountingSink::default();
+        let idle = eval
+            .run_with_sink(&mut db, &rules, &plan, &mut sink)
+            .unwrap();
+        assert_eq!(idle, EvalStats::default());
+        assert_eq!((sink.rows, sink.rounds), (0, 0));
+        assert_eq!(gov.rounds_used(), first.rounds);
+        // The same holds for a primed evaluator that never ran.
+        let mut primed = IncrementalEval::new().with_governor(gov.clone());
+        primed.prime_marks(&db);
+        assert_eq!(primed.run(&mut db, &rules, &plan).unwrap().rounds, 0);
+        assert_eq!(gov.rounds_used(), first.rounds);
+    }
+
+    #[test]
+    fn grown_relations_no_rule_reads_spend_no_round() {
+        // Rows of a relation no rule body mentions need no round: the
+        // resumed run selects no task and stops at once.
+        let mut fx = fixture();
+        let rules = transitive_closure_rules(&fx);
+        let plan = DeltaPlan::new(&rules);
+        let mut db = chain_db(&mut fx, 4);
+        let mut eval = IncrementalEval::new();
+        eval.run(&mut db, &rules, &plan).unwrap();
+        let ghost = Pred(fx.i.intern("Ghost"));
+        let a = Cst(fx.i.intern("a"));
+        db.insert(ghost, &[a]);
+        assert_eq!(eval.run(&mut db, &rules, &plan).unwrap().rounds, 0);
     }
 
     #[test]
@@ -2344,6 +2389,7 @@ mod tests {
                     vs.dedup();
                     vs
                 };
+                // Debug builds also validate the overlay in `query_demand`.
                 let ans =
                     query_demand(&db, &rules, &body, &out_vars, &IncrementalEval::new()).unwrap();
                 assert_eq!(

@@ -139,6 +139,8 @@ pub struct Budget {
     /// Maximum derived rows (across every run sharing the governor).
     pub max_rows: Option<usize>,
     /// Maximum fixpoint rounds (across every run sharing the governor).
+    /// Only rounds with tasks count: a run whose selection finds no task
+    /// ends without starting a round.
     pub max_rounds: Option<usize>,
     /// Wall-clock deadline, in milliseconds from the first governed run.
     pub max_millis: Option<u64>,

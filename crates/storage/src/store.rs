@@ -1090,6 +1090,29 @@ mod tests {
     }
 
     #[test]
+    fn idle_runs_append_no_record() {
+        let dir = tmpdir("idle");
+        let mut interner = Interner::new();
+        let edge = Pred(interner.intern("edge"));
+        let mut ddb = DurableDb::open(&dir, &mut interner).unwrap();
+        let (a, b) = (cst(&mut interner, "a"), cst(&mut interner, "b"));
+        ddb.insert(&interner, edge, &[a, b]).unwrap();
+        for rule in tc_rules(&mut interner) {
+            ddb.log_rule(&interner, &rule).unwrap();
+        }
+        ddb.commit().unwrap();
+        let plan = dl::DeltaPlan::planned(ddb.rules(), ddb.database());
+        let mut eval = dl::IncrementalEval::new();
+        ddb.run(&interner, &mut eval, &plan).unwrap();
+        let before = ddb.wal_stats();
+        let idle = ddb.run(&interner, &mut eval, &plan).unwrap();
+        assert_eq!(idle.rounds, 0);
+        assert_eq!(ddb.wal_stats().records, before.records);
+        assert_eq!(ddb.wal_stats().bytes, before.bytes);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn wal_failure_during_run_surfaces_as_wal_failed() {
         let dir = tmpdir("walfail");
         let mut interner = Interner::new();

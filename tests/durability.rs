@@ -137,10 +137,9 @@ fn chain_facts(interner: &mut Interner, k: usize) -> Vec<(Pred, Vec<Cst>)> {
     names.windows(2).map(|w| (edge, vec![w[0], w[1]])).collect()
 }
 
-/// Byte offsets just past each intact commit marker — `RoundCommit` or
-/// `Retract` (PR 10), both of which recovery may truncate to — of a WAL
-/// image.
-fn marker_offsets(wal: &[u8]) -> Vec<usize> {
+/// Every whole record of a WAL image, in log order, with the byte offset
+/// just past it (`None` for a payload that does not decode).
+fn records(wal: &[u8]) -> Vec<(usize, Option<WalRecord>)> {
     let mut pos = WAL_HEADER_LEN;
     let mut out = Vec::new();
     while pos + 8 <= wal.len() {
@@ -150,14 +149,25 @@ fn marker_offsets(wal: &[u8]) -> Vec<usize> {
         }
         let payload = &wal[pos + 8..pos + 8 + len];
         pos += 8 + len;
-        if matches!(
-            WalRecord::decode(payload),
-            Ok(WalRecord::RoundCommit { .. } | WalRecord::Retract { .. })
-        ) {
-            out.push(pos);
-        }
+        out.push((pos, WalRecord::decode(payload).ok()));
     }
     out
+}
+
+/// Byte offsets just past each intact commit marker — `RoundCommit` or
+/// `Retract` (PR 10), both of which recovery may truncate to — of a WAL
+/// image.
+fn marker_offsets(wal: &[u8]) -> Vec<usize> {
+    records(wal)
+        .into_iter()
+        .filter(|(_, r)| {
+            matches!(
+                r,
+                Some(WalRecord::RoundCommit { .. } | WalRecord::Retract { .. })
+            )
+        })
+        .map(|(end, _)| end)
+        .collect()
 }
 
 /// Records the deterministic commit sequence of a plain in-memory run:
@@ -582,6 +592,87 @@ fn crash_at_every_byte_during_retract_round_recovers_completed_prefix() {
     let _ = std::fs::remove_dir_all(&dir_cut);
 }
 
+/// Chain length of the churn workload.
+const CHURN_CHAIN: usize = 12;
+
+/// The churn workload on one handle: a chain, the closure rules, a commit
+/// and an engine run, then churn — retract two edges, re-insert one,
+/// re-run the delta. `None` means an operation failed (the crash).
+fn churn_workload(
+    dir: &std::path::Path,
+    interner: &mut Interner,
+    fault: dl::FaultPlan,
+) -> Option<Dump> {
+    let node = |i: usize, interner: &mut Interner| Cst(interner.intern(&format!("n{i}")));
+    let mut ddb = DurableDb::open_with_faults(dir, interner, fault).ok()?;
+    check(&ddb);
+    for (p, row) in chain_facts(interner, CHURN_CHAIN) {
+        let inserted = ddb.insert(interner, p, &row);
+        check(&ddb);
+        inserted.ok()?;
+    }
+    let rules = tc_rules(interner);
+    if ddb.rules().is_empty() {
+        // Rules are all-or-nothing across a crash; re-log only when
+        // the crash predated their commit (replay would duplicate).
+        for rule in &rules {
+            let logged = ddb.log_rule(interner, rule);
+            check(&ddb);
+            logged.ok()?;
+        }
+    }
+    let committed = ddb.commit();
+    check(&ddb);
+    committed.ok()?;
+    let plan = dl::DeltaPlan::planned(ddb.rules(), ddb.database());
+    let mut eval = dl::IncrementalEval::new().with_threads(2);
+    let ran = ddb.run(interner, &mut eval, &plan);
+    check(&ddb);
+    ran.ok()?;
+    let edge = Pred(interner.intern("edge"));
+    for (a, b) in [(3usize, 4usize), (7, 8)] {
+        let t = [node(a, interner), node(b, interner)];
+        let retracted = ddb.retract_fact(interner, edge, &t, &plan);
+        check(&ddb);
+        retracted.ok()?;
+    }
+    let t = [node(3, interner), node(4, interner)];
+    let inserted = ddb.insert(interner, edge, &t);
+    check(&ddb);
+    inserted.ok()?;
+    eval.prime_marks(ddb.database());
+    let ran = ddb.run(interner, &mut eval, &plan);
+    check(&ddb);
+    ran.ok()?;
+    Some(dump(ddb.database(), interner))
+}
+
+/// The `N` of the CI crash matrix's churn entry, `crash_after_record:N`:
+/// the crash refuses the append of 0-based record `N`, which must be the
+/// churn workload's first `Retract` record.
+const CHURN_CRASH_RECORD: usize = 46;
+
+/// Keeps the churn entry of the CI crash matrix aimed: a change to how
+/// many records the engine run writes moves the first `Retract` record,
+/// and this test names the new index.
+#[test]
+fn churn_crash_entry_tears_the_first_retract_record() {
+    let dir = tmpdir("churn-records");
+    let mut interner = Interner::new();
+    churn_workload(&dir, &mut interner, dl::FaultPlan::default())
+        .expect("clean churn workload must not fail");
+    let wal = std::fs::read(dir.join("wal.000000")).unwrap();
+    let first_retract = records(&wal)
+        .iter()
+        .position(|(_, r)| matches!(r, Some(WalRecord::Retract { .. })))
+        .expect("the churn workload logs a retraction");
+    assert_eq!(
+        first_retract, CHURN_CRASH_RECORD,
+        "update `crash_after_record` in the CI crash matrix and CHURN_CRASH_RECORD"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// PR 10 churn entry of the CI crash matrix: the ambient `FUNDB_FAULT`
 /// plan strikes a session whose workload *ends in churn* — retractions and
 /// a re-insert after the engine run. Wherever the fault lands (possibly
@@ -592,60 +683,10 @@ fn crash_at_every_byte_during_retract_round_recovers_completed_prefix() {
 /// re-derive rows in a different order).
 #[test]
 fn ambient_io_fault_during_churn_recovers_and_resumes() {
-    const CHAIN: usize = 12;
-    let node = |i: usize, interner: &mut Interner| Cst(interner.intern(&format!("n{i}")));
-
-    // The full workload against one handle; `Err` anywhere = the crash.
-    let apply =
-        |dir: &std::path::Path, interner: &mut Interner, fault: dl::FaultPlan| -> Option<Dump> {
-            let mut ddb = DurableDb::open_with_faults(dir, interner, fault).ok()?;
-            check(&ddb);
-            for (p, row) in chain_facts(interner, CHAIN) {
-                let inserted = ddb.insert(interner, p, &row);
-                check(&ddb);
-                inserted.ok()?;
-            }
-            let rules = tc_rules(interner);
-            if ddb.rules().is_empty() {
-                // Rules are all-or-nothing across a crash; re-log only when
-                // the crash predated their commit (replay would duplicate).
-                for rule in &rules {
-                    let logged = ddb.log_rule(interner, rule);
-                    check(&ddb);
-                    logged.ok()?;
-                }
-            }
-            let committed = ddb.commit();
-            check(&ddb);
-            committed.ok()?;
-            let plan = dl::DeltaPlan::planned(ddb.rules(), ddb.database());
-            let mut eval = dl::IncrementalEval::new().with_threads(2);
-            let ran = ddb.run(interner, &mut eval, &plan);
-            check(&ddb);
-            ran.ok()?;
-            // Churn: retract two edges, re-insert one, re-run the delta.
-            let edge = Pred(interner.intern("edge"));
-            for (a, b) in [(3usize, 4usize), (7, 8)] {
-                let t = [node(a, interner), node(b, interner)];
-                let retracted = ddb.retract_fact(interner, edge, &t, &plan);
-                check(&ddb);
-                retracted.ok()?;
-            }
-            let t = [node(3, interner), node(4, interner)];
-            let inserted = ddb.insert(interner, edge, &t);
-            check(&ddb);
-            inserted.ok()?;
-            eval.prime_marks(ddb.database());
-            let ran = ddb.run(interner, &mut eval, &plan);
-            check(&ddb);
-            ran.ok()?;
-            Some(dump(ddb.database(), interner))
-        };
-
     // Uninterrupted ground truth under a clean plan.
     let dir_full = tmpdir("churn-ambient-full");
     let mut interner = Interner::new();
-    let full_dump = apply(&dir_full, &mut interner, dl::FaultPlan::default())
+    let full_dump = churn_workload(&dir_full, &mut interner, dl::FaultPlan::default())
         .expect("clean churn workload must not fail");
     let _ = std::fs::remove_dir_all(&dir_full);
 
@@ -653,7 +694,7 @@ fn ambient_io_fault_during_churn_recovers_and_resumes() {
     let dir = tmpdir("churn-ambient-crash");
     let ambient = *dl::FaultPlan::from_env();
     let mut crash_int = Interner::new();
-    let _ = apply(&dir, &mut crash_int, ambient);
+    let _ = churn_workload(&dir, &mut crash_int, ambient);
 
     // Clean recovery, then replay the workload to the post-churn fixpoint.
     let mut fresh = Interner::new();
@@ -661,7 +702,7 @@ fn ambient_io_fault_during_churn_recovers_and_resumes() {
     check(&ddb);
     drop(ddb);
     let mut fresh = Interner::new();
-    let resumed = apply(&dir, &mut fresh, dl::FaultPlan::default())
+    let resumed = churn_workload(&dir, &mut fresh, dl::FaultPlan::default())
         .expect("resume over a recovered store must not fail");
     assert_eq!(
         sorted(resumed),

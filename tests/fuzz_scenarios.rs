@@ -284,6 +284,8 @@ fn check_demand(s: &Scenario, compiled: &dl::Database, ctx: &str) {
             let mut expected = dl::query(compiled, &body, &outs)
                 .unwrap_or_else(|e| panic!("{ctx}: full query: {e:?}"));
             expected.sort();
+            // In debug builds `query_demand` also validates its magic-set
+            // overlay with `Database::check_invariants`.
             let ans = dl::query_demand(&s.db, &s.rules, &body, &outs, &dl::IncrementalEval::new())
                 .unwrap_or_else(|e| panic!("{ctx}: demand query: {e:?}"));
             let mut got = ans.rows.clone();

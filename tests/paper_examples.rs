@@ -395,7 +395,7 @@ fn section_4_counter_engine_stats() {
     let mut engine = fundb_core::Engine::build(&ws.program, &ws.db, &mut ws.interner).unwrap();
     engine.solve().unwrap();
     let stats = engine.stats();
-    assert_eq!(stats.datalog_rounds, 259);
+    assert_eq!(stats.datalog_rounds, 65);
     assert_eq!(stats.join_probes, 2128);
     assert_eq!(stats.derived_rows, 390);
 }
@@ -444,7 +444,7 @@ fn section_1_meets_all_sites_engine_stats() {
     assert_eq!(s.pass_deltas, vec![10, 1, 0]);
     assert_eq!(s.top_evals, 6);
     assert_eq!(s.uniform_evals, 6);
-    assert_eq!(s.datalog_rounds, 27);
+    assert_eq!(s.datalog_rounds, 11);
     assert_eq!(s.join_probes, 18);
     assert_eq!(s.derived_rows, 11);
 }
