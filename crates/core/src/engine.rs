@@ -652,18 +652,15 @@ impl Engine {
                     continue;
                 };
                 let child = match &site {
-                    Site::Top(n) => self
-                        .cursor_state(&self.child_cursor(&Cursor::Top(*n), f))
-                        .clone(),
+                    Site::Top(n) => self.cursor_state(&self.child_cursor(&Cursor::Top(*n), f)),
                     Site::Seed(entry) => entry
                         .child_seeds
                         .get(&f)
-                        .map(|cs| self.seed_state(cs).clone())
-                        .unwrap_or_default(),
+                        .map_or(&EMPTY_STATE, |cs| self.seed_state(cs)),
                     Site::Fixed => unreachable!("the fixed site has no here state"),
                 };
                 let snap = ctx.injected_child.entry(f).or_default();
-                injected |= Self::inject_state_diff(&self.atoms, &mut ctx.db, &child, snap, lookup);
+                injected |= Self::inject_state_diff(&self.atoms, &mut ctx.db, child, snap, lookup);
             }
         }
         injected |= self.inject_fixed_and_nf_diff(ctx);

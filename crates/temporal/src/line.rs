@@ -7,9 +7,22 @@
 //! computed left to right:
 //!
 //! ```text
-//! σ(p) = local fixpoint of { seeds(p) } ∪
-//!        { head@p of rules fired at m = p − h with bodies in σ(m+aᵢ) }
+//! σ(p) = local fixpoint of seeds(p) ∪ S(p) ∪
+//!        { head@p of the other rules fired at m = p − h with bodies in σ(m+aᵢ) }
+//! S(p) = { head@p of settled rules fired at m = p − h with bodies in σ(m+aᵢ), aᵢ < h }
 //! ```
+//!
+//! A rule is *settled* when its head is functional at offset `h` and every
+//! functional body offset is `< h`: its body reads completed positions
+//! only, so it fires once, in the first pass at `p`. The other rules — a
+//! body atom at `h`, or a relational head, whose window ends at `p` —
+//! re-fire until nothing changes. An NF row derived mid-line restarts the
+//! outer loop, so in its final iteration the NF store is constant and one
+//! firing of a settled rule derives all it ever will.
+//!
+//! `match_body` streams a time point's rows from its state and probes an
+//! NF atom through `dl::Relation::select`, which uses the per-column index
+//! of a column bound by a constant or an earlier atom.
 //!
 //! Because no facts live beyond the deepest database fact and rule windows
 //! have width `K = max offset`, the suffix beyond `p` is determined by the
@@ -109,17 +122,17 @@ fn offset_of(ft: &FTerm) -> Option<usize> {
 
 /// A compiled temporal rule.
 struct TRule {
-    head: THead,
+    pred: Pred,
+    args: Vec<NTerm>,
+    /// `Some(h)` — functional head at `s + h`; `None` — relational head.
+    head_off: Option<usize>,
+    /// Functional head at `h` and every functional body offset `< h`: the
+    /// body reads only completed positions, so the rule fires once per
+    /// position.
+    settled: bool,
     body: Vec<TAtom>,
     /// Max body offset: the rule's window reaches `m + max_off`.
     max_off: usize,
-}
-
-enum THead {
-    /// Functional head at `s + offset`.
-    At(Pred, usize, Vec<NTerm>),
-    /// Relational head.
-    Relational(Pred, Vec<NTerm>),
 }
 
 struct TAtom {
@@ -204,16 +217,13 @@ pub(crate) fn evaluate_forward(
                 ));
             }
             (m, head_ft) => {
-                let head = match head_ft {
-                    Some(ft) => THead::At(
-                        rule.head.pred(),
-                        offset_of(ft).expect("forward class checked"),
-                        rule.head.args().to_vec(),
-                    ),
-                    None => THead::Relational(rule.head.pred(), rule.head.args().to_vec()),
-                };
+                let head_off = head_ft.map(|ft| offset_of(ft).expect("forward class checked"));
                 trules.push(TRule {
-                    head,
+                    pred: rule.head.pred(),
+                    args: rule.head.args().to_vec(),
+                    head_off,
+                    settled: head_off
+                        .is_some_and(|h| body.iter().filter_map(|a| a.offset).all(|o| o < h)),
                     body,
                     max_off: m.unwrap_or(0),
                 });
@@ -222,13 +232,7 @@ pub(crate) fn evaluate_forward(
     }
     let window = trules
         .iter()
-        .map(|r| {
-            let h = match &r.head {
-                THead::At(_, h, _) => *h,
-                THead::Relational(..) => 0,
-            };
-            r.max_off.max(h)
-        })
+        .map(|r| r.max_off.max(r.head_off.unwrap_or(0)))
         .max()
         .unwrap_or(0)
         .max(1);
@@ -311,65 +315,34 @@ fn step_position(
         }
     }
     states.push(state);
-    loop {
+    let mut derived: Vec<Vec<Cst>> = Vec::new();
+    let mut subst = Subst::new();
+    for pass in 0.. {
         let mut changed = false;
-        for rule in trules {
+        // Settled rules read completed positions only: the first pass has
+        // derived all they ever will at p.
+        for rule in trules.iter().filter(|r| pass == 0 || !r.settled) {
             // Functional heads land at p; relational heads fire at the
             // point whose window just completed.
-            let (m, is_rel) = match &rule.head {
-                THead::At(_, h, _) => {
-                    if p < *h {
-                        continue;
-                    }
-                    (p - h, false)
-                }
-                THead::Relational(..) => {
-                    if p < rule.max_off {
-                        continue;
-                    }
-                    (p - rule.max_off, true)
-                }
+            let Some(m) = p.checked_sub(rule.head_off.unwrap_or(rule.max_off)) else {
+                continue;
             };
-            let mut derived: Vec<Vec<Cst>> = Vec::new();
-            {
-                let head_args = match &rule.head {
-                    THead::At(_, _, args) | THead::Relational(_, args) => args,
+            let slice = |i: usize| {
+                let atom = &rule.body[i];
+                let cands = match atom.offset {
+                    Some(off) => Candidates::Rows(state_rows(&states[m + off], atoms, atom.pred)),
+                    None => Candidates::Nf(nf.relation(atom.pred)),
                 };
-                let states: &[State] = states;
-                // Candidate rows are borrowed from the interner / NF store —
-                // no per-row clone just to read them.
-                let slice = |i: usize| {
-                    let atom = &rule.body[i];
-                    let rows = match atom.offset {
-                        Some(off) => states
-                            .get(m + off)
-                            .map_or_else(Vec::new, |state| state_rows(state, atoms, atom.pred)),
-                        None => nf_rows(nf, atom.pred),
-                    };
-                    (atom.args.as_slice(), rows)
-                };
-                let mut subst: FxHashMap<Var, Cst> = FxHashMap::default();
-                match_body(rule.body.len(), 0, &slice, &mut subst, &mut |s| {
-                    derived.push(ground(head_args, s));
-                });
-            }
-            for row in derived {
-                if is_rel {
-                    let THead::Relational(pred, _) = &rule.head else {
-                        unreachable!()
-                    };
-                    if !nf.contains(*pred, &row) {
-                        nf.insert(*pred, &row);
-                        // NF growth is detected by the caller's outer loop.
-                    }
-                } else {
-                    let THead::At(pred, _, _) = &rule.head else {
-                        unreachable!()
-                    };
-                    let id = atoms.intern(*pred, &row);
-                    if states[p].insert(id) {
-                        changed = true;
-                    }
+                (atom.args.as_slice(), cands)
+            };
+            match_body(rule.body.len(), 0, &slice, &mut subst, &mut |s| {
+                derived.push(ground(&rule.args, s));
+            });
+            for row in derived.drain(..) {
+                match rule.head_off {
+                    // NF growth is detected by the caller's outer loop.
+                    None => _ = nf.insert(rule.pred, &row),
+                    Some(_) => changed |= states[p].insert(atoms.intern(rule.pred, &row)),
                 }
             }
         }
@@ -379,12 +352,9 @@ fn step_position(
     }
 }
 
-fn ground(args: &[NTerm], subst: &FxHashMap<Var, Cst>) -> Vec<Cst> {
+fn ground(args: &[NTerm], subst: &Subst) -> Vec<Cst> {
     args.iter()
-        .map(|a| match a {
-            NTerm::Const(c) => *c,
-            NTerm::Var(v) => subst[v],
-        })
+        .map(|t| value(t, subst).expect("range-restricted head"))
         .collect()
 }
 
@@ -393,79 +363,165 @@ pub(crate) fn state_rows<'a>(
     state: &'a State,
     atoms: &'a AtomInterner,
     pred: Pred,
-) -> Vec<&'a [Cst]> {
-    state
-        .iter()
-        .map(|id| atoms.resolve(id))
-        .filter(|(p, _)| *p == pred)
-        .map(|(_, args)| args)
-        .collect()
+) -> impl Iterator<Item = &'a [Cst]> + 'a {
+    state.iter().filter_map(move |id| {
+        let (p, args) = atoms.resolve(id);
+        (p == pred).then_some(args)
+    })
 }
 
-/// The rows of relation `pred` of the NF store (none if it is absent).
-pub(crate) fn nf_rows(nf: &dl::Database, pred: Pred) -> Vec<&[Cst]> {
-    nf.relation(pred)
-        .map_or_else(Vec::new, |rel| rel.rows().collect())
+/// A substitution as a stack of bindings: a join level pops what it pushed.
+pub(crate) type Subst = Vec<(Var, Cst)>;
+
+/// The binding of `v` in `subst`, if any.
+pub(crate) fn lookup(subst: &Subst, v: Var) -> Option<Cst> {
+    subst.iter().find(|(w, _)| *w == v).map(|&(_, c)| c)
+}
+
+/// The value of `t` under `subst`: a constant, or a bound variable's.
+fn value(t: &NTerm, subst: &Subst) -> Option<Cst> {
+    match *t {
+        NTerm::Const(c) => Some(c),
+        NTerm::Var(v) => lookup(subst, v),
+    }
+}
+
+/// Where a body atom's candidate rows come from.
+pub(crate) enum Candidates<'a, I> {
+    /// Rows streamed from a time point's state.
+    Rows(I),
+    /// An NF relation (`None` if absent), probed by the atom's bound columns.
+    Nf(Option<&'a dl::Relation>),
 }
 
 /// The crate's one body matcher: a nested-loop join of body atoms
 /// `idx..len`, in order, under `subst`. `slice(i)` gives atom `i`'s
-/// argument terms and its candidate rows (a time point's slice or the NF
-/// store); a row of another arity never matches. `emit` sees every
-/// complete binding.
-pub(crate) fn match_body<'a>(
+/// argument terms and its candidates (a time point's rows or an NF
+/// relation); a row or relation of another arity never matches. `emit`
+/// sees every complete binding.
+pub(crate) fn match_body<'a, I: Iterator<Item = &'a [Cst]>>(
     len: usize,
     idx: usize,
-    slice: &impl Fn(usize) -> (&'a [NTerm], Vec<&'a [Cst]>),
-    subst: &mut FxHashMap<Var, Cst>,
-    emit: &mut dyn FnMut(&FxHashMap<Var, Cst>),
+    slice: &impl Fn(usize) -> (&'a [NTerm], Candidates<'a, I>),
+    subst: &mut Subst,
+    emit: &mut dyn FnMut(&Subst),
 ) {
     if idx == len {
         emit(subst);
         return;
     }
-    let (args, candidates) = slice(idx);
-    for row in candidates {
+    let (args, cands) = slice(idx);
+    let (rows, rel) = match cands {
+        Candidates::Rows(rows) => (Some(rows), None),
+        // `select` asserts the pattern's arity: check it first.
+        Candidates::Nf(rel) => (None, rel.filter(|r| r.arity() == args.len())),
+    };
+    let pattern: Vec<Option<Cst>> = match rel {
+        Some(_) => args.iter().map(|t| value(t, subst)).collect(),
+        None => Vec::new(),
+    };
+    let mut try_row = |row: &[Cst]| {
         if row.len() != args.len() {
-            continue;
+            return;
         }
-        let mut bound = Vec::new();
-        let mut ok = true;
-        for (t, v) in args.iter().copied().zip(row.iter().copied()) {
-            match t {
-                NTerm::Const(c) => {
-                    if c != v {
-                        ok = false;
-                        break;
-                    }
+        let mark = subst.len();
+        let ok = args.iter().zip(row).all(|(t, &v)| match *t {
+            NTerm::Const(c) => c == v,
+            NTerm::Var(var) => match lookup(subst, var) {
+                Some(c) => c == v,
+                None => {
+                    subst.push((var, v));
+                    true
                 }
-                NTerm::Var(var) => match subst.get(&var) {
-                    Some(&existing) => {
-                        if existing != v {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    None => {
-                        subst.insert(var, v);
-                        bound.push(var);
-                    }
-                },
-            }
-        }
+            },
+        });
         if ok {
             match_body(len, idx + 1, slice, subst, emit);
         }
-        for var in bound {
-            subst.remove(&var);
-        }
+        subst.truncate(mark);
+    };
+    if let Some(rows) = rows {
+        rows.for_each(&mut try_row);
+    }
+    if let Some(rel) = rel {
+        rel.select(&pattern).for_each(try_row);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TemporalSpec;
+    use fundb_core::Engine;
     use fundb_term::{Func, Var as TVar};
+
+    /// Computes `src`'s lasso on the forward line and checks it against the
+    /// general engine: every atom either side interned, at every point of
+    /// `0..ρ+2λ+window`, and both NF stores row for row.
+    fn line_matches_engine(src: &str, window: usize) {
+        let mut ws = fundb_parser::Workspace::new();
+        ws.parse(src).unwrap();
+        let (prog, db) = (&ws.program, &ws.db);
+        assert_eq!(classify(prog, db, &ws.interner), TemporalClass::Forward);
+        let spec = TemporalSpec::compute(prog, db, &mut ws.interner).unwrap();
+        let mut engine = Engine::build(prog, db, &mut ws.interner).unwrap();
+        engine.solve().unwrap();
+        let s = Func(ws.interner.get("+1").unwrap());
+        let atoms: Vec<(Pred, Vec<Cst>)> = (spec.atoms.iter())
+            .chain(engine.atoms().iter())
+            .map(|(_, p, args)| (p, args.to_vec()))
+            .collect();
+        for n in 0..spec.rho() + 2 * spec.lambda() + window {
+            for (p, args) in &atoms {
+                assert_eq!(
+                    spec.holds(*p, n as u64, args),
+                    engine.holds(*p, &vec![s; n], args),
+                    "{} at {n}",
+                    ws.interner.resolve(p.sym())
+                );
+            }
+        }
+        for (a, b) in [(&spec.nf, engine.nf()), (engine.nf(), &spec.nf)] {
+            for (p, rel) in a.iter() {
+                assert!(rel.rows().all(|row| b.contains(p, row)));
+            }
+        }
+    }
+
+    /// `C(t)` reads the position its body atom `B` is derived at by a
+    /// settled rule that comes later in the program, so only a re-fire pass
+    /// at `p` derives it: treating every rule as settled loses `C`.
+    #[test]
+    fn same_position_rules_refire_after_settled_ones() {
+        line_matches_engine(
+            "B(t) -> C(t).\nA(t) -> B(t+1).\nB(t) -> A(t+1).\nA(0).\n",
+            1,
+        );
+    }
+
+    /// The relational head `Seen` needs a re-fire pass at 1 (its body `B`
+    /// comes from a later rule), and the settled `Got` rule reads it through
+    /// a relational body atom: `Got(1, K)` exists only after the outer loop
+    /// restarts with the grown NF store.
+    #[test]
+    fn relational_heads_feed_settled_rules_through_the_restart() {
+        line_matches_engine(
+            "B(t), Tag(x) -> Seen(x).\nA(t) -> B(t+1).\nA(t) -> A(t+1).\n\
+             A(t), Seen(x) -> Got(t+1, x).\nA(0).\nTag(K).\n",
+            1,
+        );
+    }
+
+    /// `Link(x, y)` is probed with only its second column bound: a probe
+    /// that binds the first column instead finds no row.
+    #[test]
+    fn probes_bind_the_second_column() {
+        line_matches_engine(
+            "At(t, y), Link(x, y) -> At(t+1, x).\nAt(0, A).\n\
+             Link(B, A).\nLink(C, B).\nLink(A, C).\n",
+            1,
+        );
+    }
 
     #[test]
     fn offsets_extracted() {

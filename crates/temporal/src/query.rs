@@ -6,12 +6,12 @@
 //! tuples. Membership for any time point — however large — is then O(1),
 //! and enumeration walks the time line directly.
 
-use crate::line::{match_body, nf_rows, state_rows};
+use crate::line::{lookup, match_body, state_rows, Candidates, Subst};
 use crate::spec::TemporalSpec;
 use fundb_core::error::{Error, Result};
 use fundb_core::program::{Atom, FTerm};
 use fundb_core::query::Query;
-use fundb_term::{Cst, FxHashMap, FxHashSet, Var};
+use fundb_term::{Cst, FxHashSet};
 
 /// The lasso-shaped answer to a uniform temporal query.
 #[derive(Clone, Debug)]
@@ -38,26 +38,26 @@ impl TemporalAnswer {
         let eval = |n: u64| -> Vec<Vec<Cst>> {
             let slice = |i: usize| {
                 let atom = &query.body[i];
-                let rows = match atom {
-                    Atom::Relational { pred, .. } => nf_rows(&spec.nf, *pred),
+                let cands = match atom {
+                    Atom::Relational { pred, .. } => Candidates::Nf(spec.nf.relation(*pred)),
                     Atom::Functional { pred, fterm, .. } => {
                         // A ground temporal term's depth is its time point.
                         let at = match fterm {
                             FTerm::Var(_) => n,
                             _ => fterm.depth() as u64,
                         };
-                        state_rows(spec.state_at(at), &spec.atoms, *pred)
+                        Candidates::Rows(state_rows(spec.state_at(at), &spec.atoms, *pred))
                     }
                 };
-                (atom.args(), rows)
+                (atom.args(), cands)
             };
             let mut out: FxHashSet<Vec<Cst>> = FxHashSet::default();
-            let mut subst: FxHashMap<Var, Cst> = FxHashMap::default();
+            let mut subst = Subst::new();
             match_body(query.body.len(), 0, &slice, &mut subst, &mut |s| {
                 let tuple: Vec<Cst> = query
                     .out_nvars
                     .iter()
-                    .map(|v| *s.get(v).expect("validated query binds outputs"))
+                    .map(|v| lookup(s, *v).expect("validated query binds outputs"))
                     .collect();
                 out.insert(tuple);
             });
@@ -121,7 +121,7 @@ impl TemporalAnswer {
 mod tests {
     use super::*;
     use fundb_core::program::{Database, NTerm, Program, Rule};
-    use fundb_term::{Func, Interner, Pred};
+    use fundb_term::{Func, Interner, Pred, Var};
 
     fn meets() -> (Interner, Program, Database, Pred, Var, Var, Cst, Cst) {
         let mut i = Interner::new();

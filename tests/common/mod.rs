@@ -26,9 +26,11 @@ pub struct GenConfig {
     /// bounded materialization is then exact up to its depth.
     pub forward_only: bool,
     /// Also draw the rule shapes the temporal line treats specially:
-    /// functional heads at offset 2 (`f(f(s))`), and relational heads
-    /// (`R(x)` or `R(C)`) over functional bodies, so the relational store
-    /// grows while the line is being computed.
+    /// functional heads at offset 2 (`f(f(s))`), relational heads (`R(x)`
+    /// or `R(C)`) over functional bodies, so the relational store grows
+    /// while the line is being computed, and a binary relational atom
+    /// `E(x, y)` or `E(y, x)` with `x` bound and `y` free that moves the
+    /// head to `y`, so the line probes `E` by one column.
     pub temporal_shapes: bool,
 }
 
@@ -74,6 +76,10 @@ pub fn random_program(cfg: GenConfig, seed: u64) -> Generated {
         .collect();
     let s = Var(interner.intern("s"));
     let x = Var(interner.intern("x"));
+    // Interned only under `temporal_shapes`, so other shapes keep their ids.
+    let edge = cfg
+        .temporal_shapes
+        .then(|| (Pred(interner.intern("E")), Var(interner.intern("y"))));
 
     let fat = |pred: Pred, ft: FTerm, arg: NTerm| Atom::Functional {
         pred,
@@ -128,9 +134,18 @@ pub fn random_program(cfg: GenConfig, seed: u64) -> Generated {
                 args: vec![NTerm::Var(x)],
             });
         }
+        let mut out = x;
+        if let Some((e, y)) = edge.filter(|_| rng.gen_bool(0.4)) {
+            let mut args = vec![NTerm::Var(x), NTerm::Var(y)];
+            if rng.gen_bool(0.5) {
+                args.reverse();
+            }
+            body.push(Atom::Relational { pred: e, args });
+            out = y;
+        }
         let head = if cfg.temporal_shapes && rng.gen_bool(0.25) {
             let arg = if rng.gen_bool(0.5) {
-                NTerm::Var(x)
+                NTerm::Var(out)
             } else {
                 NTerm::Const(consts[rng.gen_range(0..consts.len())])
             };
@@ -143,7 +158,11 @@ pub fn random_program(cfg: GenConfig, seed: u64) -> Generated {
             for _ in 0..head_off {
                 head_ft = FTerm::Pure(funcs[rng.gen_range(0..funcs.len())], Box::new(head_ft));
             }
-            fat(preds[rng.gen_range(0..preds.len())], head_ft, NTerm::Var(x))
+            fat(
+                preds[rng.gen_range(0..preds.len())],
+                head_ft,
+                NTerm::Var(out),
+            )
         };
         program.push(Rule::new(head, body));
     }
@@ -165,6 +184,15 @@ pub fn random_program(cfg: GenConfig, seed: u64) -> Generated {
         pred: rel,
         args: vec![NTerm::Const(consts[0])],
     });
+    if let Some((e, _)) = edge {
+        for _ in 0..cfg.consts {
+            let mut edge_const = || NTerm::Const(consts[rng.gen_range(0..consts.len())]);
+            db.facts.push(Atom::Relational {
+                pred: e,
+                args: vec![edge_const(), edge_const()],
+            });
+        }
+    }
 
     Generated {
         interner,
