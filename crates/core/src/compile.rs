@@ -9,23 +9,48 @@
 //! evaluating each rule as a *function-free Datalog rule* over
 //! location-tagged predicates:
 //!
-//! * `P@here`    — `P`'s slice at the current node,
-//! * `P@+f`      — `P`'s slice at the child `f(t)`,
-//! * `P@=term`   — `P`'s slice at a fixed ground node (depth ≤ c),
-//! * plain `R`   — a non-functional predicate.
+//! * `P@here(κ, ā)` — `P(ā)` in the slice of the node of context `κ`,
+//! * `P@+f(κ, ā)`   — `P(ā)` in the slice of that node's child `f(t)`,
+//! * `P@=term(ā)`   — `P(ā)` in the slice of a fixed ground node (depth ≤ c),
+//! * plain `R(ā)`   — a non-functional predicate.
 //!
-//! [`CompiledProgram`] holds the tagged rules (split into *star rules*,
-//! which contain the functional variable and fire at every node, and *fixed
-//! rules*, which mention only ground nodes and fire once), the database
-//! seeds, and the tag maps the engine uses to assemble and read back local
-//! evaluations.
+//! The leading *context column* `κ` names the star a row belongs to (a
+//! top-region node or a uniform seed; see [`crate::Engine`]). Every
+//! `@here`/`@+f` atom of a rule carries the same context variable there,
+//! so one database holds the stars of all contexts side by side, a rule
+//! instance never mixes two of them, and the fixed-node and relational
+//! rows, which carry no context, are stored once and read by every star.
+//!
+//! [`CompiledProgram`] holds the tagged rules in one plan (*star rules*,
+//! which contain the functional variable and fire at every context, then
+//! *fixed rules*, which mention only ground nodes and fire once), the
+//! database seeds, and the tag maps the engine uses to assemble and read
+//! back evaluations.
 
 use crate::error::Result;
 use crate::gendb::DataParams;
 use crate::program::{Atom, FTerm, NTerm, Schema};
 use crate::pure::PureProgram;
 use fundb_datalog as dl;
-use fundb_term::{Cst, Func, FuncOrder, FxHashMap, Interner, NodeId, Pred, TermTree};
+use fundb_term::{Cst, Func, FuncOrder, FxHashMap, Interner, NodeId, Pred, Sym, TermTree, Var};
+
+/// The variable of the context column. Its index lies past any interned
+/// symbol, so it cannot meet a variable of the program.
+const CTX_VAR: Var = Var(Sym::PLACEHOLDER);
+
+/// The scope relation `@scope(κ)`: one row per context, read by every star
+/// rule of a scoped program (see [`CompiledProgram::scoped`]). Its index
+/// lies past any interned symbol, so it cannot meet a predicate of the
+/// program.
+pub(crate) const SCOPE: Pred = Pred(Sym::PLACEHOLDER);
+
+/// The context-column value of context `id`. Context ids only ever meet
+/// other context ids, so they may share indexes with interned constants.
+pub(crate) fn ctx_cst(id: usize) -> Cst {
+    Cst(Sym::synthetic(
+        u32::try_from(id).expect("context id overflow"),
+    ))
+}
 
 /// Where a functional atom lives relative to the node a rule fires at.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -51,23 +76,17 @@ pub struct CompiledProgram {
     pub c: usize,
     /// Term tree holding the ground nodes mentioned by rules and facts.
     pub tree: TermTree,
-    /// Tagged rules containing the functional variable: fire at every node.
-    pub star_rules: Vec<dl::Rule>,
-    /// Tagged rules with no functional variable: fire once, over fixed
-    /// nodes and non-functional predicates.
-    pub fixed_rules: Vec<dl::Rule>,
-    /// Predicate → (rule, body position) index over [`Self::star_rules`]:
-    /// the positions a semi-naive delta of that predicate can feed.
-    pub star_plan: dl::DeltaPlan,
-    /// Same index over [`Self::fixed_rules`].
-    pub fixed_plan: dl::DeltaPlan,
+    rules: Vec<dl::Rule>,
+    plan: dl::DeltaPlan,
+    /// How many of [`Self::rules`] are star rules.
+    star_count: usize,
+    /// Whether the star rules end in the scope atom.
+    scoped: bool,
     /// Functional database facts: `(node, P, ā)`.
     pub seeds: Vec<(NodeId, Pred, Box<[Cst]>)>,
     /// Relational database facts.
     pub nf_facts: Vec<(Pred, Box<[Cst]>)>,
-    here_tag: FxHashMap<Pred, Pred>,
-    child_tag: FxHashMap<(Pred, Func), Pred>,
-    fixed_tag: FxHashMap<(Pred, NodeId), Pred>,
+    tags: FxHashMap<(Pred, Loc), Pred>,
     untag: FxHashMap<Pred, (Pred, Loc)>,
 }
 
@@ -91,18 +110,17 @@ impl CompiledProgram {
             funcs,
             c,
             tree: TermTree::new(),
-            star_rules: Vec::new(),
-            fixed_rules: Vec::new(),
-            star_plan: dl::DeltaPlan::default(),
-            fixed_plan: dl::DeltaPlan::default(),
+            rules: Vec::new(),
+            plan: dl::DeltaPlan::default(),
+            star_count: 0,
+            scoped: false,
             seeds: Vec::new(),
             nf_facts: Vec::new(),
-            here_tag: FxHashMap::default(),
-            child_tag: FxHashMap::default(),
-            fixed_tag: FxHashMap::default(),
+            tags: FxHashMap::default(),
             untag: FxHashMap::default(),
         };
 
+        let mut fixed_rules = Vec::new();
         for rule in &pure.program.rules {
             let has_fvar = !rule.functional_vars().is_empty();
             let head = cp.compile_atom(&rule.head, interner);
@@ -113,13 +131,27 @@ impl CompiledProgram {
                 .collect();
             let compiled = dl::Rule::new(head, body);
             if has_fvar {
-                cp.star_rules.push(compiled);
+                cp.rules.push(compiled);
             } else {
-                cp.fixed_rules.push(compiled);
+                fixed_rules.push(compiled);
             }
         }
-        cp.star_plan = dl::DeltaPlan::new(&cp.star_rules);
-        cp.fixed_plan = dl::DeltaPlan::new(&cp.fixed_rules);
+        cp.star_count = cp.rules.len();
+        let ctx_atoms = cp
+            .rules
+            .iter()
+            .flat_map(|r| &r.body)
+            .filter(|a| a.args.first() == Some(&dl::Term::Var(CTX_VAR)))
+            .count();
+        cp.scoped = cp.star_count > 0 && ctx_atoms >= 2 * cp.star_count;
+        if cp.scoped {
+            for rule in &mut cp.rules {
+                rule.body
+                    .push(dl::Atom::new(SCOPE, vec![dl::Term::Var(CTX_VAR)]));
+            }
+        }
+        cp.rules.extend(fixed_rules);
+        cp.plan = dl::DeltaPlan::new(&cp.rules);
 
         // Invariant: `to_pure` has already rejected non-ground facts and
         // instantiated mixed symbols, so every fact below has a pure
@@ -150,14 +182,44 @@ impl CompiledProgram {
         Ok(cp)
     }
 
+    /// The tagged rules: the star rules, then the fixed rules.
+    pub(crate) fn rules(&self) -> &[dl::Rule] {
+        &self.rules
+    }
+
+    /// Predicate → (rule, body position) index over [`Self::rules`]: the
+    /// positions a semi-naive delta of that predicate can feed.
+    pub(crate) fn plan(&self) -> &dl::DeltaPlan {
+        &self.plan
+    }
+
+    /// Tagged rules containing the functional variable: fire at every
+    /// context, which their `@here`/`@+f` atoms carry in their first
+    /// column.
+    pub fn star_rules(&self) -> &[dl::Rule] {
+        &self.rules[..self.star_count]
+    }
+
+    /// Tagged rules with no functional variable: fire once, over fixed
+    /// nodes and non-functional predicates.
+    pub fn fixed_rules(&self) -> &[dl::Rule] {
+        &self.rules[self.star_count..]
+    }
+
+    /// Whether every star rule ends in the atom [`SCOPE`]`(κ)`: chosen when
+    /// the star rules read two or more context atoms on average. A fresh
+    /// context's rows then feed a semi-naive round once per context atom
+    /// they match, while its scope row, the one new row of a run whose
+    /// other rows are marked processed, fires each star rule there once
+    /// (see [`crate::engine`]).
+    pub(crate) fn scoped(&self) -> bool {
+        self.scoped
+    }
+
     /// The tagged predicate for `P` at a location, if the program mentions
     /// that combination.
     pub fn tag_of(&self, pred: Pred, loc: Loc) -> Option<Pred> {
-        match loc {
-            Loc::Here => self.here_tag.get(&pred).copied(),
-            Loc::Child(f) => self.child_tag.get(&(pred, f)).copied(),
-            Loc::Fixed(n) => self.fixed_tag.get(&(pred, n)).copied(),
-        }
+        self.tags.get(&(pred, loc)).copied()
     }
 
     /// Inverse of the tag maps: `(original predicate, location)` for a
@@ -169,30 +231,15 @@ impl CompiledProgram {
     /// All `(pred, node, tag)` fixed-location tags (ground nodes mentioned
     /// in rules).
     pub fn fixed_tags(&self) -> impl Iterator<Item = (Pred, NodeId, Pred)> + '_ {
-        self.fixed_tag.iter().map(|(&(p, n), &t)| (p, n, t))
-    }
-
-    /// All `(pred, tag)` here-tags.
-    pub fn here_tags(&self) -> impl Iterator<Item = (Pred, Pred)> + '_ {
-        self.here_tag.iter().map(|(&p, &t)| (p, t))
-    }
-
-    /// All `(pred, func, tag)` child-tags.
-    pub fn child_tags(&self) -> impl Iterator<Item = (Pred, Func, Pred)> + '_ {
-        self.child_tag.iter().map(|(&(p, f), &t)| (p, f, t))
+        self.tags.iter().filter_map(|(&(p, loc), &t)| match loc {
+            Loc::Fixed(n) => Some((p, n, t)),
+            _ => None,
+        })
     }
 
     fn compile_atom(&mut self, atom: &Atom, interner: &mut Interner) -> dl::Atom {
-        let args: Vec<dl::Term> = atom
-            .args()
-            .iter()
-            .map(|a| match a {
-                NTerm::Var(v) => dl::Term::Var(*v),
-                NTerm::Const(c) => dl::Term::Const(*c),
-            })
-            .collect();
-        match atom {
-            Atom::Relational { pred, .. } => dl::Atom::new(*pred, args),
+        let (pred, ctx) = match atom {
+            Atom::Relational { pred, .. } => (*pred, false),
             Atom::Functional { pred, fterm, .. } => {
                 let loc = match fterm {
                     FTerm::Var(_) => Loc::Here,
@@ -204,42 +251,36 @@ impl CompiledProgram {
                         Loc::Fixed(self.tree.intern_path(&path))
                     }
                 };
-                let tagged = self.tag(*pred, loc, interner);
-                dl::Atom::new(tagged, args)
+                (
+                    self.tag(*pred, loc, interner),
+                    !matches!(loc, Loc::Fixed(_)),
+                )
             }
-        }
+        };
+        let args = ctx
+            .then_some(dl::Term::Var(CTX_VAR))
+            .into_iter()
+            .chain(atom.args().iter().map(|a| match a {
+                NTerm::Var(v) => dl::Term::Var(*v),
+                NTerm::Const(c) => dl::Term::Const(*c),
+            }))
+            .collect();
+        dl::Atom::new(pred, args)
     }
 
     fn tag(&mut self, pred: Pred, loc: Loc, interner: &mut Interner) -> Pred {
-        let existing = self.tag_of(pred, loc);
-        if let Some(t) = existing {
+        if let Some(t) = self.tag_of(pred, loc) {
             return t;
         }
+        let p = interner.resolve(pred.sym());
         let name = match loc {
-            Loc::Here => format!("{}@here", interner.resolve(pred.sym())),
-            Loc::Child(f) => format!(
-                "{}@+{}",
-                interner.resolve(pred.sym()),
-                interner.resolve(f.sym())
-            ),
-            Loc::Fixed(n) => format!(
-                "{}@={}",
-                interner.resolve(pred.sym()),
-                n.index() // stable within this compilation
-            ),
+            Loc::Here => format!("{p}@here"),
+            Loc::Child(f) => format!("{p}@+{}", interner.resolve(f.sym())),
+            // The node index is stable within this compilation.
+            Loc::Fixed(n) => format!("{p}@={}", n.index()),
         };
         let t = Pred(interner.fresh(&name));
-        match loc {
-            Loc::Here => {
-                self.here_tag.insert(pred, t);
-            }
-            Loc::Child(f) => {
-                self.child_tag.insert((pred, f), t);
-            }
-            Loc::Fixed(n) => {
-                self.fixed_tag.insert((pred, n), t);
-            }
-        }
+        self.tags.insert((pred, loc), t);
         self.untag.insert(t, (pred, loc));
         t
     }
@@ -285,15 +326,21 @@ mod tests {
     #[test]
     fn star_rule_gets_here_and_child_tags() {
         let (_, cp, p, f) = simple();
-        assert_eq!(cp.star_rules.len(), 1);
-        assert!(cp.fixed_rules.is_empty());
+        assert_eq!(cp.star_rules().len(), 1);
+        assert!(cp.fixed_rules().is_empty());
         let here = cp.tag_of(p, Loc::Here).unwrap();
         let child = cp.tag_of(p, Loc::Child(f)).unwrap();
         assert_eq!(cp.untag(here), Some((p, Loc::Here)));
         assert_eq!(cp.untag(child), Some((p, Loc::Child(f))));
-        let rule = &cp.star_rules[0];
+        let rule = &cp.star_rules()[0];
         assert_eq!(rule.head.pred, child);
         assert_eq!(rule.body[0].pred, here);
+        // Both atoms lead with the shared context variable. One context
+        // atom per rule leaves the program unscoped.
+        let ctx = dl::Term::Var(CTX_VAR);
+        assert_eq!(rule.head.args, [ctx]);
+        assert_eq!(rule.body, [dl::Atom::new(here, vec![ctx])]);
+        assert!(!cp.scoped());
     }
 
     #[test]
@@ -341,6 +388,10 @@ mod tests {
         let fixed: Vec<_> = cp.fixed_tags().collect();
         assert_eq!(fixed.len(), 1);
         assert_eq!(fixed[0].0, p);
+        // A fixed-node atom carries no context column.
+        let rule = &cp.star_rules()[0];
+        assert_eq!(rule.body[0].pred, fixed[0].2);
+        assert!(rule.body[0].args.is_empty());
     }
 
     #[test]
@@ -362,7 +413,7 @@ mod tests {
         ));
         let pure = to_pure(&prog, &Database::new(), &mut i).unwrap();
         let cp = CompiledProgram::compile(&pure, &mut i).unwrap();
-        assert_eq!(cp.fixed_rules.len(), 1);
-        assert!(cp.untag(cp.fixed_rules[0].head.pred).is_none());
+        assert_eq!(cp.fixed_rules().len(), 1);
+        assert!(cp.untag(cp.fixed_rules()[0].head.pred).is_none());
     }
 }

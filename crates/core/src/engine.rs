@@ -24,10 +24,28 @@
 //! States live in the finite lattice `2^A` of abstract-atom sets
 //! ([`crate::State`]), so the iteration terminates; the worst case is
 //! exponential in `gsize`, matching DEXPTIME-completeness (Theorem 4.1).
+//!
+//! Every star — each top-region node and each demanded seed — is an
+//! evaluation *context* with a dense id, and all of them share one Datalog
+//! database and one semi-naive evaluator: a context's here and child atoms
+//! are rows tagged with its id in the leading column (see
+//! [`crate::compile`]), while fixed-node atoms and the relational store
+//! are untagged rows held once. A *local step* at a context injects the
+//! delta of its own here and child states, resumes the evaluator, and
+//! absorbs every new row into the state its context column names, so a
+//! relational fact derived at one star reaches every star in the same run.
+//! The pass loop and the seed worklist stay: a seed is the set of atoms
+//! its parent pushes, known only once the parent's step has run.
+//!
+//! In a scoped program (`CompiledProgram::scoped`) a fresh context's
+//! first step, with the database at its fixpoint, marks every row
+//! processed once its rows are injected and then adds its scope row: the
+//! run's one new row, which fires each star rule once at that context
+//! instead of once per context atom its rows match.
 
-use crate::compile::{CompiledProgram, Loc};
+use crate::compile::{ctx_cst, CompiledProgram, Loc, SCOPE};
 use crate::error::Result;
-use crate::gendb::AtomInterner;
+use crate::gendb::{AtomId, AtomInterner};
 use crate::normalize::normalize;
 use crate::program::{Database, Program};
 use crate::pure::to_pure;
@@ -35,50 +53,41 @@ use crate::state::State;
 use fundb_datalog as dl;
 use fundb_term::{Cst, Func, FxHashMap, FxHashSet, Interner, NodeId, Pred, TermTree};
 
-/// A memo-table entry: the stabilized state of a uniform node with a given
-/// seed, and the seeds its rule firings push into each child.
-#[derive(Clone, Default, PartialEq)]
+/// A memo-table entry: the state of a uniform node with a given seed, and
+/// the seeds its rule firings push into each child.
+#[derive(Default)]
 struct Entry {
     state: State,
     child_seeds: FxHashMap<Func, State>,
 }
 
-/// A persistent local evaluation: one Datalog database per top-region node,
-/// per demanded uniform seed, and one for the fixed rules, kept alive
-/// between global passes so each pass resumes the semi-naive fixpoint from
-/// its low-water marks instead of re-deriving everything.
-///
-/// The snapshot fields record which input atoms have already been injected,
-/// so a pass only feeds the *delta* of each input into the database. Rows
-/// injected from an earlier pass are never retracted: every input
-/// (top-region states, memoized uniform states, the boundary seeds, the
-/// relational store) grows monotonically, and the uniform least fixpoint is
-/// monotone in its seed, so a row that was true of an earlier, smaller
-/// input is still true of the final one.
-#[derive(Default)]
-struct LocalCtx {
-    db: dl::Database,
-    eval: dl::IncrementalEval,
-    /// Here-state atoms already present in `db`.
-    injected_here: State,
-    /// Per child symbol, child-state atoms already present in `db`.
-    injected_child: FxHashMap<Func, State>,
-    /// Per fixed-location tag, fixed-node atoms already examined.
-    injected_fixed: FxHashMap<Pred, State>,
-    /// Per relational predicate, rows of the global store already injected.
-    nf_cursors: FxHashMap<Pred, usize>,
-    /// Per relation of `db`, the rows already absorbed or injected.
-    absorbed: FxHashMap<Pred, usize>,
-    /// Whether the last run returned `Ok`, leaving `db` at its fixpoint.
-    settled: bool,
+/// What a context evaluates: a top-region node, whose state lives in
+/// [`Engine::top`], or a uniform seed, whose memo entry it holds.
+enum Site {
+    Top(NodeId),
+    Seed(Entry),
 }
 
-/// Where a local step runs: the fixed rules, a top-region node, or a
-/// uniform seed whose in-progress memo entry the step grows.
-enum Site<'a> {
-    Fixed,
-    Top(NodeId),
-    Seed(&'a mut Entry),
+/// One evaluation context: a star of Lemma 3.1, whose rows in the engine's
+/// database carry its index in [`Engine::ctxs`] in their context column.
+///
+/// The snapshots record which input atoms are in the database already, so
+/// a step injects only the *delta* of each input. Rows are never
+/// retracted: every input (top-region states, memoized uniform states,
+/// the boundary seeds, the relational store) grows monotonically, and the
+/// uniform least fixpoint is monotone in its seed, so a row that was true
+/// of an earlier, smaller input is still true of the final one.
+struct Ctx {
+    site: Site,
+    injected: Injected,
+}
+
+/// The atoms of a context's inputs already in the database.
+#[derive(Default)]
+struct Injected {
+    here: State,
+    /// Per child symbol.
+    child: FxHashMap<Func, State>,
 }
 
 /// A position in the (infinite) term tree, as the engine sees it: either a
@@ -117,28 +126,29 @@ pub struct Engine {
     cp: CompiledProgram,
     atoms: AtomInterner,
     tree: TermTree,
-    /// All nodes of depth ≤ c in breadth-first (precedence) order.
-    top_nodes: Vec<NodeId>,
+    /// The state of every node of depth ≤ c.
     top: FxHashMap<NodeId, State>,
     /// Seeds flowing from depth-c nodes into their (uniform) children.
     boundary: FxHashMap<(NodeId, Func), State>,
+    /// The untagged relations of `db`: the relational store readers see.
     nf: dl::Database,
-    memo: FxHashMap<State, Entry>,
-    here_by_pred: FxHashMap<Pred, Pred>,
-    child_by_f: FxHashMap<Func, FxHashMap<Pred, Pred>>,
-    /// Persistent per-node evaluation contexts (see [`LocalCtx`]).
-    top_ctx: FxHashMap<NodeId, LocalCtx>,
-    /// Persistent per-seed evaluation contexts.
-    memo_ctx: FxHashMap<State, LocalCtx>,
-    /// Persistent context for the fixed (no-functional-variable) rules.
-    fixed_ctx: LocalCtx,
-    /// Worker-thread override for local Datalog evaluations (`None` =
-    /// `FUNDB_THREADS` / machine default).
-    threads: Option<usize>,
-    /// Execution governor shared by every local evaluation: its budgets
-    /// (rows/rounds/time/bytes) and cancellation token span the whole
-    /// multi-fixpoint solve, not one local run.
-    governor: dl::Governor,
+    /// The contexts: the top nodes in breadth-first (precedence) order,
+    /// then the seeds in the order they were first processed.
+    ctxs: Vec<Ctx>,
+    /// Processed seed → its context.
+    memo: FxHashMap<State, usize>,
+    /// The one database: every context's here and child rows, the
+    /// fixed-node rows and the relational store.
+    db: dl::Database,
+    /// The semi-naive evaluation of `db`, under the engine's worker-thread
+    /// count and governor. The governor's budgets (rows/rounds/time/bytes)
+    /// and cancellation token span the whole solve, not one run.
+    eval: dl::IncrementalEval,
+    /// Per relation of `db`, the rows already absorbed.
+    absorbed: FxHashMap<Pred, usize>,
+    /// Whether the last run returned `Ok` and nothing was inserted since,
+    /// leaving `db` at its fixpoint.
+    settled: bool,
     solved: bool,
     stats: EngineStats,
 }
@@ -150,9 +160,11 @@ pub struct Engine {
 pub struct EngineStats {
     /// Global fixpoint passes until convergence.
     pub passes: usize,
-    /// Local evaluations of top-region nodes.
+    /// Local steps at top-region nodes (one per node per pass).
     pub top_evals: usize,
-    /// Stabilization runs of uniform seeds (memo-table work).
+    /// Stabilizations of uniform seeds (memo-table work): one per seed the
+    /// pass's worklist visits, each running local steps until the seed's
+    /// entry stops growing.
     pub uniform_evals: usize,
     /// Per pass, the number of new abstract atoms absorbed into the global
     /// stores (top region, boundary seeds, memo entries, relational store).
@@ -160,8 +172,8 @@ pub struct EngineStats {
     pub pass_deltas: Vec<usize>,
     /// Total of [`Self::pass_deltas`].
     pub delta_atoms: usize,
-    /// Candidate rows enumerated by rule-body probes across all local
-    /// evaluations.
+    /// Candidate rows enumerated by rule-body probes across all runs of
+    /// the engine's evaluator.
     pub join_probes: usize,
     /// Bound-column selections fully answered by a per-column or composite
     /// index (see [`dl::EvalStats::index_hits`]).
@@ -169,9 +181,11 @@ pub struct EngineStats {
     /// Bound-column selections that fell back to a partial single-column
     /// cover because no full index was available.
     pub index_misses: usize,
-    /// Semi-naive rounds with tasks summed over all local evaluations.
+    /// Semi-naive rounds with tasks summed over all runs of the engine's
+    /// evaluator.
     pub datalog_rounds: usize,
-    /// Rows derived by local Datalog evaluations (before absorption).
+    /// Rows derived by the engine's evaluator (before absorption), at any
+    /// context.
     pub derived_rows: usize,
 }
 
@@ -182,6 +196,24 @@ impl EngineStats {
         self.join_probes += es.join_probes;
         self.index_hits += es.index_hits;
         self.index_misses += es.index_misses;
+    }
+}
+
+/// The state of the uniform node seeded with `seed`: its memo entry's
+/// state once processed, the seed itself before.
+fn seed_state<'a>(memo: &FxHashMap<State, usize>, ctxs: &'a [Ctx], seed: &'a State) -> &'a State {
+    seed_entry(memo, ctxs, seed).map_or(seed, |e| &e.state)
+}
+
+/// The memo entry of a processed seed.
+fn seed_entry<'a>(
+    memo: &FxHashMap<State, usize>,
+    ctxs: &'a [Ctx],
+    seed: &State,
+) -> Option<&'a Entry> {
+    match &ctxs[*memo.get(seed)?].site {
+        Site::Seed(entry) => Some(entry),
+        Site::Top(_) => unreachable!("the memo maps seeds to seed contexts"),
     }
 }
 
@@ -204,73 +236,63 @@ impl Engine {
             frontier = next;
         }
 
-        let mut atoms = AtomInterner::new();
-        let mut top: FxHashMap<NodeId, State> = FxHashMap::default();
-        for &n in &top_nodes {
-            top.insert(n, State::new());
-        }
-        for (node, pred, args) in &cp.seeds {
-            let id = atoms.intern(*pred, args);
-            top.get_mut(node)
-                .expect("fact nodes have depth ≤ c by definition of c")
-                .insert(id);
-        }
-        let mut nf = dl::Database::new();
-        for (pred, args) in &cp.nf_facts {
-            nf.insert(*pred, args);
-        }
-
-        let here_by_pred = cp.here_tags().collect();
-        let mut child_by_f: FxHashMap<Func, FxHashMap<Pred, Pred>> = FxHashMap::default();
-        for (p, f, t) in cp.child_tags() {
-            child_by_f.entry(f).or_default().insert(p, t);
-        }
-
-        Engine {
+        let mut engine = Engine {
+            ctxs: top_nodes
+                .iter()
+                .map(|&n| Ctx {
+                    site: Site::Top(n),
+                    injected: Injected::default(),
+                })
+                .collect(),
+            top: top_nodes.iter().map(|&n| (n, State::new())).collect(),
             cp,
-            atoms,
+            atoms: AtomInterner::new(),
             tree,
-            top_nodes,
-            top,
             boundary: FxHashMap::default(),
-            nf,
+            nf: dl::Database::new(),
             memo: FxHashMap::default(),
-            here_by_pred,
-            child_by_f,
-            top_ctx: FxHashMap::default(),
-            memo_ctx: FxHashMap::default(),
-            fixed_ctx: LocalCtx::default(),
-            threads: None,
-            governor: dl::Governor::default(),
+            db: dl::Database::new(),
+            eval: dl::IncrementalEval::new(),
+            absorbed: FxHashMap::default(),
+            settled: false,
             solved: false,
             stats: EngineStats::default(),
+        };
+        for (node, pred, args) in engine.cp.seeds.clone() {
+            let id = engine.atoms.intern(pred, &args);
+            engine.insert_top(node, id);
         }
+        for (pred, args) in &engine.cp.nf_facts {
+            engine.nf.insert(*pred, args);
+            engine.db.insert(*pred, args);
+        }
+        engine
     }
 
-    /// Pins the worker-thread count used by local Datalog evaluations
+    /// Pins the worker-thread count used by the engine's evaluator
     /// (`None` restores the `FUNDB_THREADS` / machine-parallelism default).
     /// Thread count never changes results or stats: parallel rounds merge
     /// worker buffers in task order, byte-identical to sequential.
     pub fn set_threads(&mut self, threads: Option<usize>) {
-        self.threads = threads;
+        self.eval.set_threads(threads);
     }
 
-    /// The worker-thread count local evaluations will use.
+    /// The worker-thread count the engine's evaluator will use.
     pub fn threads(&self) -> usize {
-        self.threads.unwrap_or_else(dl::default_threads)
+        self.eval.effective_threads()
     }
 
     /// Installs the governor that budgets this engine's evaluations. Its
-    /// counters and deadline are shared across every local fixpoint of
-    /// every subsequent [`Engine::solve`], so e.g. `max_rounds` bounds the
-    /// solve's *total* semi-naive rounds.
+    /// counters and deadline span every run of every subsequent
+    /// [`Engine::solve`], so e.g. `max_rounds` bounds the solve's *total*
+    /// semi-naive rounds.
     pub fn set_governor(&mut self, governor: dl::Governor) {
-        self.governor = governor;
+        self.eval.set_governor(governor);
     }
 
     /// The governor in effect (e.g. to clone its cancellation token).
     pub fn governor(&self) -> &dl::Governor {
-        &self.governor
+        self.eval.governor()
     }
 
     /// Convenience pipeline: validate → normalize → mixed→pure → compile →
@@ -300,26 +322,26 @@ impl Engine {
 
     /// Runs the global fixpoint. Idempotent.
     ///
-    /// Evaluation is semi-naive at both levels: each pass feeds only the
-    /// *delta* of every input into the persistent local contexts, and each
-    /// local Datalog run resumes from its low-water marks, so work is
+    /// Evaluation is semi-naive at both levels: each local step feeds only
+    /// the *delta* of its context's inputs into the engine's database, and
+    /// the evaluator resumes from its low-water marks, so work is
     /// proportional to what is newly derivable rather than to everything
-    /// derived so far. A local step with nothing to inject into a settled
-    /// context runs nothing, and [`EngineStats::datalog_rounds`] counts
-    /// only local rounds with tasks. The final pass absorbs nothing
+    /// derived so far. A step with nothing to inject while the database is
+    /// at its fixpoint runs nothing, and [`EngineStats::datalog_rounds`]
+    /// counts only rounds with tasks. The final pass absorbs nothing
     /// ([`EngineStats::pass_deltas`] ends in 0) and only verifies the
     /// fixpoint.
     ///
     /// On `Err` ([`crate::error::Error::Eval`]: budget exhausted,
     /// cancelled, or a worker panicked) the engine is left consistent —
-    /// every local context holds its committed rounds plus, after a row
-    /// budget trip, the deterministic prefix of the tripping round's
-    /// merge, all absorbed into the global stores — and not marked solved.
-    /// A later call (e.g. under a fresh governor) resumes where this one
-    /// stopped: a local evaluator's marks move only when a round's merge
-    /// completes, and a context whose run tripped is not settled, so its
-    /// next step runs even with nothing injected; the tripped round runs
-    /// again and the resumed solve equals an uninterrupted one.
+    /// the database holds the committed rounds plus, after a row budget
+    /// trip, the deterministic prefix of the tripping round's merge, all
+    /// absorbed into the global stores — and not marked solved. A later
+    /// call (e.g. under a fresh governor) resumes where this one stopped:
+    /// the evaluator's marks move only when a round's merge completes, and
+    /// a tripped run leaves the database unsettled, so the next step runs
+    /// even with nothing injected; the tripped round runs again and the
+    /// resumed solve equals an uninterrupted one.
     pub fn solve(&mut self) -> Result<()> {
         if self.solved {
             return Ok(());
@@ -328,11 +350,9 @@ impl Engine {
             self.stats.passes += 1;
             let before = self.stats.delta_atoms;
             let mut changed = false;
-            changed |= self.eval_fixed_rules()?;
-            let nodes = self.top_nodes.clone();
-            for node in nodes {
+            for id in 0..self.top.len() {
                 self.stats.top_evals += 1;
-                changed |= self.eval_top_node(node)?;
+                changed |= self.local_step(id)?.1;
             }
             changed |= self.uniform_pass()?;
             self.stats.pass_deltas.push(self.stats.delta_atoms - before);
@@ -397,12 +417,7 @@ impl Engine {
             .lookup_path(path)
             .expect("top region is fully materialized");
         let id = self.atoms.intern(pred, args);
-        if self
-            .top
-            .get_mut(&node)
-            .expect("top nodes have states")
-            .insert(id)
-        {
+        if self.insert_top(node, id) {
             self.solved = false;
         }
         Ok(())
@@ -417,8 +432,9 @@ impl Engine {
         interner: &Interner,
     ) -> Result<()> {
         self.check_vocabulary(pred, args, interner)?;
-        if !self.nf.contains(pred, args) {
-            self.nf.insert(pred, args);
+        if self.nf.insert(pred, args) {
+            self.db.insert(pred, args);
+            self.settled = false;
             self.solved = false;
         }
         Ok(())
@@ -492,8 +508,7 @@ impl Engine {
                 .map_or(Cursor::Uniform(&EMPTY_STATE), Cursor::Top),
             Cursor::Top(n) => Cursor::Uniform(self.boundary.get(&(n, f)).unwrap_or(&EMPTY_STATE)),
             Cursor::Uniform(seed) => Cursor::Uniform(
-                self.memo
-                    .get(seed)
+                seed_entry(&self.memo, &self.ctxs, seed)
                     .and_then(|e| e.child_seeds.get(&f))
                     .unwrap_or(&EMPTY_STATE),
             ),
@@ -508,7 +523,7 @@ impl Engine {
     pub fn child_cursors<'a>(&'a self, cur: &Cursor<'a>) -> impl Iterator<Item = Cursor<'a>> + 'a {
         let cur = *cur;
         let entry = match cur {
-            Cursor::Uniform(seed) => self.memo.get(seed),
+            Cursor::Uniform(seed) => seed_entry(&self.memo, &self.ctxs, seed),
             Cursor::Top(_) => None,
         };
         self.cp.funcs.symbols().iter().map(move |&f| match cur {
@@ -525,56 +540,34 @@ impl Engine {
     pub fn cursor_state<'a>(&'a self, cur: &Cursor<'a>) -> &'a State {
         match *cur {
             Cursor::Top(n) => self.top.get(&n).unwrap_or(&EMPTY_STATE),
-            Cursor::Uniform(seed) => self.seed_state(seed),
+            Cursor::Uniform(seed) => seed_state(&self.memo, &self.ctxs, seed),
         }
-    }
-
-    /// The state of the uniform node seeded with `seed`: its memo entry's
-    /// state once processed, the seed itself before.
-    fn seed_state<'s>(&'s self, seed: &'s State) -> &'s State {
-        self.memo.get(seed).map_or(seed, |e| &e.state)
     }
 
     // --- fixpoint internals --------------------------------------------------
 
-    /// Evaluates the rules without functional variables over the fixed nodes
-    /// and the non-functional store.
-    fn eval_fixed_rules(&mut self) -> Result<bool> {
-        if self.cp.fixed_rules.is_empty() {
-            return Ok(false);
+    /// Adds `id` to the state of top node `n` and, when a rule reads it
+    /// there, to `n`'s fixed-node relation. Returns whether the state grew.
+    fn insert_top(&mut self, n: NodeId, id: AtomId) -> bool {
+        let grew = self
+            .top
+            .get_mut(&n)
+            .expect("every top node was given a state in Engine::new")
+            .insert(id);
+        let (p, args) = self.atoms.resolve(id);
+        let tag = self.cp.tag_of(p, Loc::Fixed(n));
+        if grew && tag.is_some_and(|tag| self.db.insert(tag, args)) {
+            self.settled = false;
         }
-        let mut ctx = std::mem::take(&mut self.fixed_ctx);
-        let step = self.local_step(&mut ctx, Site::Fixed);
-        self.fixed_ctx = ctx;
-        Ok(step?.1)
-    }
-
-    /// Evaluates the star rules at a top-region node, resuming the node's
-    /// persistent context from the previous pass.
-    fn eval_top_node(&mut self, node: NodeId) -> Result<bool> {
-        if self.cp.star_rules.is_empty() {
-            return Ok(false);
-        }
-        let mut ctx = self.top_ctx.remove(&node).unwrap_or_default();
-        let step = self.local_step(&mut ctx, Site::Top(node));
-        self.top_ctx.insert(node, ctx);
-        Ok(step?.1)
+        grew
     }
 
     /// Processes every demanded uniform seed once; returns whether anything
     /// (memo entries, top region, nf) changed.
     fn uniform_pass(&mut self) -> Result<bool> {
-        if self.cp.star_rules.is_empty() {
-            return Ok(false);
-        }
         let mut queue: Vec<State> = Vec::new();
         let mut enqueued: FxHashSet<State> = FxHashSet::default();
-        for seed in self.boundary.values() {
-            if !seed.is_empty() && enqueued.insert(seed.clone()) {
-                queue.push(seed.clone());
-            }
-        }
-        for seed in self.memo.keys() {
+        for seed in self.boundary.values().chain(self.memo.keys()) {
             if !seed.is_empty() && enqueued.insert(seed.clone()) {
                 queue.push(seed.clone());
             }
@@ -582,8 +575,11 @@ impl Engine {
         let mut changed = false;
         while let Some(seed) = queue.pop() {
             self.stats.uniform_evals += 1;
-            let (entry, entry_changed) = self.process_seed(&seed)?;
-            changed |= entry_changed;
+            let (id, seed_changed) = self.process_seed(seed)?;
+            changed |= seed_changed;
+            let Site::Seed(entry) = &self.ctxs[id].site else {
+                unreachable!("process_seed returns a seed context");
+            };
             for cs in entry.child_seeds.values() {
                 if !cs.is_empty() && enqueued.insert(cs.clone()) {
                     queue.push(cs.clone());
@@ -593,96 +589,144 @@ impl Engine {
         Ok(changed)
     }
 
-    /// Stabilizes one uniform seed against the current memo/top/nf and
-    /// stores the result, resuming the seed's persistent context. Returns
-    /// the entry and whether anything changed. On `Err` the entry's
-    /// absorbed progress is stored all the same.
-    fn process_seed(&mut self, seed: &State) -> Result<(Entry, bool)> {
-        let mut entry = self.memo.get(seed).cloned().unwrap_or_default();
-        entry.state.union_with(seed);
-        let mut ctx = self.memo_ctx.remove(seed).unwrap_or_default();
-        let mut changed_global = false;
-        let stable = loop {
-            match self.local_step(&mut ctx, Site::Seed(&mut entry)) {
-                Ok((entry_grew, global)) => {
-                    changed_global |= global;
-                    if !entry_grew {
-                        break Ok(());
-                    }
-                }
-                Err(e) => break Err(e),
+    /// Stabilizes one uniform seed: creates its context on first sight,
+    /// then runs local steps there until its entry stops growing. Returns
+    /// the context and whether anything changed (a new entry counts).
+    fn process_seed(&mut self, seed: State) -> Result<(usize, bool)> {
+        let (id, mut changed) = match self.memo.get(&seed) {
+            Some(&id) => (id, false),
+            None => {
+                let id = self.ctxs.len();
+                let entry = Entry {
+                    state: seed.clone(),
+                    child_seeds: FxHashMap::default(),
+                };
+                self.ctxs.push(Ctx {
+                    site: Site::Seed(entry),
+                    injected: Injected::default(),
+                });
+                self.memo.insert(seed, id);
+                (id, true)
             }
         };
-        self.memo_ctx.insert(seed.clone(), ctx);
-        let entry_changed = self.memo.get(seed) != Some(&entry);
-        if entry_changed {
-            self.memo.insert(seed.clone(), entry.clone());
+        loop {
+            let (grew, any) = self.local_step(id)?;
+            changed |= any;
+            if !grew {
+                return Ok((id, changed));
+            }
         }
-        stable?;
-        Ok((entry, entry_changed || changed_global))
     }
 
-    /// One star-local step (Lemma 3.1) at `site`: injects the delta of the
-    /// site's inputs, resumes the context's semi-naive fixpoint under the
-    /// engine's thread count and governor unless nothing was injected into
-    /// a settled context, and absorbs the new rows. Returns whether the
-    /// seed entry (at [`Site::Seed`]) and whether the global stores (top
-    /// region, boundary seeds, relational store) changed.
+    /// One star-local step (Lemma 3.1) at context `id`: injects the delta
+    /// of its here and child states, resumes the evaluator unless nothing
+    /// was injected into a settled database, and absorbs the new rows.
+    /// Returns whether a store of `id` grew (see [`Engine::absorb`]; only a
+    /// seed's memo entry matters) and whether any store grew.
     ///
-    /// On `Err` the local database still holds a deterministic prefix of
+    /// On `Err` the database still holds a deterministic prefix of
     /// committed rows; they are absorbed before the error propagates, so a
     /// resumed solve never skips them.
-    fn local_step(&mut self, ctx: &mut LocalCtx, mut site: Site) -> Result<(bool, bool)> {
-        let here = match &site {
-            Site::Fixed => None,
-            Site::Top(n) => Some(&self.top[n]),
-            Site::Seed(entry) => Some(&entry.state),
-        };
-        let mut injected = false;
-        if let Some(here) = here {
-            injected |= Self::inject_state_diff(
-                &self.atoms,
-                &mut ctx.db,
-                here,
-                &mut ctx.injected_here,
-                &self.here_by_pred,
-            );
-            for &f in self.cp.funcs.symbols() {
-                let Some(lookup) = self.child_by_f.get(&f) else {
-                    continue;
-                };
-                let child = match &site {
-                    Site::Top(n) => self.cursor_state(&self.child_cursor(&Cursor::Top(*n), f)),
-                    Site::Seed(entry) => entry
-                        .child_seeds
-                        .get(&f)
-                        .map_or(&EMPTY_STATE, |cs| self.seed_state(cs)),
-                    Site::Fixed => unreachable!("the fixed site has no here state"),
-                };
-                let snap = ctx.injected_child.entry(f).or_default();
-                injected |= Self::inject_state_diff(&self.atoms, &mut ctx.db, child, snap, lookup);
+    fn local_step(&mut self, id: usize) -> Result<(bool, bool)> {
+        let scope = [ctx_cst(id)];
+        let fresh = self.cp.scoped() && !self.db.contains(SCOPE, &scope);
+        let settled = self.settled;
+        let injected = self.inject(id);
+        if fresh {
+            // With the database otherwise at its fixpoint, the context's
+            // rows need no delta tasks of their own: mark them processed,
+            // and the scope row fires every star rule once at this
+            // context, over all of its rows.
+            if settled {
+                self.eval.prime_marks(&self.db);
             }
-        }
-        injected |= self.inject_fixed_and_nf_diff(ctx);
-        if !injected && ctx.settled {
+            self.db.insert(SCOPE, &scope);
+        } else if !injected && settled {
             return Ok((false, false));
         }
-
-        let (rules, plan) = match site {
-            Site::Fixed => (&self.cp.fixed_rules, &self.cp.fixed_plan),
-            _ => (&self.cp.star_rules, &self.cp.star_plan),
-        };
-        ctx.eval.set_threads(self.threads);
-        ctx.eval.set_governor(self.governor.clone());
-        let run = ctx.eval.run(&mut ctx.db, rules, plan);
-        ctx.settled = run.is_ok();
+        let run = self.eval.run(&mut self.db, self.cp.rules(), self.cp.plan());
+        self.settled = run.is_ok();
         if let Ok(es) = run {
             self.stats.absorb(es);
         }
+        let step = self.absorb(id);
+        run?;
+        Ok(step)
+    }
 
-        let (mut entry_grew, mut global) = (false, false);
-        for (tagged, rel) in ctx.db.iter() {
-            let from = std::mem::replace(ctx.absorbed.entry(tagged).or_insert(0), rel.len());
+    /// Injects the atoms of context `id`'s here state and of the states of
+    /// its existing children (a top node's materialized children or
+    /// boundary seeds, a seed's child seeds) not yet in the database, as
+    /// rows tagged with `id`. Atoms whose predicate no rule reads at their
+    /// location are recorded but not injected. Returns whether a row was
+    /// added.
+    fn inject(&mut self, id: usize) -> bool {
+        let mut snap = std::mem::take(&mut self.ctxs[id].injected);
+        let Engine {
+            ctxs,
+            memo,
+            top,
+            boundary,
+            tree,
+            cp,
+            atoms,
+            db,
+            ..
+        } = self;
+        let mut row = vec![ctx_cst(id)];
+        let mut added = false;
+        let mut inject = |state: &State, snap: &mut State, loc: Loc| {
+            for atom in state.iter().filter(|&atom| snap.insert(atom)) {
+                let (p, args) = atoms.resolve(atom);
+                if let Some(tag) = cp.tag_of(p, loc) {
+                    row.truncate(1);
+                    row.extend_from_slice(args);
+                    added |= db.insert(tag, &row);
+                }
+            }
+        };
+        match &ctxs[id].site {
+            Site::Top(n) => {
+                inject(&top[n], &mut snap.here, Loc::Here);
+                for &f in cp.funcs.symbols() {
+                    let child = if tree.depth(*n) == cp.c {
+                        boundary
+                            .get(&(*n, f))
+                            .map_or(&EMPTY_STATE, |seed| seed_state(memo, ctxs, seed))
+                    } else {
+                        let child = tree
+                            .get_child(*n, f)
+                            .expect("top region is fully materialized");
+                        &top[&child]
+                    };
+                    inject(child, snap.child.entry(f).or_default(), Loc::Child(f));
+                }
+            }
+            Site::Seed(entry) => {
+                inject(&entry.state, &mut snap.here, Loc::Here);
+                for (&f, seed) in &entry.child_seeds {
+                    let child = seed_state(memo, ctxs, seed);
+                    inject(child, snap.child.entry(f).or_default(), Loc::Child(f));
+                }
+            }
+        }
+        self.ctxs[id].injected = snap;
+        added
+    }
+
+    /// Absorbs the rows the evaluator derived since the last absorption:
+    /// a relational row into the relational store, a fixed-node row into
+    /// that node's state, and a here or child row into the state of the
+    /// context its first column names (recorded as injected there).
+    /// Returns whether a store of context `current` (its memo entry, or a
+    /// top node's boundary seeds) grew and whether any store grew.
+    fn absorb(&mut self, current: usize) -> (bool, bool) {
+        let (mut own, mut any) = (false, false);
+        // Top-node atoms, added once the walk over `db` is done (a node's
+        // fixed-node relation lives in `db`).
+        let mut top_atoms: Vec<(NodeId, AtomId)> = Vec::new();
+        for (tagged, rel) in self.db.iter() {
+            let from = std::mem::replace(self.absorbed.entry(tagged).or_insert(0), rel.len());
             if rel.len() == from {
                 continue;
             }
@@ -692,103 +736,56 @@ impl Engine {
                 .map(|i| dl::RowId(i as u32))
                 .filter(|&id| !rel.is_asserted(id));
             for row in derived.map(|id| rel.row(id)) {
-                let Some((p, loc)) = untagged else {
-                    if !self.nf.contains(tagged, row) {
-                        self.nf.insert(tagged, row);
-                        global = true;
-                        self.stats.delta_atoms += 1;
+                let (p, child) = match untagged {
+                    None => {
+                        if self.nf.insert(tagged, row) {
+                            self.stats.delta_atoms += 1;
+                            any = true;
+                        }
+                        continue;
                     }
-                    continue;
+                    Some((p, Loc::Fixed(n))) => {
+                        top_atoms.push((n, self.atoms.intern(p, row)));
+                        continue;
+                    }
+                    Some((p, Loc::Here)) => (p, None),
+                    Some((p, Loc::Child(f))) => (p, Some(f)),
                 };
-                let id = self.atoms.intern(p, row);
-                match loc {
-                    Loc::Here => ctx.injected_here.insert(id),
-                    Loc::Child(f) => ctx.injected_child.entry(f).or_default().insert(id),
-                    Loc::Fixed(_) => ctx.injected_fixed.entry(tagged).or_default().insert(id),
+                let ctx_id = row[0].index();
+                let id = self.atoms.intern(p, &row[1..]);
+                let Ctx { site, injected } = &mut self.ctxs[ctx_id];
+                match child {
+                    None => injected.here.insert(id),
+                    Some(f) => injected.child.entry(f).or_default().insert(id),
                 };
-                let in_entry = matches!(site, Site::Seed(_)) && !matches!(loc, Loc::Fixed(_));
-                let slot = match (loc, &mut site) {
-                    (Loc::Fixed(n), _) => self
-                        .top
-                        .get_mut(&n)
-                        .expect("fixed nodes are in the top region"),
-                    (_, Site::Fixed) => unreachable!("fixed rules mention no here/child tags"),
-                    (Loc::Here, Site::Seed(entry)) => &mut entry.state,
-                    (Loc::Child(f), Site::Seed(entry)) => entry.child_seeds.entry(f).or_default(),
-                    (Loc::Here, Site::Top(n)) => self
-                        .top
-                        .get_mut(n)
-                        .expect("every top node was given a state in Engine::new"),
-                    (Loc::Child(f), Site::Top(n)) if self.tree.depth(*n) == self.cp.c => {
-                        self.boundary.entry((*n, f)).or_default()
+                let slot = match (child, site) {
+                    (None, Site::Top(n)) => {
+                        top_atoms.push((*n, id));
+                        continue;
                     }
-                    (Loc::Child(f), Site::Top(n)) => {
-                        let child = self
-                            .tree
-                            .get_child(*n, f)
-                            .expect("top region is fully materialized");
-                        self.top
-                            .get_mut(&child)
-                            .expect("every top node was given a state in Engine::new")
+                    (Some(f), Site::Top(n)) if self.tree.depth(*n) < self.cp.c => {
+                        let child = self.tree.get_child(*n, f);
+                        top_atoms.push((child.expect("top region is fully materialized"), id));
+                        continue;
                     }
+                    (Some(f), Site::Top(n)) => self.boundary.entry((*n, f)).or_default(),
+                    (None, Site::Seed(entry)) => &mut entry.state,
+                    (Some(f), Site::Seed(entry)) => entry.child_seeds.entry(f).or_default(),
                 };
                 if slot.insert(id) {
                     self.stats.delta_atoms += 1;
-                    if in_entry {
-                        entry_grew = true;
-                    } else {
-                        global = true;
-                    }
+                    any = true;
+                    own |= ctx_id == current;
                 }
             }
         }
-        run?;
-        Ok((entry_grew, global))
-    }
-
-    /// Injects the atoms of `state` not yet recorded in `snap` into the
-    /// tagged relations of `db`, and records them. Atoms whose predicate
-    /// has no tag at this location are recorded but not injected — no rule
-    /// can read them there. Returns whether a row was added.
-    fn inject_state_diff(
-        atoms: &AtomInterner,
-        db: &mut dl::Database,
-        state: &State,
-        snap: &mut State,
-        lookup: &FxHashMap<Pred, Pred>,
-    ) -> bool {
-        let mut added = false;
-        for id in state.iter().filter(|&id| snap.insert(id)) {
-            let (p, args) = atoms.resolve(id);
-            if let Some(&tag) = lookup.get(&p) {
-                added |= db.insert(tag, args);
+        for (n, id) in top_atoms {
+            if self.insert_top(n, id) {
+                self.stats.delta_atoms += 1;
+                any = true;
             }
         }
-        added
-    }
-
-    /// Injects the delta of the fixed-node slices and of the non-functional
-    /// store into a local context. Returns whether a row was added.
-    fn inject_fixed_and_nf_diff(&self, ctx: &mut LocalCtx) -> bool {
-        let mut added = false;
-        for (p, n, tag) in self.cp.fixed_tags() {
-            let state = &self.top[&n];
-            let snap = ctx.injected_fixed.entry(tag).or_default();
-            for id in state.iter().filter(|&id| snap.insert(id)) {
-                let (pp, args) = self.atoms.resolve(id);
-                if pp == p {
-                    added |= ctx.db.insert(tag, args);
-                }
-            }
-        }
-        for (p, rel) in self.nf.iter() {
-            let cur = ctx.nf_cursors.entry(p).or_insert(0);
-            for row in rel.rows_from(*cur) {
-                added |= ctx.db.insert(p, row);
-            }
-            *cur = rel.len();
-        }
-        added
+        (own, any)
     }
 }
 

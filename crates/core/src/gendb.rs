@@ -13,8 +13,9 @@
 //! and the bounds of §3.1–§3.2.
 
 use crate::program::Schema;
-use fundb_term::{Cst, FxHashMap, Interner, Pred};
+use fundb_term::{Cst, FxHashMap, FxHasher, Interner, Pred};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Dense id of an abstract atom `P(ā)`.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -40,11 +41,24 @@ impl fmt::Debug for AtomId {
     }
 }
 
-/// Interner of abstract atoms `(P, ā)`.
+/// Interner of abstract atoms `(P, ā)`. Each atom is stored once, in
+/// `list`; lookups hash the borrowed atom and confirm candidates against
+/// `list`, so a hit allocates nothing.
 #[derive(Clone, Default)]
 pub struct AtomInterner {
-    map: FxHashMap<(Pred, Box<[Cst]>), AtomId>,
+    /// `heads[hash(P, ā)]` = the latest id with that hash; older ones
+    /// follow through `next`.
+    heads: FxHashMap<u64, u32>,
+    /// `next[id]` = the previous id with `id`'s hash, or `u32::MAX`.
+    next: Vec<u32>,
     list: Vec<(Pred, Box<[Cst]>)>,
+}
+
+fn hash_atom(pred: Pred, args: &[Cst]) -> u64 {
+    let mut h = FxHasher::default();
+    pred.hash(&mut h);
+    args.hash(&mut h);
+    h.finish()
 }
 
 impl AtomInterner {
@@ -55,18 +69,32 @@ impl AtomInterner {
 
     /// Interns an abstract atom.
     pub fn intern(&mut self, pred: Pred, args: &[Cst]) -> AtomId {
-        if let Some(&id) = self.map.get(&(pred, args.into())) {
+        let hash = hash_atom(pred, args);
+        if let Some(id) = self.find(hash, pred, args) {
             return id;
         }
         let id = AtomId::from_index(self.list.len());
-        self.map.insert((pred, args.into()), id);
+        let prev = self.heads.insert(hash, id.0).unwrap_or(u32::MAX);
+        self.next.push(prev);
         self.list.push((pred, args.into()));
         id
     }
 
     /// Looks up an abstract atom without interning.
     pub fn get(&self, pred: Pred, args: &[Cst]) -> Option<AtomId> {
-        self.map.get(&(pred, args.into())).copied()
+        self.find(hash_atom(pred, args), pred, args)
+    }
+
+    fn find(&self, hash: u64, pred: Pred, args: &[Cst]) -> Option<AtomId> {
+        let mut id = *self.heads.get(&hash)?;
+        while id != u32::MAX {
+            let (p, a) = &self.list[id as usize];
+            if *p == pred && **a == *args {
+                return Some(AtomId(id));
+            }
+            id = self.next[id as usize];
+        }
+        None
     }
 
     /// Resolves an id.

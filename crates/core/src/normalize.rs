@@ -39,6 +39,7 @@ enum OuterKey {
 pub fn normalize(program: &Program, interner: &mut Interner) -> Program {
     let mut out = Program::new();
     let mut peel_cache: FxHashMap<(Pred, OuterKey), Pred> = FxHashMap::default();
+    let mut up_origin: FxHashMap<Pred, Pred> = FxHashMap::default();
     let mut worklist: Vec<Rule> = program.rules.clone();
     // Deterministic processing order: FIFO.
     worklist.reverse();
@@ -50,7 +51,7 @@ pub fn normalize(program: &Program, interner: &mut Interner) -> Program {
             }
             continue;
         }
-        if let Some(new_rules) = split_deep_head(&rule, interner) {
+        if let Some(new_rules) = split_deep_head(&rule, interner, &mut up_origin) {
             for r in new_rules.into_iter().rev() {
                 worklist.push(r);
             }
@@ -119,7 +120,14 @@ fn project_extra_fvars(rule: &Rule, interner: &mut Interner) -> Option<Vec<Rule>
 
 /// Rewrite 2: head functional term non-ground with depth ≥ 2 — peel one
 /// outer application into a follow-up rule (the Appendix construction).
-fn split_deep_head(rule: &Rule, interner: &mut Interner) -> Option<Vec<Rule>> {
+/// The new predicate is named after the head's original predicate
+/// (`up_origin` maps every minted `P↑` to its `P`), so a head of depth `k`
+/// mints `PUp`, `PUp#1`, … rather than names that grow with each peel.
+fn split_deep_head(
+    rule: &Rule,
+    interner: &mut Interner,
+    up_origin: &mut FxHashMap<Pred, Pred>,
+) -> Option<Vec<Rule>> {
     let Atom::Functional { pred, fterm, args } = &rule.head else {
         return None;
     };
@@ -148,7 +156,9 @@ fn split_deep_head(rule: &Rule, interner: &mut Interner) -> Option<Vec<Rule>> {
         }
     }
 
-    let up = Pred(interner.fresh(&format!("{}Up", interner_name(interner, *pred))));
+    let origin = up_origin.get(pred).copied().unwrap_or(*pred);
+    let up = Pred(interner.fresh(&format!("{}Up", interner_name(interner, origin))));
+    up_origin.insert(up, origin);
     let u = Var(interner.fresh("u@"));
 
     // r1: body → P↑(w, carried)
@@ -464,5 +474,27 @@ mod tests {
         let n1 = normalize(&prog, &mut fx.i);
         let n2 = normalize(&n1, &mut fx.i);
         assert_eq!(n1, n2);
+    }
+
+    /// A head `Q(f(f(f(s))))` is peeled twice; both new predicates are
+    /// named after `Q`, not after the previous peel's predicate.
+    #[test]
+    fn head_splits_are_named_after_the_original_predicate() {
+        let mut fx = fx();
+        let deep = (0..3).fold(FTerm::Var(fx.s), |t, _| FTerm::Pure(fx.f, Box::new(t)));
+        let mut prog = Program::new();
+        prog.push(Rule::new(
+            fat(fx.q, deep, vec![]),
+            vec![fat(fx.p, FTerm::Var(fx.s), vec![])],
+        ));
+        let normalized = normalize(&prog, &mut fx.i);
+        assert!(normalized.is_normal());
+        let mut heads: Vec<&str> = normalized
+            .rules
+            .iter()
+            .map(|r| fx.i.resolve(r.head.pred().sym()))
+            .collect();
+        heads.sort_unstable();
+        assert_eq!(heads, ["Q", "QUp", "QUp#1"]);
     }
 }

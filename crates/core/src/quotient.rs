@@ -11,15 +11,15 @@
 //!
 //! [`QuotientModel`] wraps a [`GraphSpec`] with the model-theoretic reading,
 //! and [`QuotientModel::is_model_of`] checks Proposition 3.2 mechanically by
-//! firing every compiled rule at every cluster and verifying that nothing
-//! new is derivable — a strong internal consistency check used by the test
-//! suite.
+//! firing every compiled rule at every cluster — one evaluation, with the
+//! cluster in the context column — and verifying that nothing new is
+//! derivable: a strong internal consistency check used by the test suite.
 
-use crate::compile::{CompiledProgram, Loc};
+use crate::compile::{ctx_cst, CompiledProgram, Loc, SCOPE};
 use crate::error::Result;
 use crate::graphspec::{GraphSpec, SpecNodeId};
 use fundb_datalog as dl;
-use fundb_term::{Cst, Func, FxHashMap, Pred};
+use fundb_term::{Cst, Func, NodeId, Pred};
 
 /// The quotient model `L≅` of a functional deductive database.
 pub struct QuotientModel<'a> {
@@ -53,139 +53,85 @@ impl<'a> QuotientModel<'a> {
     }
 
     /// Verifies Proposition 3.2 ("the quotient interpretation is a model of
-    /// Z ∧ D"): fires every compiled star rule at every cluster, and the
-    /// fixed rules once, checking that no rule derives a fact the model does
-    /// not already satisfy. Returns `Ok(true)` if the interpretation is
-    /// closed (`Err` only if an evaluation budget or injected fault stopped
-    /// a saturation early).
+    /// Z ∧ D"): fires every compiled rule in one evaluation, the star rules
+    /// at every cluster at once (the cluster's index is the context
+    /// column) and the fixed rules once, checking that no rule derives a
+    /// fact the model does not already satisfy. Returns `Ok(true)` if the
+    /// interpretation is closed (`Err` only if an evaluation budget or
+    /// injected fault stopped a saturation early).
     pub fn is_model_of(&self, cp: &CompiledProgram) -> Result<bool> {
-        // Fixed rules.
         let mut db = dl::Database::new();
-        self.inject_fixed_and_nf(cp, &mut db);
-        dl::evaluate(&mut db, &cp.fixed_rules)?;
-        if !self.absorbed(cp, &db) {
-            return Ok(false);
-        }
-
-        // Star rules at every cluster.
+        let mut row = Vec::new();
         for cluster in self.spec.node_ids() {
-            let mut db = dl::Database::new();
-            self.fill(cp, &mut db, cluster, None);
+            row.clear();
+            row.push(ctx_cst(cluster.index()));
+            db.insert(SCOPE, &row);
+            self.fill(&mut db, &mut row, cluster, |p| cp.tag_of(p, Loc::Here));
             for &f in self.spec.funcs.symbols() {
-                self.fill(cp, &mut db, self.apply(f, cluster), Some(f));
+                let child = self.apply(f, cluster);
+                self.fill(&mut db, &mut row, child, |p| cp.tag_of(p, Loc::Child(f)));
             }
-            self.inject_fixed_and_nf(cp, &mut db);
-            dl::evaluate(&mut db, &cp.star_rules)?;
-            if !self.absorbed_at(cp, &db, cluster) {
-                return Ok(false);
+        }
+        row.clear();
+        for (p, n, tag) in cp.fixed_tags() {
+            self.fill(&mut db, &mut row, self.fixed_rep(cp, n), |q| {
+                (q == p).then_some(tag)
+            });
+        }
+        for (p, rel) in self.spec.nf.iter() {
+            for r in rel.rows() {
+                db.insert(p, r);
+            }
+        }
+        dl::evaluate(&mut db, cp.rules())?;
+
+        // Every fact in `db` is already satisfied by the model.
+        for (tagged, rel) in db.iter().filter(|&(p, _)| p != SCOPE) {
+            let loc = cp.untag(tagged);
+            for r in rel.rows() {
+                let cluster = || SpecNodeId::from_dense_index(r[0].index());
+                let holds = match loc {
+                    None => self.spec.nf.contains(tagged, r),
+                    Some((p, Loc::Fixed(n))) => self.check(p, self.fixed_rep(cp, n), r),
+                    Some((p, Loc::Here)) => self.check(p, cluster(), &r[1..]),
+                    Some((p, Loc::Child(f))) => self.check(p, self.apply(f, cluster()), &r[1..]),
+                };
+                if !holds {
+                    return Ok(false);
+                }
             }
         }
         Ok(true)
     }
 
+    /// Inserts the atoms of `cluster`'s state whose predicate `tag` maps to
+    /// a tagged predicate, as that predicate's rows `row ++ ā`; leaves
+    /// `row` as it found it.
     fn fill(
         &self,
-        cp: &CompiledProgram,
         db: &mut dl::Database,
+        row: &mut Vec<Cst>,
         cluster: SpecNodeId,
-        child: Option<Func>,
+        tag: impl Fn(Pred) -> Option<Pred>,
     ) {
-        let state = &self.spec.nodes[cluster.index()].state;
-        for id in state.iter() {
+        let prefix = row.len();
+        for id in self.spec.nodes[cluster.index()].state.iter() {
             let (p, args) = self.spec.atoms.resolve(id);
-            let tag = match child {
-                None => cp.tag_of(p, Loc::Here),
-                Some(f) => cp.tag_of(p, Loc::Child(f)),
-            };
-            if let Some(tag) = tag {
-                db.insert(tag, args);
+            if let Some(tag) = tag(p) {
+                row.truncate(prefix);
+                row.extend_from_slice(args);
+                db.insert(tag, row);
             }
         }
+        row.truncate(prefix);
     }
 
-    fn inject_fixed_and_nf(&self, cp: &CompiledProgram, db: &mut dl::Database) {
-        for (p, n, tag) in cp.fixed_tags() {
-            // Ground node n of the compile tree = the same path in the spec
-            // tree; its representative is itself (depth ≤ c).
-            let path = cp.tree.path(n);
-            let rep = self
-                .spec
-                .representative_of(&path)
-                .expect("ground rule terms are in the spec vocabulary");
-            let state = &self.spec.nodes[rep.index()].state;
-            for id in state.iter() {
-                let (pp, args) = self.spec.atoms.resolve(id);
-                if pp == p {
-                    db.insert(tag, args);
-                }
-            }
-        }
-        for (p, rel) in self.spec.nf.iter() {
-            for row in rel.rows() {
-                db.insert(p, row);
-            }
-        }
-    }
-
-    /// Every fact in `db` is already satisfied by the model (global parts).
-    fn absorbed(&self, cp: &CompiledProgram, db: &dl::Database) -> bool {
-        for (tagged, rel) in db.iter() {
-            match cp.untag(tagged) {
-                Some((p, Loc::Fixed(n))) => {
-                    let path = cp.tree.path(n);
-                    let rep = self
-                        .spec
-                        .representative_of(&path)
-                        .expect("ground rule terms are in the spec vocabulary");
-                    for row in rel.rows() {
-                        if !self.check(p, rep, row) {
-                            return false;
-                        }
-                    }
-                }
-                Some(_) => {}
-                None => {
-                    for row in rel.rows() {
-                        if !self.spec.nf.contains(tagged, row) {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-        true
-    }
-
-    /// Every fact in `db` is satisfied, including here/child locations
-    /// relative to `cluster`.
-    fn absorbed_at(&self, cp: &CompiledProgram, db: &dl::Database, cluster: SpecNodeId) -> bool {
-        if !self.absorbed(cp, db) {
-            return false;
-        }
-        let mut succ: FxHashMap<Func, SpecNodeId> = FxHashMap::default();
-        for &f in self.spec.funcs.symbols() {
-            succ.insert(f, self.apply(f, cluster));
-        }
-        for (tagged, rel) in db.iter() {
-            match cp.untag(tagged) {
-                Some((p, Loc::Here)) => {
-                    for row in rel.rows() {
-                        if !self.check(p, cluster, row) {
-                            return false;
-                        }
-                    }
-                }
-                Some((p, Loc::Child(f))) => {
-                    for row in rel.rows() {
-                        if !self.check(p, succ[&f], row) {
-                            return false;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        true
+    /// The cluster of the ground node `n` of the compile tree: the same
+    /// path in the spec tree, whose representative is itself (depth ≤ c).
+    fn fixed_rep(&self, cp: &CompiledProgram, n: NodeId) -> SpecNodeId {
+        self.spec
+            .representative_of(&cp.tree.path(n))
+            .expect("ground rule terms are in the spec vocabulary")
     }
 }
 

@@ -100,14 +100,6 @@ impl State {
             })
         })
     }
-
-    /// Restores the no-trailing-zero-words invariant after removals or
-    /// resize; called internally by mutators that can strand zeros.
-    fn normalize(&mut self) {
-        while self.words.last() == Some(&0) {
-            self.words.pop();
-        }
-    }
 }
 
 impl Hash for State {
@@ -138,13 +130,6 @@ impl FromIterator<AtomId> for State {
         }
         s
     }
-}
-
-// `normalize` is currently only needed if a removal API is added; keep the
-// compiler honest about it being intentionally private.
-#[allow(dead_code)]
-fn _assert_normalize_exists(s: &mut State) {
-    s.normalize();
 }
 
 #[cfg(test)]

@@ -725,8 +725,19 @@ fn execute(
         )?;
     } else {
         let guard = gov.probe_guard(None);
+        let mut regs = Vec::new();
         for (i, &task) in tasks.iter().enumerate() {
-            run_task(db, plan, task, base + i, &guard, &fault, &mut buffer, stats)?;
+            run_task(
+                db,
+                plan,
+                task,
+                base + i,
+                &guard,
+                &fault,
+                &mut regs,
+                &mut buffer,
+                stats,
+            )?;
         }
     }
     Ok(buffer)
@@ -857,9 +868,11 @@ fn guarded(index: usize, body: impl FnOnce() -> Result<(), Resource>) -> Result<
     }
 }
 
-/// Runs one task into `out`: executes the task's compiled program over a
-/// freshly-zeroed register file. `index` is the task's deterministic
-/// global index, the one `panic_task` faults address and a panic reports.
+/// Runs one task into `out`: executes the task's compiled program over
+/// `regs`, the caller's register file, grown to the program's size (every
+/// register is written before it is read, so a file reused across tasks
+/// needs no reset). `index` is the task's deterministic global index, the
+/// one `panic_task` faults address and a panic reports.
 #[allow(clippy::too_many_arguments)]
 fn run_task(
     db: &Database,
@@ -868,16 +881,19 @@ fn run_task(
     index: usize,
     guard: &ProbeGuard<'_>,
     fault: &FaultPlan,
+    regs: &mut Vec<Cst>,
     out: &mut DerivedBuffer,
     stats: &mut EvalStats,
 ) -> Result<(), RoundAbort> {
     guarded(index, || {
         inject_task_fault(fault, index);
         let prog = plan.program(task.rule, task.delta.map(|d| d.atom));
-        let mut regs = register_file(prog);
+        if regs.len() < prog.register_count() {
+            regs.resize(prog.register_count(), Cst(fundb_term::Sym::PLACEHOLDER));
+        }
         let range = task.delta.map(|d| (d.start, d.end));
         let pred = prog.head_pred();
-        prog.execute(db, range, &mut regs, guard, stats, &mut |head, regs| {
+        prog.execute(db, range, regs, guard, stats, &mut |head, regs| {
             out.push_slots(pred, head, regs);
         })
     })
@@ -929,6 +945,7 @@ fn run_tasks_parallel(
             .map(|_| {
                 scope.spawn(|| {
                     let guard = gov.probe_guard(Some(&abort));
+                    let mut regs = Vec::new();
                     let mut done: Vec<(usize, DerivedBuffer, EvalStats)> = Vec::new();
                     loop {
                         if abort.load(Ordering::Acquire) {
@@ -947,6 +964,7 @@ fn run_tasks_parallel(
                             base + i,
                             &guard,
                             fault,
+                            &mut regs,
                             &mut buf,
                             &mut st,
                         ) {

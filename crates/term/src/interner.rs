@@ -55,6 +55,9 @@ pub struct Interner {
     names: Vec<Box<str>>,
     /// `map[hash(name)]` = ids of names with that hash.
     map: FxHashMap<u64, Vec<u32>>,
+    /// Per stem passed to [`Interner::fresh`], the suffix its next probe
+    /// starts from: every `stem#i` below it is interned.
+    next_suffix: FxHashMap<Box<str>, usize>,
 }
 
 fn hash_name(name: &str) -> u64 {
@@ -113,20 +116,30 @@ impl Interner {
     }
 
     /// Generates a symbol guaranteed to be fresh (not previously interned),
-    /// built from `stem`. Used by the normalization pass (paper Appendix) to
-    /// mint auxiliary predicate names.
+    /// built from `stem`: `stem` itself if free, else `stem#i` for the
+    /// least free `i ≥ 1`. Used by the normalization pass (paper Appendix)
+    /// to mint auxiliary predicate names. Names are never removed, so the
+    /// probe resumes where the stem's last one stopped, and `k` calls with
+    /// one stem cost `O(k)`.
     pub fn fresh(&mut self, stem: &str) -> Sym {
         if self.get(stem).is_none() {
             return self.intern(stem);
         }
-        let mut i = 1usize;
-        loop {
+        let mut i = self.next_suffix.get(stem).copied().unwrap_or(1);
+        let sym = loop {
             let candidate = format!("{stem}#{i}");
-            if self.get(&candidate).is_none() {
-                return self.intern(&candidate);
-            }
             i += 1;
+            if self.get(&candidate).is_none() {
+                break self.intern(&candidate);
+            }
+        };
+        match self.next_suffix.get_mut(stem) {
+            Some(next) => *next = i,
+            None => {
+                self.next_suffix.insert(stem.into(), i);
+            }
         }
+        sym
     }
 }
 
@@ -220,6 +233,29 @@ mod tests {
         assert_ne!(b.index(), c.index());
         assert_eq!(i.resolve(b), "P1#1");
         assert_eq!(i.resolve(c), "P1#2");
+    }
+
+    #[test]
+    fn fresh_numbers_a_stem_in_order() {
+        let mut i = Interner::new();
+        for k in 0..1000 {
+            let s = i.fresh("u@");
+            let want = if k == 0 {
+                "u@".to_string()
+            } else {
+                format!("u@#{k}")
+            };
+            assert_eq!(i.resolve(s), want);
+        }
+        // A suffix interned out of turn is skipped, not reused.
+        i.intern("v#2");
+        let names: Vec<String> = (0..3)
+            .map(|_| {
+                let s = i.fresh("v");
+                i.resolve(s).to_string()
+            })
+            .collect();
+        assert_eq!(names, ["v", "v#1", "v#3"]);
     }
 
     #[test]

@@ -27,6 +27,20 @@ fn check_read_spec(spec: GraphSpec) {
 
 const DEPTH: usize = 4;
 
+/// The generator shapes every engine property draws: `base`, and `base`
+/// with the temporal shapes (relational heads over functional bodies,
+/// binary `E(x, y)` joins, heads at `f(f(s))`). Under the latter a
+/// relational fact derived at one context is read at others.
+fn shapes(base: GenConfig) -> [GenConfig; 2] {
+    [
+        base,
+        GenConfig {
+            temporal_shapes: true,
+            ..base
+        },
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 24,
@@ -37,47 +51,57 @@ proptest! {
     /// so engine answers and baseline answers coincide there.
     #[test]
     fn engine_matches_naive_on_forward_programs(seed in any::<u64>()) {
-        let mut gen = random_program(
-            GenConfig { forward_only: true, ..GenConfig::default() },
-            seed,
-        );
-        let normal = normalize(&gen.program, &mut gen.interner);
-        let pure = to_pure(&normal, &gen.db, &mut gen.interner).unwrap();
-        let mat = BoundedMaterialization::run(&pure, DEPTH + 2, &mut gen.interner).unwrap();
-        let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
-        engine.solve().unwrap();
-        for path in all_paths(&gen.funcs, DEPTH) {
-            for &p in &gen.preds {
-                for &c in &gen.consts {
-                    prop_assert_eq!(
-                        engine.holds(p, &path, &[c]),
-                        mat.holds(p, &path, &[c]),
-                        "pred {:?} path {:?} const {:?}", p, path, c
-                    );
+        for cfg in shapes(GenConfig { forward_only: true, ..GenConfig::default() }) {
+            let mut gen = random_program(cfg, seed);
+            let normal = normalize(&gen.program, &mut gen.interner);
+            let pure = to_pure(&normal, &gen.db, &mut gen.interner).unwrap();
+            let mat = BoundedMaterialization::run(&pure, DEPTH + 2, &mut gen.interner).unwrap();
+            let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
+            engine.solve().unwrap();
+            for path in all_paths(&gen.funcs, DEPTH) {
+                for &p in &gen.preds {
+                    for &c in &gen.consts {
+                        prop_assert_eq!(
+                            engine.holds(p, &path, &[c]),
+                            mat.holds(p, &path, &[c]),
+                            "{:?}: pred {:?} path {:?} const {:?}", cfg, p, path, c
+                        );
+                    }
                 }
             }
         }
     }
 
     /// General programs: everything the baseline derives is in the least
-    /// fixpoint (naive ⊆ engine).
+    /// fixpoint (naive ⊆ engine), relational facts included.
     #[test]
     fn naive_is_sound_on_general_programs(seed in any::<u64>()) {
-        let mut gen = random_program(GenConfig::default(), seed);
-        let normal = normalize(&gen.program, &mut gen.interner);
-        let pure = to_pure(&normal, &gen.db, &mut gen.interner).unwrap();
-        let mat = BoundedMaterialization::run(&pure, DEPTH + 2, &mut gen.interner).unwrap();
-        let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
-        engine.solve().unwrap();
-        for path in all_paths(&gen.funcs, DEPTH) {
-            for &p in &gen.preds {
-                for &c in &gen.consts {
-                    if mat.holds(p, &path, &[c]) {
-                        prop_assert!(
-                            engine.holds(p, &path, &[c]),
-                            "naive derived a fact the engine misses: {:?} {:?}", p, path
-                        );
+        for cfg in shapes(GenConfig::default()) {
+            let mut gen = random_program(cfg, seed);
+            let normal = normalize(&gen.program, &mut gen.interner);
+            let pure = to_pure(&normal, &gen.db, &mut gen.interner).unwrap();
+            let mat = BoundedMaterialization::run(&pure, DEPTH + 2, &mut gen.interner).unwrap();
+            let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
+            engine.solve().unwrap();
+            for path in all_paths(&gen.funcs, DEPTH) {
+                for &p in &gen.preds {
+                    for &c in &gen.consts {
+                        if mat.holds(p, &path, &[c]) {
+                            prop_assert!(
+                                engine.holds(p, &path, &[c]),
+                                "naive derived a fact the engine misses: {:?} {:?} {:?}",
+                                cfg, p, path
+                            );
+                        }
                     }
+                }
+            }
+            for &c in &gen.consts {
+                if mat.holds_relational(gen.rel, &[c]) {
+                    prop_assert!(
+                        engine.holds_relational(gen.rel, &[c]),
+                        "naive derived a relational fact the engine misses: {:?} {:?}", cfg, c
+                    );
                 }
             }
         }
@@ -88,28 +112,30 @@ proptest! {
     /// graph specification.
     #[test]
     fn specifications_agree(seed in any::<u64>()) {
-        let mut gen = random_program(GenConfig::default(), seed);
-        let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
-        let spec = GraphSpec::from_engine(&mut engine).unwrap();
-        spec.validate().unwrap();
-        let minimized = spec.minimized();
-        minimized.validate().unwrap();
-        let mut eq = EqSpec::from_graph(&spec);
-        for path in all_paths(&gen.funcs, DEPTH) {
-            for &p in &gen.preds {
-                for &c in &gen.consts {
-                    let expected = engine.holds(p, &path, &[c]);
-                    prop_assert_eq!(spec.holds(p, &path, &[c]), expected);
-                    prop_assert_eq!(minimized.holds(p, &path, &[c]), expected);
-                    prop_assert_eq!(eq.holds(p, &path, &[c]), expected);
+        for cfg in shapes(GenConfig::default()) {
+            let mut gen = random_program(cfg, seed);
+            let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
+            let spec = GraphSpec::from_engine(&mut engine).unwrap();
+            spec.validate().unwrap();
+            let minimized = spec.minimized();
+            minimized.validate().unwrap();
+            let mut eq = EqSpec::from_graph(&spec);
+            for path in all_paths(&gen.funcs, DEPTH) {
+                for &p in &gen.preds {
+                    for &c in &gen.consts {
+                        let expected = engine.holds(p, &path, &[c]);
+                        prop_assert_eq!(spec.holds(p, &path, &[c]), expected, "{:?}", cfg);
+                        prop_assert_eq!(minimized.holds(p, &path, &[c]), expected, "{:?}", cfg);
+                        prop_assert_eq!(eq.holds(p, &path, &[c]), expected, "{:?}", cfg);
+                    }
                 }
             }
-        }
-        // Relational stores agree too.
-        for &c in &gen.consts {
-            let expected = engine.holds_relational(gen.rel, &[c]);
-            prop_assert_eq!(spec.holds_relational(gen.rel, &[c]), expected);
-            prop_assert_eq!(eq.holds_relational(gen.rel, &[c]), expected);
+            // Relational stores agree too.
+            for &c in &gen.consts {
+                let expected = engine.holds_relational(gen.rel, &[c]);
+                prop_assert_eq!(spec.holds_relational(gen.rel, &[c]), expected, "{:?}", cfg);
+                prop_assert_eq!(eq.holds_relational(gen.rel, &[c]), expected, "{:?}", cfg);
+            }
         }
     }
 
@@ -120,68 +146,74 @@ proptest! {
     /// verification pass (absorbs nothing).
     #[test]
     fn four_way_agreement_on_forward_programs(seed in any::<u64>()) {
-        let mut gen = random_program(
-            GenConfig { forward_only: true, ..GenConfig::default() },
-            seed,
-        );
-        let normal = normalize(&gen.program, &mut gen.interner);
-        let pure = to_pure(&normal, &gen.db, &mut gen.interner).unwrap();
-        let mat = BoundedMaterialization::run(&pure, DEPTH + 2, &mut gen.interner).unwrap();
-        let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
-        engine.solve().unwrap();
-        let spec = GraphSpec::from_engine(&mut engine).unwrap();
-        spec.validate().unwrap();
-        let mut eq = EqSpec::from_graph(&spec);
-        for path in all_paths(&gen.funcs, DEPTH) {
-            for &p in &gen.preds {
-                for &c in &gen.consts {
-                    let expected = engine.holds(p, &path, &[c]);
-                    prop_assert_eq!(
-                        mat.holds(p, &path, &[c]), expected,
-                        "naive disagrees: {:?} {:?} {:?}", p, path, c
-                    );
-                    prop_assert_eq!(
-                        spec.holds(p, &path, &[c]), expected,
-                        "graph spec disagrees: {:?} {:?} {:?}", p, path, c
-                    );
-                    prop_assert_eq!(
-                        eq.holds(p, &path, &[c]), expected,
-                        "eq spec disagrees: {:?} {:?} {:?}", p, path, c
-                    );
+        for cfg in shapes(GenConfig { forward_only: true, ..GenConfig::default() }) {
+            let mut gen = random_program(cfg, seed);
+            let normal = normalize(&gen.program, &mut gen.interner);
+            let pure = to_pure(&normal, &gen.db, &mut gen.interner).unwrap();
+            let mat = BoundedMaterialization::run(&pure, DEPTH + 2, &mut gen.interner).unwrap();
+            let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
+            engine.solve().unwrap();
+            let spec = GraphSpec::from_engine(&mut engine).unwrap();
+            spec.validate().unwrap();
+            let mut eq = EqSpec::from_graph(&spec);
+            for path in all_paths(&gen.funcs, DEPTH) {
+                for &p in &gen.preds {
+                    for &c in &gen.consts {
+                        let expected = engine.holds(p, &path, &[c]);
+                        prop_assert_eq!(
+                            mat.holds(p, &path, &[c]), expected,
+                            "naive disagrees: {:?} {:?} {:?} {:?}", cfg, p, path, c
+                        );
+                        prop_assert_eq!(
+                            spec.holds(p, &path, &[c]), expected,
+                            "graph spec disagrees: {:?} {:?} {:?} {:?}", cfg, p, path, c
+                        );
+                        prop_assert_eq!(
+                            eq.holds(p, &path, &[c]), expected,
+                            "eq spec disagrees: {:?} {:?} {:?} {:?}", cfg, p, path, c
+                        );
+                    }
                 }
             }
+            prop_assert_eq!(engine.stats().pass_deltas.last(), Some(&0));
+            prop_assert_eq!(
+                engine.stats().pass_deltas.iter().sum::<usize>(),
+                engine.stats().delta_atoms
+            );
         }
-        prop_assert_eq!(engine.stats().pass_deltas.last(), Some(&0));
-        prop_assert_eq!(
-            engine.stats().pass_deltas.iter().sum::<usize>(),
-            engine.stats().delta_atoms
-        );
     }
 
     /// Solving twice never changes anything: the second `solve()` on an
     /// already-solved engine is a strict no-op on every counter.
     #[test]
     fn resolve_is_idempotent(seed in any::<u64>()) {
-        let mut gen = random_program(GenConfig::default(), seed);
-        let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
-        engine.solve().unwrap();
-        let stats = engine.stats().clone();
-        engine.solve().unwrap();
-        prop_assert_eq!(engine.stats(), &stats);
+        for cfg in shapes(GenConfig::default()) {
+            let mut gen = random_program(cfg, seed);
+            let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
+            engine.solve().unwrap();
+            let stats = engine.stats().clone();
+            engine.solve().unwrap();
+            prop_assert_eq!(engine.stats(), &stats);
+        }
     }
 
     /// The quotient interpretation of a random program is a model
     /// (Proposition 3.2, mechanically).
     #[test]
     fn quotient_is_model_on_random_programs(seed in any::<u64>()) {
-        let mut gen = random_program(GenConfig::default(), seed);
-        let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
-        engine.solve().unwrap();
-        let spec = GraphSpec::from_engine(&mut engine).unwrap();
-        spec.validate().unwrap();
-        prop_assert!(fundb_core::QuotientModel::new(&spec)
-            .is_model_of(engine.compiled())
-            .unwrap());
+        for cfg in shapes(GenConfig::default()) {
+            let mut gen = random_program(cfg, seed);
+            let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
+            engine.solve().unwrap();
+            let spec = GraphSpec::from_engine(&mut engine).unwrap();
+            spec.validate().unwrap();
+            prop_assert!(
+                fundb_core::QuotientModel::new(&spec)
+                    .is_model_of(engine.compiled())
+                    .unwrap(),
+                "{:?}", cfg
+            );
+        }
     }
 
     /// Minimization is idempotent and never enlarges the spec.
@@ -309,39 +341,38 @@ mod thread_determinism {
         /// depth 4 and report identical [`EngineStats`].
         #[test]
         fn engine_answers_and_stats_are_thread_count_independent(seed in any::<u64>()) {
-            let mut gen = random_program(
-                GenConfig { forward_only: true, ..GenConfig::default() },
-                seed,
-            );
-            let mut engines: Vec<Engine> = THREADS
-                .iter()
-                .map(|&n| {
-                    let mut e =
-                        Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
-                    e.set_threads(Some(n));
-                    e.solve().unwrap();
-                    e
-                })
-                .collect();
-            let (seq, rest) = engines.split_at_mut(1);
-            for (k, e) in rest.iter_mut().enumerate() {
-                prop_assert_eq!(
-                    e.stats(),
-                    seq[0].stats(),
-                    "EngineStats diverged at {} threads", THREADS[k + 1]
-                );
-            }
-            for path in all_paths(&gen.funcs, super::DEPTH) {
-                for &p in &gen.preds {
-                    for &c in &gen.consts {
-                        let expected = seq[0].holds(p, &path, &[c]);
-                        for (k, e) in rest.iter_mut().enumerate() {
-                            prop_assert_eq!(
-                                e.holds(p, &path, &[c]),
-                                expected,
-                                "answers diverged at {} threads: {:?} {:?} {:?}",
-                                THREADS[k + 1], p, path, c
-                            );
+            for cfg in super::shapes(GenConfig { forward_only: true, ..GenConfig::default() }) {
+                let mut gen = random_program(cfg, seed);
+                let mut engines: Vec<Engine> = THREADS
+                    .iter()
+                    .map(|&n| {
+                        let mut e =
+                            Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
+                        e.set_threads(Some(n));
+                        e.solve().unwrap();
+                        e
+                    })
+                    .collect();
+                let (seq, rest) = engines.split_at_mut(1);
+                for (k, e) in rest.iter_mut().enumerate() {
+                    prop_assert_eq!(
+                        e.stats(),
+                        seq[0].stats(),
+                        "EngineStats diverged at {} threads", THREADS[k + 1]
+                    );
+                }
+                for path in all_paths(&gen.funcs, super::DEPTH) {
+                    for &p in &gen.preds {
+                        for &c in &gen.consts {
+                            let expected = seq[0].holds(p, &path, &[c]);
+                            for (k, e) in rest.iter_mut().enumerate() {
+                                prop_assert_eq!(
+                                    e.holds(p, &path, &[c]),
+                                    expected,
+                                    "answers diverged at {} threads: {:?} {:?} {:?}",
+                                    THREADS[k + 1], p, path, c
+                                );
+                            }
                         }
                     }
                 }
