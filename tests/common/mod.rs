@@ -5,7 +5,7 @@
 #![allow(dead_code)]
 
 use fundb_core::program::{Atom, Database, FTerm, NTerm, Program, Rule};
-use fundb_term::{Cst, Func, Interner, Pred, Var};
+use fundb_term::{Cst, Func, Interner, MixedSym, Pred, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -32,6 +32,15 @@ pub struct GenConfig {
     /// `E(x, y)` or `E(y, x)` with `x` bound and `y` free that moves the
     /// head to `y`, so the line probes `E` by one column.
     pub temporal_shapes: bool,
+    /// Also draw mixed function symbols (§2.1) at child positions of heads
+    /// and bodies: `g(s, x)`, `g(s, C)` with a constant argument,
+    /// `h(s, x, x)` with a repeated variable, `h(s, C, x)`, and
+    /// `h(s, x, z)`, whose `z` no functional atom binds: the head form
+    /// adds a relational `R(z)` to the body, as the ring planner's `p2`
+    /// is bound only by `Connected`. Also ground mixed facts such as
+    /// `P(g(0, C), C)` and body atoms at the ground mixed node `g(0, x)`,
+    /// which the mixed→pure transformation enumerates.
+    pub mixed: bool,
 }
 
 impl Default for GenConfig {
@@ -44,6 +53,7 @@ impl Default for GenConfig {
             facts: 3,
             forward_only: false,
             temporal_shapes: false,
+            mixed: false,
         }
     }
 }
@@ -80,6 +90,18 @@ pub fn random_program(cfg: GenConfig, seed: u64) -> Generated {
     let edge = cfg
         .temporal_shapes
         .then(|| (Pred(interner.intern("E")), Var(interner.intern("y"))));
+    // Interned only under `mixed`, likewise.
+    let mixed = cfg.mixed.then(|| Mixed {
+        g: MixedSym {
+            name: interner.intern("g"),
+            extra_args: 1,
+        },
+        h: MixedSym {
+            name: interner.intern("h"),
+            extra_args: 2,
+        },
+        z: Var(interner.intern("z")),
+    });
 
     let fat = |pred: Pred, ft: FTerm, arg: NTerm| Atom::Functional {
         pred,
@@ -110,12 +132,18 @@ pub fn random_program(cfg: GenConfig, seed: u64) -> Generated {
             }
             let ft = if off == 0 {
                 FTerm::Var(s)
+            } else if let Some(m) = mixed.as_ref().filter(|_| rng.gen_bool(0.5)) {
+                m.child(FTerm::Var(s), x, &consts, &mut rng).0
             } else {
                 FTerm::Pure(
                     funcs[rng.gen_range(0..funcs.len())],
                     Box::new(FTerm::Var(s)),
                 )
             };
+            body.push(fat(preds[rng.gen_range(0..preds.len())], ft, NTerm::Var(x)));
+        }
+        if let Some(m) = mixed.as_ref().filter(|_| rng.gen_bool(0.2)) {
+            let ft = FTerm::Mixed(m.g, Box::new(FTerm::Zero), vec![NTerm::Var(x)]);
             body.push(fat(preds[rng.gen_range(0..preds.len())], ft, NTerm::Var(x)));
         }
         // Keep at least one offset-0 atom for forward rules with head 0 so
@@ -156,7 +184,19 @@ pub fn random_program(cfg: GenConfig, seed: u64) -> Generated {
         } else {
             let mut head_ft = FTerm::Var(s);
             for _ in 0..head_off {
-                head_ft = FTerm::Pure(funcs[rng.gen_range(0..funcs.len())], Box::new(head_ft));
+                head_ft = match mixed.as_ref().filter(|_| rng.gen_bool(0.5)) {
+                    Some(m) => {
+                        let (ft, uses_z) = m.child(head_ft, x, &consts, &mut rng);
+                        if uses_z {
+                            body.push(Atom::Relational {
+                                pred: rel,
+                                args: vec![NTerm::Var(m.z)],
+                            });
+                        }
+                        ft
+                    }
+                    None => FTerm::Pure(funcs[rng.gen_range(0..funcs.len())], Box::new(head_ft)),
+                };
             }
             fat(
                 preds[rng.gen_range(0..preds.len())],
@@ -172,7 +212,16 @@ pub fn random_program(cfg: GenConfig, seed: u64) -> Generated {
         let depth = rng.gen_range(0..=1usize);
         let mut ft = FTerm::Zero;
         for _ in 0..depth {
-            ft = FTerm::Pure(funcs[rng.gen_range(0..funcs.len())], Box::new(ft));
+            ft = match mixed.as_ref().filter(|_| rng.gen_bool(0.3)) {
+                Some(m) => {
+                    let sym = if rng.gen_bool(0.5) { m.g } else { m.h };
+                    let args = (0..sym.extra_args)
+                        .map(|_| NTerm::Const(consts[rng.gen_range(0..consts.len())]))
+                        .collect();
+                    FTerm::Mixed(sym, Box::new(ft), args)
+                }
+                None => FTerm::Pure(funcs[rng.gen_range(0..funcs.len())], Box::new(ft)),
+            };
         }
         db.facts.push(Atom::Functional {
             pred: preds[rng.gen_range(0..preds.len())],
@@ -202,6 +251,32 @@ pub fn random_program(cfg: GenConfig, seed: u64) -> Generated {
         rel,
         funcs,
         consts,
+    }
+}
+
+/// The mixed symbols of a [`GenConfig::mixed`] program.
+struct Mixed {
+    /// `g(s, ·)`: one non-functional argument.
+    g: MixedSym,
+    /// `h(s, ·, ·)`: two.
+    h: MixedSym,
+    /// The variable that only a mixed argument or a relational atom binds.
+    z: Var,
+}
+
+impl Mixed {
+    /// A mixed application over `inner`, and whether it mentions `z`.
+    fn child(&self, inner: FTerm, x: Var, consts: &[Cst], rng: &mut StdRng) -> (FTerm, bool) {
+        let c = NTerm::Const(consts[rng.gen_range(0..consts.len())]);
+        let (x, z) = (NTerm::Var(x), NTerm::Var(self.z));
+        let (sym, args, uses_z) = match rng.gen_range(0..5) {
+            0 => (self.g, vec![x], false),
+            1 => (self.g, vec![c], false),
+            2 => (self.h, vec![x, x], false),
+            3 => (self.h, vec![c, x], false),
+            _ => (self.h, vec![x, z], true),
+        };
+        (FTerm::Mixed(sym, Box::new(inner), args), uses_z)
     }
 }
 

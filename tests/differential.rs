@@ -8,8 +8,9 @@
 
 mod common;
 
-use common::{all_paths, random_program, GenConfig};
+use common::{all_paths, random_program, GenConfig, Generated};
 use fundb_core::{normalize, to_pure, BoundedMaterialization, Engine, EqSpec, GraphSpec};
+use fundb_term::Func;
 use proptest::prelude::*;
 
 /// A spec the reader accepted is valid, and its minimization, freeze and
@@ -27,18 +28,48 @@ fn check_read_spec(spec: GraphSpec) {
 
 const DEPTH: usize = 4;
 
-/// The generator shapes every engine property draws: `base`, and `base`
-/// with the temporal shapes (relational heads over functional bodies,
-/// binary `E(x, y)` joins, heads at `f(f(s))`). Under the latter a
-/// relational fact derived at one context is read at others.
-fn shapes(base: GenConfig) -> [GenConfig; 2] {
+/// The path depth of a mixed program's checks: its instance symbols
+/// `g[ā]` (§2.4) multiply the paths.
+const MIXED_DEPTH: usize = 2;
+
+/// The generator shapes every engine property draws: `base`, `base` with
+/// the temporal shapes (relational heads over functional bodies, binary
+/// `E(x, y)` joins, heads at `f(f(s))`), under which a relational fact
+/// derived at one context is read at others, and `base` with mixed
+/// function symbols in heads, bodies and facts.
+fn shapes(base: GenConfig) -> [GenConfig; 3] {
     [
         base,
         GenConfig {
             temporal_shapes: true,
             ..base
         },
+        GenConfig {
+            mixed: true,
+            ..base
+        },
     ]
+}
+
+/// The path depth of `cfg`'s checks.
+fn depth(cfg: &GenConfig) -> usize {
+    if cfg.mixed {
+        MIXED_DEPTH
+    } else {
+        DEPTH
+    }
+}
+
+/// The paths a check walks: every path of at most `depth(cfg)` symbols
+/// over the generated pure symbols and the program's instance symbols.
+fn paths(cfg: &GenConfig, gen: &Generated, engine: &Engine) -> Vec<Vec<Func>> {
+    let mut funcs = gen.funcs.clone();
+    for &f in engine.compiled().funcs.symbols() {
+        if !funcs.contains(&f) {
+            funcs.push(f);
+        }
+    }
+    all_paths(&funcs, depth(cfg))
 }
 
 proptest! {
@@ -55,10 +86,10 @@ proptest! {
             let mut gen = random_program(cfg, seed);
             let normal = normalize(&gen.program, &mut gen.interner);
             let pure = to_pure(&normal, &gen.db, &mut gen.interner).unwrap();
-            let mat = BoundedMaterialization::run(&pure, DEPTH + 2, &mut gen.interner).unwrap();
+            let mat = BoundedMaterialization::run(&pure, depth(&cfg) + 2, &mut gen.interner).unwrap();
             let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
             engine.solve().unwrap();
-            for path in all_paths(&gen.funcs, DEPTH) {
+            for path in paths(&cfg, &gen, &engine) {
                 for &p in &gen.preds {
                     for &c in &gen.consts {
                         prop_assert_eq!(
@@ -80,10 +111,10 @@ proptest! {
             let mut gen = random_program(cfg, seed);
             let normal = normalize(&gen.program, &mut gen.interner);
             let pure = to_pure(&normal, &gen.db, &mut gen.interner).unwrap();
-            let mat = BoundedMaterialization::run(&pure, DEPTH + 2, &mut gen.interner).unwrap();
+            let mat = BoundedMaterialization::run(&pure, depth(&cfg) + 2, &mut gen.interner).unwrap();
             let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
             engine.solve().unwrap();
-            for path in all_paths(&gen.funcs, DEPTH) {
+            for path in paths(&cfg, &gen, &engine) {
                 for &p in &gen.preds {
                     for &c in &gen.consts {
                         if mat.holds(p, &path, &[c]) {
@@ -120,7 +151,7 @@ proptest! {
             let minimized = spec.minimized();
             minimized.validate().unwrap();
             let mut eq = EqSpec::from_graph(&spec);
-            for path in all_paths(&gen.funcs, DEPTH) {
+            for path in paths(&cfg, &gen, &engine) {
                 for &p in &gen.preds {
                     for &c in &gen.consts {
                         let expected = engine.holds(p, &path, &[c]);
@@ -142,7 +173,7 @@ proptest! {
     /// Four-way agreement on forward programs: the semi-naive engine, the
     /// naive bounded materialization, the graph specification and the
     /// equational specification answer identically on every atom up to
-    /// `DEPTH` — and the engine's final pass is always a pure
+    /// `depth(cfg)` — and the engine's final pass is always a pure
     /// verification pass (absorbs nothing).
     #[test]
     fn four_way_agreement_on_forward_programs(seed in any::<u64>()) {
@@ -150,13 +181,13 @@ proptest! {
             let mut gen = random_program(cfg, seed);
             let normal = normalize(&gen.program, &mut gen.interner);
             let pure = to_pure(&normal, &gen.db, &mut gen.interner).unwrap();
-            let mat = BoundedMaterialization::run(&pure, DEPTH + 2, &mut gen.interner).unwrap();
+            let mat = BoundedMaterialization::run(&pure, depth(&cfg) + 2, &mut gen.interner).unwrap();
             let mut engine = Engine::build(&gen.program, &gen.db, &mut gen.interner).unwrap();
             engine.solve().unwrap();
             let spec = GraphSpec::from_engine(&mut engine).unwrap();
             spec.validate().unwrap();
             let mut eq = EqSpec::from_graph(&spec);
-            for path in all_paths(&gen.funcs, DEPTH) {
+            for path in paths(&cfg, &gen, &engine) {
                 for &p in &gen.preds {
                     for &c in &gen.consts {
                         let expected = engine.holds(p, &path, &[c]);
@@ -261,7 +292,7 @@ proptest! {
 /// under 1, 2, 4 and 8 worker threads must produce byte-identical stores
 /// (same rows in the same insertion order) and identical statistics.
 mod thread_determinism {
-    use super::common::{all_paths, random_program, GenConfig};
+    use super::common::{random_program, GenConfig};
     use fundb_core::Engine;
     use fundb_datalog as dl;
     use fundb_term::{Cst, Interner, Pred, Var};
@@ -361,7 +392,7 @@ mod thread_determinism {
                         "EngineStats diverged at {} threads", THREADS[k + 1]
                     );
                 }
-                for path in all_paths(&gen.funcs, super::DEPTH) {
+                for path in super::paths(&cfg, &gen, &seq[0]) {
                     for &p in &gen.preds {
                         for &c in &gen.consts {
                             let expected = seq[0].holds(p, &path, &[c]);
