@@ -501,6 +501,26 @@ mod tests {
         dir
     }
 
+    /// Lifting mixed children (§2.4) leaves the data parameters of §2.5
+    /// and the scope bounds as the enumeration defines them: `m` counts
+    /// the nine instances `move[Pi,Pj]`.
+    #[test]
+    fn analyze_keeps_the_section_2_5_parameters_of_the_planner() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../examples/programs/planner.fdb"
+        );
+        let out = run_str(&["analyze", path]).unwrap();
+        assert!(
+            out.contains("data parameters (§2.5): s=2 k=2 d=3 c=0 m=9 gsize=12\n"),
+            "{out}"
+        );
+        assert!(
+            out.contains("scope bounds: scope~ ≤ 4096, scope≅ ≤ 73729 (Lemma 3.2)\n"),
+            "{out}"
+        );
+    }
+
     const MEETS: &str = "Meets(t, x), Next(x, y) -> Meets(t+1, y).
 Meets(0, Tony). Next(Tony, Jan). Next(Jan, Tony).\n";
 

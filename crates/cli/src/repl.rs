@@ -215,6 +215,7 @@ impl Repl {
                      :analyze        finiteness report\n\
                      :stats          LFP engine counters for the session program\n\
                      :plan <query>   adorned magic-set rewrite and join order for a goal\n\
+                     \x20               (in a functional session: the compiled star-local rules)\n\
                      :bench-serve [n] frozen-spec serving throughput on n queries (default 2048)\n\
                      :save <path> [--binary]  write the spec to a .fspec file \
                      (text v1, or binary v2 with --binary)\n\
@@ -792,7 +793,8 @@ impl Repl {
     }
 
     /// Dumps the adorned magic-set rewrite and chosen join orders for a
-    /// purely relational goal.
+    /// purely relational goal; in a functional session, the star-local
+    /// rules the engine compiles instead.
     fn plan_query(&mut self, q: &fundb_core::Query, out: &mut dyn Write) -> std::io::Result<()> {
         use fundb_datalog as dl;
         let (Some((body, _)), Some(rules), Some(facts)) = (
@@ -800,11 +802,12 @@ impl Repl {
             fundb_core::relational_rules(&self.ws.program),
             fundb_core::relational_facts(&self.ws.db),
         ) else {
-            return writeln!(
+            writeln!(
                 out,
                 "goal-directed planning applies to purely relational programs \
                  and queries; this session has functional atoms"
-            );
+            )?;
+            return self.plan_star_rules(out);
         };
         let Some(mp) = dl::magic_rewrite(&rules, &body) else {
             return writeln!(
@@ -862,6 +865,32 @@ impl Repl {
             mp.seeds.len(),
             mp.rules.len()
         )?;
+        Ok(())
+    }
+
+    /// Prints the session's compiled star-local program (§2.4 and
+    /// `fundb_core::compile`): each mixed child compiles once, lifted.
+    fn plan_star_rules(&self, out: &mut dyn Write) -> std::io::Result<()> {
+        if fundb_core::relational_rules(&self.ws.program).is_some() {
+            return Ok(());
+        }
+        let mut interner = self.ws.interner.clone();
+        let normal = fundb_core::normalize(&self.ws.program, &mut interner);
+        let cp = match fundb_core::to_pure(&normal, &self.ws.db, &mut interner)
+            .and_then(|pure| fundb_core::CompiledProgram::compile(&pure, &mut interner))
+        {
+            Ok(cp) => cp,
+            Err(e) => return writeln!(out, "error: {e}"),
+        };
+        writeln!(
+            out,
+            "star-local plan: {} star rule(s) fired at every context, {} fixed rule(s):",
+            cp.star_rules().len(),
+            cp.fixed_rules().len()
+        )?;
+        for rule in cp.star_rules().iter().chain(cp.fixed_rules()) {
+            writeln!(out, "  {}", cp.display_rule(rule, &interner))?;
+        }
         Ok(())
     }
 
@@ -1180,6 +1209,28 @@ mod tests {
         // :stats surfaces the accumulated demand counters.
         assert!(out.contains("magic rules:"), "{out}");
         assert!(out.contains("demanded tuples:"), "{out}");
+    }
+
+    /// A mixed child compiles once, lifted: `:plan` in the planner session
+    /// shows one star rule whose context columns hold `move`'s arguments,
+    /// not one rule per pair of positions.
+    #[test]
+    fn plan_shows_the_lifted_star_rule_of_a_functional_session() {
+        let mut repl = Repl::new();
+        let out = feed(
+            &mut repl,
+            &[
+                "At(s, p1), Connected(p1, p2) -> At(move(s, p1, p2), p2).",
+                "At(0, P0). Connected(P0, P1). Connected(P1, P2). Connected(P2, P0).",
+                ":plan At(t, x)",
+            ],
+        );
+        assert!(out.contains("1 star rule(s)"), "{out}");
+        assert!(
+            out.contains("  At@+move(κ,p1,p2,p2) :- At@here(κ,p1), Connected(p1,p2)."),
+            "{out}"
+        );
+        assert!(!out.contains("move["), "{out}");
     }
 
     #[test]

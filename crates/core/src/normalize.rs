@@ -23,7 +23,7 @@
 //! The transformation is database-independent and preserves
 //! range-restrictedness, hence domain independence (§2.4).
 
-use crate::program::{Atom, FTerm, NTerm, Program, Rule};
+use crate::program::{Atom, FTerm, NTerm, Program, Rule, SpineStep};
 use fundb_term::{FxHashMap, FxHashSet, Interner, Pred, Var};
 
 /// Key identifying the outermost application of a functional term.
@@ -118,11 +118,20 @@ fn project_extra_fvars(rule: &Rule, interner: &mut Interner) -> Option<Vec<Rule>
     Some(vec![aux_rule, Rule::new(rule.head.clone(), new_body)])
 }
 
-/// Rewrite 2: head functional term non-ground with depth ≥ 2 — peel one
-/// outer application into a follow-up rule (the Appendix construction).
-/// The new predicate is named after the head's original predicate
-/// (`up_origin` maps every minted `P↑` to its `P`), so a head of depth `k`
-/// mints `PUp`, `PUp#1`, … rather than names that grow with each peel.
+/// Rewrite 2: head functional term non-ground with depth ≥ 2 — peel its
+/// outer applications into follow-up rules (the Appendix construction).
+/// Peel `i` turns `body → P_i(t_i, ā_i)` into `body → P_{i+1}(t_{i+1},
+/// c̄_i)` and `P_{i+1}(u_i, c̄_i) → P_i(outer_i(u_i), ā_i)`, where `t_{i+1}`
+/// is `t_i` without its outer application `outer_i` and `c̄_i` carries the
+/// variables of `ā_i` and of `outer_i`'s arguments; it repeats while
+/// `t_{i+1}` is non-ground with depth ≥ 2. All peels happen in one walk
+/// down the spine, so a depth-`k` head costs `O(k)`, and the rules come
+/// out in the order peeling one application per pass pops them from the
+/// worklist: the last `body → …` rule first, then the follow-ups from the
+/// innermost peel out. The new predicates are named after the head's
+/// original predicate (`up_origin` maps every minted `P↑` to its `P`), so
+/// a head of depth `k` mints `PUp`, `PUp#1`, … rather than names that grow
+/// with each peel.
 fn split_deep_head(
     rule: &Rule,
     interner: &mut Interner,
@@ -131,68 +140,83 @@ fn split_deep_head(
     let Atom::Functional { pred, fterm, args } = &rule.head else {
         return None;
     };
-    if fterm.is_ground() || fterm.depth() < 2 {
-        return None;
+    let (steps, end) = fterm.decompose();
+    // ground[i]: whether the term under the first i steps is ground.
+    let mut ground = vec![matches!(end, FTerm::Zero); steps.len() + 1];
+    for i in (0..steps.len()).rev() {
+        ground[i] = ground[i + 1]
+            && match &steps[i] {
+                SpineStep::Pure(_) => true,
+                SpineStep::Mixed(_, nargs) => nargs.iter().all(|n| n.as_const().is_some()),
+            };
     }
-    let (outer_builder, inner, outer_nterms): (OuterBuilder, FTerm, Vec<NTerm>) = match fterm {
-        FTerm::Pure(f, t) => (OuterBuilder::Pure(*f), (**t).clone(), vec![]),
-        FTerm::Mixed(g, t, nargs) => (
-            OuterBuilder::Mixed(*g, nargs.clone()),
-            (**t).clone(),
-            nargs.clone(),
-        ),
-        FTerm::Zero | FTerm::Var(_) => unreachable!("depth ≥ 2 term has an application"),
-    };
-
-    // Variables the follow-up rule needs: head args + outer's own
-    // non-functional args.
-    let mut carried = Vec::new();
-    let mut seen = FxHashSet::default();
-    for nt in args.iter().chain(outer_nterms.iter()) {
-        if let NTerm::Var(v) = nt {
-            if seen.insert(*v) {
-                carried.push(*v);
-            }
-        }
+    let peels = (0..steps.len())
+        .take_while(|&i| !ground[i] && steps.len() - i >= 2)
+        .count();
+    if peels == 0 {
+        return None;
     }
 
     let origin = up_origin.get(pred).copied().unwrap_or(*pred);
-    let up = Pred(interner.fresh(&format!("{}Up", interner_name(interner, origin))));
-    up_origin.insert(up, origin);
-    let u = Var(interner.fresh("u@"));
-
-    // r1: body → P↑(w, carried)
-    let r1 = Rule::new(
+    let stem = format!("{}Up", interner_name(interner, origin));
+    let mut follow_ups = Vec::with_capacity(peels);
+    let (mut head_pred, mut head_args) = (*pred, args.clone());
+    let mut seen = FxHashSet::default();
+    for step in &steps[..peels] {
+        // Variables the follow-up rule needs: head args + the outer
+        // application's own non-functional args.
+        let outer_nterms: &[NTerm] = match step {
+            SpineStep::Pure(_) => &[],
+            SpineStep::Mixed(_, nargs) => nargs,
+        };
+        let mut carried = Vec::new();
+        seen.clear();
+        for nt in head_args.iter().chain(outer_nterms) {
+            if let NTerm::Var(v) = nt {
+                if seen.insert(*v) {
+                    carried.push(NTerm::Var(*v));
+                }
+            }
+        }
+        let up = Pred(interner.fresh(&stem));
+        up_origin.insert(up, origin);
+        let u = Var(interner.fresh("u@"));
+        // P↑(u, carried) → P(outer(u), args)
+        let u_term = Box::new(FTerm::Var(u));
+        let rebuilt = match step {
+            SpineStep::Pure(f) => FTerm::Pure(*f, u_term),
+            SpineStep::Mixed(g, nargs) => FTerm::Mixed(*g, u_term, nargs.clone()),
+        };
+        follow_ups.push(Rule::new(
+            Atom::Functional {
+                pred: head_pred,
+                fterm: rebuilt,
+                args: std::mem::replace(&mut head_args, carried.clone()),
+            },
+            vec![Atom::Functional {
+                pred: up,
+                fterm: FTerm::Var(u),
+                args: carried,
+            }],
+        ));
+        head_pred = up;
+    }
+    // body → P↑(w, carried), with `w` the term under the peeled steps.
+    let inner_end = match end {
+        FTerm::Var(v) => FTerm::Var(*v),
+        _ => FTerm::Zero,
+    };
+    let inner = FTerm::rebuild(inner_end, steps.into_iter().skip(peels).rev());
+    let mut out = vec![Rule::new(
         Atom::Functional {
-            pred: up,
+            pred: head_pred,
             fterm: inner,
-            args: carried.iter().map(|&v| NTerm::Var(v)).collect(),
+            args: head_args,
         },
         rule.body.clone(),
-    );
-    // r2: P↑(u, carried) → P(outer(u), args)
-    let rebuilt = match outer_builder {
-        OuterBuilder::Pure(f) => FTerm::Pure(f, Box::new(FTerm::Var(u))),
-        OuterBuilder::Mixed(g, nargs) => FTerm::Mixed(g, Box::new(FTerm::Var(u)), nargs),
-    };
-    let r2 = Rule::new(
-        Atom::Functional {
-            pred: *pred,
-            fterm: rebuilt,
-            args: args.clone(),
-        },
-        vec![Atom::Functional {
-            pred: up,
-            fterm: FTerm::Var(u),
-            args: carried.iter().map(|&v| NTerm::Var(v)).collect(),
-        }],
-    );
-    Some(vec![r1, r2])
-}
-
-enum OuterBuilder {
-    Pure(fundb_term::Func),
-    Mixed(fundb_term::MixedSym, Vec<NTerm>),
+    )];
+    out.extend(follow_ups.into_iter().rev());
+    Some(out)
 }
 
 /// Rewrite 3: some body atom has a non-ground functional term of depth ≥ 2 —
@@ -496,5 +520,53 @@ mod tests {
             .collect();
         heads.sort_unstable();
         assert_eq!(heads, ["Q", "QUp", "QUp#1"]);
+    }
+
+    /// A depth-5 head with mixed steps peels into five rules in one walk:
+    /// the same rules, in the same order and under the same names, as
+    /// peeling one application per pass.
+    #[test]
+    fn deep_head_peels_in_one_walk() {
+        let mut fx = fx();
+        let y = Var(fx.i.intern("y"));
+        let g = |t: FTerm, v: Var| FTerm::Mixed(fx.g, Box::new(t), vec![NTerm::Var(v)]);
+        let f = |t: FTerm| FTerm::Pure(fx.f, Box::new(t));
+        // P(s, x), W(y) → Q(f(g(f(g(f(s), y)), x)), x).
+        let deep = f(g(f(g(f(FTerm::Var(fx.s)), y)), fx.x));
+        let mut prog = Program::new();
+        prog.push(Rule::new(
+            fat(fx.q, deep, vec![NTerm::Var(fx.x)]),
+            vec![
+                fat(fx.p, FTerm::Var(fx.s), vec![NTerm::Var(fx.x)]),
+                Atom::Relational {
+                    pred: fx.w,
+                    args: vec![NTerm::Var(y)],
+                },
+            ],
+        ));
+        let normalized = normalize(&prog, &mut fx.i);
+        let rendered: Vec<String> = normalized
+            .rules
+            .iter()
+            .map(|r| crate::program::display_rule(r, &fx.i).to_string())
+            .collect();
+        assert_eq!(
+            rendered,
+            [
+                "P(s,x), W(y) -> QUp#3(f(s),x,y).",
+                "QUp#3(u@#3,x,y) -> QUp#2(g(u@#3,y),x).",
+                "QUp#2(u@#2,x) -> QUp#1(f(u@#2),x).",
+                "QUp#1(u@#1,x) -> QUp(g(u@#1,x),x).",
+                "QUp(u@,x) -> Q(f(u@),x).",
+            ]
+        );
+        // The names are interned peel by peel, outermost first.
+        let syms: Vec<_> = [
+            "QUp", "u@", "QUp#1", "u@#1", "QUp#2", "u@#2", "QUp#3", "u@#3",
+        ]
+        .iter()
+        .map(|n| fx.i.get(n).unwrap())
+        .collect();
+        assert!(syms.windows(2).all(|w| w[0] < w[1]));
     }
 }
