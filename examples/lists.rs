@@ -41,6 +41,8 @@ fn main() {
     for n in &names {
         println!("  {n}");
     }
+    // `ext(0, x)` names a ground node, so its rule is copied per constant;
+    // the children `ext(s, y)` stay lifted and compile once each.
     println!("transformed rules: {}", pure.program.rules.len());
 
     // Algorithm Q: the paper's §3.4 worked example.
