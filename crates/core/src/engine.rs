@@ -30,10 +30,12 @@
 //! database and one semi-naive evaluator: a context's here and child atoms
 //! are rows tagged with its id in the leading column (see
 //! [`crate::compile`]), while fixed-node atoms and the relational store
-//! are untagged rows held once. A *local step* at a context injects the
-//! delta of its own here and child states, resumes the evaluator, and
-//! absorbs every new row into the state its context column names, so a
-//! relational fact derived at one star reaches every star in the same run.
+//! are untagged rows held once; the store has no other copy, and
+//! [`Engine::nf`] clones its relations out. A *local step* at a context
+//! injects the delta of its own here and child states, resumes the
+//! evaluator, and absorbs every new row into the state its context column
+//! names, so a relational fact derived at one star reaches every star in
+//! the same run.
 //! A child that instantiates a mixed symbol, `g[c̄](t)` (§2.4), keeps its
 //! rows in `g`'s one lifted relation, led by `c̄` after the context column,
 //! so the engine fires one rule where the enumeration has one per `c̄`.
@@ -133,15 +135,13 @@ pub struct Engine {
     top: FxHashMap<NodeId, State>,
     /// Seeds flowing from depth-c nodes into their (uniform) children.
     boundary: FxHashMap<(NodeId, Func), State>,
-    /// The untagged relations of `db`: the relational store readers see.
-    nf: dl::Database,
     /// The contexts: the top nodes in breadth-first (precedence) order,
     /// then the seeds in the order they were first processed.
     ctxs: Vec<Ctx>,
     /// Processed seed → its context.
     memo: FxHashMap<State, usize>,
     /// The one database: every context's here and child rows, the
-    /// fixed-node rows and the relational store.
+    /// fixed-node and scope rows, and the relational store.
     db: dl::Database,
     /// The semi-naive evaluation of `db`, under the engine's worker-thread
     /// count and governor. The governor's budgets (rows/rounds/time/bytes)
@@ -230,10 +230,7 @@ impl Engine {
         for _ in 0..cp.c {
             let mut next = Vec::new();
             for &n in &frontier {
-                for &f in cp.funcs.symbols() {
-                    let child = tree.child(n, f);
-                    next.push(child);
-                }
+                next.extend(cp.funcs.symbols().iter().map(|&f| tree.child(n, f)));
             }
             top_nodes.extend(next.iter().copied());
             frontier = next;
@@ -252,7 +249,6 @@ impl Engine {
             atoms: AtomInterner::new(),
             tree,
             boundary: FxHashMap::default(),
-            nf: dl::Database::new(),
             memo: FxHashMap::default(),
             db: dl::Database::new(),
             eval: dl::IncrementalEval::new(),
@@ -266,7 +262,6 @@ impl Engine {
             engine.insert_top(node, id);
         }
         for (pred, args) in &engine.cp.nf_facts {
-            engine.nf.insert(*pred, args);
             engine.db.insert(*pred, args);
         }
         engine
@@ -405,15 +400,13 @@ impl Engine {
             });
         }
         self.check_vocabulary(pred, args, interner)?;
-        for f in path {
-            if self.cp.funcs.symbols().iter().all(|g| g != f) {
-                return Err(crate::error::Error::UnsupportedQuery {
-                    detail: format!(
-                        "function symbol `{}` is not in the compiled program; rebuild",
-                        interner.resolve(f.sym())
-                    ),
-                });
-            }
+        if let Some(f) = path.iter().find(|f| !self.cp.funcs.symbols().contains(f)) {
+            return Err(crate::error::Error::UnsupportedQuery {
+                detail: format!(
+                    "function symbol `{}` is not in the compiled program; rebuild",
+                    interner.resolve(f.sym())
+                ),
+            });
         }
         let node = self
             .tree
@@ -435,8 +428,7 @@ impl Engine {
         interner: &Interner,
     ) -> Result<()> {
         self.check_vocabulary(pred, args, interner)?;
-        if self.nf.insert(pred, args) {
-            self.db.insert(pred, args);
+        if self.db.insert(pred, args) {
             self.settled = false;
             self.solved = false;
         }
@@ -452,16 +444,14 @@ impl Engine {
                 ),
             });
         }
-        for c in args {
-            if self.cp.schema.constants.iter().all(|k| k != c) {
-                return Err(crate::error::Error::UnsupportedQuery {
-                    detail: format!(
-                        "constant `{}` is new — the mixed→pure transformation is \
-                         database-dependent (§2.4); rebuild the engine",
-                        interner.resolve(c.sym())
-                    ),
-                });
-            }
+        if let Some(c) = args.iter().find(|c| !self.cp.schema.constants.contains(c)) {
+            return Err(crate::error::Error::UnsupportedQuery {
+                detail: format!(
+                    "constant `{}` is new — the mixed→pure transformation is \
+                     database-dependent (§2.4); rebuild the engine",
+                    interner.resolve(c.sym())
+                ),
+            });
         }
         Ok(())
     }
@@ -485,14 +475,23 @@ impl Engine {
         self.state_of_path(path).contains(id)
     }
 
-    /// Yes-no query for a relational tuple `S(ā)`.
+    /// Yes-no query for a relational tuple `S(ā)`. A tagged predicate or
+    /// the scope relation never holds here.
     pub fn holds_relational(&self, pred: Pred, args: &[Cst]) -> bool {
-        self.nf.contains(pred, args)
+        self.cp.schema.is_relational(pred) && self.db.contains(pred, args)
     }
 
-    /// The non-functional store (all derived relational facts).
-    pub fn nf(&self) -> &dl::Database {
-        &self.nf
+    /// A copy of the non-functional store (all given and derived
+    /// relational facts): the relations of the engine's database that
+    /// belong to the program's relational predicates, each cloned whole.
+    pub fn nf(&self) -> dl::Database {
+        let mut out = dl::Database::new();
+        for (p, rel) in self.db.iter() {
+            if self.cp.schema.is_relational(p) {
+                *out.relation_mut(p, rel.arity()) = rel.clone();
+            }
+        }
+        out
     }
 
     /// Cursor at the root (`0`).
@@ -566,7 +565,7 @@ impl Engine {
     }
 
     /// Processes every demanded uniform seed once; returns whether anything
-    /// (memo entries, top region, nf) changed.
+    /// (memo entries, top region, relational store) changed.
     fn uniform_pass(&mut self) -> Result<bool> {
         let mut queue: Vec<State> = Vec::new();
         let mut enqueued: FxHashSet<State> = FxHashSet::default();
@@ -694,17 +693,17 @@ impl Engine {
             Site::Top(n) => {
                 inject(&top[n], &mut snap.here, (Loc::Here, &[]));
                 for &f in cp.funcs.symbols() {
-                    let child = if tree.depth(*n) == cp.c {
-                        boundary
+                    // A depth-c node's children are uniform, in `boundary`.
+                    let child = match tree.get_child(*n, f) {
+                        Some(child) => &top[&child],
+                        None => boundary
                             .get(&(*n, f))
-                            .map_or(&EMPTY_STATE, |seed| seed_state(memo, ctxs, seed))
-                    } else {
-                        let child = tree
-                            .get_child(*n, f)
-                            .expect("top region is fully materialized");
-                        &top[&child]
+                            .map_or(&EMPTY_STATE, |seed| seed_state(memo, ctxs, seed)),
                     };
-                    inject(child, snap.child.entry(f).or_default(), cp.child_loc(f));
+                    // An empty child, as most of a wide node's are, is skipped.
+                    if !child.is_empty() {
+                        inject(child, snap.child.entry(f).or_default(), cp.child_loc(f));
+                    }
                 }
             }
             Site::Seed(entry) => {
@@ -720,11 +719,11 @@ impl Engine {
     }
 
     /// Absorbs the rows the evaluator derived since the last absorption:
-    /// a relational row into the relational store, a fixed-node row into
-    /// that node's state, and a here or child row into the state of the
-    /// context its first column names (recorded as injected there); a
-    /// lifted child row goes to the instance its leading constants name
-    /// ([`CompiledProgram::instance`]).
+    /// a relational row is only counted, as the database is the relational
+    /// store; a fixed-node row goes into that node's state, and a here or
+    /// child row into the state of the context its first column names
+    /// (recorded as injected there); a lifted child row goes to the
+    /// instance its leading constants name ([`CompiledProgram::instance`]).
     /// Returns whether a store of context `current` (its memo entry, or a
     /// top node's boundary seeds) grew and whether any store grew.
     fn absorb(&mut self, current: usize) -> (bool, bool) {
@@ -737,27 +736,25 @@ impl Engine {
             if rel.len() == from {
                 continue;
             }
-            let untagged = self.cp.untag(tagged);
             // Injected rows are asserted; the evaluator's are derived.
             let derived = (from..rel.len())
                 .map(|i| dl::RowId(i as u32))
                 .filter(|&id| !rel.is_asserted(id));
+            let Some(untagged) = self.cp.untag(tagged) else {
+                let new = derived.count();
+                self.stats.delta_atoms += new;
+                any |= new > 0;
+                continue;
+            };
             for row in derived.map(|id| rel.row(id)) {
                 let (p, child, args) = match untagged {
-                    None => {
-                        if self.nf.insert(tagged, row) {
-                            self.stats.delta_atoms += 1;
-                            any = true;
-                        }
-                        continue;
-                    }
-                    Some((p, Loc::Fixed(n))) => {
+                    (p, Loc::Fixed(n)) => {
                         top_atoms.push((n, self.atoms.intern(p, row)));
                         continue;
                     }
-                    Some((p, Loc::Here)) => (p, None, &row[1..]),
-                    Some((p, Loc::Child(f))) => (p, Some(f), &row[1..]),
-                    Some((p, Loc::Mixed(g))) => {
+                    (p, Loc::Here) => (p, None, &row[1..]),
+                    (p, Loc::Child(f)) => (p, Some(f), &row[1..]),
+                    (p, Loc::Mixed(g)) => {
                         let (f, args) = self.cp.instance(g, &row[1..]);
                         (p, Some(f), args)
                     }

@@ -112,7 +112,9 @@ pub struct GraphSpec {
     pub(crate) succ: Vec<u32>,
     /// Abstract-atom vocabulary for the slices.
     pub atoms: AtomInterner,
-    /// The relational part of the fixpoint (non-functional predicates).
+    /// The relational part of the fixpoint (non-functional predicates):
+    /// the spec's own copy of the engine's relational relations, taken by
+    /// [`Engine::nf`] when the spec is built.
     pub nf: dl::Database,
     /// Merges recorded by Algorithm Q, in the order they were made: exactly
     /// the equations `R` of the equational specification (§3.5).
@@ -162,7 +164,7 @@ impl GraphSpec {
             nodes: Vec::new(),
             succ: Vec::new(),
             atoms: engine.atoms().clone(),
-            nf: engine.nf().clone(),
+            nf: engine.nf(),
             merges: Vec::new(),
             active_count: 0,
         };

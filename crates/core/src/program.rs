@@ -687,6 +687,11 @@ impl Schema {
         self.sigs[&p]
     }
 
+    /// Whether `p` is a non-functional predicate of the schema.
+    pub fn is_relational(&self, p: Pred) -> bool {
+        self.sigs.get(&p).is_some_and(|sig| !sig.functional)
+    }
+
     /// Number of predicates (`s` in §2.5).
     pub fn pred_count(&self) -> usize {
         self.sigs.len()

@@ -189,7 +189,11 @@ pub fn write_spec(bundle: &SpecBundle, interner: &Interner) -> Result<String> {
             ));
         }
     }
-    for (p, rel) in spec.nf.iter() {
+    // By predicate name, as the binary writer does, so the bytes do not
+    // depend on the store's hash-map history.
+    let mut rels: Vec<(Pred, &dl::Relation)> = spec.nf.iter().collect();
+    rels.sort_by_key(|(p, _)| interner.resolve(p.sym()));
+    for (p, rel) in rels {
         for row in rel.rows() {
             out.push_str(&format!("nf {}", name(p.sym())?));
             for a in row.iter() {
@@ -1284,5 +1288,50 @@ mod tests {
         ] {
             assert!(read_spec_binary(&even_binary(edges), &mut i).is_err());
         }
+    }
+
+    /// `base` plus six one-row relations, added in one order and in its
+    /// reverse. The predicate names are chosen so that the two stores
+    /// iterate their relations in different orders.
+    fn filled_in_either_order(base: &dl::Database, i: &mut Interner) -> [dl::Database; 2] {
+        let row = [Cst(i.intern("Tony"))];
+        for k in 0..64 {
+            let preds: Vec<Pred> = (0..6)
+                .map(|j| Pred(i.intern(&format!("R{k}_{j}"))))
+                .collect();
+            let fill = |preds: &mut dyn Iterator<Item = &Pred>| {
+                let mut db = base.clone();
+                for &p in preds {
+                    db.insert(p, &row);
+                }
+                db
+            };
+            let stores = [fill(&mut preds.iter()), fill(&mut preds.iter().rev())];
+            let order = |db: &dl::Database| db.iter().map(|(p, _)| p).collect::<Vec<_>>();
+            if order(&stores[0]) != order(&stores[1]) {
+                return stores;
+            }
+        }
+        panic!("no predicate names whose stores iterate in different orders");
+    }
+
+    #[test]
+    fn text_bytes_do_not_depend_on_the_store_insertion_order() {
+        let (mut i, spec, ..) = meets_spec();
+        let [first, second] = filled_in_either_order(&spec.nf, &mut i);
+        let text = |nf: dl::Database| {
+            let spec = GraphSpec { nf, ..spec.clone() };
+            let bundle = SpecBundle {
+                spec,
+                sym_map: FxHashMap::default(),
+            };
+            (
+                write_spec(&bundle, &i).unwrap(),
+                write_spec_binary(&bundle, &i),
+            )
+        };
+        let (text1, bytes1) = text(first);
+        assert_eq!(text1.matches("\nnf ").count(), 8, "{text1}");
+        assert_eq!((text1, bytes1), text(second));
     }
 }

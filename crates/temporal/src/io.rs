@@ -52,7 +52,10 @@ pub fn write_lasso(spec: &TemporalSpec, interner: &Interner) -> String {
     for (i, s) in spec.cycle.iter().enumerate() {
         emit('c', i, s);
     }
-    for (p, rel) in spec.nf.iter() {
+    // By predicate name, so the bytes do not depend on hash-map history.
+    let mut rels: Vec<(Pred, &dl::Relation)> = spec.nf.iter().collect();
+    rels.sort_by_key(|(p, _)| interner.resolve(p.sym()));
+    for (p, rel) in rels {
         for row in rel.rows() {
             out.push_str(&format!("nf {}", name(p.sym())));
             for a in row.iter() {
@@ -283,5 +286,38 @@ mod tests {
             let mut fresh = Interner::new();
             let _ = read_lasso(&mutated, &mut fresh);
         }
+    }
+
+    /// The scheduler's lasso plus six one-row relations, written after
+    /// adding them in one order and in its reverse. The predicate names
+    /// are chosen so that the two stores iterate their relations in
+    /// different orders.
+    #[test]
+    fn text_bytes_do_not_depend_on_the_store_insertion_order() {
+        let (mut i, mut spec) = scheduler_spec();
+        let base = spec.nf.clone();
+        let row = [Cst(i.intern("Lab"))];
+        let order = |db: &dl::Database| db.iter().map(|(p, _)| p).collect::<Vec<_>>();
+        for k in 0..64 {
+            let mut preds: Vec<Pred> = (0..6)
+                .map(|j| Pred(i.intern(&format!("R{k}_{j}"))))
+                .collect();
+            let mut texts = Vec::new();
+            let mut orders = Vec::new();
+            for _ in 0..2 {
+                spec.nf = base.clone();
+                for &p in &preds {
+                    spec.nf.insert(p, &row);
+                }
+                preds.reverse();
+                orders.push(order(&spec.nf));
+                texts.push(write_lasso(&spec, &i));
+            }
+            if orders[0] != orders[1] {
+                assert_eq!(texts[0], texts[1]);
+                return;
+            }
+        }
+        panic!("no predicate names whose stores iterate in different orders");
     }
 }

@@ -481,7 +481,8 @@ mod tests {
                 );
             }
         }
-        for (a, b) in [(&spec.nf, engine.nf()), (engine.nf(), &spec.nf)] {
+        let engine_nf = engine.nf();
+        for (a, b) in [(&spec.nf, &engine_nf), (&engine_nf, &spec.nf)] {
             for (p, rel) in a.iter() {
                 assert!(rel.rows().all(|row| b.contains(p, row)));
             }
