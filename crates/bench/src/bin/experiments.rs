@@ -8,7 +8,7 @@
 //! targets.
 //!
 //! Every run also appends a machine-readable trajectory to
-//! `BENCH_pr27.json` (override with `FUNDB_BENCH_JSON`): one record per
+//! `BENCH_pr28.json` (override with `FUNDB_BENCH_JSON`): one record per
 //! experiment with its wall time, plus detailed records (rows/s, join
 //! probes, index hits/misses, threads) for the timed experiments. CI
 //! uploads the file so the bench history accumulates across PRs.
@@ -159,8 +159,8 @@ impl Bench {
     /// Writes the trajectory file and returns its path.
     fn write(&self) -> std::io::Result<String> {
         let path =
-            std::env::var("FUNDB_BENCH_JSON").unwrap_or_else(|_| "BENCH_pr27.json".to_string());
-        let mut out = String::from("{\"schema\":\"fundb-bench-v1\",\"pr\":27,\"records\":[\n");
+            std::env::var("FUNDB_BENCH_JSON").unwrap_or_else(|_| "BENCH_pr28.json".to_string());
+        let mut out = String::from("{\"schema\":\"fundb-bench-v1\",\"pr\":28,\"records\":[\n");
         out.push_str(&self.records.join(",\n"));
         out.push_str("\n]}\n");
         std::fs::write(&path, out)?;
@@ -1986,7 +1986,8 @@ fn e17_durability(bench: &mut Bench) {
         "expected shape: WAL-on within max(5%, noise) on probe-bound \
          workloads (appends are buffered, one fsync-free flush per run); \
          counter's marker-per-round worst case stays single-digit; reopen \
-         from a snapshot beats full replay by skipping re-derivation\n"
+         from a snapshot costs about what full replay does, as both decode \
+         and insert the same rows and neither re-derives\n"
     );
 }
 

@@ -396,8 +396,7 @@ fn analyze(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 /// `fundb explain <program> <fact> [--depth N]`: a derivation tree for a
-/// fact of the (possibly infinite) least fixpoint, found within a bounded
-/// horizon via the traced materialization.
+/// fact of the (possibly infinite) least fixpoint; see [`explain_fact`].
 fn explain(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let mut depth: Option<usize> = None;
     let mut positional: Vec<&String> = Vec::new();
@@ -420,21 +419,36 @@ fn explain(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         .map_err(|e| CliError::Failed(format!("cannot read {input}: {e}")))?;
     let mut ws = Workspace::new();
     ws.parse(&text)?;
-    let normal = fundb_core::normalize(&ws.program, &mut ws.interner);
-    let pure = fundb_core::to_pure(&normal, &ws.db, &mut ws.interner)?;
+    explain_fact(&ws, fact, depth, out)
+}
+
+/// Writes a derivation tree for `fact` over the program and facts of
+/// `ws`, found within a bounded horizon (`depth`, or a few steps past
+/// the fact's depth) via the traced materialization. Serves `fundb
+/// explain` and the REPL's `:explain`; works on a copy of the
+/// workspace's interner, so the workspace is left as it was.
+pub fn explain_fact(
+    ws: &Workspace,
+    fact: &str,
+    depth: Option<usize>,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
+    let mut interner = ws.interner.clone();
+    let normal = fundb_core::normalize(&ws.program, &mut interner);
+    let pure = fundb_core::to_pure(&normal, &ws.db, &mut interner)?;
 
     // Parse the fact through the workspace's elaboration.
-    let stmts = parse_source(&format!("{fact}."))?;
+    let stmts = parse_source(&format!("{}.", fact.trim_end_matches('.')))?;
     let [fundb_parser::PStatement::Rule(rule)] = &stmts[..] else {
         return Err(CliError::Failed("expected a single ground atom".into()));
     };
     let mut el = Elaborator::new();
     for (p, sig) in &pure.schema.sigs {
         if sig.functional {
-            el.force_functional(ws.interner.resolve(p.sym()));
+            el.force_functional(interner.resolve(p.sym()));
         }
     }
-    let atom = el.atom(&rule.head, &mut ws.interner)?;
+    let atom = el.atom(&rule.head, &mut interner)?;
     let cst_args: Vec<fundb_term::Cst> = atom
         .args()
         .iter()
@@ -453,10 +467,10 @@ fn explain(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         return Ok(());
     };
     let horizon = depth.unwrap_or_else(|| (path.len() + 4).max(pure.schema.max_ground_depth));
-    let mat = fundb_core::BoundedMaterialization::run_traced(&pure, horizon, &mut ws.interner)?;
+    let mat = fundb_core::BoundedMaterialization::run_traced(&pure, horizon, &mut interner)?;
     match mat.explain(atom.pred(), &path, &cst_args) {
         Some(d) => {
-            write!(out, "{}", fundb_datalog::Provenance::render(&d, &ws.interner))?;
+            write!(out, "{}", fundb_datalog::Provenance::render(&d, &interner))?;
         }
         None => writeln!(
             out,

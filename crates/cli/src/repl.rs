@@ -236,64 +236,8 @@ impl Repl {
                 let fact: String = parts.collect::<Vec<_>>().join(" ");
                 if fact.is_empty() {
                     writeln!(out, "usage: :explain <fact>")?;
-                } else {
-                    // Delegate to the CLI path over a temp snapshot of the
-                    // session program. Emit explicit kind declarations so
-                    // predicates whose functional kind came from inference
-                    // (or `functional P/n.` declarations) survive the
-                    // round-trip even when the rendered rules alone carry no
-                    // syntactic evidence.
-                    let mut rendered = String::new();
-                    {
-                        let mut declared: Vec<(String, usize)> = Vec::new();
-                        for atom in self
-                            .ws
-                            .program
-                            .rules
-                            .iter()
-                            .flat_map(|r| std::iter::once(&r.head).chain(&r.body))
-                            .chain(self.ws.db.facts.iter())
-                        {
-                            if atom.fterm().is_some() {
-                                let name = self.ws.interner.resolve(atom.pred().sym()).to_string();
-                                let arity = atom.args().len() + 1;
-                                if !declared.contains(&(name.clone(), arity)) {
-                                    declared.push((name, arity));
-                                }
-                            }
-                        }
-                        for (name, arity) in declared {
-                            rendered.push_str(&format!("functional {name}/{arity}.\n"));
-                        }
-                    }
-                    for r in &self.ws.program.rules {
-                        rendered.push_str(&format!(
-                            "{}\n",
-                            fundb_core::program::display_rule(r, &self.ws.interner)
-                        ));
-                    }
-                    for f in &self.ws.db.facts {
-                        rendered.push_str(&format!(
-                            "{}.\n",
-                            fundb_core::program::display_atom(f, &self.ws.interner)
-                        ));
-                    }
-                    let path = std::env::temp_dir()
-                        .join(format!("fundb-repl-explain-{}.fdb", std::process::id()));
-                    match std::fs::write(&path, rendered) {
-                        Ok(()) => {
-                            let args = vec![
-                                "explain".to_string(),
-                                path.to_string_lossy().into_owned(),
-                                fact.trim_end_matches('.').to_string(),
-                            ];
-                            if let Err(e) = crate::run(&args, out) {
-                                writeln!(out, "error: {e:?}")?;
-                            }
-                            std::fs::remove_file(&path).ok();
-                        }
-                        Err(e) => writeln!(out, "error: {e}")?,
-                    }
+                } else if let Err(e) = crate::explain_fact(&self.ws, &fact, None, out) {
+                    writeln!(out, "error: {e:?}")?;
                 }
             }
             Some("check") => {

@@ -109,6 +109,22 @@ pub fn pure_path_with_map(
     Some(path)
 }
 
+/// The mixed→pure instances in canonical order, sorted by resolved names,
+/// so that both writers produce identical bytes for identical bundles
+/// regardless of the map's insertion history.
+#[allow(clippy::type_complexity)]
+fn sorted_mixed<'a>(
+    bundle: &'a SpecBundle,
+    interner: &Interner,
+) -> Vec<(&'a (MixedSym, Box<[Cst]>), &'a Func)> {
+    let mut mixed: Vec<_> = bundle.sym_map.iter().collect();
+    mixed.sort_by_key(|((g, args), _)| {
+        let args: Vec<&str> = args.iter().map(|a| interner.resolve(a.sym())).collect();
+        (interner.resolve(g.name), args)
+    });
+    mixed
+}
+
 /// Serializes a specification (and symbol map) to the text format.
 ///
 /// Every symbol name is validated before it is emitted: a name that is
@@ -152,7 +168,7 @@ pub fn write_spec(bundle: &SpecBundle, interner: &Interner) -> Result<String> {
         out.push_str(name(f.sym())?);
     }
     out.push('\n');
-    for ((g, args), f) in &bundle.sym_map {
+    for ((g, args), f) in sorted_mixed(bundle, interner) {
         out.push_str(&format!("mixed {} {}", name(g.name)?, g.extra_args));
         for a in args.iter() {
             out.push(' ');
@@ -272,19 +288,7 @@ pub fn write_spec_binary(bundle: &SpecBundle, interner: &Interner) -> Vec<u8> {
         put_u32(&mut body, table.id(f.sym()));
     }
 
-    // Canonical order for the hash-map-backed sections: sort by resolved
-    // names so identical bundles produce identical bytes regardless of
-    // insertion history.
-    #[allow(clippy::type_complexity)]
-    let mut mixed: Vec<(&(MixedSym, Box<[Cst]>), &Func)> = bundle.sym_map.iter().collect();
-    mixed.sort_by_key(|((g, args), _)| {
-        (
-            interner.resolve(g.name),
-            args.iter()
-                .map(|a| interner.resolve(a.sym()))
-                .collect::<Vec<_>>(),
-        )
-    });
+    let mixed = sorted_mixed(bundle, interner);
     put_u32(&mut body, mixed.len() as u32);
     for ((g, args), f) in mixed {
         put_u32(&mut body, table.id(g.name));
@@ -979,6 +983,41 @@ mod tests {
         let fa4 = Func(i4.get("ext[A]").unwrap());
         assert_eq!(bundle.sym_map[&(g4, vec![a4].into_boxed_slice())], fa4);
         let _ = (g, a, fa);
+    }
+
+    #[test]
+    fn mixed_lines_do_not_depend_on_the_map_insertion_order() {
+        let (mut i, spec, ..) = meets_spec();
+        let ext = i.intern("ext");
+        let g = MixedSym {
+            name: ext,
+            extra_args: 1,
+        };
+        let entries: Vec<_> = (0..200)
+            .map(|k| {
+                let a = Cst(i.intern(&format!("A{k}")));
+                let f = Func(i.intern(&format!("ext[A{k}]")));
+                ((g, vec![a].into_boxed_slice()), f)
+            })
+            .collect();
+        let forward: FxHashMap<_, _> = entries.iter().cloned().collect();
+        let backward: FxHashMap<_, _> = entries.iter().rev().cloned().collect();
+        // The two maps must iterate differently, or this test shows nothing.
+        assert!(forward.iter().ne(backward.iter()));
+        let bytes = |sym_map| {
+            let bundle = SpecBundle {
+                spec: spec.clone(),
+                sym_map,
+            };
+            (
+                write_spec(&bundle, &i).unwrap(),
+                write_spec_binary(&bundle, &i),
+            )
+        };
+        let (text, binary) = bytes(forward);
+        assert_eq!(text.matches("\nmixed ").count(), 200);
+        assert!(text.contains("mixed ext 1 A0 ext[A0]\nmixed ext 1 A1 ext[A1]\n"));
+        assert_eq!((text, binary), bytes(backward));
     }
 
     #[test]

@@ -76,14 +76,13 @@ pub struct EvalStats {
     pub demanded_tuples: usize,
     /// Always 0: every run executes the plans it is given, never
     /// re-planning. Kept because the benchmark's `relational_fixpoint`
-    /// workload reads it and the WAL round-commit record encodes it, so
-    /// the on-disk format is unchanged.
+    /// workload reads it; the WAL does not journal it and recovers 0.
     pub replans: usize,
     /// Always 0: composite indexes have no pre-probe filter. Kept for the
-    /// same benchmark and WAL-format reasons as `replans`.
+    /// same reason as `replans`, and likewise not journaled.
     pub bloom_skips: usize,
     /// Always 0: every task evaluates its own body. Kept for the same
-    /// benchmark and WAL-format reasons as `replans`.
+    /// reason as `replans`, and likewise not journaled.
     pub shared_prefix_hits: usize,
     /// Number of rows tombstoned by retraction maintenance (the target
     /// fact plus every over-deleted consequence), across

@@ -1,5 +1,5 @@
-//! Minimal binary codec shared by the WAL, the snapshot format, and the
-//! binary specification format: little-endian fixed-width integers,
+//! Minimal binary codec shared by the log format (WAL and snapshots) and
+//! the binary specification format: little-endian fixed-width integers,
 //! length-prefixed strings, and CRC-32C (Castagnoli) checksums.
 //! Hand-rolled because the build environment is offline — no serde, no
 //! crc crates.
@@ -39,8 +39,8 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// CRC-32C (Castagnoli) of `bytes` — the checksum guarding every WAL
-/// record and snapshot body against torn writes and bit rot. Castagnoli
+/// CRC-32C (Castagnoli) of `bytes` — the checksum guarding every log
+/// record and binary spec body against torn writes and bit rot. Castagnoli
 /// rather than IEEE because x86-64 executes it in hardware (SSE 4.2's
 /// `crc32` instruction, detected at runtime): the WAL sits on the
 /// engine's commit path, so checksumming must stay a small fraction of

@@ -182,7 +182,7 @@ const RING_PLANNER_6: (Pin, Pin) = (
         equations: 281,
         render: (10221, 2763937198383329863),
         render_equations: (19373, 8767603238505913387),
-        text: (23093, 387204731361138140),
+        text: (23093, 2209732368366091184),
         binary: (11655, 14003798584603129304),
     },
     Pin {
@@ -191,7 +191,7 @@ const RING_PLANNER_6: (Pin, Pin) = (
         equations: 282,
         render: (8900, 3253168537837052478),
         render_equations: (19458, 13378020041547194001),
-        text: (22325, 13557978561856318664),
+        text: (22325, 16957598039414346148),
         binary: (11211, 2017108463062559072),
     },
 );
@@ -202,7 +202,7 @@ const SUBSET_LISTS_4: (Pin, Pin) = (
         equations: 61,
         render: (3492, 4251774311326898035),
         render_equations: (3630, 222036648466388517),
-        text: (4876, 11608794209209954137),
+        text: (4876, 7044222565002193061),
         binary: (3318, 5599002633122777875),
     },
     Pin {
@@ -211,7 +211,7 @@ const SUBSET_LISTS_4: (Pin, Pin) = (
         equations: 65,
         render: (2826, 3495465748630493357),
         render_equations: (3730, 8691965051974389389),
-        text: (4484, 11741343788844509717),
+        text: (4484, 7477449351035212329),
         binary: (3078, 5619669501004385162),
     },
 );
