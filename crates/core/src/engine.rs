@@ -268,7 +268,7 @@ impl Engine {
     }
 
     /// Pins the worker-thread count used by the engine's evaluator
-    /// (`None` restores the `FUNDB_THREADS` / machine-parallelism default).
+    /// (`None` restores the default: `FUNDB_THREADS`, else 1).
     /// Thread count never changes results or stats: parallel rounds merge
     /// worker buffers in task order, byte-identical to sequential.
     pub fn set_threads(&mut self, threads: Option<usize>) {

@@ -237,6 +237,59 @@ impl GraphSpec {
         Ok(spec)
     }
 
+    /// The graph specification of a lasso over the one symbol `f` (§4: for
+    /// temporal rules "the relation R contains just one pair"): node `i`
+    /// represents `fⁱ` with the slice `prefix ++ cycle` holds at `i`,
+    /// `successor_f(i) = i+1`, and the last node's successor is the one
+    /// merge, into node `ρ`, with `c = ρ−1`. A lasso with `ρ = 0` is
+    /// unrolled by one position, so that the merge target is deep: its
+    /// equation is `(1, 1+λ)`, congruent to `(0, λ)` on the lasso's terms.
+    /// `cycle` must not be empty.
+    pub fn from_lasso(
+        f: Func,
+        prefix: &[State],
+        cycle: &[State],
+        atoms: AtomInterner,
+        nf: dl::Database,
+    ) -> GraphSpec {
+        let unrolled;
+        let (prefix, cycle) = if prefix.is_empty() {
+            unrolled = [&cycle[1..], &cycle[..1]].concat();
+            (&cycle[..1], &unrolled[..])
+        } else {
+            (prefix, cycle)
+        };
+        let rho = prefix.len();
+        let mut spec = GraphSpec {
+            c: rho - 1,
+            funcs: FuncOrder::new([f]),
+            tree: TermTree::new(),
+            nodes: Vec::with_capacity(rho + cycle.len()),
+            succ: Vec::with_capacity(rho + cycle.len()),
+            atoms,
+            nf,
+            merges: Vec::new(),
+            active_count: cycle.len(),
+        };
+        let mut term = spec.tree.root();
+        for (i, state) in prefix.iter().chain(cycle).enumerate() {
+            if i > 0 {
+                term = spec.tree.child(term, f);
+            }
+            spec.push_node(term, state.clone());
+            spec.succ[i] = i as u32 + 1;
+        }
+        let last = spec.succ.len() - 1;
+        spec.succ[last] = rho as u32;
+        let rep = SpecNodeId::from_index(rho);
+        spec.merges.push(Merge {
+            parent: term,
+            f,
+            rep,
+        });
+        spec
+    }
+
     /// Appends a node with an empty successor row.
     fn push_node(&mut self, term: NodeId, state: State) -> SpecNodeId {
         let id = SpecNodeId::from_index(self.nodes.len());
@@ -306,6 +359,15 @@ impl GraphSpec {
         }
         if self.nodes[0].term != self.tree.root() {
             return invalid("node 0 does not represent the term 0".into());
+        }
+        // Terms of node and merge paths alike: a node over a foreign symbol
+        // would become a merge over it in `minimized`.
+        for t in self.tree.node_ids() {
+            if let Some((_, f)) = self.tree.parent(t) {
+                if self.funcs.position(f).is_none() {
+                    return invalid("a term uses a symbol outside the specification".into());
+                }
+            }
         }
         let mut seen = vec![false; self.tree.len()];
         for (i, node) in self.nodes.iter().enumerate() {

@@ -507,6 +507,11 @@ pub fn read_spec_binary(bytes: &[u8], interner: &mut Interner) -> Result<SpecBun
             return Err(bin_err("one relational predicate with two arities"));
         }
         let nrows = r.u64()? as usize;
+        // A row of no columns takes no bytes, so no truncation ends a
+        // huge count of them: refuse it before looping.
+        if arity == 0 && nrows > 1 {
+            return Err(bin_err("a nullary relation holds at most one row"));
+        }
         for _ in 0..nrows {
             row_buf.clear();
             for _ in 0..arity {
@@ -1159,6 +1164,20 @@ mod tests {
                 "{huge}: u32::MAX entries accepted"
             );
         }
+        // A nullary relation's rows take no bytes: a huge count of them is
+        // refused, not looped over.
+        let mut body = Vec::new();
+        put_u32(&mut body, 1);
+        put_str(&mut body, "P");
+        put_u64(&mut body, 0);
+        for count in [0, 0, 0, 0, 0, 1, 0, 0] {
+            put_u32(&mut body, count); // funcs … rels, then P of arity 0
+        }
+        put_u64(&mut body, u64::MAX);
+        let err = read_spec_binary(&framed(&body), &mut Interner::new())
+            .err()
+            .unwrap();
+        assert!(err.to_string().contains("at most one row"), "{err}");
     }
 
     /// Wraps a binary spec body in its magic, version, length and CRC.
@@ -1318,6 +1337,9 @@ mod tests {
             even_text(&["succ 0 +1 1", "succ 1 +1 0", "merge +1.+1 9"]),
             even_text(&["succ 0 +1 1", "succ 1 +1 0", "merge +1.g 0"]),
             even_text(&["succ 0 +1 1", "succ 1 +1 0", "merge - 0"]),
+            // A node over a symbol outside `funcs`: minimization turned it
+            // into a merge over that symbol and panicked.
+            even_text(&["succ 0 +1 1", "succ 1 +1 0"]).replace("node 1 +1", "node 1 g"),
         ] {
             assert!(read_spec(&text, &mut i).is_err(), "accepted:\n{text}");
         }

@@ -418,6 +418,12 @@ impl DurableDb {
         }
         let (wal, _base) = Wal::open_append(&wpath, fault)?;
         log_bytes += fs::metadata(&wpath)?.len();
+        // Recovery holds generation `seq`: an older one, left by a crash
+        // between a snapshot's rename and the compaction after it, is dead.
+        for &k in snaps.iter().chain(&wals).filter(|&&k| k < seq) {
+            let _ = fs::remove_file(snapshot_path(dir, k));
+            let _ = fs::remove_file(wal_path(dir, k));
+        }
 
         let mut to_file = vec![UNMAPPED; replay.interner.len()];
         for (fid, sym) in replay.from_file.iter().enumerate() {
@@ -1339,6 +1345,32 @@ mod tests {
         let ddb = DurableDb::open(&dir, &mut fresh).unwrap();
         assert_eq!(ddb.recovery().snapshot_seq, 1);
         assert_eq!(dump(ddb.database(), &fresh), live);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A crash between snapshot 2's rename and the compaction of
+    /// generation 1 leaves generation 1's files: the next open recovers
+    /// generation 2 and removes them.
+    #[test]
+    fn open_removes_an_older_generation() {
+        let (dir, mut interner) = mixed_store("stale");
+        let mut ddb = DurableDb::open(&dir, &mut interner).unwrap();
+        ddb.snapshot(&interner).unwrap();
+        let generation =
+            [snapshot_path(&dir, 1), wal_path(&dir, 1)].map(|p| (fs::read(&p).unwrap(), p));
+        ddb.snapshot(&interner).unwrap();
+        let live = image(&ddb, &interner);
+        drop(ddb);
+        for (bytes, p) in &generation {
+            fs::write(p, bytes).unwrap();
+        }
+        let mut fresh = Interner::new();
+        let ddb = DurableDb::open(&dir, &mut fresh).unwrap();
+        assert_eq!(ddb.recovery().snapshot_seq, 2);
+        assert_eq!(image(&ddb, &fresh), live);
+        for (_, p) in &generation {
+            assert!(!p.exists(), "{} is still there", p.display());
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -22,19 +22,23 @@
 //!   Theorem 4.1 comparison (experiment E4);
 //! * a **fallback** ([`TemporalSpec::from_graph_spec`]) that extracts the
 //!   lasso from a general graph specification for non-forward temporal
-//!   programs.
+//!   programs;
+//! * [`TemporalAnswer`] — §5 answers as lassos of their own minimal period.
+//!
+//! A lasso is the one-symbol graph specification
+//! ([`TemporalSpec::graph_spec`]): it is saved as that spec's `.fspec`,
+//! read back through [`TemporalSpec::from_graph_spec`], and queried by
+//! Theorem 5.1's `Query::answer_incremental` over it.
 //!
 //! On the §3.5 Even example the computed equation is exactly the paper's
 //! `R = {(0, 2)}` (the prefix is minimized after detection, matching the
 //! footnote-3 improvement of starting Algorithm Q at depth `c` for temporal
 //! rules).
 
-pub mod io;
 pub mod line;
 pub mod query;
 pub mod spec;
 
-pub use io::{read_lasso, read_lasso_file, write_lasso, write_lasso_file};
 pub use line::{classify, TemporalClass};
 pub use query::TemporalAnswer;
 pub use spec::TemporalSpec;

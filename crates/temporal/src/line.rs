@@ -35,7 +35,7 @@ use fundb_core::gendb::AtomInterner;
 use fundb_core::program::{Atom, Database, FTerm, NTerm, Program, Rule, Schema};
 use fundb_core::state::State;
 use fundb_datalog as dl;
-use fundb_term::{Cst, FxHashMap, Interner, Pred, Var};
+use fundb_term::{Cst, Func, FxHashMap, Interner, Pred, Var};
 
 /// How a temporal program can be evaluated.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -53,19 +53,26 @@ pub enum TemporalClass {
 
 /// Classifies a program + database.
 pub fn classify(program: &Program, db: &Database, interner: &Interner) -> TemporalClass {
+    classify_with_symbol(program, db, interner).0
+}
+
+/// [`classify`], plus the program's one pure function symbol if it has
+/// one, read off the same schema.
+pub(crate) fn classify_with_symbol(
+    program: &Program,
+    db: &Database,
+    interner: &Interner,
+) -> (TemporalClass, Option<Func>) {
     let Ok(schema) = Schema::infer(program, db, interner) else {
-        return TemporalClass::NotTemporal;
+        return (TemporalClass::NotTemporal, None);
     };
     if schema.pure_syms.len() > 1 || !schema.mixed_syms.is_empty() {
-        return TemporalClass::NotTemporal;
+        return (TemporalClass::NotTemporal, None);
     }
-    let mut class = TemporalClass::Forward;
-    for rule in &program.rules {
-        if classify_rule(rule) == TemporalClass::General {
-            class = TemporalClass::General;
-        }
-    }
-    class
+    let class = (program.rules.iter().map(classify_rule))
+        .find(|&class| class == TemporalClass::General)
+        .unwrap_or(TemporalClass::Forward);
+    (class, schema.pure_syms.first().copied())
 }
 
 fn classify_rule(rule: &Rule) -> TemporalClass {
@@ -154,17 +161,13 @@ pub(crate) struct Line {
     pub nf: dl::Database,
 }
 
-/// Runs the forward line evaluator. `max_positions` bounds the search for a
-/// lasso (the theoretical bound is exponential; practical programs repeat
-/// quickly).
-pub(crate) fn evaluate_forward(
-    program: &Program,
-    db: &Database,
-    interner: &Interner,
-    max_positions: usize,
-) -> Result<Line> {
-    debug_assert_eq!(classify(program, db, interner), TemporalClass::Forward);
+/// The most time points the line computes while it looks for a lasso (the
+/// theoretical bound is exponential; practical programs repeat quickly).
+const MAX_POSITIONS: usize = 1_000_000;
 
+/// Runs the forward line evaluator on a program [`classify`] finds
+/// [`TemporalClass::Forward`].
+pub(crate) fn evaluate_forward(program: &Program, db: &Database) -> Result<Line> {
     let mut atoms = AtomInterner::new();
     let mut seeds: Seeds = FxHashMap::default();
     let mut nf = dl::Database::new();
@@ -248,9 +251,9 @@ pub(crate) fn evaluate_forward(
 
         while lasso.is_none() {
             let p = states.len();
-            if p > max_positions {
+            if p > MAX_POSITIONS {
                 return Err(Error::UnsupportedQuery {
-                    detail: format!("no lasso within {max_positions} time points; raise the bound"),
+                    detail: format!("no lasso within {MAX_POSITIONS} time points"),
                 });
             }
             step_position(&trules, &seeds, &mut states, &mut nf, &mut atoms);
@@ -359,7 +362,7 @@ fn ground(args: &[NTerm], subst: &Subst) -> Vec<Cst> {
 }
 
 /// The rows of `pred` in a state slice, borrowed from the interner.
-pub(crate) fn state_rows<'a>(
+fn state_rows<'a>(
     state: &'a State,
     atoms: &'a AtomInterner,
     pred: Pred,
@@ -371,10 +374,10 @@ pub(crate) fn state_rows<'a>(
 }
 
 /// A substitution as a stack of bindings: a join level pops what it pushed.
-pub(crate) type Subst = Vec<(Var, Cst)>;
+type Subst = Vec<(Var, Cst)>;
 
 /// The binding of `v` in `subst`, if any.
-pub(crate) fn lookup(subst: &Subst, v: Var) -> Option<Cst> {
+fn lookup(subst: &Subst, v: Var) -> Option<Cst> {
     subst.iter().find(|(w, _)| *w == v).map(|&(_, c)| c)
 }
 
@@ -387,19 +390,19 @@ fn value(t: &NTerm, subst: &Subst) -> Option<Cst> {
 }
 
 /// Where a body atom's candidate rows come from.
-pub(crate) enum Candidates<'a, I> {
+enum Candidates<'a, I> {
     /// Rows streamed from a time point's state.
     Rows(I),
     /// An NF relation (`None` if absent), probed by the atom's bound columns.
     Nf(Option<&'a dl::Relation>),
 }
 
-/// The crate's one body matcher: a nested-loop join of body atoms
+/// The line's body matcher: a nested-loop join of body atoms
 /// `idx..len`, in order, under `subst`. `slice(i)` gives atom `i`'s
 /// argument terms and its candidates (a time point's rows or an NF
 /// relation); a row or relation of another arity never matches. `emit`
 /// sees every complete binding.
-pub(crate) fn match_body<'a, I: Iterator<Item = &'a [Cst]>>(
+fn match_body<'a, I: Iterator<Item = &'a [Cst]>>(
     len: usize,
     idx: usize,
     slice: &impl Fn(usize) -> (&'a [NTerm], Candidates<'a, I>),

@@ -1,86 +1,52 @@
-//! §5 query answering specialized to temporal lassos.
+//! §5 query answering over temporal lassos.
 //!
 //! For a temporal program the incremental specification of a uniform query
-//! `{(t, x̄) : body}` is itself a lasso: evaluate the body against each of
-//! the finitely many slices (prefix + cycle) and keep the per-phase answer
-//! tuples. Membership for any time point — however large — is then O(1),
+//! `{(t, x̄) : body}` (Theorem 5.1) is itself a lasso: the query is answered
+//! by [`Query::answer_incremental`] over the lasso's graph specification,
+//! and the per-cluster answer is read back along the successor walk and
+//! cut to its own minimal `(ρ′, λ′)`, which can be shorter than the
+//! spec's. Membership for any time point — however large — is then O(1),
 //! and enumeration walks the time line directly.
 
-use crate::line::{lookup, match_body, state_rows, Candidates, Subst};
-use crate::spec::TemporalSpec;
+use crate::spec::{lasso_at, lasso_walk, TemporalSpec};
 use fundb_core::error::{Error, Result};
-use fundb_core::program::{Atom, FTerm};
-use fundb_core::query::Query;
-use fundb_term::{Cst, FxHashSet};
+use fundb_core::query::{IncrementalAnswer, Query};
+use fundb_term::{Cst, Interner};
 
 /// The lasso-shaped answer to a uniform temporal query.
 #[derive(Clone, Debug)]
 pub struct TemporalAnswer {
-    /// Answer tuples at each prefix time point `0 .. ρ`.
+    /// Answer tuples at each prefix time point `0 .. ρ′`.
     pub prefix: Vec<Vec<Vec<Cst>>>,
-    /// Answer tuples at each cycle phase `ρ .. ρ+λ` (repeating forever).
+    /// Answer tuples at each cycle phase `ρ′ .. ρ′+λ′` (repeating forever).
     pub cycle: Vec<Vec<Vec<Cst>>>,
 }
 
 impl TemporalAnswer {
-    /// Evaluates a uniform query against a temporal specification.
-    ///
-    /// The query must be uniform (Theorem 5.1) and any ground functional
-    /// terms must be temporal (`+1`-chains over `0`).
-    pub fn evaluate(query: &Query, spec: &TemporalSpec) -> Result<TemporalAnswer> {
-        if !query.is_uniform() {
+    /// Evaluates a uniform query with a functional output variable against
+    /// a temporal specification computed with `interner`.
+    pub fn evaluate(
+        query: &Query,
+        spec: &TemporalSpec,
+        interner: &Interner,
+    ) -> Result<TemporalAnswer> {
+        let graph = spec.graph_spec()?;
+        let IncrementalAnswer::PerCluster(map) = query.answer_incremental(&graph, interner)? else {
             return Err(Error::UnsupportedQuery {
-                detail: "incremental temporal answers require a uniform query".into(),
+                detail: "a temporal answer needs a functional output variable".into(),
             });
-        }
-        let rho = spec.rho();
-        let lambda = spec.lambda();
-        let eval = |n: u64| -> Vec<Vec<Cst>> {
-            let slice = |i: usize| {
-                let atom = &query.body[i];
-                let cands = match atom {
-                    Atom::Relational { pred, .. } => Candidates::Nf(spec.nf.relation(*pred)),
-                    Atom::Functional { pred, fterm, .. } => {
-                        // A ground temporal term's depth is its time point.
-                        let at = match fterm {
-                            FTerm::Var(_) => n,
-                            _ => fterm.depth() as u64,
-                        };
-                        Candidates::Rows(state_rows(spec.state_at(at), &spec.atoms, *pred))
-                    }
-                };
-                (atom.args(), cands)
-            };
-            let mut out: FxHashSet<Vec<Cst>> = FxHashSet::default();
-            let mut subst = Subst::new();
-            match_body(query.body.len(), 0, &slice, &mut subst, &mut |s| {
-                let tuple: Vec<Cst> = query
-                    .out_nvars
-                    .iter()
-                    .map(|v| lookup(s, *v).expect("validated query binds outputs"))
-                    .collect();
-                out.insert(tuple);
-            });
-            let mut v: Vec<Vec<Cst>> = out.into_iter().collect();
-            v.sort();
-            v
         };
-        Ok(TemporalAnswer {
-            prefix: (0..rho as u64).map(&eval).collect(),
-            cycle: (rho as u64..(rho + lambda) as u64).map(&eval).collect(),
-        })
+        let (prefix, cycle) = lasso_walk(&graph, |node| {
+            let mut tuples: Vec<Vec<Cst>> = map.get(&node).into_iter().flatten().cloned().collect();
+            tuples.sort_unstable();
+            tuples
+        })?;
+        Ok(TemporalAnswer { prefix, cycle })
     }
 
     /// The answer tuples at time point `n` (any magnitude).
     pub fn at(&self, n: u64) -> &[Vec<Cst>] {
-        if (n as usize) < self.prefix.len() {
-            return &self.prefix[n as usize];
-        }
-        if self.cycle.is_empty() {
-            return &[];
-        }
-        let k = (n as usize - self.prefix.len()) % self.cycle.len();
-        &self.cycle[k]
+        lasso_at(&self.prefix, &self.cycle, n).map_or(&[], Vec::as_slice)
     }
 
     /// Whether `(n, tuple)` is an answer.
@@ -91,24 +57,15 @@ impl TemporalAnswer {
     /// Enumerates `(n, tuple)` answers in time order, up to `limit`.
     /// Stops early when the answer is finite (an empty cycle).
     pub fn enumerate(&self, limit: usize) -> Vec<(u64, Vec<Cst>)> {
-        let mut out = Vec::new();
-        let cycle_empty = self.cycle.iter().all(Vec::is_empty);
-        let horizon = if cycle_empty {
+        let horizon = if self.is_finite() {
             self.prefix.len() as u64
         } else {
             u64::MAX
         };
-        let mut n = 0u64;
-        while out.len() < limit && n < horizon {
-            for t in self.at(n) {
-                if out.len() >= limit {
-                    break;
-                }
-                out.push((n, t.clone()));
-            }
-            n += 1;
-        }
-        out
+        (0..horizon)
+            .flat_map(|n| self.at(n).iter().map(move |t| (n, t.clone())))
+            .take(limit)
+            .collect()
     }
 
     /// Whether the answer set is finite.
@@ -120,7 +77,7 @@ impl TemporalAnswer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fundb_core::program::{Database, NTerm, Program, Rule};
+    use fundb_core::program::{Atom, Database, FTerm, NTerm, Program, Rule};
     use fundb_term::{Func, Interner, Pred, Var};
 
     fn meets() -> (Interner, Program, Database, Pred, Var, Var, Cst, Cst) {
@@ -179,7 +136,7 @@ mod tests {
                 args: vec![NTerm::Var(x)],
             }],
         };
-        let ans = TemporalAnswer::evaluate(&q, &spec).unwrap();
+        let ans = TemporalAnswer::evaluate(&q, &spec, &i).unwrap();
         assert!(!ans.is_finite());
         for n in 0..50u64 {
             assert_eq!(ans.holds(n, &[tony]), n % 2 == 0);
@@ -237,7 +194,7 @@ mod tests {
                 args: vec![],
             }],
         };
-        let ans = TemporalAnswer::evaluate(&q, &spec).unwrap();
+        let ans = TemporalAnswer::evaluate(&q, &spec, &i).unwrap();
         assert!(ans.is_finite());
         assert_eq!(ans.enumerate(100), vec![(1, vec![])]);
     }
@@ -268,7 +225,7 @@ mod tests {
                 },
             ],
         };
-        let ans = TemporalAnswer::evaluate(&q, &spec).unwrap();
+        let ans = TemporalAnswer::evaluate(&q, &spec, &i).unwrap();
         for n in 0..20u64 {
             assert_eq!(ans.holds(n, &[]), n % 2 == 0, "n={n}");
         }
@@ -288,6 +245,6 @@ mod tests {
                 args: vec![NTerm::Var(x)],
             }],
         };
-        assert!(TemporalAnswer::evaluate(&q, &spec).is_err());
+        assert!(TemporalAnswer::evaluate(&q, &spec, &i).is_err());
     }
 }

@@ -6,15 +6,15 @@
 //! cycle of `λ` slices, and the single equation `ρ ≅ ρ+λ` — the temporal
 //! instance of the equational specification `(B, R)` of §3.5.
 
-use crate::line::{self, classify, TemporalClass};
+use crate::line::{self, TemporalClass};
 use fundb_core::engine::Engine;
 use fundb_core::error::{Error, Result};
 use fundb_core::gendb::AtomInterner;
-use fundb_core::graphspec::GraphSpec;
+use fundb_core::graphspec::{GraphSpec, SpecNodeId};
 use fundb_core::program::{Database, Program};
 use fundb_core::state::State;
 use fundb_datalog as dl;
-use fundb_term::{Cst, Interner, Pred};
+use fundb_term::{Cst, Func, Interner, Pred};
 
 /// The lasso `(prefix, cycle)` representation of a temporal least fixpoint.
 ///
@@ -41,44 +41,32 @@ pub struct TemporalSpec {
     pub nf: dl::Database,
     /// Which evaluation path produced the spec.
     pub class: TemporalClass,
+    /// The one function symbol (`+1`), if the program has one.
+    pub symbol: Option<Func>,
 }
 
 impl TemporalSpec {
     /// Computes the specification, choosing the fast line evaluator for
     /// forward programs and the general engine otherwise.
     pub fn compute(program: &Program, db: &Database, interner: &mut Interner) -> Result<Self> {
-        Self::compute_bounded(program, db, interner, 1_000_000)
-    }
-
-    /// [`TemporalSpec::compute`] with an explicit bound on the lasso search.
-    pub fn compute_bounded(
-        program: &Program,
-        db: &Database,
-        interner: &mut Interner,
-        max_positions: usize,
-    ) -> Result<Self> {
-        match classify(program, db, interner) {
-            TemporalClass::NotTemporal => Err(Error::UnsupportedQuery {
+        match line::classify_with_symbol(program, db, interner) {
+            (TemporalClass::NotTemporal, _) => Err(Error::UnsupportedQuery {
                 detail: "not a temporal program (needs exactly one pure function symbol)".into(),
             }),
-            TemporalClass::Forward => {
-                let line = line::evaluate_forward(program, db, interner, max_positions)?;
-                let rho = line.rho;
-                let lambda = line.lambda;
+            (TemporalClass::Forward, symbol) => {
+                let line = line::evaluate_forward(program, db)?;
                 Ok(TemporalSpec {
-                    prefix: line.states[..rho].to_vec(),
-                    cycle: line.states[rho..rho + lambda].to_vec(),
+                    prefix: line.states[..line.rho].to_vec(),
+                    cycle: line.states[line.rho..line.rho + line.lambda].to_vec(),
                     atoms: line.atoms,
                     nf: line.nf,
                     class: TemporalClass::Forward,
+                    symbol,
                 })
             }
-            TemporalClass::General => {
+            (TemporalClass::General, _) => {
                 let mut engine = Engine::build(program, db, interner)?;
-                let spec = GraphSpec::from_engine(&mut engine)?;
-                let mut out = Self::from_graph_spec(&spec)?;
-                out.class = TemporalClass::General;
-                Ok(out)
+                Self::from_graph_spec(&GraphSpec::from_engine(&mut engine)?)
             }
         }
     }
@@ -87,52 +75,38 @@ impl TemporalSpec {
     /// function symbol: the successor graph restricted to one symbol is a
     /// ρ-shaped walk.
     pub fn from_graph_spec(spec: &GraphSpec) -> Result<Self> {
-        if spec.funcs.len() != 1 {
-            return Err(Error::UnsupportedQuery {
-                detail: "graph specification is not over a single function symbol".into(),
-            });
-        }
-        let f = spec.funcs.symbols()[0];
-        let mut seq: Vec<State> = Vec::new();
-        let mut seen: fundb_term::FxHashMap<usize, usize> = fundb_term::FxHashMap::default();
-        let mut cur = spec.root();
-        let (q, end) = loop {
-            if let Some(&at) = seen.get(&cur.index()) {
-                break (at, seq.len());
-            }
-            seen.insert(cur.index(), seq.len());
-            seq.push(spec.nodes[cur.index()].state.clone());
-            cur = spec
-                .succ(cur, f)
-                .expect("the successor table is total on the spec's symbols");
-        };
-        let mut lambda = end - q;
-        // Minimize λ on the cycle states (distinct spec nodes can carry
-        // equal states, because shallow terms force singleton clusters).
-        for cand in 1..lambda {
-            if lambda % cand == 0 && (0..lambda).all(|i| seq[q + i] == seq[q + (i + cand) % lambda])
-            {
-                lambda = cand;
-                break;
-            }
-        }
-        // Periodic extension phase of position n (valid for any n once the
-        // period λ is established from q).
-        let phase = |n: usize| ((n as i64 - q as i64).rem_euclid(lambda as i64)) as usize;
-        // Minimize ρ: extend the periodicity downwards while states match.
-        let mut rho = q;
-        while rho > 0 && seq[rho - 1] == seq[q + phase(rho - 1)] {
-            rho -= 1;
-        }
+        let (prefix, cycle) = lasso_walk(spec, |node| spec.nodes[node.index()].state.clone())?;
         Ok(TemporalSpec {
-            prefix: seq[..rho].to_vec(),
-            cycle: (0..lambda)
-                .map(|i| seq[q + phase(rho + i)].clone())
-                .collect(),
+            prefix,
+            cycle,
             atoms: spec.atoms.clone(),
             nf: spec.nf.clone(),
             class: TemporalClass::General,
+            symbol: spec.funcs.symbols().first().copied(),
         })
+    }
+
+    /// The lasso as a graph specification ([`GraphSpec::from_lasso`]):
+    /// what is written to and read back from a `.fspec` file, and what
+    /// §5 queries are answered over. `Err` for a program without a
+    /// function symbol.
+    pub fn graph_spec(&self) -> Result<GraphSpec> {
+        let f = self.symbol.ok_or_else(|| Error::UnsupportedQuery {
+            detail: "the lasso has no function symbol to build a graph specification over".into(),
+        })?;
+        let empty = [State::new()];
+        let cycle = if self.cycle.is_empty() {
+            &empty[..]
+        } else {
+            &self.cycle
+        };
+        Ok(GraphSpec::from_lasso(
+            f,
+            &self.prefix,
+            cycle,
+            self.atoms.clone(),
+            self.nf.clone(),
+        ))
     }
 
     /// The prefix length ρ.
@@ -154,14 +128,7 @@ impl TemporalSpec {
     /// The slice of time point `n`.
     pub fn state_at(&self, n: u64) -> &State {
         static EMPTY: std::sync::OnceLock<State> = std::sync::OnceLock::new();
-        if (n as usize) < self.prefix.len() {
-            return &self.prefix[n as usize];
-        }
-        if self.cycle.is_empty() {
-            return EMPTY.get_or_init(State::new);
-        }
-        let k = (n as usize - self.prefix.len()) % self.cycle.len();
-        &self.cycle[k]
+        lasso_at(&self.prefix, &self.cycle, n).unwrap_or_else(|| EMPTY.get_or_init(State::new))
     }
 
     /// Yes-no membership `P(n, ā)` — works for arbitrarily large `n`.
@@ -187,9 +154,66 @@ impl TemporalSpec {
     }
 }
 
+/// Position `n` of the lasso `prefix`, `cycle`, `cycle`, …: `None` past the
+/// prefix when the cycle is empty.
+pub(crate) fn lasso_at<'a, T>(prefix: &'a [T], cycle: &'a [T], n: u64) -> Option<&'a T> {
+    match n.checked_sub(prefix.len() as u64) {
+        None => prefix.get(n as usize),
+        Some(k) => cycle.get((k % cycle.len().max(1) as u64) as usize),
+    }
+}
+
+/// Walks a single-symbol graph specification from its root and returns
+/// `value` of each node on the walk as a minimal lasso `(prefix, cycle)`:
+/// the walk's cycle is cut to its least period λ, then the prefix is
+/// shortened while the periodic extension still matches. Distinct spec
+/// nodes can carry equal values (shallow terms force singleton clusters,
+/// and an answer can repeat where the states do not).
+pub(crate) fn lasso_walk<T: Clone + PartialEq>(
+    spec: &GraphSpec,
+    value: impl Fn(SpecNodeId) -> T,
+) -> Result<(Vec<T>, Vec<T>)> {
+    let not_one_symbol = || Error::UnsupportedQuery {
+        detail: "graph specification is not over a single function symbol".into(),
+    };
+    let &[f] = spec.funcs.symbols() else {
+        return Err(not_one_symbol());
+    };
+    let mut seq: Vec<T> = Vec::new();
+    let mut position = vec![usize::MAX; spec.nodes.len()];
+    let mut cur = spec.root();
+    while position[cur.index()] == usize::MAX {
+        position[cur.index()] = seq.len();
+        seq.push(value(cur));
+        cur = spec.succ(cur, f).ok_or_else(not_one_symbol)?;
+    }
+    let q = position[cur.index()];
+    let mut lambda = seq.len() - q;
+    for cand in 1..lambda {
+        if lambda.is_multiple_of(cand)
+            && (0..lambda).all(|i| seq[q + i] == seq[q + (i + cand) % lambda])
+        {
+            lambda = cand;
+            break;
+        }
+    }
+    // Phase of position n in the periodic extension from q (n may be < q).
+    let phase = |n: usize| ((n as i64 - q as i64).rem_euclid(lambda as i64)) as usize;
+    let mut rho = q;
+    while rho > 0 && seq[rho - 1] == seq[q + phase(rho - 1)] {
+        rho -= 1;
+    }
+    let cycle = (0..lambda)
+        .map(|i| seq[q + phase(rho + i)].clone())
+        .collect();
+    seq.truncate(rho);
+    Ok((seq, cycle))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::line::classify;
     use fundb_core::program::{Atom, FTerm, NTerm, Rule};
     use fundb_term::{Func, Var};
 
@@ -392,5 +416,60 @@ mod tests {
         // The cycle is a single empty state.
         assert_eq!(spec.lambda(), 1);
         assert!(spec.cycle.iter().all(State::is_empty));
+    }
+
+    /// A lasso written as the text or binary `.fspec` of its graph spec
+    /// and read back has the line's (ρ, λ) and `holds`, and a second write
+    /// is byte-identical. The scheduler's lasso has ρ = 0.
+    #[test]
+    fn lasso_round_trips() {
+        use fundb_core::spec_io::{read_spec, read_spec_binary, write_spec, write_spec_binary};
+        use fundb_core::SpecBundle;
+        for src in [
+            "In(t, g, r1), Rotates(g, r1, r2) -> In(t+1, g, r2).\n\
+             In(0, Alpha, Lab). Rotates(Alpha, Lab, Aud). Rotates(Alpha, Aud, Lab).",
+            "A(0). A(t) -> B(t+3). B(t) -> B(t+1).",
+        ] {
+            let mut ws = fundb_parser::Workspace::new();
+            ws.parse(src).unwrap();
+            let spec = TemporalSpec::compute(&ws.program, &ws.db, &mut ws.interner).unwrap();
+            let bundle = SpecBundle {
+                spec: spec.graph_spec().unwrap(),
+                sym_map: Default::default(),
+            };
+            let text = write_spec(&bundle, &ws.interner).unwrap();
+            let bytes = write_spec_binary(&bundle, &ws.interner);
+            let mut fresh = Interner::new();
+            let from_text = read_spec(&text, &mut fresh).unwrap().spec;
+            let from_binary = read_spec_binary(&bytes, &mut fresh).unwrap().spec;
+            let bundle = SpecBundle {
+                spec: from_text.clone(),
+                sym_map: Default::default(),
+            };
+            assert_eq!(text, write_spec(&bundle, &fresh).unwrap());
+            for read in [from_text, from_binary] {
+                let read = TemporalSpec::from_graph_spec(&read).unwrap();
+                assert_eq!((read.rho(), read.lambda()), (spec.rho(), spec.lambda()));
+                for (_, p, args) in spec.atoms.iter() {
+                    let p2 = Pred(fresh.get(ws.interner.resolve(p.sym())).unwrap());
+                    let args2: Vec<Cst> = (args.iter())
+                        .map(|a| Cst(fresh.get(ws.interner.resolve(a.sym())).unwrap()))
+                        .collect();
+                    for n in 0..20u64 {
+                        assert_eq!(spec.holds(p, n, args), read.holds(p2, n, &args2), "n={n}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A program without a function symbol has a lasso but no graph to
+    /// write it as.
+    #[test]
+    fn graph_spec_needs_a_function_symbol() {
+        let mut ws = fundb_parser::Workspace::new();
+        ws.parse("P(A). P(x) -> Q(x).").unwrap();
+        let spec = TemporalSpec::compute(&ws.program, &ws.db, &mut ws.interner).unwrap();
+        assert!(spec.graph_spec().is_err());
     }
 }

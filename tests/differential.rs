@@ -14,15 +14,109 @@ use fundb_term::Func;
 use proptest::prelude::*;
 
 /// A spec the reader accepted is valid, and its minimization, freeze and
-/// equational spec build without panicking.
+/// equational spec build without panicking; a one-symbol spec read as a
+/// lasso gives `Err` or answers.
 fn check_read_spec(spec: GraphSpec) {
     spec.validate().unwrap();
     spec.minimized().validate().unwrap();
+    if spec.funcs.len() == 1 {
+        if let Ok(lasso) = fundb_temporal::TemporalSpec::from_graph_spec(&spec) {
+            for (_, p, args) in spec.atoms.iter() {
+                for n in [0, 1, 7, 1 << 40] {
+                    let _ = lasso.holds(p, n, args);
+                }
+            }
+        }
+    }
     let eq = EqSpec::from_graph(&spec).freeze();
     let frozen = spec.freeze();
     let path = frozen.spec().funcs.symbols().to_vec();
     for (_, p, args) in frozen.spec().atoms.iter() {
         let _ = (frozen.holds(p, &path, args), eq.holds(p, &path, args));
+    }
+}
+
+/// E4's rotation family: one fact rotating through `k` constants, a lasso
+/// with ρ = 0 and λ = k.
+fn rotation_source(k: usize) -> String {
+    let mut src = String::from("Meets(t, x), Next(x, y) -> Meets(t+1, y).\nMeets(0, S0).\n");
+    for i in 0..k {
+        src.push_str(&format!("Next(S{i}, S{}).\n", (i + 1) % k));
+    }
+    src
+}
+
+/// E4's counter family: a `w`-bit binary counter (bit `i` flips when bits
+/// `0..i` are all set), a lasso with ρ = 0 and λ = 2^w.
+fn counter_source(w: usize) -> String {
+    let mut src = String::from("B0(t) -> N0(t+1).\nN0(t) -> B0(t+1).\n");
+    for i in 1..w {
+        let low: Vec<String> = (0..i).map(|j| format!("B{j}(t)")).collect();
+        let low = low.join(", ");
+        src.push_str(&format!(
+            "{low}, B{i}(t) -> N{i}(t+1).\n{low}, N{i}(t) -> B{i}(t+1).\n"
+        ));
+        for j in 0..i {
+            src.push_str(&format!("N{j}(t), B{i}(t) -> B{i}(t+1).\n"));
+            src.push_str(&format!("N{j}(t), N{i}(t) -> N{i}(t+1).\n"));
+        }
+    }
+    for i in 0..w {
+        src.push_str(&format!("N{i}(0).\n"));
+    }
+    src
+}
+
+/// The spec readers' mutation corpora for lassos: the text and binary
+/// `.fspec` of counter(3)'s and rotation(4)'s lasso graph specs. Every
+/// text line is dropped and duplicated, every binary body byte is flipped
+/// under a recomputed checksum, and every binary prefix is read; whatever
+/// a reader accepts goes through [`check_read_spec`].
+#[test]
+fn lasso_spec_readers_survive_mutations() {
+    use fundb_core::{read_spec, read_spec_binary, write_spec, write_spec_binary, SpecBundle};
+    use fundb_storage::codec::crc32c;
+    for src in [counter_source(3), rotation_source(4)] {
+        let mut ws = fundb_parser::Workspace::new();
+        ws.parse(&src).unwrap();
+        let lasso =
+            fundb_temporal::TemporalSpec::compute(&ws.program, &ws.db, &mut ws.interner).unwrap();
+        let bundle = SpecBundle {
+            spec: lasso.graph_spec().unwrap(),
+            sym_map: Default::default(),
+        };
+        let text = write_spec(&bundle, &ws.interner).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        for k in 0..lines.len() {
+            for copies in [0, 2] {
+                let mutated: String = (lines.iter().enumerate())
+                    .flat_map(|(j, l)| std::iter::repeat_n(*l, if j == k { copies } else { 1 }))
+                    .map(|l| format!("{l}\n"))
+                    .collect();
+                if let Ok(read) = read_spec(&mutated, &mut fundb_term::Interner::new()) {
+                    check_read_spec(read.spec);
+                }
+            }
+        }
+        let bytes = write_spec_binary(&bundle, &ws.interner);
+        const HEADER: usize = 24;
+        let mut mutated = Vec::new();
+        for at in HEADER..bytes.len() {
+            for bit in [0x01, 0x80] {
+                let mut body = bytes[HEADER..].to_vec();
+                body[at - HEADER] ^= bit;
+                mutated.clear();
+                mutated.extend_from_slice(&bytes[..HEADER - 4]);
+                mutated.extend_from_slice(&crc32c(&body).to_le_bytes());
+                mutated.extend_from_slice(&body);
+                if let Ok(read) = read_spec_binary(&mutated, &mut fundb_term::Interner::new()) {
+                    check_read_spec(read.spec);
+                }
+            }
+        }
+        for len in 0..bytes.len() {
+            assert!(read_spec_binary(&bytes[..len], &mut fundb_term::Interner::new()).is_err());
+        }
     }
 }
 
@@ -590,9 +684,10 @@ mod temporal_and_io {
             }
         }
 
-        /// The temporal query answer (one nested-loop matcher over the
-        /// lasso's slices) equals Theorem 5.1's incremental answer over the
-        /// engine's graph specification at every time point `0..ρ+2λ`, for
+        /// The temporal query answer (Theorem 5.1 over the lasso's own
+        /// graph spec, cut to the answer's period) equals Theorem 5.1's
+        /// incremental answer over the engine's graph specification at
+        /// every time point `0..ρ+2λ`, for
         /// a single atom, two atoms sharing `t` and `x`, a functional atom
         /// joined to the relational one, and a ground time point.
         #[test]
@@ -642,7 +737,7 @@ mod temporal_and_io {
                 ];
                 for (qi, (out_nvars, body)) in queries.into_iter().enumerate() {
                     let query = Query { out_fvar: Some(t), out_nvars, body };
-                    let temporal = TemporalAnswer::evaluate(&query, &lasso).unwrap();
+                    let temporal = TemporalAnswer::evaluate(&query, &lasso, &gen.interner).unwrap();
                     let inc = query.answer_incremental(&spec, &gen.interner).unwrap();
                     let mut tuples: Vec<Vec<Cst>> = vec![vec![]];
                     for _ in &query.out_nvars {
@@ -876,21 +971,90 @@ mod syntax_roundtrip {
     }
 }
 
-/// Planted lassos with λ ∈ 2..64 and ρ > 0: the forward line (or, for
-/// programs with a backward rule, the general path of
-/// `TemporalSpec::compute`), `TemporalSpec::from_graph_spec`, the graph
-/// spec itself and a `.lasso` round trip agree on every atom at every
-/// instant of `0..ρ+3λ`; `TemporalAnswer` agrees with Theorem 5.1's
-/// incremental answer there; and no smaller (ρ, λ) reproduces the states.
+/// Planted lassos with λ ∈ 2..64 and ρ > 0, and E4's families with ρ = 0:
+/// the forward line (or, for programs with a backward rule, the general
+/// path of `TemporalSpec::compute`), `TemporalSpec::from_graph_spec` of the
+/// program's graph spec, the lasso's own graph spec (`graph_spec()`) read
+/// back from text and binary `.fspec`, and that graph spec's graph,
+/// frozen, equational and frozen equational forms agree on every atom at
+/// every instant of `0..ρ+3λ`; `TemporalAnswer` agrees with Theorem 5.1's
+/// incremental answer over the program's graph spec there, and with the
+/// lasso's own `holds` on one-atom queries; and no smaller (ρ, λ)
+/// reproduces the states.
 mod planted_lassos {
     use super::common::{random_lasso_program, tuples};
     use fundb_core::program::{Atom, FTerm, NTerm};
-    use fundb_core::{Engine, GraphSpec, Query};
+    use fundb_core::{
+        read_spec, read_spec_binary, write_spec, write_spec_binary, Engine, EqSpec, GraphSpec,
+        Query, SpecBundle,
+    };
+    use fundb_parser::Workspace;
     use fundb_temporal::TemporalSpec;
-    use fundb_temporal::{classify, read_lasso, write_lasso, TemporalAnswer, TemporalClass};
-    use fundb_term::Var;
+    use fundb_temporal::{classify, TemporalAnswer, TemporalClass};
+    use fundb_term::{Cst, Pred, Var};
 
     const CASES: u64 = 24;
+
+    /// `lasso` against its own graph spec at every instant of `0..ρ+3λ`:
+    /// the spec read back from its text and binary `.fspec` has the same
+    /// (ρ, λ), and it and the graph, frozen, equational (one equation) and
+    /// frozen equational forms of the spec answer as the lasso does.
+    fn check_lasso_graph(
+        ws: &mut Workspace,
+        lasso: &TemporalSpec,
+        fpreds: &[(Pred, usize)],
+        rels: &[(Pred, usize)],
+        consts: &[Cst],
+        ctx: &str,
+    ) {
+        let graph = lasso.graph_spec().unwrap();
+        graph.validate().unwrap();
+        let bundle = SpecBundle {
+            spec: graph.clone(),
+            sym_map: Default::default(),
+        };
+        let text = write_spec(&bundle, &ws.interner).unwrap();
+        let bytes = write_spec_binary(&bundle, &ws.interner);
+        // Read into the same interner, so every name keeps its symbol.
+        let from_text = read_spec(&text, &mut ws.interner).unwrap().spec;
+        let from_binary = read_spec_binary(&bytes, &mut ws.interner).unwrap().spec;
+        let reads = [from_text, from_binary].map(|g| TemporalSpec::from_graph_spec(&g).unwrap());
+        let (rho, lambda) = (lasso.rho(), lasso.lambda());
+        for read in &reads {
+            assert_eq!((read.rho(), read.lambda()), (rho, lambda), "{ctx}");
+        }
+        let mut eq = EqSpec::from_graph(&graph);
+        assert_eq!(eq.equation_count(), 1, "{ctx}");
+        let frozen_eq = eq.freeze();
+        let frozen = graph.clone().freeze();
+        let f = graph.funcs.symbols()[0];
+        for n in 0..rho + 3 * lambda {
+            let path = vec![f; n];
+            for &(p, arity) in fpreds {
+                for args in tuples(consts, arity) {
+                    let want = lasso.holds(p, n as u64, &args);
+                    for (name, got) in [
+                        (".fspec text", reads[0].holds(p, n as u64, &args)),
+                        (".fspec binary", reads[1].holds(p, n as u64, &args)),
+                        ("GraphSpec", graph.holds(p, &path, &args)),
+                        ("FrozenGraphSpec", frozen.holds(p, &path, &args)),
+                        ("EqSpec", eq.holds(p, &path, &args)),
+                        ("FrozenEqSpec", frozen_eq.holds(p, &path, &args)),
+                    ] {
+                        assert_eq!(got, want, "{ctx} {name}: {p:?}{args:?} at {n}\n{text}");
+                    }
+                }
+            }
+        }
+        for &(p, arity) in rels {
+            for args in tuples(consts, arity) {
+                let want = lasso.holds_relational(p, &args);
+                for read in &reads {
+                    assert_eq!(read.holds_relational(p, &args), want, "{ctx}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn planted_lassos_agree_across_representations() {
@@ -905,21 +1069,20 @@ mod planted_lassos {
             let mut engine = Engine::build(&ws.program, &ws.db, &mut ws.interner).unwrap();
             let spec = GraphSpec::from_engine(&mut engine).unwrap();
             let from_graph = TemporalSpec::from_graph_spec(&spec).unwrap();
-            let text = write_lasso(&lasso, &ws.interner);
-            let read = read_lasso(&text, &mut ws.interner).unwrap();
             let (rho, lambda) = (lasso.rho(), lasso.lambda());
             assert_eq!(
                 (from_graph.rho(), from_graph.lambda()),
                 (rho, lambda),
                 "seed {seed}"
             );
-            assert_eq!((read.rho(), read.lambda()), (rho, lambda), "seed {seed}");
             assert!(
                 rho >= g.delay,
                 "seed {seed}: ρ {rho} below the delay {}",
                 g.delay
             );
             assert_eq!(lambda % g.core_lambda, 0, "seed {seed}: λ {lambda}");
+            let ctx = format!("seed {seed}");
+            check_lasso_graph(ws, &lasso, &g.fpreds, &g.rels, &g.consts, &ctx);
             let horizon = rho + 3 * lambda;
             let f = spec.funcs.symbols()[0];
             for n in 0..horizon {
@@ -927,15 +1090,11 @@ mod planted_lassos {
                 for &(p, arity) in &g.fpreds {
                     for args in tuples(&g.consts, arity) {
                         let want = spec.holds(p, &path, &args);
-                        for (name, got) in [
-                            ("line", &lasso),
-                            ("from_graph_spec", &from_graph),
-                            (".lasso", &read),
-                        ] {
+                        for (name, got) in [("line", &lasso), ("from_graph_spec", &from_graph)] {
                             assert_eq!(
                                 got.holds(p, n as u64, &args),
                                 want,
-                                "seed {seed} {name}: {p:?}{args:?} at {n}\n{text}"
+                                "seed {seed} {name}: {p:?}{args:?} at {n}"
                             );
                         }
                     }
@@ -945,7 +1104,6 @@ mod planted_lassos {
                 for args in tuples(&g.consts, arity) {
                     let want = spec.nf.contains(p, &args);
                     assert_eq!(lasso.holds_relational(p, &args), want, "seed {seed}");
-                    assert_eq!(read.holds_relational(p, &args), want, "seed {seed}");
                 }
             }
             // Minimality over the horizon: no shorter period reproduces the
@@ -968,14 +1126,14 @@ mod planted_lassos {
             // Queries: every predicate alone, and the first two sharing t.
             let t = Var(ws.interner.intern("qt"));
             let x = Var(ws.interner.intern("qx"));
-            let atom = |(pred, arity): (fundb_term::Pred, usize)| Atom::Functional {
+            let atom = |(pred, arity): (Pred, usize)| Atom::Functional {
                 pred,
                 fterm: FTerm::Var(t),
                 args: vec![NTerm::Var(x); arity],
             };
-            let mut queries: Vec<Vec<Atom>> = g.fpreds.iter().map(|&p| vec![atom(p)]).collect();
-            queries.push(g.fpreds.iter().take(2).map(|&p| atom(p)).collect());
-            for body in queries {
+            let mut queries: Vec<_> = g.fpreds.iter().map(|&p| (Some(p), vec![atom(p)])).collect();
+            queries.push((None, g.fpreds.iter().take(2).map(|&p| atom(p)).collect()));
+            for (single, body) in queries {
                 let out_nvars = if body.iter().any(|a| !a.nvars().is_empty()) {
                     vec![x]
                 } else {
@@ -987,17 +1145,19 @@ mod planted_lassos {
                     out_nvars,
                     body,
                 };
-                let temporal = TemporalAnswer::evaluate(&query, &lasso).unwrap();
+                let temporal = TemporalAnswer::evaluate(&query, &lasso, &ws.interner).unwrap();
                 let inc = query.answer_incremental(&spec, &ws.interner).unwrap();
                 for n in 0..horizon {
                     let path = vec![f; n];
                     for tu in &outs {
-                        assert_eq!(
-                            temporal.holds(n as u64, tu),
-                            inc.holds_term(&spec, &path, tu),
-                            "seed {seed}: {:?} at {n} {tu:?}",
-                            query.body
-                        );
+                        let got = temporal.holds(n as u64, tu);
+                        let ctx = format!("seed {seed}: {:?} at {n} {tu:?}", query.body);
+                        assert_eq!(got, inc.holds_term(&spec, &path, tu), "{ctx}");
+                        // One atom `P(t, x, …, x)`: the lasso's own slice.
+                        if let Some((p, arity)) = single {
+                            let args: Vec<Cst> = tu.iter().copied().cycle().take(arity).collect();
+                            assert_eq!(got, lasso.holds(p, n as u64, &args), "{ctx}");
+                        }
                     }
                 }
             }
@@ -1014,5 +1174,36 @@ mod planted_lassos {
             0 < forward && forward < CASES,
             "forward line cases: {forward}"
         );
+    }
+
+    /// E4's rotation and counter families, whose lassos have ρ = 0, so
+    /// their graph specs are unrolled by one position.
+    #[test]
+    fn e4_family_lassos_agree_across_representations() {
+        let families = [2, 3, 5, 8]
+            .map(|k| (format!("rotation({k})"), super::rotation_source(k)))
+            .into_iter()
+            .chain([1, 2, 3, 4].map(|w| (format!("counter({w})"), super::counter_source(w))));
+        for (name, src) in families {
+            let mut ws = Workspace::new();
+            ws.parse(&src).unwrap();
+            let lasso = TemporalSpec::compute(&ws.program, &ws.db, &mut ws.interner).unwrap();
+            assert_eq!(lasso.rho(), 0, "{name}");
+            let (mut fpreds, mut rels, mut consts) = (Vec::new(), Vec::new(), Vec::new());
+            for (_, p, args) in lasso.atoms.iter() {
+                fpreds.push((p, args.len()));
+                consts.extend_from_slice(args);
+            }
+            for (p, rel) in lasso.nf.iter() {
+                rels.push((p, rel.arity()));
+            }
+            for list in [&mut fpreds, &mut rels] {
+                list.sort();
+                list.dedup();
+            }
+            consts.sort();
+            consts.dedup();
+            check_lasso_graph(&mut ws, &lasso, &fpreds, &rels, &consts, &name);
+        }
     }
 }
