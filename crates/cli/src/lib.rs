@@ -4,9 +4,11 @@
 
 pub mod repl;
 
-use fundb_core::{analysis, read_spec, spec_io, write_spec, DataParams, SpecBundle};
+use fundb_core::{
+    analysis, read_spec, spec_io, write_spec, DataParams, IncrementalAnswer, SpecBundle,
+};
 use fundb_parser::{parse_source, Elaborator, Workspace};
-use fundb_term::Interner;
+use fundb_term::{Cst, Func, Interner};
 use std::io::Write;
 
 /// Usage text shown on argument errors.
@@ -218,14 +220,10 @@ fn check_one(
         return Err(CliError::Failed("expected a single ground atom".into()));
     };
     let atom = elaborator.atom(&rule.head, &mut target.interner)?;
-    if !atom.is_ground() {
+    let args: Option<Vec<Cst>> = atom.args().iter().map(|a| a.as_const()).collect();
+    let (Some(args), true) = (args, atom.is_ground()) else {
         return Err(CliError::Failed(format!("fact `{fact}` is not ground")));
-    }
-    let args: Vec<fundb_term::Cst> = atom
-        .args()
-        .iter()
-        .map(|a| a.as_const().expect("checked ground"))
-        .collect();
+    };
     match atom.fterm() {
         Some(ft) => {
             let Some(path) = spec_io::pure_path_with_map(ft, &target.bundle.sym_map) else {
@@ -269,39 +267,8 @@ fn query(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "incremental answer: {} tuple(s) over the specification",
             ans.size()
         )?;
-        let shown = ans.enumerate_terms(&spec, limit);
-        if shown.is_empty() {
-            // No functional output — print the tuples directly.
-            if let fundb_core::IncrementalAnswer::Tuples(ts) = &ans {
-                let mut rows: Vec<String> = ts
-                    .iter()
-                    .map(|t| {
-                        t.iter()
-                            .map(|c| ws.interner.resolve(c.sym()))
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    })
-                    .collect();
-                rows.sort();
-                for r in rows {
-                    writeln!(out, "  ({r})")?;
-                }
-            }
-        } else {
-            for (path, tuple) in shown {
-                let term = render_term_path(&path, &ws.interner);
-                let args = tuple
-                    .iter()
-                    .map(|c| ws.interner.resolve(c.sym()))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                if args.is_empty() {
-                    writeln!(out, "  {term}")?;
-                } else {
-                    writeln!(out, "  {term}: ({args})")?;
-                }
-            }
-        }
+        let listed = ans.enumerate_terms(&spec, limit);
+        write_answer_rows(out, &listed, &ans, &ws.interner)?;
     } else {
         let (ext, qp) =
             q.answer_by_extension(&ws.program.clone(), &ws.db.clone(), &mut ws.interner)?;
@@ -315,7 +282,57 @@ fn query(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-pub(crate) fn render_term_path(path: &[fundb_term::Func], interner: &Interner) -> String {
+/// Writes the rows of a uniform query's answer, one per line: `  term:
+/// (args)` for each listed functional answer or, when none is listed,
+/// `  (args)` for each tuple of a tuple answer. Serves `fundb query` and
+/// the REPL, which each print their own header and empty-answer line.
+/// Returns the number of rows written.
+pub(crate) fn write_answer_rows(
+    out: &mut dyn Write,
+    listed: &[(Vec<Func>, Vec<Cst>)],
+    ans: &IncrementalAnswer,
+    interner: &Interner,
+) -> std::io::Result<usize> {
+    if listed.is_empty() {
+        return match ans {
+            IncrementalAnswer::Tuples(ts) => write_tuples(out, ts, interner),
+            IncrementalAnswer::PerCluster(_) => Ok(0),
+        };
+    }
+    for (path, tuple) in listed {
+        let term = render_term_path(path, interner);
+        if tuple.is_empty() {
+            writeln!(out, "  {term}")?;
+        } else {
+            writeln!(out, "  {term}: ({})", join_csts(tuple, interner))?;
+        }
+    }
+    Ok(listed.len())
+}
+
+/// Writes answer tuples as sorted `  (args)` lines; returns how many.
+pub(crate) fn write_tuples<'a>(
+    out: &mut dyn Write,
+    tuples: impl IntoIterator<Item = &'a Vec<Cst>>,
+    interner: &Interner,
+) -> std::io::Result<usize> {
+    let mut rows: Vec<String> = tuples.into_iter().map(|t| join_csts(t, interner)).collect();
+    rows.sort();
+    for r in &rows {
+        writeln!(out, "  ({r})")?;
+    }
+    Ok(rows.len())
+}
+
+fn join_csts(tuple: &[Cst], interner: &Interner) -> String {
+    tuple
+        .iter()
+        .map(|c| interner.resolve(c.sym()))
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
+pub(crate) fn render_term_path(path: &[Func], interner: &Interner) -> String {
     if path.is_empty() {
         return "0".to_string();
     }
@@ -364,7 +381,12 @@ fn analyze(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         match fundb_temporal::classify(&ws.program, &ws.db, &ti) {
             fundb_temporal::TemporalClass::NotTemporal => {}
             class => {
-                if let Ok(t) = fundb_temporal::TemporalSpec::compute(&ws.program, &ws.db, &mut ti) {
+                // A program without a function symbol has no `+1` for a
+                // lasso to repeat: nothing to report.
+                if let Some(t) = fundb_temporal::TemporalSpec::compute(&ws.program, &ws.db, &mut ti)
+                    .ok()
+                    .filter(|t| t.symbol.is_some())
+                {
                     let (a, b) = t.equation();
                     writeln!(
                         out,
@@ -449,7 +471,7 @@ pub fn explain_fact(
         }
     }
     let atom = el.atom(&rule.head, &mut interner)?;
-    let cst_args: Vec<fundb_term::Cst> = atom
+    let cst_args: Vec<Cst> = atom
         .args()
         .iter()
         .map(|a| {
@@ -619,6 +641,19 @@ Meets(0, Tony). Next(Tony, Jan). Next(Jan, Tony).\n";
         let out = run_str(&["analyze", &prog]).unwrap();
         assert!(out.contains("INFINITE"));
         assert!(out.contains("data parameters"));
+    }
+
+    #[test]
+    fn analyze_reports_no_lasso_without_a_function_symbol() {
+        let dir = tempdir();
+        let prog = write_program(&dir, "no_symbol.fdb", "P(0). P(t) -> Q(t).\n");
+        let out = run_str(&["analyze", &prog]).unwrap();
+        assert!(out.contains("successor edges: 0"), "{out}");
+        assert!(!out.contains("temporal"), "{out}");
+        // A program with `+1` still reports its lasso.
+        let prog = write_program(&dir, "with_symbol.fdb", "P(0). P(t) -> P(t+1).\n");
+        let out = run_str(&["analyze", &prog]).unwrap();
+        assert!(out.contains("temporal (Forward): lasso"), "{out}");
     }
 
     #[test]

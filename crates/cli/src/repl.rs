@@ -854,25 +854,10 @@ impl Repl {
                     Ok(ans) => {
                         self.demand.magic_rules += ans.stats.magic_rules;
                         self.demand.demanded_tuples += ans.stats.demanded_tuples;
-                        if ans.rows.is_empty() {
-                            writeln!(out, "no answers")
-                        } else {
-                            let mut rows: Vec<String> = ans
-                                .rows
-                                .iter()
-                                .map(|t| {
-                                    t.iter()
-                                        .map(|c| self.ws.interner.resolve(c.sym()))
-                                        .collect::<Vec<_>>()
-                                        .join(", ")
-                                })
-                                .collect();
-                            rows.sort();
-                            for r in rows {
-                                writeln!(out, "  ({r})")?;
-                            }
-                            Ok(())
+                        if crate::write_tuples(out, &ans.rows, &self.ws.interner)? == 0 {
+                            writeln!(out, "no answers")?;
                         }
+                        Ok(())
                     }
                     Err(e) => self.report_error(&e, out),
                 };
@@ -904,41 +889,8 @@ impl Repl {
                 Err(e) => return writeln!(out, "error: {e}"),
             };
             let listed = ans.enumerate_terms(&spec, self.limit);
-            if listed.is_empty() {
-                if let fundb_core::IncrementalAnswer::Tuples(ts) = &ans {
-                    if ts.is_empty() {
-                        writeln!(out, "no answers")?;
-                    }
-                    let mut rows: Vec<String> = ts
-                        .iter()
-                        .map(|t| {
-                            t.iter()
-                                .map(|c| self.ws.interner.resolve(c.sym()))
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        })
-                        .collect();
-                    rows.sort();
-                    for r in rows {
-                        writeln!(out, "  ({r})")?;
-                    }
-                } else {
-                    writeln!(out, "no answers")?;
-                }
-            } else {
-                for (path, tuple) in listed {
-                    let term = crate::render_term_path(&path, &self.ws.interner);
-                    let args = tuple
-                        .iter()
-                        .map(|c| self.ws.interner.resolve(c.sym()))
-                        .collect::<Vec<_>>()
-                        .join(", ");
-                    if args.is_empty() {
-                        writeln!(out, "  {term}")?;
-                    } else {
-                        writeln!(out, "  {term}: ({args})")?;
-                    }
-                }
+            if crate::write_answer_rows(out, &listed, &ans, &self.ws.interner)? == 0 {
+                writeln!(out, "no answers")?;
             }
             Ok(())
         })();

@@ -88,7 +88,23 @@ pub struct Merge {
 
 /// Marks a successor-table cell without an edge while a specification is
 /// read from a file; [`GraphSpec::validate`] rejects any left over.
-pub(crate) const NO_EDGE: u32 = u32::MAX;
+const NO_EDGE: u32 = u32::MAX;
+
+/// The sections of a specification file, as read and before any check
+/// across sections: the input of [`GraphSpec::from_parts`].
+pub(crate) struct SpecParts {
+    pub(crate) c: usize,
+    pub(crate) funcs: Vec<Func>,
+    pub(crate) tree: TermTree,
+    pub(crate) node_terms: Vec<NodeId>,
+    pub(crate) states: Vec<State>,
+    /// Successor edges `(from, f, to)` by node index.
+    pub(crate) edges: Vec<(usize, Func, usize)>,
+    /// Merges as `(potential term path, representative node index)`.
+    pub(crate) merges: Vec<(Vec<Func>, usize)>,
+    pub(crate) atoms: AtomInterner,
+    pub(crate) nf: dl::Database,
+}
 
 /// A finite graph specification `(B, F)` of a (possibly infinite) least
 /// fixpoint.
@@ -108,8 +124,11 @@ pub struct GraphSpec {
     pub nodes: Vec<SpecNode>,
     /// Successor mappings `F` as a dense row-major `nodes × funcs` table:
     /// `succ[i * funcs.len() + r]` is the successor of node `i` under the
-    /// symbol of [`FuncOrder`] rank `r`. Total on `nodes × funcs`.
-    pub(crate) succ: Vec<u32>,
+    /// symbol of [`FuncOrder`] rank `r`. Total on `nodes × funcs`. The
+    /// layout is private to this module: every read goes through
+    /// [`GraphSpec::succ`], [`GraphSpec::succ_row`] or the `Link` walk of
+    /// [`GraphSpec::representative_of`].
+    succ: Vec<u32>,
     /// Abstract-atom vocabulary for the slices.
     pub atoms: AtomInterner,
     /// The relational part of the fixpoint (non-functional predicates):
@@ -290,6 +309,71 @@ impl GraphSpec {
         spec
     }
 
+    /// Builds a specification from the sections of a file: fills the dense
+    /// successor table (an edge naming an unknown node or a symbol outside
+    /// `funcs`, or a second edge for one cell, is an error), interns each
+    /// merge's potential term `f(parent)`, and checks the result with
+    /// [`GraphSpec::validate`] (which rejects a missing edge).
+    pub(crate) fn from_parts(parts: SpecParts) -> std::result::Result<GraphSpec, String> {
+        let funcs = FuncOrder::new(parts.funcs);
+        let (n, k) = (parts.node_terms.len(), funcs.len());
+        let mut succ = vec![NO_EDGE; n * k];
+        for (from, f, to) in parts.edges {
+            let r = funcs
+                .position(f)
+                .ok_or_else(|| format!("successor of node {from} names an unknown symbol"))?;
+            if from >= n || to >= n {
+                return Err("successor refers to an unknown node".into());
+            }
+            let cell = &mut succ[from * k + r as usize];
+            if *cell != NO_EDGE {
+                return Err(format!("node {from} has two successors under one symbol"));
+            }
+            *cell = to as u32;
+        }
+        let mut tree = parts.tree;
+        let mut merges = Vec::with_capacity(parts.merges.len());
+        for (path, rep) in parts.merges {
+            let Some((&f, parent)) = path.split_last() else {
+                return Err("merge of the term 0 (a merged term is f(parent))".into());
+            };
+            if rep >= n {
+                return Err("merge refers to an unknown node".into());
+            }
+            merges.push(Merge {
+                parent: tree.intern_path(parent),
+                f,
+                rep: SpecNodeId::from_index(rep),
+            });
+        }
+        let nodes: Vec<SpecNode> = parts
+            .node_terms
+            .iter()
+            .zip(parts.states)
+            .map(|(&term, state)| SpecNode { term, state })
+            .collect();
+        let active_count = nodes
+            .iter()
+            .filter(|node| tree.depth(node.term) > parts.c)
+            .count();
+        let spec = GraphSpec {
+            c: parts.c,
+            funcs,
+            tree,
+            nodes,
+            succ,
+            atoms: parts.atoms,
+            nf: parts.nf,
+            merges,
+            active_count,
+        };
+        spec.validate().map_err(|e| match e {
+            Error::Parse { detail, .. } => detail,
+            other => other.to_string(),
+        })?;
+        Ok(spec)
+    }
+
     /// Appends a node with an empty successor row.
     fn push_node(&mut self, term: NodeId, state: State) -> SpecNodeId {
         let id = SpecNodeId::from_index(self.nodes.len());
@@ -415,14 +499,16 @@ impl GraphSpec {
     /// Walks the successor graph along a symbol path — the paper's `Link`
     /// rules — returning the representative of the term. `None` when the
     /// path uses a function symbol outside the program's vocabulary (such a
-    /// term cannot occur in the least fixpoint, Proposition 2.1).
+    /// term cannot occur in the least fixpoint, Proposition 2.1). Takes no
+    /// lock: one rank read and one table read per symbol.
+    #[inline]
     pub fn representative_of(&self, path: &[Func]) -> Option<SpecNodeId> {
         let k = self.funcs.len();
-        let mut cur = 0usize;
+        let mut cur = 0u32;
         for &f in path {
-            cur = self.succ[cur * k + self.funcs.position(f)? as usize] as usize;
+            cur = self.succ[cur as usize * k + self.funcs.position(f)? as usize];
         }
-        Some(SpecNodeId::from_index(cur))
+        Some(SpecNodeId(cur))
     }
 
     /// Yes-no membership `P(t₀, ā) ∈ L` via the graph specification.

@@ -8,10 +8,10 @@
 //! finished specification into an immutable, `Arc`-shareable snapshot whose
 //! every read takes `&self`:
 //!
-//! * [`FrozenGraphSpec`] — the graph specification `(B, F)` whose dense
-//!   `nodes × funcs` successor table, indexed through a flat symbol → column
-//!   map, makes the `Link` walk of a membership query a lock-free table
-//!   scan instead of per-step hash lookups.
+//! * [`FrozenGraphSpec`] — the graph specification `(B, F)` itself, sealed:
+//!   its reads are [`GraphSpec`]'s own, whose `Link` walk reads one dense
+//!   [`FuncOrder`](fundb_term::FuncOrder) rank and one successor-table cell
+//!   per symbol. The table's layout is private to [`crate::graphspec`].
 //! * [`FrozenEqSpec`] — the equational specification `(B, R)` with the
 //!   congruence closure precomputed into a class-transition DFA
 //!   ([`fundb_congruence::FrozenClosure`]) with every term's class resolved
@@ -85,14 +85,8 @@ pub struct ServeStats {
 /// All methods take `&self`, and no read takes a lock. Wrap it in an `Arc`
 /// to share across threads.
 pub struct FrozenGraphSpec {
-    /// The sealed specification; its dense successor table is what the
-    /// `Link` walk reads.
+    /// The sealed specification; every read is `GraphSpec`'s own.
     spec: GraphSpec,
-    /// Number of function symbols (row stride of the successor table).
-    nfuncs: usize,
-    /// `rank[f.sym().index()]` = column of `f`, or `u32::MAX` for symbols
-    /// outside the program's vocabulary.
-    rank: Vec<u32>,
 }
 
 impl std::fmt::Debug for FrozenGraphSpec {
@@ -104,22 +98,7 @@ impl std::fmt::Debug for FrozenGraphSpec {
 impl GraphSpec {
     /// Seals the specification into an immutable, shareable snapshot.
     pub fn freeze(self) -> FrozenGraphSpec {
-        let max_sym = self
-            .funcs
-            .symbols()
-            .iter()
-            .map(|f| f.sym().index())
-            .max()
-            .map_or(0, |m| m + 1);
-        let mut rank = vec![u32::MAX; max_sym];
-        for (r, &f) in self.funcs.symbols().iter().enumerate() {
-            rank[f.sym().index()] = r as u32;
-        }
-        FrozenGraphSpec {
-            nfuncs: self.funcs.len(),
-            spec: self,
-            rank,
-        }
+        FrozenGraphSpec { spec: self }
     }
 }
 
@@ -133,34 +112,6 @@ impl FrozenGraphSpec {
     /// Unseals the snapshot, returning the owned specification.
     pub fn thaw(self) -> GraphSpec {
         self.spec
-    }
-
-    /// Persists the sealed specification to `path` in the versioned binary
-    /// spec format ([`crate::spec_io::SPEC_BIN_MAGIC`]), so a served spec
-    /// can be durably snapshotted without thawing the live snapshot.
-    pub fn save_binary(
-        &self,
-        path: &str,
-        interner: &fundb_term::Interner,
-    ) -> crate::error::Result<()> {
-        let bundle = crate::spec_io::SpecBundle {
-            spec: self.spec.clone(),
-            sym_map: FxHashMap::default(),
-        };
-        crate::spec_io::write_spec_file_binary(path, &bundle, interner)
-    }
-
-    /// Loads a specification file (binary or text, auto-detected) and seals
-    /// it for serving. Inverse of [`FrozenGraphSpec::save_binary`]; any
-    /// mixed→pure symbol map stored alongside the spec is dropped (use
-    /// [`crate::spec_io::read_spec_file_frozen`] to keep it).
-    pub fn load_binary(
-        path: &str,
-        interner: &mut fundb_term::Interner,
-    ) -> crate::error::Result<Self> {
-        Ok(crate::spec_io::read_spec_file(path, interner)?
-            .spec
-            .freeze())
     }
 
     /// Answer-cache counters: always zero, since reads are computed
@@ -191,45 +142,23 @@ impl FrozenGraphSpec {
         1
     }
 
-    /// Dense representative-node index of a path, or `None` when the path
-    /// uses a symbol outside the program's vocabulary. Lock-free: one dense
-    /// array read per symbol.
-    #[inline]
-    fn rep_index(&self, path: &[Func]) -> Option<u32> {
-        let mut cur = 0u32;
-        for &f in path {
-            let r = *self.rank.get(f.sym().index())?;
-            if r == u32::MAX {
-                return None;
-            }
-            cur = self.spec.succ[cur as usize * self.nfuncs + r as usize];
-        }
-        Some(cur)
-    }
-
-    /// The representative of a term — the `Link` walk of the paper — as a
-    /// lock-free dense-array scan.
+    /// The representative of a term — the `Link` walk of the paper
+    /// ([`GraphSpec::representative_of`]).
     pub fn representative_of(&self, path: &[Func]) -> Option<SpecNodeId> {
-        self.rep_index(path)
-            .map(|i| SpecNodeId::from_dense_index(i as usize))
+        self.spec.representative_of(path)
     }
 
     /// Yes-no membership `P(t₀, ā) ∈ L`: the `Link` walk to the
-    /// representative of `t₀`, then one probe of its slice.
+    /// representative of `t₀`, then one probe of its slice
+    /// ([`GraphSpec::holds`]).
     pub fn holds(&self, pred: Pred, path: &[Func], args: &[Cst]) -> bool {
-        let Some(rep) = self.rep_index(path) else {
-            return false; // outside the vocabulary: not in L (Prop. 2.1)
-        };
-        self.spec
-            .atoms
-            .get(pred, args)
-            .is_some_and(|id| self.spec.nodes[rep as usize].state.contains(id))
+        self.spec.holds(pred, path, args)
     }
 
     /// Yes-no membership for a relational tuple: one probe of the
     /// relational store.
     pub fn holds_relational(&self, pred: Pred, args: &[Cst]) -> bool {
-        self.spec.nf.contains(pred, args)
+        self.spec.holds_relational(pred, args)
     }
 
     /// Answers one query.
@@ -482,11 +411,18 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("even.spec.bin");
         let path = path.to_str().unwrap();
-        frozen.save_binary(path, &i).unwrap();
+        let bundle = crate::spec_io::SpecBundle {
+            spec: frozen.spec().clone(),
+            sym_map: FxHashMap::default(),
+        };
+        crate::spec_io::write_spec_file_binary(path, &bundle, &i).unwrap();
         // The file carries the binary magic, not the text format.
         let bytes = std::fs::read(path).unwrap();
         assert!(bytes.starts_with(&crate::spec_io::SPEC_BIN_MAGIC));
-        let reloaded = FrozenGraphSpec::load_binary(path, &mut i).unwrap();
+        let reloaded = crate::spec_io::read_spec_file(path, &mut i)
+            .unwrap()
+            .spec
+            .freeze();
         assert_eq!(
             reloaded.spec().cluster_count(),
             frozen.spec().cluster_count()
@@ -499,6 +435,38 @@ mod tests {
             );
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A path over a symbol outside the spec's vocabulary names no term of
+    /// the fixpoint (Proposition 2.1): every spec form answers `false`,
+    /// whether the symbol was interned after the spec was built (its index
+    /// lies past the rank vector) or before it, without entering `funcs`.
+    #[test]
+    fn reads_over_symbols_outside_the_spec_are_false() {
+        let (mut i, spec, even, plus) = even_spec();
+        let before = Func(even.sym());
+        let after = Func(i.intern("interned_after_the_spec"));
+        assert!(before.index() < plus.index() && plus.index() < after.index());
+        let mut eq = EqSpec::from_graph(&spec);
+        let frozen_eq = eq.freeze();
+        let frozen = spec.clone().freeze();
+        for stray in [before, after] {
+            for path in [
+                vec![stray],
+                vec![plus, plus, stray],
+                vec![stray, plus, plus],
+            ] {
+                assert_eq!(spec.representative_of(&path), None, "{path:?}");
+                assert_eq!(frozen.representative_of(&path), None, "{path:?}");
+                assert!(!spec.holds(even, &path, &[]), "{path:?}");
+                assert!(!frozen.holds(even, &path, &[]), "{path:?}");
+                assert!(!eq.holds(even, &path, &[]), "{path:?}");
+                assert!(!frozen_eq.holds(even, &path, &[]), "{path:?}");
+            }
+        }
+        // The same paths over the spec's own symbol still hold.
+        assert!(frozen.holds(even, &[plus, plus], &[]));
+        assert!(frozen_eq.holds(even, &[plus, plus], &[]));
     }
 
     #[test]

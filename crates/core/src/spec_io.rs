@@ -34,13 +34,11 @@
 
 use crate::error::{Error, Result};
 use crate::gendb::AtomInterner;
-use crate::graphspec::{GraphSpec, Merge, SpecNode, SpecNodeId, NO_EDGE};
+use crate::graphspec::{GraphSpec, SpecParts};
 use crate::state::State;
 use fundb_datalog as dl;
 use fundb_storage::codec::{crc32c, put_str, put_u32, put_u64, CodecError, Reader};
-use fundb_term::{
-    Cst, Func, FuncOrder, FxHashMap, Interner, MixedSym, NodeId, Pred, Sym, TermTree,
-};
+use fundb_term::{Cst, Func, FxHashMap, Interner, MixedSym, Pred, Sym, TermTree};
 
 /// Magic prefix of binary (version ≥ 2) specification files.
 pub const SPEC_BIN_MAGIC: [u8; 8] = *b"FDBSPECB";
@@ -56,28 +54,6 @@ pub struct SpecBundle {
     pub spec: GraphSpec,
     /// `(g, ā) → f_ā` instantiations (possibly empty).
     pub sym_map: FxHashMap<(MixedSym, Box<[Cst]>), Func>,
-}
-
-/// A sealed specification plus the mixed→pure symbol map that interprets
-/// user-facing terms against it.
-pub type FrozenBundle = (
-    crate::serve::FrozenGraphSpec,
-    FxHashMap<(MixedSym, Box<[Cst]>), Func>,
-);
-
-impl SpecBundle {
-    /// Seals the bundled specification for serving, keeping the symbol map
-    /// for translating user-facing mixed terms. The paper's "the original
-    /// deductive rules may be forgotten" (§1), operationally: load a spec
-    /// file, freeze it, share it.
-    pub fn freeze(self) -> FrozenBundle {
-        (self.spec.freeze(), self.sym_map)
-    }
-}
-
-/// Reads a specification file and seals it for serving in one step.
-pub fn read_spec_file_frozen(path: &str, interner: &mut Interner) -> Result<FrozenBundle> {
-    Ok(read_spec_file(path, interner)?.freeze())
 }
 
 /// Translates a ground (possibly mixed) functional term into a pure symbol
@@ -547,91 +523,8 @@ pub fn read_spec_binary(bytes: &[u8], interner: &mut Interner) -> Result<SpecBun
         atoms,
         nf,
     };
-    let spec = parts.assemble().map_err(bin_err)?;
+    let spec = GraphSpec::from_parts(parts).map_err(bin_err)?;
     Ok(SpecBundle { spec, sym_map })
-}
-
-/// The sections of a specification file, as read and before any check
-/// across sections.
-struct SpecParts {
-    c: usize,
-    funcs: Vec<Func>,
-    tree: TermTree,
-    node_terms: Vec<NodeId>,
-    states: Vec<State>,
-    /// Successor edges `(from, f, to)` by node index.
-    edges: Vec<(usize, Func, usize)>,
-    /// Merges as `(potential term path, representative node index)`.
-    merges: Vec<(Vec<Func>, usize)>,
-    atoms: AtomInterner,
-    nf: dl::Database,
-}
-
-impl SpecParts {
-    /// Builds the specification: fills the dense successor table (an edge
-    /// naming an unknown node or a symbol outside `funcs`, or a second edge
-    /// for one cell, is an error), interns each merge's potential term
-    /// `f(parent)`, and checks the result with [`GraphSpec::validate`]
-    /// (which rejects a missing edge).
-    fn assemble(self) -> std::result::Result<GraphSpec, String> {
-        let funcs = FuncOrder::new(self.funcs);
-        let (n, k) = (self.node_terms.len(), funcs.len());
-        let mut succ = vec![NO_EDGE; n * k];
-        for (from, f, to) in self.edges {
-            let r = funcs
-                .position(f)
-                .ok_or_else(|| format!("successor of node {from} names an unknown symbol"))?;
-            if from >= n || to >= n {
-                return Err("successor refers to an unknown node".into());
-            }
-            let cell = &mut succ[from * k + r as usize];
-            if *cell != NO_EDGE {
-                return Err(format!("node {from} has two successors under one symbol"));
-            }
-            *cell = to as u32;
-        }
-        let mut tree = self.tree;
-        let mut merges = Vec::with_capacity(self.merges.len());
-        for (path, rep) in self.merges {
-            let Some((&f, parent)) = path.split_last() else {
-                return Err("merge of the term 0 (a merged term is f(parent))".into());
-            };
-            if rep >= n {
-                return Err("merge refers to an unknown node".into());
-            }
-            merges.push(Merge {
-                parent: tree.intern_path(parent),
-                f,
-                rep: SpecNodeId::from_dense_index(rep),
-            });
-        }
-        let nodes: Vec<SpecNode> = self
-            .node_terms
-            .iter()
-            .zip(self.states)
-            .map(|(&term, state)| SpecNode { term, state })
-            .collect();
-        let active_count = nodes
-            .iter()
-            .filter(|node| tree.depth(node.term) > self.c)
-            .count();
-        let spec = GraphSpec {
-            c: self.c,
-            funcs,
-            tree,
-            nodes,
-            succ,
-            atoms: self.atoms,
-            nf: self.nf,
-            merges,
-            active_count,
-        };
-        spec.validate().map_err(|e| match e {
-            Error::Parse { detail, .. } => detail,
-            other => other.to_string(),
-        })?;
-        Ok(spec)
-    }
 }
 
 /// Parses the text format back into a [`SpecBundle`]. Symbol names are
@@ -671,14 +564,10 @@ pub fn read_spec(text: &str, interner: &mut Interner) -> Result<SpecBundle> {
     };
 
     for (lineno, raw) in lines {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut toks = line.split_whitespace();
-        // Invariant: `line` is trimmed and non-empty (checked above), so
-        // `split_whitespace` yields at least one token.
-        let kw = toks.next().expect("non-empty line has a token");
+        let mut toks = raw.split_whitespace();
+        let Some(kw) = toks.next().filter(|kw| !kw.starts_with('#')) else {
+            continue; // blank line or comment
+        };
         let rest: Vec<&str> = toks.collect();
         match kw {
             "c" => {
@@ -696,9 +585,10 @@ pub fn read_spec(text: &str, interner: &mut Interner) -> Result<SpecBundle> {
                     return Err(err(lineno, "malformed `mixed`"));
                 }
                 let gname = interner.intern(rest[0]);
-                let extra: usize = rest[1]
+                let extra_args: u8 = rest[1]
                     .parse()
                     .map_err(|_| err(lineno, "malformed mixed arity"))?;
+                let extra = usize::from(extra_args);
                 if rest.len() != extra + 3 {
                     return Err(err(lineno, "mixed argument count mismatch"));
                 }
@@ -711,7 +601,7 @@ pub fn read_spec(text: &str, interner: &mut Interner) -> Result<SpecBundle> {
                     (
                         MixedSym {
                             name: gname,
-                            extra_args: extra as u8,
+                            extra_args,
                         },
                         args,
                     ),
@@ -813,7 +703,7 @@ pub fn read_spec(text: &str, interner: &mut Interner) -> Result<SpecBundle> {
         atoms,
         nf,
     };
-    let spec = parts.assemble().map_err(|detail| Error::Parse {
+    let spec = GraphSpec::from_parts(parts).map_err(|detail| Error::Parse {
         offset: 0,
         detail: format!("spec file: {detail}"),
     })?;
@@ -950,6 +840,20 @@ mod tests {
         assert!(read_spec("fundbspec 1\nc 0\n", &mut i).is_err()); // no end
         assert!(read_spec("fundbspec 1\nbogus x\nend\n", &mut i).is_err());
         assert!(read_spec("fundbspec 1\nnode 1 -\nend\n", &mut i).is_err()); // non-dense
+                                                                             // A mixed symbol's arity is one byte: 256 or more arguments is
+                                                                             // refused, not truncated.
+        let mixed = |n: usize| {
+            format!(
+                "fundbspec 1\nc 0\nfuncs +1\nmixed ext {n}{} ext[A]\n\
+                 node 0 -\nsucc 0 +1 0\nend\n",
+                " A".repeat(n)
+            )
+        };
+        let bundle = read_spec(&mixed(255), &mut i).unwrap();
+        assert_eq!(bundle.sym_map.keys().next().unwrap().0.extra_args, 255);
+        for n in [256, 257] {
+            assert!(read_spec(&mixed(n), &mut i).is_err(), "arity {n}");
+        }
     }
 
     #[test]
@@ -1310,9 +1214,7 @@ mod tests {
         let bin_path = dir.join("missing.fspec.bin");
         std::fs::write(&bin_path, even_binary(&[(0, 0, 1)])).unwrap();
         for path in [&text_path, &bin_path] {
-            let path = path.to_str().unwrap();
-            assert!(crate::serve::FrozenGraphSpec::load_binary(path, &mut i).is_err());
-            assert!(read_spec_file_frozen(path, &mut i).is_err());
+            assert!(read_spec_file(path.to_str().unwrap(), &mut i).is_err());
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1381,11 +1283,11 @@ mod tests {
         let (mut i, spec, ..) = meets_spec();
         let [first, second] = filled_in_either_order(&spec.nf, &mut i);
         let text = |nf: dl::Database| {
-            let spec = GraphSpec { nf, ..spec.clone() };
-            let bundle = SpecBundle {
-                spec,
+            let mut bundle = SpecBundle {
+                spec: spec.clone(),
                 sym_map: FxHashMap::default(),
             };
+            bundle.spec.nf = nf;
             (
                 write_spec(&bundle, &i).unwrap(),
                 write_spec_binary(&bundle, &i),

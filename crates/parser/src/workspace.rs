@@ -20,6 +20,7 @@
 use crate::elaborate::Elaborator;
 use crate::syntax::{parse_source, PStatement};
 use fundb_core::error::{Error, Result};
+use fundb_core::spec_io::pure_path_with_map;
 use fundb_core::{
     normalize, to_pure, CompiledProgram, Database, Engine, EqSpec, FTerm, Governor, GraphSpec,
     Program, Query,
@@ -141,10 +142,10 @@ impl Workspace {
     /// Checks one ground fact, written in concrete syntax, against a graph
     /// specification.
     pub fn holds(&mut self, spec: &GraphSpec, fact: &str) -> Result<bool> {
-        let (pred, fterm, args) = self.parse_ground_fact(fact)?;
+        let (pred, fterm, args) = self.parse_fact(fact)?;
         match fterm {
             Some(ft) => {
-                let Some(path) = self.pure_path_of(&ft) else {
+                let Some(path) = pure_path_with_map(&ft, &self.sym_map) else {
                     return Ok(false);
                 };
                 Ok(spec.holds(pred, &path, &args))
@@ -155,10 +156,10 @@ impl Workspace {
 
     /// Checks one ground fact against an equational specification.
     pub fn holds_eq(&mut self, eq: &mut EqSpec, fact: &str) -> Result<bool> {
-        let (pred, fterm, args) = self.parse_ground_fact(fact)?;
+        let (pred, fterm, args) = self.parse_fact(fact)?;
         match fterm {
             Some(ft) => {
-                let Some(path) = self.pure_path_of(&ft) else {
+                let Some(path) = pure_path_with_map(&ft, &self.sym_map) else {
                     return Ok(false);
                 };
                 Ok(eq.holds(pred, &path, &args))
@@ -171,13 +172,6 @@ impl Workspace {
     /// into its predicate, optional functional term, and constant
     /// arguments — the shape `:retract` needs to address a base fact.
     pub fn parse_fact(
-        &mut self,
-        fact: &str,
-    ) -> Result<(fundb_term::Pred, Option<FTerm>, Vec<Cst>)> {
-        self.parse_ground_fact(fact)
-    }
-
-    fn parse_ground_fact(
         &mut self,
         fact: &str,
     ) -> Result<(fundb_term::Pred, Option<FTerm>, Vec<Cst>)> {
@@ -195,41 +189,11 @@ impl Workspace {
             });
         }
         let atom = self.elaborator.atom(&rule.head, &mut self.interner)?;
-        if !atom.is_ground() {
+        let args: Option<Vec<Cst>> = atom.args().iter().map(|a| a.as_const()).collect();
+        let (Some(args), true) = (args, atom.is_ground()) else {
             return Err(Error::NonGroundFact { fact: fact.into() });
-        }
-        let args: Vec<Cst> = atom
-            .args()
-            .iter()
-            .map(|a| a.as_const().expect("checked ground"))
-            .collect();
+        };
         Ok((atom.pred(), atom.fterm().cloned(), args))
-    }
-
-    /// Translates a ground (possibly mixed) functional term into a pure
-    /// symbol path using the last build's mixed→pure instantiations.
-    /// Returns `None` when the term uses an instantiation that never occurs
-    /// in the fixpoint (so membership is simply false).
-    fn pure_path_of(&self, ft: &FTerm) -> Option<Vec<Func>> {
-        let (steps, end) = ft.decompose();
-        if !matches!(end, FTerm::Zero) {
-            return None;
-        }
-        // Steps are outermost-first; paths are innermost-first.
-        let mut path = Vec::with_capacity(steps.len());
-        for s in steps.into_iter().rev() {
-            match s {
-                fundb_core::program::SpineStep::Pure(f) => path.push(f),
-                fundb_core::program::SpineStep::Mixed(g, args) => {
-                    let consts: Box<[Cst]> = args
-                        .into_iter()
-                        .map(|a| a.as_const())
-                        .collect::<Option<_>>()?;
-                    path.push(*self.sym_map.get(&(g, consts))?);
-                }
-            }
-        }
-        Some(path)
     }
 }
 

@@ -12,28 +12,36 @@
 //! symbols), which reproduces the paper's example `0 ≺ f1(0) ≺ f2(0) ≺
 //! f1(f1(0)) ≺ …`.
 
-use crate::hash::FxHashMap;
 use crate::interner::Func;
 use crate::tree::{NodeId, TermTree};
 use std::cmp::Ordering;
 
 /// A total order on the pure function symbols of a program.
+///
+/// Ranks are kept in a dense vector indexed by the symbol's interning
+/// index, so a rank lookup is one array read: the `Link` walk of a graph
+/// specification does one per step.
 #[derive(Clone, Default)]
 pub struct FuncOrder {
-    rank: FxHashMap<Func, u32>,
+    /// `rank[f.index()]` = rank of `f`, or `u32::MAX` for a symbol outside
+    /// the order.
+    rank: Vec<u32>,
     order: Vec<Func>,
 }
 
 impl FuncOrder {
     /// Builds the order from an explicit sequence of symbols (first = least).
     pub fn new(symbols: impl IntoIterator<Item = Func>) -> Self {
-        let mut rank = FxHashMap::default();
+        let mut rank = Vec::new();
         let mut order = Vec::new();
         for f in symbols {
-            if rank.contains_key(&f) {
+            if rank.len() <= f.index() {
+                rank.resize(f.index() + 1, u32::MAX);
+            }
+            if rank[f.index()] != u32::MAX {
                 continue;
             }
-            rank.insert(f, order.len() as u32);
+            rank[f.index()] = order.len() as u32;
             order.push(f);
         }
         FuncOrder { rank, order }
@@ -42,15 +50,14 @@ impl FuncOrder {
     /// Rank of a symbol. Panics if the symbol was not registered — orders are
     /// always built from the complete symbol set of a program.
     pub fn rank(&self, f: Func) -> u32 {
-        *self
-            .rank
-            .get(&f)
+        self.position(f)
             .expect("function symbol missing from FuncOrder")
     }
 
     /// Rank of a symbol, or `None` for a symbol outside the order.
+    #[inline]
     pub fn position(&self, f: Func) -> Option<u32> {
-        self.rank.get(&f).copied()
+        self.rank.get(f.index()).copied().filter(|&r| r != u32::MAX)
     }
 
     /// The symbols in ascending order.
@@ -197,6 +204,23 @@ mod tests {
         assert_eq!(ord.len(), 2);
         assert_eq!(ord.rank(f1), 0);
         assert_eq!(ord.rank(f2), 1);
+    }
+
+    #[test]
+    fn position_of_a_symbol_outside_the_order_is_none() {
+        let mut i = Interner::new();
+        let f1 = Func(i.intern("f1"));
+        let before = Func(i.intern("before"));
+        let f2 = Func(i.intern("f2"));
+        let ord = FuncOrder::new([f1, f2]);
+        // Interned before the order was built, but not in it: inside the
+        // rank vector, at the vacant mark.
+        assert_eq!(ord.position(before), None);
+        // Interned after the order was built: past the rank vector.
+        let after = Func(i.intern("after"));
+        assert_eq!(ord.position(after), None);
+        assert_eq!(ord.position(f1), Some(0));
+        assert_eq!(ord.position(f2), Some(1));
     }
 }
 
